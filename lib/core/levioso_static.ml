@@ -22,10 +22,14 @@ let maker (config : Config.t) program pipe =
       match deps.(Pipeline.pc_of pipe seq) with
       | None -> not (Pipeline.exists_older_unresolved_branch pipe ~seq)
       | Some set ->
-        not
-          (List.exists
-             (fun b -> Int_set.mem (Pipeline.pc_of pipe b) set)
-             (Pipeline.older_unresolved_branches pipe ~seq))
+        (* the older unresolved branches are a prefix of the queue *)
+        let n = Pipeline.unresolved_branch_count pipe in
+        let i = ref 0 and dependent = ref false in
+        while (not !dependent) && !i < n && Pipeline.unresolved_branch pipe !i < seq do
+          dependent := Int_set.mem (Pipeline.pc_of pipe (Pipeline.unresolved_branch pipe !i)) set;
+          incr i
+        done;
+        not !dependent
   in
   (* Provenance: the older unresolved branches whose static pc is in the
      instruction's dependency set (all of them after an overflow). *)

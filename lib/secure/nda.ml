@@ -12,7 +12,12 @@ let maker _config _program pipe =
       false
   in
   let may_execute ~seq =
-    not (List.exists producer_quarantined (Pipeline.producers_of pipe seq))
+    let quarantined = ref false in
+    for i = 0 to Pipeline.producer_count pipe seq - 1 do
+      if not !quarantined then
+        quarantined := producer_quarantined (Pipeline.producer pipe seq i)
+    done;
+    not !quarantined
   in
   (* Provenance: the still-quarantined producer loads feeding the operands. *)
   let explain ~seq =

@@ -21,6 +21,13 @@
       ({!Levioso_uarch.Config.t}[.depset_budget]); overflow degrades to
       "stall while any older unresolved branch exists".
 
+    Representation: one {!Levioso_uarch.Slot_mask} row per ROB arena
+    slot naming the in-flight root loads of the value, a conservative
+    flag per slot, and the column of a root cleared when it commits.
+    Decode also records the youngest operand root and the youngest
+    conservative producer, so the issue check is a few comparisons, not
+    a re-union of producer taints.
+
     The deliberate security gap this reproduces from the paper: data that
     was loaded {e non-speculatively} (or lives in registers) is never
     tainted, so a wrong-path transmitter whose operands are

@@ -19,23 +19,30 @@ let zero =
     top_heap_words = 0;
   }
 
+(* The word counts come from [Gc.counters], which on OCaml 5 reads this
+   domain's own counters (minor words from the live allocation pointer,
+   so short spans still see their allocation); quick_stat's
+   promoted/major words also take in other domains' allocation.  A minor
+   collection on each side of the span, outside its clock, flushes the
+   young generation, so the words promoted inside the span are exactly
+   the span's own survivors and [minor + major - promoted] is the span's
+   allocation, whatever ran before it or beside it. *)
 let measure f =
   let g0 = Gc.quick_stat () in
-  (* quick_stat's minor_words only refreshes at collection points on
-     OCaml 5; Gc.minor_words reads the live allocation pointer, so short
-     spans still see their allocation *)
-  let m0 = Gc.minor_words () in
+  Gc.minor ();
+  let m0, p0, j0 = Gc.counters () in
   let t0 = Unix.gettimeofday () in
   let x = f () in
   let t1 = Unix.gettimeofday () in
-  let m1 = Gc.minor_words () in
+  Gc.minor ();
+  let m1, p1, j1 = Gc.counters () in
   let g1 = Gc.quick_stat () in
   ( x,
     {
       wall_s = t1 -. t0;
       minor_words = m1 -. m0;
-      promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
+      promoted_words = p1 -. p0;
+      major_words = j1 -. j0;
       minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
       major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
       top_heap_words = g1.Gc.top_heap_words;

@@ -54,7 +54,9 @@ let event_to_string = function
    values entirely: source operands, in-flight state, the rename table,
    completion buckets and the unresolved-branch queue are all bare ints
    with -1 (or the codes below) as sentinels, so a tracer-off cycle
-   allocates nothing. *)
+   allocates nothing.  Per-cycle loops are [for]/[while] loops rather
+   than local recursive functions: without flambda a local function that
+   captures state is a closure allocated on every call. *)
 
 (* entry.st *)
 let st_waiting = 0
@@ -128,14 +130,21 @@ type flow = {
 type t = {
   cfg : Config.t;
   program : Ir.program;
-  rob : int;  (* cfg.rob_size *)
-  vb : int;  (* value_buf length = 2 * rob *)
+  rob : int;  (* cfg.rob_size: the window capacity *)
+  slot_mask : int;  (* Array.length slots - 1 *)
+  vb_mask : int;  (* Array.length value_buf - 1 *)
   regs : int array;
   memory : int array;
   mem_mask : int;
   hierarchy : Cache.Hierarchy.h;
   predictor : Predictor.t;
-  slots : entry array;  (* arena, indexed seq mod rob *)
+  (* The ROB arena and the committed-value buffer are power-of-two
+     sized and indexed [seq land mask], so the per-entry lookups on the
+     issue path are masks, not integer divides.  [slots] has at least
+     [rob] entries and [value_buf] at least [2 * rob]; only [rob] bounds
+     the window (fetch stops when [tail_seq - head_seq = rob]), so the
+     spare arena capacity never changes simulated behaviour. *)
+  slots : entry array;
   value_buf : int array;
   rename : int array;  (* -1 = architectural (no in-flight producer) *)
   mutable head_seq : int;
@@ -164,8 +173,8 @@ type t = {
      flat queue ([ub_len] live entries).  Maintained at dispatch /
      resolve / squash so the policy-facing queries
      [exists_older_unresolved_branch] (O(1): compare against the head)
-     and [older_unresolved_branches] (O(branches), not O(window)) never
-     rescan the whole ROB. *)
+     and [unresolved_branch] (the i-th oldest) never rescan the whole
+     ROB. *)
   ub : int array;
   mutable ub_len : int;
   mutable tracer : (cycle:int -> event -> unit) option;
@@ -231,11 +240,11 @@ let recent_events_capacity = 32
 
 let in_flight t seq = seq >= t.head_seq && seq < t.tail_seq
 
-(* In any window of <= rob in-flight seqs, [slot_of] is injective, so an
-   in-flight seq's slot necessarily holds its entry; anything outside
-   the window is stale arena contents. *)
+(* Any arena of at least [rob] slots is injective over a window of <= rob
+   in-flight seqs, so an in-flight seq's slot necessarily holds its
+   entry; anything outside the window is stale arena contents. *)
 let entry_exn t seq =
-  if seq >= t.head_seq && seq < t.tail_seq then t.slots.(seq mod t.rob)
+  if seq >= t.head_seq && seq < t.tail_seq then t.slots.(seq land t.slot_mask)
   else invalid_arg (Printf.sprintf "Pipeline: seq %d not in flight" seq)
 
 let instr_of t seq = (entry_exn t seq).instr
@@ -249,6 +258,13 @@ let is_unresolved_branch t seq =
   let e = entry_exn t seq in
   Ir.is_branch e.instr && not e.resolved
 
+let unresolved_branch_count t = t.ub_len
+
+let unresolved_branch t i =
+  if i < 0 || i >= t.ub_len then
+    invalid_arg (Printf.sprintf "Pipeline.unresolved_branch: index %d" i)
+  else t.ub.(i)
+
 let older_unresolved_branches t ~seq =
   let rec count i = if i < t.ub_len && t.ub.(i) < seq then count (i + 1) else i in
   let n = count 0 in
@@ -257,13 +273,29 @@ let older_unresolved_branches t ~seq =
 
 let exists_older_unresolved_branch t ~seq = t.ub_len > 0 && t.ub.(0) < seq
 
-let producers_of t seq =
+let producer_count t seq =
   let e = entry_exn t seq in
-  let rec go i acc =
-    if i < 0 then acc
-    else go (i - 1) (if e.src_kind.(i) = 1 then e.src_val.(i) :: acc else acc)
-  in
-  go (e.n_srcs - 1) []
+  let n = ref 0 in
+  for i = 0 to e.n_srcs - 1 do
+    if e.src_kind.(i) = 1 then incr n
+  done;
+  !n
+
+let producer t seq i =
+  let e = entry_exn t seq in
+  (* [k] walks the operands, [left] counts down the producers to skip *)
+  let k = ref 0 and left = ref i in
+  while !k < e.n_srcs && (e.src_kind.(!k) = 0 || !left > 0) do
+    if e.src_kind.(!k) = 1 then decr left;
+    incr k
+  done;
+  if !k >= e.n_srcs || i < 0 then
+    invalid_arg (Printf.sprintf "Pipeline.producer: index %d" i)
+  else e.src_val.(!k)
+
+let producers_of t seq = List.init (producer_count t seq) (producer t seq)
+
+let arena_size t = t.slot_mask + 1
 
 let regs t = t.regs
 let mem t = t.memory
@@ -280,7 +312,7 @@ let halted t = t.is_halted
 let arch_pc t =
   (* An empty window means no unresolved branch is in flight, so
      [fetch_pc] is on the architecturally-correct path. *)
-  if t.head_seq < t.tail_seq then t.slots.(t.head_seq mod t.rob).pc
+  if t.head_seq < t.tail_seq then t.slots.(t.head_seq land t.slot_mask).pc
   else t.fetch_pc
 
 let set_tracer t f = t.tracer <- Some f
@@ -301,7 +333,7 @@ let set_flow_tracer t ~secret_ranges f =
         fl_cb = f;
         fl_taint_regs = Array.make Ir.num_regs (-1);
         fl_taint_mem = Array.make (Array.length t.memory) (-1);
-        fl_taint_buf = Array.make t.vb (-1);
+        fl_taint_buf = Array.make (t.vb_mask + 1) (-1);
         fl_next_id = 0;
       }
 
@@ -392,14 +424,14 @@ let src_ready t e i =
   e.src_kind.(i) = 0
   ||
   let s = e.src_val.(i) in
-  s < t.head_seq || t.slots.(s mod t.rob).st = st_done
+  s < t.head_seq || t.slots.(s land t.slot_mask).st = st_done
 
 let src_value t e i =
   if e.src_kind.(i) = 0 then e.src_val.(i)
   else
     let s = e.src_val.(i) in
-    if s < t.head_seq then t.value_buf.(s mod t.vb)
-    else t.slots.(s mod t.rob).value
+    if s < t.head_seq then t.value_buf.(s land t.vb_mask)
+    else t.slots.(s land t.slot_mask).value
 
 let operands_ready t e =
   let n = e.n_srcs in
@@ -457,8 +489,8 @@ let src_taint t fl e i =
   if e.src_kind.(i) = 0 then e.fi_src.(i)
   else
     let s = e.src_val.(i) in
-    if s < t.head_seq then fl.fl_taint_buf.(s mod t.vb)
-    else t.slots.(s mod t.rob).fi_v
+    if s < t.head_seq then fl.fl_taint_buf.(s land t.vb_mask)
+    else t.slots.(s land t.slot_mask).fi_v
 
 (* Called once per successful issue (flow tracing on).  Classifies each
    operand as address- or data-carrying, decides whether the instruction
@@ -486,7 +518,7 @@ let flow_on_issue t fl e ~forward_seq ~touched_cache =
   let mem_taint =
     match e.instr with
     | Ir.Load _ ->
-      if forward_seq >= 0 then t.slots.(forward_seq mod t.rob).fi_v
+      if forward_seq >= 0 then t.slots.(forward_seq land t.slot_mask).fi_v
       else fl.fl_taint_mem.(e.addr)
     | Ir.Alu _ | Ir.Store _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
     | Ir.Rdcycle _ | Ir.Halt ->
@@ -623,7 +655,7 @@ let dispatch_one t =
   let pc = t.fetch_pc in
   let instr = t.program.(pc) in
   let seq = t.tail_seq in
-  let e = t.slots.(seq mod t.rob) in
+  let e = t.slots.(seq land t.slot_mask) in
   e.seq <- seq;
   e.pc <- pc;
   e.instr <- instr;
@@ -692,19 +724,15 @@ let dispatch_one t =
 
 let fetch t =
   if (not t.fetch_stopped) && t.cyc >= t.fetch_resume then begin
-    let rec go budget =
-      if budget > 0 && (not t.fetch_stopped) && t.tail_seq - t.head_seq < t.rob
-      then begin
-        dispatch_one t;
-        go (budget - 1)
-      end
-      else budget
-    in
-    let remaining = go t.cfg.Config.fetch_width in
+    let remaining = ref t.cfg.Config.fetch_width in
+    while !remaining > 0 && (not t.fetch_stopped) && t.tail_seq - t.head_seq < t.rob do
+      dispatch_one t;
+      decr remaining
+    done;
     (* Attribution: fetch wanted to dispatch but the window is full — one
        Rob_full charge per blocked cycle, against the stalled fetch PC. *)
     if
-      remaining > 0
+      !remaining > 0
       && (not t.fetch_stopped)
       && t.tail_seq - t.head_seq >= t.rob
       && t.fetch_pc < Array.length t.program
@@ -717,7 +745,7 @@ let squash t ~boundary =
   let branch = entry_exn t boundary in
   emit_squashed t boundary (t.tail_seq - boundary - 1);
   for seq = t.tail_seq - 1 downto boundary + 1 do
-    let e = t.slots.(seq mod t.rob) in
+    let e = t.slots.(seq land t.slot_mask) in
     (match t.audit with
     | Some a -> audit_close t a e Audit.Squashed
     | None -> ());
@@ -744,8 +772,9 @@ let squash t ~boundary =
   done;
   t.tail_seq <- boundary + 1;
   (* ascending, so everything younger than the boundary is a suffix *)
-  let rec trim n = if n > 0 && t.ub.(n - 1) > boundary then trim (n - 1) else n in
-  t.ub_len <- trim t.ub_len;
+  while t.ub_len > 0 && t.ub.(t.ub_len - 1) > boundary do
+    t.ub_len <- t.ub_len - 1
+  done;
   (* Restore the rename table from the branch's snapshot, dropping mappings
      whose producers have committed meanwhile (their values are in the
      register file). *)
@@ -764,20 +793,21 @@ let schedule_completion t seq done_cycle =
   let base = b * t.comp_cap in
   let len = t.comp_len.(b) in
   assert (len < t.comp_cap);
-  let rec place i =
-    if i > 0 && t.comp_buf.(base + i - 1) > seq then begin
-      t.comp_buf.(base + i) <- t.comp_buf.(base + i - 1);
-      place (i - 1)
-    end
-    else t.comp_buf.(base + i) <- seq
-  in
-  place len;
+  let i = ref len in
+  while !i > 0 && t.comp_buf.(base + !i - 1) > seq do
+    t.comp_buf.(base + !i) <- t.comp_buf.(base + !i - 1);
+    decr i
+  done;
+  t.comp_buf.(base + !i) <- seq;
   t.comp_len.(b) <- len + 1
 
 let ub_remove t seq =
   let n = t.ub_len in
-  let rec find i = if i >= n then n else if t.ub.(i) = seq then i else find (i + 1) in
-  let i = find 0 in
+  let i = ref 0 in
+  while !i < n && t.ub.(!i) <> seq do
+    incr i
+  done;
+  let i = !i in
   if i < n then begin
     for k = i to n - 2 do
       t.ub.(k) <- t.ub.(k + 1)
@@ -823,16 +853,16 @@ let complete t =
     for k = 0 to n - 1 do
       let seq = t.comp_buf.(base + k) in
       if in_flight t seq then begin
-        let e = t.slots.(seq mod t.rob) in
+        let e = t.slots.(seq land t.slot_mask) in
         if e.st = st_inflight && e.done_cycle = t.cyc then begin
           e.st <- st_done;
           if e.is_miss then begin
             e.is_miss <- false;
             t.outstanding_misses <- t.outstanding_misses - 1
           end;
-          t.value_buf.(seq mod t.vb) <- e.value;
+          t.value_buf.(seq land t.vb_mask) <- e.value;
           (match t.flow with
-          | Some fl -> fl.fl_taint_buf.(seq mod t.vb) <- e.fi_v
+          | Some fl -> fl.fl_taint_buf.(seq land t.vb_mask) <- e.fi_v
           | None -> ());
           emit_seq t tag_completed seq e.pc;
           if Ir.is_branch e.instr then resolve_branch t e
@@ -855,20 +885,22 @@ let latency_of_alu t op =
    coding: -2 blocked (unknown older store address), -1 ready with no
    matching store, otherwise the youngest matching store's seq. *)
 let older_stores_scan t load_seq load_addr =
-  let rec scan seq youngest =
-    if seq >= load_seq then youngest
-    else
-      let e = t.slots.(seq mod t.rob) in
-      match e.instr with
-      | Ir.Store _ ->
-        if not e.addr_known then -2
-        else if e.addr = load_addr then scan (seq + 1) e.seq
-        else scan (seq + 1) youngest
-      | Ir.Alu _ | Ir.Load _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
-      | Ir.Rdcycle _ | Ir.Halt ->
-        scan (seq + 1) youngest
-  in
-  scan t.head_seq (-1)
+  let seq = ref t.head_seq and youngest = ref (-1) in
+  while !seq < load_seq do
+    let e = t.slots.(!seq land t.slot_mask) in
+    (match e.instr with
+    | Ir.Store _ ->
+      if not e.addr_known then begin
+        youngest := -2;
+        seq := load_seq
+      end
+      else if e.addr = load_addr then youngest := e.seq
+    | Ir.Alu _ | Ir.Load _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
+    | Ir.Rdcycle _ | Ir.Halt ->
+      ());
+    incr seq
+  done;
+  !youngest
 
 let start t e done_cycle =
   e.started <- true;
@@ -914,7 +946,7 @@ let try_issue t e =
     else if store_seq >= 0 then begin
       e.addr <- addr;
       e.addr_known <- true;
-      e.value <- t.slots.(store_seq mod t.rob).value;
+      e.value <- t.slots.(store_seq land t.slot_mask).value;
       start t e (t.cyc + t.cfg.Config.forward_latency);
       (* a store-to-load forward never touches the cache hierarchy *)
       flow_issue t e ~forward_seq:store_seq ~touched_cache:false;
@@ -978,54 +1010,36 @@ let issue t =
      preserving the original semantics where the scan stopped once the
      issue width was spent: the policy is never consulted for entries
      beyond the budget. *)
-  let rec go seq budget =
-    if seq < t.tail_seq then begin
-      let e = t.slots.(seq mod t.rob) in
-      let budget =
-        if e.st <> st_waiting then budget
-        else if not (operands_ready t e) then begin
-          charge_entry t e Stall.Operand_wait;
-          budget
+  let budget = ref t.cfg.Config.issue_width in
+  for seq = t.head_seq to t.tail_seq - 1 do
+    let e = t.slots.(seq land t.slot_mask) in
+    if e.st <> st_waiting then ()
+    else if not (operands_ready t e) then charge_entry t e Stall.Operand_wait
+    else if !budget > 0 then begin
+      if t.policy.may_execute ~seq then
+        if try_issue t e then begin
+          (match t.audit with
+          | Some a -> audit_close t a e Audit.Issued
+          | None -> ());
+          decr budget
         end
-        else if budget > 0 then begin
-          if t.policy.may_execute ~seq then
-            if try_issue t e then begin
-              (match t.audit with
-              | Some a -> audit_close t a e Audit.Issued
-              | None -> ());
-              budget - 1
-            end
-            else begin
-              charge_entry t e Stall.Lsq_order;
-              budget
-            end
-          else begin
-            e.policy_stalled <- true;
-            t.stats.Sim_stats.policy_stall_cycles <-
-              t.stats.Sim_stats.policy_stall_cycles + 1;
-            if is_transmitter e.instr then
-              t.stats.Sim_stats.transmit_stall_cycles <-
-                t.stats.Sim_stats.transmit_stall_cycles + 1;
-            charge_entry t e Stall.Policy_gate;
-            (match t.audit with
-            | Some a -> audit_gate t a e seq
-            | None -> ());
-            budget
-          end
-        end
-        else if load_order_blocked t e then begin
-          charge_entry t e Stall.Lsq_order;
-          budget
-        end
-        else begin
-          charge_entry t e Stall.Exec_port;
-          budget
-        end
-      in
-      go (seq + 1) budget
+        else charge_entry t e Stall.Lsq_order
+      else begin
+        e.policy_stalled <- true;
+        t.stats.Sim_stats.policy_stall_cycles <-
+          t.stats.Sim_stats.policy_stall_cycles + 1;
+        if is_transmitter e.instr then
+          t.stats.Sim_stats.transmit_stall_cycles <-
+            t.stats.Sim_stats.transmit_stall_cycles + 1;
+        charge_entry t e Stall.Policy_gate;
+        match t.audit with
+        | Some a -> audit_gate t a e seq
+        | None -> ()
+      end
     end
-  in
-  go t.head_seq t.cfg.Config.issue_width
+    else if load_order_blocked t e then charge_entry t e Stall.Lsq_order
+    else charge_entry t e Stall.Exec_port
+  done
 
 (* --- commit --------------------------------------------------------- *)
 
@@ -1074,16 +1088,16 @@ let commit_one t e =
   t.head_stall_cause <- -1
 
 let commit t =
-  let rec go budget =
-    if budget > 0 && t.head_seq < t.tail_seq && not t.is_halted then begin
-      let e = t.slots.(t.head_seq mod t.rob) in
-      if e.st = st_done then begin
-        commit_one t e;
-        go (budget - 1)
-      end
-    end
-  in
-  go t.cfg.Config.commit_width
+  let budget = ref t.cfg.Config.commit_width in
+  while
+    !budget > 0
+    && t.head_seq < t.tail_seq
+    && (not t.is_halted)
+    && t.slots.(t.head_seq land t.slot_mask).st = st_done
+  do
+    commit_one t t.slots.(t.head_seq land t.slot_mask);
+    decr budget
+  done
 
 (* --- top level ------------------------------------------------------ *)
 
@@ -1169,6 +1183,10 @@ let completion_wheel_size cfg =
   let rec pow2 n = if n > worst then n else pow2 (2 * n) in
   pow2 1
 
+let pow2_at_least n =
+  let rec go p = if p >= n then p else go (2 * p) in
+  go 1
+
 let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
     ?predictor cfg ~policy program =
   (match Config.validate cfg with
@@ -1183,6 +1201,8 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
     | None -> Registry.create ()
   in
   let rob = cfg.Config.rob_size in
+  let arena = pow2_at_least rob in
+  let vb = pow2_at_least (2 * rob) in
   let memory =
     match memory with
     | Some m ->
@@ -1216,14 +1236,15 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
       cfg;
       program;
       rob;
-      vb = 2 * rob;
+      slot_mask = arena - 1;
+      vb_mask = vb - 1;
       regs = Array.make Ir.num_regs 0;
       memory;
       mem_mask = Array.length memory - 1;
       hierarchy;
       predictor;
       slots =
-        Array.init rob (fun _ ->
+        Array.init arena (fun _ ->
             {
               seq = -1;
               pc = 0;
@@ -1249,7 +1270,7 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
               rename_snap = Array.make Ir.num_regs (-1);
               hist_snap = hist0;
             });
-      value_buf = Array.make (2 * rob) 0;
+      value_buf = Array.make vb 0;
       rename = Array.make Ir.num_regs (-1);
       head_seq = 0;
       tail_seq = 0;

@@ -176,8 +176,19 @@ val is_unresolved_branch : t -> int -> bool
 
 val exists_older_unresolved_branch : t -> seq:int -> bool
 
+val unresolved_branch_count : t -> int
+(** Number of in-flight unresolved conditional branches. *)
+
+val unresolved_branch : t -> int -> int
+(** [unresolved_branch t i] is the seq of the [i]-th oldest in-flight
+    unresolved branch, [0 <= i < unresolved_branch_count t].  With the
+    count this walks the branches without allocating; the older ones
+    than [seq] are a prefix.
+    @raise Invalid_argument on an index out of range. *)
+
 val older_unresolved_branches : t -> seq:int -> int list
-(** Oldest first. *)
+(** Oldest first.  Allocates a list: for explanation and tracing paths;
+    per-cycle checks use {!unresolved_branch}. *)
 
 val load_address_if_ready : t -> int -> int option
 (** For an in-flight load whose address operands are ready: the (masked)
@@ -186,10 +197,26 @@ val load_address_if_ready : t -> int -> int option
     is what lets address-sensitive policies (delay-on-miss) decide before
     the access happens. *)
 
+val producer_count : t -> int -> int
+(** Number of in-flight producers of the instruction's register
+    operands, captured at rename time.  Producers that had already
+    committed at rename time are not counted; a register read twice
+    counts twice. *)
+
+val producer : t -> int -> int -> int
+(** [producer t seq i] is the sequence number of the [i]-th producer
+    ([0 <= i < producer_count t seq]), in operand order.  The producer
+    may have committed since rename.
+    @raise Invalid_argument on an index out of range. *)
+
 val producers_of : t -> int -> int list
-(** Sequence numbers of the in-flight producers of the instruction's
-    register operands, captured at rename time.  Producers that had already
-    committed at rename time are not included. *)
+(** All the producers, in operand order.  Allocates a list: for
+    explanation paths; per-cycle checks use {!producer}. *)
+
+val arena_size : t -> int
+(** Number of ROB arena slots: the smallest power of two [>= rob_size].
+    [seq land (arena_size t - 1)] is injective over the in-flight window,
+    so policies may key per-instruction state by it. *)
 
 val is_transmitter : Levioso_ir.Ir.instr -> bool
 

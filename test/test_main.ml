@@ -33,6 +33,7 @@ let () =
       Test_sampler.suite;
       Test_views.suite;
       Test_policies.suite;
+      Test_differential.suite;
       Test_secure.suite;
       Test_workload.suite;
       Test_attack.suite;

@@ -389,6 +389,29 @@ let test_hostprof_measure () =
     Alcotest.(check bool) "has total" true (List.mem_assoc "total" kvs)
   | _ -> Alcotest.fail "phases_to_json should be an object"
 
+(* The count is the span's own allocation: young objects left over from
+   before the span (promoted, or not, at some later collection) must not
+   leak into it, so the same thunk measures the same however much garbage
+   precedes it. *)
+let test_hostprof_counts_only_the_span () =
+  let work () = Sys.opaque_identity (List.init 10_000 Fun.id) in
+  let words ~litter =
+    (* a fresh major cycle, so none ends inside the short span *)
+    Gc.full_major ();
+    let keep = ref [] in
+    for i = 1 to litter do
+      keep := (i, i) :: !keep
+    done;
+    let _, span = Hostprof.measure work in
+    ignore (Sys.opaque_identity !keep);
+    span.Hostprof.minor_words +. span.Hostprof.major_words
+    -. span.Hostprof.promoted_words
+  in
+  let clean = words ~litter:0 in
+  Alcotest.(check (float 0.))
+    "independent of earlier young garbage" clean (words ~litter:50_000);
+  Alcotest.(check bool) "counts the list" true (clean >= 30_000. && clean < 31_000.)
+
 let suite =
   ( "timeline",
     [
@@ -405,4 +428,6 @@ let suite =
         test_monitored_parallel_matrix_deterministic;
       Alcotest.test_case "monitor files" `Quick test_monitor_files;
       Alcotest.test_case "hostprof measure" `Quick test_hostprof_measure;
+      Alcotest.test_case "hostprof counts only the span" `Quick
+        test_hostprof_counts_only_the_span;
     ] )
