@@ -4,11 +4,10 @@ module Cache = Levioso_uarch.Cache
 
 let maker _config _program pipe =
   let speculative seq = Pipeline.exists_older_unresolved_branch pipe ~seq in
-  let l1 () = Cache.Hierarchy.l1 (Pipeline.hierarchy pipe) in
+  let l1 = Cache.Hierarchy.l1 (Pipeline.hierarchy pipe) in
   let hits_l1 seq =
-    match Pipeline.load_address_if_ready pipe seq with
-    | Some addr -> Cache.probe (l1 ()) addr
-    | None -> false
+    let addr = Pipeline.load_address pipe seq in
+    addr >= 0 && Cache.probe l1 addr
   in
   let may_execute ~seq =
     match Pipeline.instr_of pipe seq with

@@ -54,6 +54,14 @@ let charge t ~cause ~pc =
   t.cells.((pc * num_causes) + ci) <- t.cells.((pc * num_causes) + ci) + 1;
   t.totals.(ci) <- t.totals.(ci) + 1
 
+let charge_n t ~cause ~pc n =
+  if pc < 0 || pc >= t.num_pcs then
+    invalid_arg (Printf.sprintf "Stall.charge_n: pc %d out of range" pc);
+  if n < 0 then invalid_arg (Printf.sprintf "Stall.charge_n: negative count %d" n);
+  let ci = cause_index cause in
+  t.cells.((pc * num_causes) + ci) <- t.cells.((pc * num_causes) + ci) + n;
+  t.totals.(ci) <- t.totals.(ci) + n
+
 let accumulate dst src =
   if dst.num_pcs <> src.num_pcs then
     invalid_arg "Stall.accumulate: different num_pcs";

@@ -18,7 +18,12 @@
     - [Exec_port]: issuable, but the cycle's issue width was already
       spent on older instructions (structural).
     - [Rob_full]: fetch could not dispatch because the window is full;
-      charged to the fetch PC. *)
+      charged to the fetch PC.
+
+    The pipeline charges [Operand_wait] in bulk with {!charge_n}, once
+    per waiting episode, and settles the episodes still open whenever
+    its table is read; every other cause is charged cycle by cycle.
+    The totals are the same either way. *)
 
 type cause =
   | Policy_gate
@@ -44,6 +49,10 @@ val create : num_pcs:int -> t
     [0, num_pcs) are rejected. *)
 
 val charge : t -> cause:cause -> pc:int -> unit
+
+val charge_n : t -> cause:cause -> pc:int -> int -> unit
+(** [charge_n t ~cause ~pc n] records [n] charges at once, the same as
+    [n] calls to {!charge}.  @raise Invalid_argument when [n < 0]. *)
 
 val accumulate : t -> t -> unit
 (** [accumulate dst src] adds every charge in [src] into [dst] — used by

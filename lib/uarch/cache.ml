@@ -7,25 +7,38 @@
 type t = {
   geometry : Config.cache_geometry;
   ways : int;
+  line_shift : int;  (* log2 line_words *)
   data : int array;  (* sets * ways, MRU-first line addresses, -1 empty *)
 }
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
 let create geometry =
+  let open Config in
+  if not (is_pow2 geometry.sets && is_pow2 geometry.line_words) then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %d sets of %d-word lines: not powers of two"
+         geometry.sets geometry.line_words);
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
   {
     geometry;
-    ways = geometry.Config.ways;
-    data = Array.make (geometry.Config.sets * geometry.Config.ways) (-1);
+    ways = geometry.ways;
+    line_shift = log2 geometry.line_words;
+    data = Array.make (geometry.sets * geometry.ways) (-1);
   }
 
-let line_of t addr = addr / t.geometry.Config.line_words
+(* Addresses are masked to the memory size, so never negative: the
+   shift equals the division. *)
+let line_of t addr = addr lsr t.line_shift
 
 let set_of t line = line land (t.geometry.Config.sets - 1)
 
 let find_way t base line =
-  let rec go i =
-    if i >= t.ways then -1 else if t.data.(base + i) = line then i else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < t.ways && t.data.(base + !i) <> line do
+    incr i
+  done;
+  if !i < t.ways then !i else -1
 
 let move_to_front t base i line =
   for k = i downto 1 do

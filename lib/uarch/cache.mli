@@ -11,9 +11,12 @@
 type t
 
 val create : Config.cache_geometry -> t
+(** @raise Invalid_argument unless [sets] and [line_words] are powers of
+    two ({!Config.validate} requires both). *)
 
 val line_of : t -> int -> int
-(** Line address (word address / line size). *)
+(** Line address (word address / line size) of a non-negative word
+    address. *)
 
 val lookup : t -> int -> bool
 (** Presence check that updates LRU on hit (a cache access). *)

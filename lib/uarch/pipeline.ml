@@ -97,6 +97,11 @@ type entry = {
   mutable started : bool;
   mutable is_miss : bool;  (* holds an MSHR while in flight *)
   mutable policy_stalled : bool;
+  (* Waiting entries are either in the ready queue ([queued]) or still
+     waiting on an operand, in which case [wait_from] is the first
+     issue-stage cycle not yet charged to [Operand_wait]. *)
+  mutable queued : bool;
+  mutable wait_from : int;
   mutable gate : gate option;  (* open audit episode, audit enabled only *)
   (* flow tracing (enabled only): the entry's leak-graph node id (-1 =
      no node yet), the taint marker on the value it produces (-1 =
@@ -177,6 +182,22 @@ type t = {
      ROB. *)
   ub : int array;
   mutable ub_len : int;
+  (* Wakeup-driven issue.  [wake] row [p] holds the arena slots of the
+     consumers that were waiting on the producer in slot [p] when they
+     dispatched; the row is walked and cleared when that producer
+     completes.  Bits left by squashes and slot reuse are harmless: every
+     candidate is re-validated before it is queued.  [ready] holds the
+     seqs of the waiting, operand-ready entries, ascending, so issue
+     visits nothing else. *)
+  wake : Slot_mask.t;
+  ready : int array;
+  mutable ready_len : int;
+  mutable last_issue_cyc : int;  (* the last cycle that ran [issue] *)
+  (* In-flight stores, ascending, in a ring over [sq_head, sq_tail)
+     indexed [land slot_mask]: memory disambiguation walks only these. *)
+  sq : int array;
+  mutable sq_head : int;
+  mutable sq_tail : int;
   mutable tracer : (cycle:int -> event -> unit) option;
   mutable stall_tracer :
     (cycle:int -> seq:int -> pc:int -> cause:Stall.cause -> unit) option;
@@ -301,7 +322,6 @@ let regs t = t.regs
 let mem t = t.memory
 let cycle t = t.cyc
 let stats t = t.stats
-let stall_attribution t = t.stall
 let audit t = t.audit
 let registry t = t.reg
 let hierarchy t = t.hierarchy
@@ -418,6 +438,36 @@ let charge_entry t e cause =
   | Some f -> f ~cycle:t.cyc ~seq:e.seq ~pc:e.pc ~cause
   | None -> ()
 
+(* Operand waits are charged in bulk: readiness changes only in
+   [complete], which runs before [issue], so an entry not ready at
+   dispatch is charged [Operand_wait] in every issue stage from the
+   cycle after dispatch up to the one before it wakes.  [charge_wait]
+   settles the cycles [e.wait_from, upto) in one call; the stall tracer
+   still gets one callback per cycle, in ascending order.  The head
+   diagnostic is kept per cycle by [issue]. *)
+let charge_wait t e upto =
+  let n = upto - e.wait_from in
+  if n > 0 then begin
+    Stall.charge_n t.stall ~cause:Stall.Operand_wait ~pc:e.pc n;
+    (match t.stall_tracer with
+    | Some f ->
+      for c = e.wait_from to upto - 1 do
+        f ~cycle:c ~seq:e.seq ~pc:e.pc ~cause:Stall.Operand_wait
+      done
+    | None -> ());
+    e.wait_from <- upto
+  end
+
+(* Settle every pending wait through the last issue stage, so a read
+   sees exactly what per-cycle charging would have recorded.  Reading
+   twice, or reading and running on, charges nothing twice. *)
+let stall_attribution t =
+  for seq = t.head_seq to t.tail_seq - 1 do
+    let e = t.slots.(seq land t.slot_mask) in
+    if e.st = st_waiting && not e.queued then charge_wait t e (t.last_issue_cyc + 1)
+  done;
+  t.stall
+
 let mask_addr t addr = addr land t.mem_mask
 
 let src_ready t e i =
@@ -439,14 +489,18 @@ let operands_ready t e =
   && (n < 2 || src_ready t e 1)
   && (n < 3 || src_ready t e 2)
 
-let load_address_if_ready t seq =
+let load_address t seq =
   let e = entry_exn t seq in
   match e.instr with
   | Ir.Load _ when src_ready t e 0 && src_ready t e 1 ->
-    Some (mask_addr t (src_value t e 0 + src_value t e 1))
+    mask_addr t (src_value t e 0 + src_value t e 1)
   | Ir.Load _ | Ir.Alu _ | Ir.Store _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
   | Ir.Rdcycle _ | Ir.Halt ->
-    None
+    -1
+
+let load_address_if_ready t seq =
+  let a = load_address t seq in
+  if a < 0 then None else Some a
 
 let def_reg = function
   | Ir.Alu { dst; _ } | Ir.Load { dst; _ } | Ir.Rdcycle { dst; _ } ->
@@ -651,6 +705,25 @@ let set_src t e i op =
         e.fi_src.(i) <- -1
       end
 
+(* Queue a just-dispatched entry if its operands are ready, otherwise
+   set its bit in the wake row of every producer still in flight.  Its
+   seq is the youngest in flight, so appending keeps [ready] ascending;
+   its first issue stage is next cycle's. *)
+let register_wakeup t e =
+  let waiting = ref false in
+  for i = 0 to e.n_srcs - 1 do
+    if not (src_ready t e i) then begin
+      waiting := true;
+      Slot_mask.add t.wake (e.src_val.(i) land t.slot_mask) (e.seq land t.slot_mask)
+    end
+  done;
+  e.queued <- not !waiting;
+  if !waiting then e.wait_from <- t.cyc + 1
+  else begin
+    t.ready.(t.ready_len) <- e.seq;
+    t.ready_len <- t.ready_len + 1
+  end
+
 let dispatch_one t =
   let pc = t.fetch_pc in
   let instr = t.program.(pc) in
@@ -720,6 +793,14 @@ let dispatch_one t =
     t.fetch_stopped <- true
   | Ir.Alu _ | Ir.Load _ | Ir.Store _ | Ir.Flush _ | Ir.Rdcycle _ ->
     t.fetch_pc <- pc + 1);
+  (match instr with
+  | Ir.Store _ ->
+    t.sq.(t.sq_tail land t.slot_mask) <- seq;
+    t.sq_tail <- t.sq_tail + 1
+  | Ir.Alu _ | Ir.Load _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _ | Ir.Rdcycle _
+  | Ir.Halt ->
+    ());
+  if e.st = st_waiting then register_wakeup t e;
   t.policy.on_decode ~seq
 
 let fetch t =
@@ -749,6 +830,7 @@ let squash t ~boundary =
     (match t.audit with
     | Some a -> audit_close t a e Audit.Squashed
     | None -> ());
+    if e.st = st_waiting && not e.queued then charge_wait t e t.cyc;
     t.stats.Sim_stats.squashed <- t.stats.Sim_stats.squashed + 1;
     if e.is_miss then begin
       e.is_miss <- false;
@@ -774,6 +856,12 @@ let squash t ~boundary =
   (* ascending, so everything younger than the boundary is a suffix *)
   while t.ub_len > 0 && t.ub.(t.ub_len - 1) > boundary do
     t.ub_len <- t.ub_len - 1
+  done;
+  while t.ready_len > 0 && t.ready.(t.ready_len - 1) > boundary do
+    t.ready_len <- t.ready_len - 1
+  done;
+  while t.sq_tail > t.sq_head && t.sq.((t.sq_tail - 1) land t.slot_mask) > boundary do
+    t.sq_tail <- t.sq_tail - 1
   done;
   (* Restore the rename table from the branch's snapshot, dropping mappings
      whose producers have committed meanwhile (their values are in the
@@ -814,6 +902,35 @@ let ub_remove t seq =
     done;
     t.ub_len <- n - 1
   end
+
+(* Insert a woken seq into the ascending ready queue.  Wakes arrive in
+   slot order, not seq order, hence the shift. *)
+let ready_insert t seq =
+  let i = ref t.ready_len in
+  while !i > 0 && t.ready.(!i - 1) > seq do
+    t.ready.(!i) <- t.ready.(!i - 1);
+    decr i
+  done;
+  t.ready.(!i) <- seq;
+  t.ready_len <- t.ready_len + 1
+
+(* Producer [p] completed: visit only its wake row, lowest slot first,
+   and queue each candidate that is still a waiting, unqueued, in-flight
+   entry whose operands are now all ready. *)
+let wake_consumers t p =
+  let row = p land t.slot_mask in
+  let b = ref (Slot_mask.pop_min t.wake row) in
+  while !b >= 0 do
+    let c = t.slots.(!b) in
+    if
+      in_flight t c.seq && c.st = st_waiting && (not c.queued) && operands_ready t c
+    then begin
+      charge_wait t c t.cyc;
+      c.queued <- true;
+      ready_insert t c.seq
+    end;
+    b := Slot_mask.pop_min t.wake row
+  done
 
 let resolve_branch t e =
   e.resolved <- true;
@@ -865,6 +982,7 @@ let complete t =
           | Some fl -> fl.fl_taint_buf.(seq land t.vb_mask) <- e.fi_v
           | None -> ());
           emit_seq t tag_completed seq e.pc;
+          wake_consumers t seq;
           if Ir.is_branch e.instr then resolve_branch t e
         end
       end
@@ -883,22 +1001,22 @@ let latency_of_alu t op =
 (* Conservative memory disambiguation: a load may issue only when every
    older in-flight store has a known address (i.e. has issued).  Result
    coding: -2 blocked (unknown older store address), -1 ready with no
-   matching store, otherwise the youngest matching store's seq. *)
+   matching store, otherwise the youngest matching store's seq.  Walks
+   the store queue, oldest first, up to the load. *)
 let older_stores_scan t load_seq load_addr =
-  let seq = ref t.head_seq and youngest = ref (-1) in
-  while !seq < load_seq do
-    let e = t.slots.(!seq land t.slot_mask) in
-    (match e.instr with
-    | Ir.Store _ ->
-      if not e.addr_known then begin
-        youngest := -2;
-        seq := load_seq
-      end
-      else if e.addr = load_addr then youngest := e.seq
-    | Ir.Alu _ | Ir.Load _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
-    | Ir.Rdcycle _ | Ir.Halt ->
-      ());
-    incr seq
+  let i = ref t.sq_head and youngest = ref (-1) in
+  while !i < t.sq_tail do
+    let s = t.sq.(!i land t.slot_mask) in
+    let e = t.slots.(s land t.slot_mask) in
+    if s >= load_seq then i := t.sq_tail
+    else if not e.addr_known then begin
+      youngest := -2;
+      i := t.sq_tail
+    end
+    else begin
+      if e.addr = load_addr then youngest := s;
+      incr i
+    end
   done;
   !youngest
 
@@ -1004,18 +1122,18 @@ let load_order_blocked t e =
     false
 
 let issue t =
-  (* The whole window is scanned every cycle so that each waiting
-     instruction is charged to exactly one stall cause.  Issue decisions
-     (and the legacy policy-stall counters) are confined to [budget > 0],
-     preserving the original semantics where the scan stopped once the
-     issue width was spent: the policy is never consulted for entries
-     beyond the budget. *)
+  (* Only the ready queue is visited, oldest first, so each operand-ready
+     waiting entry is charged to exactly one stall cause unless it
+     issues; entries still waiting on an operand are charged in bulk
+     (see [charge_wait]).  Issue decisions (and the legacy policy-stall
+     counters) are confined to [budget > 0]: the policy is never
+     consulted for entries beyond the budget. *)
   let budget = ref t.cfg.Config.issue_width in
-  for seq = t.head_seq to t.tail_seq - 1 do
+  let kept = ref 0 in
+  for i = 0 to t.ready_len - 1 do
+    let seq = t.ready.(i) in
     let e = t.slots.(seq land t.slot_mask) in
-    if e.st <> st_waiting then ()
-    else if not (operands_ready t e) then charge_entry t e Stall.Operand_wait
-    else if !budget > 0 then begin
+    if !budget > 0 then begin
       if t.policy.may_execute ~seq then
         if try_issue t e then begin
           (match t.audit with
@@ -1038,8 +1156,21 @@ let issue t =
       end
     end
     else if load_order_blocked t e then charge_entry t e Stall.Lsq_order
-    else charge_entry t e Stall.Exec_port
-  done
+    else charge_entry t e Stall.Exec_port;
+    (* issued entries leave the queue *)
+    if e.st = st_waiting then begin
+      t.ready.(!kept) <- seq;
+      incr kept
+    end
+    else e.queued <- false
+  done;
+  t.ready_len <- !kept;
+  if t.head_seq < t.tail_seq then begin
+    let h = t.slots.(t.head_seq land t.slot_mask) in
+    if h.st = st_waiting && not h.queued then
+      t.head_stall_cause <- Stall.cause_index Stall.Operand_wait
+  end;
+  t.last_issue_cyc <- t.cyc
 
 (* --- commit --------------------------------------------------------- *)
 
@@ -1057,6 +1188,7 @@ let commit_one t e =
   | Ir.Load _ -> s.Sim_stats.committed_loads <- s.Sim_stats.committed_loads + 1
   | Ir.Store _ ->
     s.Sim_stats.committed_stores <- s.Sim_stats.committed_stores + 1;
+    t.sq_head <- t.sq_head + 1;
     t.memory.(e.addr) <- e.value;
     Cache.Hierarchy.store_commit t.hierarchy e.addr
   | Ir.Branch _ ->
@@ -1263,6 +1395,8 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
               started = false;
               is_miss = false;
               policy_stalled = false;
+              queued = false;
+              wait_from = 0;
               gate = None;
               fi_id = -1;
               fi_v = -1;
@@ -1290,6 +1424,13 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
       completions_mask = wheel - 1;
       ub = Array.make rob 0;
       ub_len = 0;
+      wake = Slot_mask.create ~rows:arena ~bits:arena;
+      ready = Array.make rob 0;
+      ready_len = 0;
+      last_issue_cyc = -1;
+      sq = Array.make arena 0;
+      sq_head = 0;
+      sq_tail = 0;
       tracer = None;
       stall_tracer = None;
       flow = None;

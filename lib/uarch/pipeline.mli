@@ -145,7 +145,16 @@ val stall_attribution : t -> Levioso_telemetry.Stall.t
     [Sim_stats.policy_stall_cycles].  Instructions beyond the cycle's
     spent issue width are charged [Exec_port] (or [Lsq_order] for
     order-blocked loads) without consulting the policy, mirroring the
-    issue loop. *)
+    issue loop.
+
+    [Operand_wait] cycles are charged in bulk, not per cycle: when the
+    instruction wakes, when it is squashed, or when this function is
+    called.  A call first settles every pending wait through the last
+    cycle that ran an issue stage, so the table it returns is exactly
+    the per-cycle one at any cycle boundary.  Calling it again, or
+    calling it and running on, counts nothing twice.  Read the table
+    through this function after running: a table held across
+    {!step}s lacks the waits still pending at the time of the read. *)
 
 val registry : t -> Levioso_telemetry.Registry.t
 (** The telemetry registry passed to (or created by) {!create}. *)
@@ -190,12 +199,16 @@ val older_unresolved_branches : t -> seq:int -> int list
 (** Oldest first.  Allocates a list: for explanation and tracing paths;
     per-cycle checks use {!unresolved_branch}. *)
 
+val load_address : t -> int -> int
+(** For an in-flight load whose address operands are ready: the (masked,
+    so non-negative) effective address it would access.  [-1] for
+    non-loads or loads with unready operands.  Pure — no cache or
+    pipeline state is touched, and nothing is allocated; this is what
+    lets address-sensitive policies (delay-on-miss) decide before the
+    access happens. *)
+
 val load_address_if_ready : t -> int -> int option
-(** For an in-flight load whose address operands are ready: the (masked)
-    effective address it would access.  [None] for non-loads or loads with
-    unready operands.  Pure — no cache or pipeline state is touched; this
-    is what lets address-sensitive policies (delay-on-miss) decide before
-    the access happens. *)
+(** {!load_address} with [None] for [-1]. *)
 
 val producer_count : t -> int -> int
 (** Number of in-flight producers of the instruction's register
@@ -243,7 +256,16 @@ val set_stall_tracer :
     (the same charge recorded in {!stall_attribution}; [Rob_full]
     fetch-side charges have no instruction and are not reported).  This
     is what timeline rendering uses to label gated instructions.  Zero
-    cost when not installed. *)
+    cost when not installed.
+
+    Callback order: [Policy_gate], [Lsq_order] and [Exec_port] arrive
+    during the cycle they are charged in.  [Operand_wait] callbacks are
+    deferred to the flush that charges them (see {!stall_attribution}),
+    so they arrive late, with [cycle] naming the cycle charged, not the
+    current one.  For any one instruction all callbacks still arrive in
+    ascending cycle order, and all of them have arrived by the time it
+    issues or is squashed; across instructions the order is not
+    cycle order. *)
 
 val set_flow_tracer :
   t ->

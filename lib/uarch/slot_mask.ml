@@ -70,6 +70,24 @@ let cardinal t r =
   done;
   !n
 
+(* Isolate the lowest set bit and count the zeros below it, instead of
+   shifting through the word one bit at a time. *)
+let pop_min t r =
+  let base = r lsl t.wshift in
+  let n = words t in
+  let k = ref 0 in
+  while !k < n && t.data.(base + !k) = 0 do
+    incr k
+  done;
+  if !k = n then -1
+  else begin
+    let i = base + !k in
+    let w = t.data.(i) in
+    let low = w land -w in
+    t.data.(i) <- w lxor low;
+    (!k * word_bits) + popcount32 (low - 1)
+  end
+
 (* The bits of [a, b) that fall in word [k]. *)
 let span_word k a b =
   let lo = Int.max a (k * word_bits) and hi = Int.min b ((k + 1) * word_bits) in

@@ -28,6 +28,10 @@ val copy : t -> dst:int -> src:int -> unit
 
 val is_empty : t -> int -> bool
 
+val pop_min : t -> int -> int
+(** Remove and return the lowest set bit of row [r], or [-1] when the
+    row is empty.  Draining a row this way costs one step per set bit. *)
+
 val cardinal : t -> int -> int
 (** Population count of a row. *)
 

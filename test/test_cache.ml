@@ -100,6 +100,20 @@ let test_store_commit_allocates () =
   Alcotest.(check bool) "in L1 after store" true
     (Cache.Hierarchy.probe h 5000 = Cache.Hierarchy.L1)
 
+(* Lines are found by shifting, so the geometry must be a power of two
+   in both dimensions; 16-word lines put words 0..15 on one line. *)
+let test_geometry_powers_of_two () =
+  Alcotest.check_raises "3-word lines"
+    (Invalid_argument "Cache.create: 4 sets of 3-word lines: not powers of two")
+    (fun () -> ignore (Cache.create { geometry with Config.line_words = 3 }));
+  Alcotest.check_raises "6 sets"
+    (Invalid_argument "Cache.create: 6 sets of 8-word lines: not powers of two")
+    (fun () -> ignore (Cache.create { geometry with Config.sets = 6 }));
+  let c = Cache.create { geometry with Config.line_words = 16 } in
+  Cache.fill c 0;
+  Alcotest.(check bool) "word 15 shares line 0" true (Cache.probe c 15);
+  Alcotest.(check bool) "word 16 does not" false (Cache.probe c 16)
+
 let suite =
   ( "cache",
     [
@@ -115,4 +129,5 @@ let suite =
       Alcotest.test_case "latency oracle" `Quick test_load_latency_oracle_matches;
       Alcotest.test_case "stats counting" `Quick test_stats_counting;
       Alcotest.test_case "store commit allocates" `Quick test_store_commit_allocates;
+      Alcotest.test_case "geometry powers of two" `Quick test_geometry_powers_of_two;
     ] )

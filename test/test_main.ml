@@ -34,6 +34,7 @@ let () =
       Test_views.suite;
       Test_policies.suite;
       Test_differential.suite;
+      Test_issue.suite;
       Test_secure.suite;
       Test_workload.suite;
       Test_attack.suite;

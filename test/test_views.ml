@@ -127,8 +127,14 @@ let test_load_address_if_ready () =
             [
               ("imm-addressed load", Pipeline.load_address_if_ready pipe seq);
               ("non-load", Pipeline.load_address_if_ready pipe 0);
+              ("imm-addressed load, raw", Some (Pipeline.load_address pipe seq));
+              ("non-load, raw", Some (Pipeline.load_address pipe 0));
             ])
   in
+  Alcotest.(check (option int)) "raw query: the address" (Some 64)
+    (List.assoc "imm-addressed load, raw" !results);
+  Alcotest.(check (option int)) "raw query: -1 for a non-load" (Some (-1))
+    (List.assoc "non-load, raw" !results);
   (match List.assoc "imm-addressed load" !results with
   | Some addr -> Alcotest.(check int) "masked address" 64 addr
   | None -> Alcotest.fail "address should be computable");
