@@ -370,15 +370,12 @@ let stress socket cells_n workload policy use_cache =
            else "")
           wall
           (float_of_int cells_n /. wall);
-        let sorted = Array.of_list (List.sort compare !walls) in
-        let n = Array.length sorted in
-        if n > 0 then begin
-          let pct q =
-            sorted.(min (n - 1)
-                      (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1)))
-          in
-          Printf.printf "  cell wall: p50 %s, p95 %s, p99 %s\n"
-            (fmt_dur (pct 0.5)) (fmt_dur (pct 0.95)) (fmt_dur (pct 0.99))
+        if !walls <> [] then begin
+          let window = Span.Window.create (List.length !walls) in
+          List.iter (Span.Window.observe window) !walls;
+          let pct q = fmt_dur (Option.get (Span.Window.percentile window q)) in
+          Printf.printf "  cell wall: p50 %s, p95 %s, p99 %s\n" (pct 0.5)
+            (pct 0.95) (pct 0.99)
         end)
 
 (* ---------- one-frame commands ---------- *)

@@ -21,7 +21,6 @@ module Sim_stats = Levioso_uarch.Sim_stats
 module Cache = Levioso_uarch.Cache
 module Summary = Levioso_uarch.Summary
 module Registry = Levioso_core.Registry
-module Telemetry = Levioso_telemetry.Registry
 module Json = Levioso_telemetry.Json
 module Trace = Levioso_telemetry.Trace
 module Stall = Levioso_telemetry.Stall
@@ -56,13 +55,12 @@ let trace_event_of = function
   | Pipeline.Squashed { boundary; count } ->
     ("squash", boundary, -1, [ ("count", Json.Int count) ])
 
-let run_one ?(trace = 0) ?sink ?audit ?timeline ?flow ~registry config workload
-    policy =
+let run_one ?(trace = 0) ?sink ?audit ?timeline ?flow config workload policy =
   let maker = Registry.find_exn policy in
   let pipe, create_span =
     Hostprof.measure (fun () ->
-        Pipeline.create ~mem_init:workload.Workload.mem_init ~registry ?audit
-          config ~policy:maker workload.Workload.program)
+        Pipeline.create ~mem_init:workload.Workload.mem_init ?audit config
+          ~policy:maker workload.Workload.program)
   in
   let text_remaining = ref trace in
   (* [set_tracer] holds a single callback, so text tracing, the
@@ -341,14 +339,6 @@ let main workload_names policy_names rob predictor budget verbose trace json
       (match audit_sink with
       | Some s -> Trace.begin_process s ~name:(w.Workload.name ^ "/" ^ p)
       | None -> ());
-      (* Each cell gets a private registry scoped "<workload>/<policy>/"
-         — same instrument names as one shared root would give, without
-         cross-domain mutation of a shared table. *)
-      let registry =
-        Telemetry.scope
-          (Telemetry.scope (Telemetry.create ()) w.Workload.name)
-          p
-      in
       let audit =
         if audit_flag then begin
           let a = Explain.audit_for w.Workload.program in
@@ -363,7 +353,7 @@ let main workload_names policy_names rob predictor budget verbose trace json
           let maker = Registry.find_exn p in
           let r, run_span =
             Hostprof.measure (fun () ->
-                Sampler.run ~registry ~mem_init:w.Workload.mem_init sp config
+                Sampler.run ~mem_init:w.Workload.mem_init sp config
                   ~policy:maker w.Workload.program)
           in
           let host = [ ("run", run_span) ] in
@@ -373,7 +363,7 @@ let main workload_names policy_names rob predictor budget verbose trace json
             fun () -> sampled_verbose_report w.Workload.name p r )
         | None ->
           let pipe, host =
-            run_one ~trace ?sink ?audit ?timeline ?flow ~registry config w p
+            run_one ~trace ?sink ?audit ?timeline ?flow config w p
           in
           ( (Pipeline.stats pipe).Sim_stats.cycles,
             Summary.of_pipeline ~workload:w.Workload.name ~policy:p ~host pipe,

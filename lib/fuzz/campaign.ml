@@ -1,7 +1,6 @@
 module Ir = Levioso_ir.Ir
 module Config = Levioso_uarch.Config
 module Parallel = Levioso_util.Parallel
-module Treg = Levioso_telemetry.Registry
 module Json = Levioso_telemetry.Json
 
 type options = {
@@ -48,7 +47,7 @@ type report = {
   base_seed : int;
   iterations : int;
   failures : failure list;
-  counters : Treg.t;
+  counters : (string * int) list;
 }
 
 (* SplitMix64 finalizer over (base, i): O(1) random access to iteration
@@ -70,31 +69,31 @@ let run (o : options) =
   if o.oracles = [] then invalid_arg "Campaign.run: no oracles selected";
   let oracles = Array.of_list o.oracles in
   let n = Array.length oracles in
-  let counters = Treg.create () in
-  let runs_of name = Treg.counter counters (name ^ "/runs") in
-  let failures_of name = Treg.counter counters (name ^ "/failures") in
+  let tally : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
+  let add name v =
+    match Hashtbl.find_opt tally name with
+    | Some r -> r := !r + v
+    | None -> Hashtbl.add tally name (ref v)
+  in
   (* materialize every counter up front so reports list all oracles even
      at zero, and JSON key sets don't depend on which iterations ran *)
   Array.iter
     (fun (o : Oracle.t) ->
-      ignore (runs_of o.Oracle.name);
-      ignore (failures_of o.Oracle.name))
+      add (o.Oracle.name ^ "/runs") 0;
+      add (o.Oracle.name ^ "/failures") 0)
     oracles;
   let failures = ref [] in
   let handle (i, outcome) =
     let oracle = oracles.(i mod n) in
     let seed = iter_seed o.seed i in
-    Treg.Counter.incr (runs_of oracle.Oracle.name);
+    add (oracle.Oracle.name ^ "/runs") 1;
     List.iter
-      (fun (key, v) ->
-        Treg.Counter.add
-          (Treg.counter counters (oracle.Oracle.name ^ "/" ^ key))
-          v)
+      (fun (key, v) -> add (oracle.Oracle.name ^ "/" ^ key) v)
       outcome.Oracle.extras;
     match outcome.Oracle.verdict with
     | Oracle.Pass -> ()
     | Oracle.Fail f ->
-      Treg.Counter.incr (failures_of oracle.Oracle.name);
+      add (oracle.Oracle.name ^ "/failures") 1;
       let shrunk =
         match f.Oracle.still_fails with
         | Some keep -> Shrink.run ~budget:o.shrink_budget ~keep f.Oracle.program
@@ -193,7 +192,9 @@ let run (o : options) =
     base_seed = o.seed;
     iterations = !executed;
     failures = List.rev !failures;
-    counters;
+    counters =
+      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tally []
+      |> List.sort compare;
   }
 
 let to_json report =
@@ -201,7 +202,9 @@ let to_json report =
     [
       ("seed", Json.Int report.base_seed);
       ("iterations", Json.Int report.iterations);
-      ("counters", Treg.to_json report.counters);
+      ( "counters",
+        Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) report.counters)
+      );
       ( "failures",
         Json.List
           (List.map
@@ -233,8 +236,8 @@ let print oc report =
   Printf.fprintf oc "fuzz campaign: seed %d, %d iterations\n" report.base_seed
     report.iterations;
   List.iter
-    (fun (name, value) -> Printf.fprintf oc "  %-42s %s\n" name value)
-    (Treg.to_rows report.counters);
+    (fun (name, value) -> Printf.fprintf oc "  %-42s %d\n" name value)
+    report.counters;
   if report.failures = [] then Printf.fprintf oc "  no failures\n"
   else
     List.iter

@@ -65,9 +65,10 @@ type report = {
   base_seed : int;
   iterations : int;  (** iterations actually executed *)
   failures : failure list;  (** in iteration order *)
-  counters : Levioso_telemetry.Registry.t;
+  counters : (string * int) list;
       (** [<oracle>/runs], [<oracle>/failures], and each oracle's extra
-          counters (e.g. [noninterference/ni_unsafe_divergence]) *)
+          counters (e.g. [noninterference/ni_unsafe_divergence]), sorted
+          by name *)
 }
 
 val iter_seed : int -> int -> int

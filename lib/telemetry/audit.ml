@@ -44,9 +44,7 @@ type pc_agg = {
 }
 
 type t = {
-  capacity : int;
-  ring : event option array;
-  mutable n_events : int;  (* total recorded, ring slot = n mod capacity *)
+  ring : event Ring.t;  (* [Ring.pushed] counts every recorded event *)
   mutable n_cycles : int;
   mutable nec_events : int;
   mutable nec_cycles : int;
@@ -61,9 +59,7 @@ let create ?(capacity = 4096) ?(is_true_dep = fun ~pc:_ ~branch_pc:_ -> true)
     () =
   if capacity < 1 then invalid_arg "Audit.create: capacity must be >= 1";
   {
-    capacity;
-    ring = Array.make capacity None;
-    n_events = 0;
+    ring = Ring.create capacity;
     n_cycles = 0;
     nec_events = 0;
     nec_cycles = 0;
@@ -117,8 +113,7 @@ let event_to_json e =
       ])
 
 let record t e =
-  t.ring.(t.n_events mod t.capacity) <- Some e;
-  t.n_events <- t.n_events + 1;
+  Ring.push t.ring e;
   t.n_cycles <- t.n_cycles + e.cycles;
   if e.necessary then begin
     t.nec_events <- t.nec_events + 1;
@@ -160,11 +155,11 @@ let record t e =
           ];
       }
 
-let total_events t = t.n_events
+let total_events t = Ring.pushed t.ring
 let total_cycles t = t.n_cycles
 let necessary_events t = t.nec_events
 let necessary_cycles t = t.nec_cycles
-let unnecessary_events t = t.n_events - t.nec_events
+let unnecessary_events t = total_events t - t.nec_events
 let unnecessary_cycles t = t.n_cycles - t.nec_cycles
 
 let unnecessary_share t =
@@ -187,20 +182,13 @@ let top_pcs t ~k =
          | c -> c)
   |> List.filteri (fun i _ -> i < k)
 
-let recent t =
-  let n = min t.n_events t.capacity in
-  let first = t.n_events - n in
-  List.init n (fun i ->
-      match t.ring.((first + i) mod t.capacity) with
-      | Some e -> e
-      | None -> assert false)
-
-let dropped t = max 0 (t.n_events - t.capacity)
+let recent t = Ring.to_list t.ring
+let dropped t = max 0 (total_events t - Ring.capacity t.ring)
 
 let to_json ?(top_k = 10) t =
   Schema.tag
     [
-      ("events", Json.Int t.n_events);
+      ("events", Json.Int (total_events t));
       ("cycles", Json.Int t.n_cycles);
       ("dropped_events", Json.Int (dropped t));
       ( "necessary",
@@ -241,7 +229,7 @@ let to_json ?(top_k = 10) t =
 
 let to_rows t =
   [
-    ("audit events", string_of_int t.n_events);
+    ("audit events", string_of_int (total_events t));
     ("audit restricted cycles", string_of_int t.n_cycles);
     ( "audit necessary cycles",
       Printf.sprintf "%d (%d events)" t.nec_cycles t.nec_events );

@@ -1,40 +1,25 @@
 (* Bounded rings + post-mortem dump.  See flight.mli. *)
 
-type 'a ring = {
-  buf : 'a option array;
-  mutable pushed : int;  (* total ever pushed; buf.(pushed mod cap) is next *)
-}
-
-let ring_create cap = { buf = Array.make (max 1 cap) None; pushed = 0 }
-
-let ring_push r x =
-  r.buf.(r.pushed mod Array.length r.buf) <- Some x;
-  r.pushed <- r.pushed + 1
-
-let ring_count r = min r.pushed (Array.length r.buf)
-
-let ring_to_list r =
-  (* oldest first *)
-  let cap = Array.length r.buf in
-  let n = ring_count r in
-  List.init n (fun i -> Option.get r.buf.((r.pushed - n + i) mod cap))
-
 type t = {
   mu : Mutex.t;
-  samples : Tsdb.sample ring;
-  records : Json.t ring;
+  samples : Tsdb.sample Ring.t;
+  records : Json.t Ring.t;
 }
 
 let create ?(samples = 256) ?(records = 256) () =
-  { mu = Mutex.create (); samples = ring_create samples; records = ring_create records }
+  {
+    mu = Mutex.create ();
+    samples = Ring.create (max 1 samples);
+    records = Ring.create (max 1 records);
+  }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let add_sample t s = locked t (fun () -> ring_push t.samples s)
-let add_record t j = locked t (fun () -> ring_push t.records j)
-let sample_count t = locked t (fun () -> ring_count t.samples)
+let add_sample t s = locked t (fun () -> Ring.push t.samples s)
+let add_record t j = locked t (fun () -> Ring.push t.records j)
+let sample_count t = locked t (fun () -> Ring.length t.samples)
 
 let dump t ~reason ~ts =
   locked t (fun () ->
@@ -44,9 +29,9 @@ let dump t ~reason ~ts =
           ("reason", Json.String reason);
           ("ts", Json.float ts);
           ( "samples",
-            Json.List (List.map Tsdb.sample_to_json (ring_to_list t.samples))
+            Json.List (List.map Tsdb.sample_to_json (Ring.to_list t.samples))
           );
-          ("records", Json.List (ring_to_list t.records));
+          ("records", Json.List (Ring.to_list t.records));
         ])
 
 let rec mkdir_p dir =

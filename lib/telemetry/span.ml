@@ -113,10 +113,10 @@ let drain t =
 
 (* --- Chrome trace_event export ----------------------------------------
 
-   Same conventions as Trace's Chrome encoder: complete "X" events at
-   1 µs resolution, metadata records naming tracks.  Here a track (tid)
-   is a request trace, not a pipeline stage, so Perfetto shows one row
-   per request with its stage spans nested by time. *)
+   Trace's record builders: complete "X" events at 1 µs resolution,
+   metadata records naming tracks.  Here a track (tid) is a request
+   trace, not a pipeline stage, so Perfetto shows one row per request
+   with its stage spans nested by time. *)
 
 let us ~epoch s = int_of_float (Float.round ((s -. epoch) *. 1e6))
 
@@ -131,37 +131,20 @@ let to_chrome ?(epoch = 0.) spans =
       Hashtbl.add tids trace n;
       let label = if trace = "" then "untraced" else trace in
       meta :=
-        Json.Obj
-          [
-            ("name", Json.String "thread_name");
-            ("ph", Json.String "M");
-            ("pid", Json.Int 0);
-            ("tid", Json.Int n);
-            ("args", Json.Obj [ ("name", Json.String label) ]);
-          ]
-        :: !meta;
+        Trace.chrome_metadata ~name:"thread_name" ~pid:0 ~tid:n label :: !meta;
       n
   in
   let events =
     List.map
       (fun f ->
-        let tid = tid_of f.trace in
-        Json.Obj
-          [
-            ("name", Json.String f.name);
-            ("cat", Json.String "serve");
-            ("ph", Json.String "X");
-            ("ts", Json.Int (us ~epoch f.start_s));
-            ("dur", Json.Int (max 1 (us ~epoch f.stop_s - us ~epoch f.start_s)));
-            ("pid", Json.Int 0);
-            ("tid", Json.Int tid);
-            ( "args",
-              Json.Obj
-                (("span", Json.Int f.id)
-                 :: ("parent", Json.Int f.parent)
-                 :: ("trace", Json.String f.trace)
-                 :: List.map (fun (k, v) -> (k, Json.String v)) f.attrs) );
-          ])
+        let ts = us ~epoch f.start_s in
+        Trace.chrome_complete ~name:f.name ~cat:"serve" ~ts
+          ~dur:(max 1 (us ~epoch f.stop_s - ts))
+          ~pid:0 ~tid:(tid_of f.trace)
+          (("span", Json.Int f.id)
+          :: ("parent", Json.Int f.parent)
+          :: ("trace", Json.String f.trace)
+          :: List.map (fun (k, v) -> (k, Json.String v)) f.attrs))
       spans
   in
   Schema.tag [ ("traceEvents", Json.List (List.rev !meta @ events)) ]
@@ -265,32 +248,26 @@ module Hist = struct
 end
 
 module Window = struct
-  type w = {
-    data : float array;
-    mutable n : int;  (* total ever observed *)
-    wmu : Mutex.t;
-  }
+  type w = { ring : float Ring.t; wmu : Mutex.t }
 
-  let create capacity = { data = Array.make (max 1 capacity) 0.; n = 0; wmu = Mutex.create () }
+  let create capacity =
+    { ring = Ring.create (max 1 capacity); wmu = Mutex.create () }
 
-  let observe w v =
-    Mutex.protect w.wmu (fun () ->
-        w.data.(w.n mod Array.length w.data) <- v;
-        w.n <- w.n + 1)
-
-  let count w = Mutex.protect w.wmu (fun () -> min w.n (Array.length w.data))
-  let seen w = Mutex.protect w.wmu (fun () -> w.n)
+  let observe w v = Mutex.protect w.wmu (fun () -> Ring.push w.ring v)
+  let count w = Mutex.protect w.wmu (fun () -> Ring.length w.ring)
+  let seen w = Mutex.protect w.wmu (fun () -> Ring.pushed w.ring)
 
   let percentile w q =
-    Mutex.protect w.wmu (fun () ->
-        let n = min w.n (Array.length w.data) in
-        if n = 0 then None
-        else begin
-          let live = Array.sub w.data 0 n in
-          Array.sort compare live;
-          let rank =
-            min (n - 1) (max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
-          in
-          Some live.(rank)
-        end)
+    let live =
+      Array.of_list (Mutex.protect w.wmu (fun () -> Ring.to_list w.ring))
+    in
+    let n = Array.length live in
+    if n = 0 then None
+    else begin
+      Array.sort compare live;
+      let rank =
+        min (n - 1) (max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
+      in
+      Some live.(rank)
+    end
 end

@@ -142,8 +142,10 @@ module Hist : sig
       percentiles over recent samples. *)
 end
 
-(** Sliding window of the last [capacity] observations with exact
-    percentiles — the [stats] frame's p50/p95/p99.  Mutex-guarded. *)
+(** Sliding window of the last [capacity] observations (a {!Ring}) with
+    exact percentiles — the [stats] frame's p50/p95/p99 and
+    [levioso_serve stress]'s cell wall-clock percentiles; no other
+    nearest-rank percentile exists.  Mutex-guarded. *)
 module Window : sig
   type w
 
@@ -158,6 +160,7 @@ module Window : sig
   (** Observations ever offered (monotonic). *)
 
   val percentile : w -> float -> float option
-  (** Exact [q]-quantile ([0 < q <= 1]) over the held window; [None]
-      when empty. *)
+  (** Exact nearest-rank [q]-quantile ([0 < q <= 1]) over the held
+      window: the [ceil (q * n)]-th smallest of the [n] held values;
+      [None] when empty. *)
 end

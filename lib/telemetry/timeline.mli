@@ -27,32 +27,6 @@
     queries the pipeline, so simulation results are bit-identical with a
     timeline attached or not (asserted by test). *)
 
-(** A fixed-capacity ring buffer.  Reused by the pipeline for its
-    recent-event window (deadlock diagnostics) and by the audit layer
-    style of bounded capture. *)
-module Ring : sig
-  type 'a t
-
-  val create : int -> 'a t
-  (** @raise Invalid_argument if the capacity is not positive. *)
-
-  val capacity : 'a t -> int
-
-  val length : 'a t -> int
-  (** Number of elements currently held ([<= capacity]). *)
-
-  val pushed : 'a t -> int
-  (** Total number of pushes ever, including overwritten ones. *)
-
-  val push : 'a t -> 'a -> unit
-  (** Appends, overwriting the oldest element when full. *)
-
-  val to_list : 'a t -> 'a list
-  (** Oldest first. *)
-
-  val clear : 'a t -> unit
-end
-
 type t
 
 val format_version : int

@@ -78,22 +78,35 @@ let write_json s j =
     if s.n_written > 0 then output_string oc ",\n";
     output_string oc (Json.to_string ~minify:true j)
 
-let chrome_json s e =
+let chrome_complete ~name ~cat ~ts ~dur ~pid ~tid args =
   Json.Obj
     [
-      ("name", Json.String e.stage);
-      ("cat", Json.String "sim");
+      ("name", Json.String name);
+      ("cat", Json.String cat);
       ("ph", Json.String "X");
-      ("ts", Json.Int e.cycle);
-      ("dur", Json.Int 1);
-      ("pid", Json.Int s.cur_pid);
-      ("tid", Json.Int (tid_of s e.stage));
-      ( "args",
-        Json.Obj
-          ((if e.seq >= 0 then [ ("seq", Json.Int e.seq) ] else [])
-          @ (if e.pc >= 0 then [ ("pc", Json.Int e.pc) ] else [])
-          @ e.args) );
+      ("ts", Json.Int ts);
+      ("dur", Json.Int dur);
+      ("pid", Json.Int pid);
+      ("tid", Json.Int tid);
+      ("args", Json.Obj args);
     ]
+
+let chrome_metadata ~name ~pid ~tid label =
+  Json.Obj
+    [
+      ("name", Json.String name);
+      ("ph", Json.String "M");
+      ("pid", Json.Int pid);
+      ("tid", Json.Int tid);
+      ("args", Json.Obj [ ("name", Json.String label) ]);
+    ]
+
+let chrome_json s e =
+  chrome_complete ~name:e.stage ~cat:"sim" ~ts:e.cycle ~dur:1 ~pid:s.cur_pid
+    ~tid:(tid_of s e.stage)
+    ((if e.seq >= 0 then [ ("seq", Json.Int e.seq) ] else [])
+    @ (if e.pc >= 0 then [ ("pc", Json.Int e.pc) ] else [])
+    @ e.args)
 
 let emit s e =
   if s.closed then invalid_arg "Trace.emit: sink is closed";
@@ -125,15 +138,7 @@ let begin_process s ~name =
     s.n_written <- s.n_written + 1
   | To_channel { format = Chrome; _ } ->
     (* trace_event metadata record naming the process track *)
-    write_json s
-      (Json.Obj
-         [
-           ("name", Json.String "process_name");
-           ("ph", Json.String "M");
-           ("pid", Json.Int pid);
-           ("tid", Json.Int 0);
-           ("args", Json.Obj [ ("name", Json.String name) ]);
-         ]);
+    write_json s (chrome_metadata ~name:"process_name" ~pid ~tid:0 name);
     s.n_written <- s.n_written + 1
 
 let close s =

@@ -26,6 +26,29 @@ val event_to_json : event -> Json.t
 (** Flat object: cycle/seq/pc/stage then [args] fields (seq and pc are
     omitted when negative). *)
 
+(** {1 Chrome trace_event records}
+
+    The two record shapes both Chrome writers emit (this module's sink
+    and [Span.to_chrome]), with one fixed key order. *)
+
+val chrome_complete :
+  name:string ->
+  cat:string ->
+  ts:int ->
+  dur:int ->
+  pid:int ->
+  tid:int ->
+  (string * Json.t) list ->
+  Json.t
+(** A complete (["ph": "X"]) event: name, cat, ph, ts, dur, pid, tid,
+    then the given [args] object. *)
+
+val chrome_metadata : name:string -> pid:int -> tid:int -> string -> Json.t
+(** A metadata (["ph": "M"]) record, e.g. [~name:"process_name"], whose
+    [args] is [{"name": label}]. *)
+
+(** {1 Sinks} *)
+
 type format =
   | Jsonl
   | Chrome

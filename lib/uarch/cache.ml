@@ -93,22 +93,16 @@ let restore t s =
   Array.blit s 0 t.data 0 (Array.length s)
 
 module Hierarchy = struct
-  module Registry = Levioso_telemetry.Registry
-
-  (* Access counters live in a telemetry registry (scoped "cache/") so
-     harnesses that pass a shared registry into [create] read them next to
-     every other instrument; standalone hierarchies get a private one. *)
   type h = {
     l1 : t;
     l2 : t;
     l1_hit : int;
     l2_hit : int;
     mem_lat : int;
-    registry : Registry.t;
-    n_l1_hit : Registry.Counter.c;
-    n_l1_miss : Registry.Counter.c;
-    n_l2_hit : Registry.Counter.c;
-    n_l2_miss : Registry.Counter.c;
+    mutable n_l1_hit : int;
+    mutable n_l1_miss : int;
+    mutable n_l2_hit : int;
+    mutable n_l2_miss : int;
   }
 
   type level =
@@ -116,25 +110,17 @@ module Hierarchy = struct
     | L2
     | Memory
 
-  let create ?registry (config : Config.t) =
-    let registry =
-      Registry.scope
-        (match registry with
-        | Some r -> r
-        | None -> Registry.create ())
-        "cache"
-    in
+  let create (config : Config.t) =
     {
       l1 = create config.Config.l1;
       l2 = create config.Config.l2;
       l1_hit = config.Config.l1.Config.hit_latency;
       l2_hit = config.Config.l2.Config.hit_latency;
       mem_lat = config.Config.memory_latency;
-      registry;
-      n_l1_hit = Registry.counter registry "l1_hits";
-      n_l1_miss = Registry.counter registry "l1_misses";
-      n_l2_hit = Registry.counter registry "l2_hits";
-      n_l2_miss = Registry.counter registry "l2_misses";
+      n_l1_hit = 0;
+      n_l1_miss = 0;
+      n_l2_hit = 0;
+      n_l2_miss = 0;
     }
 
   (* Tuple-free load for the pipeline hot path: mutates exactly like
@@ -142,18 +128,18 @@ module Hierarchy = struct
      [latency_of_level]. *)
   let load_level h addr =
     if lookup h.l1 addr then begin
-      Registry.Counter.incr h.n_l1_hit;
+      h.n_l1_hit <- h.n_l1_hit + 1;
       L1
     end
     else begin
-      Registry.Counter.incr h.n_l1_miss;
+      h.n_l1_miss <- h.n_l1_miss + 1;
       if lookup h.l2 addr then begin
-        Registry.Counter.incr h.n_l2_hit;
+        h.n_l2_hit <- h.n_l2_hit + 1;
         fill h.l1 addr;
         L2
       end
       else begin
-        Registry.Counter.incr h.n_l2_miss;
+        h.n_l2_miss <- h.n_l2_miss + 1;
         fill h.l2 addr;
         fill h.l1 addr;
         Memory
@@ -206,13 +192,9 @@ module Hierarchy = struct
 
   let stats h =
     [
-      ("l1_hits", Registry.Counter.value h.n_l1_hit);
-      ("l1_misses", Registry.Counter.value h.n_l1_miss);
-      ("l2_hits", Registry.Counter.value h.n_l2_hit);
-      ("l2_misses", Registry.Counter.value h.n_l2_miss);
+      ("l1_hits", h.n_l1_hit);
+      ("l1_misses", h.n_l1_miss);
+      ("l2_hits", h.n_l2_hit);
+      ("l2_misses", h.n_l2_miss);
     ]
-
-  let registry h = h.registry
-
-  let reset_stats h = Registry.reset h.registry
 end

@@ -56,9 +56,8 @@ module Hierarchy : sig
     | L2
     | Memory
 
-  val create : ?registry:Levioso_telemetry.Registry.t -> Config.t -> h
-  (** Access counters register under a ["cache"] scope of [registry]
-      (a private registry when omitted). *)
+  val create : Config.t -> h
+  (** Both levels empty, every access counter at zero. *)
 
   val load : h -> int -> int * level
   (** [load h addr] performs a load access: returns the latency and the
@@ -105,9 +104,4 @@ module Hierarchy : sig
 
   val stats : h -> (string * int) list
   (** Access counters: l1 hits/misses, l2 hits/misses. *)
-
-  val registry : h -> Levioso_telemetry.Registry.t
-  (** The ["cache"] scope holding this hierarchy's counters. *)
-
-  val reset_stats : h -> unit
 end

@@ -37,18 +37,18 @@ let restore_uarch c ~hierarchy ~predictor =
   Cache.Hierarchy.restore hierarchy c.ck_cache;
   Predictor.restore_state predictor c.ck_pred
 
-let to_pipeline ?registry ?audit c cfg ~policy program =
+let to_pipeline ?audit c cfg ~policy program =
   if Array.length c.ck_mem <> cfg.Config.mem_words then
     invalid_arg
       (Printf.sprintf
          "Checkpoint.to_pipeline: checkpoint memory has %d words, config \
           wants %d"
          (Array.length c.ck_mem) cfg.Config.mem_words);
-  let hierarchy = Cache.Hierarchy.create ?registry cfg in
+  let hierarchy = Cache.Hierarchy.create cfg in
   let predictor = Predictor.create cfg in
   restore_uarch c ~hierarchy ~predictor;
   let pipe =
-    Pipeline.create ?registry ?audit ~memory:(Array.copy c.ck_mem) ~hierarchy
+    Pipeline.create ?audit ~memory:(Array.copy c.ck_mem) ~hierarchy
       ~predictor cfg ~policy program
   in
   Pipeline.warm_start pipe ~regs:c.ck_regs ~pc:c.ck_pc;

@@ -28,7 +28,6 @@ val restore_uarch :
     @raise Invalid_argument on geometry/kind mismatch. *)
 
 val to_pipeline :
-  ?registry:Levioso_telemetry.Registry.t ->
   ?audit:Levioso_telemetry.Audit.t ->
   t ->
   Config.t ->

@@ -1,20 +1,8 @@
 module Tsdb = Levioso_telemetry.Tsdb
 
-(* ---------- rendering (shared idiom with Html_report) ---------- *)
+(* ---------- rendering ---------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '&' -> Buffer.add_string b "&amp;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+let esc = Html_report.esc
 let fp = Printf.sprintf
 
 let css =

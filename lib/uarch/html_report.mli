@@ -34,3 +34,8 @@ val render_exn :
   ?leak:Levioso_telemetry.Json.t ->
   Levioso_telemetry.Json.t ->
   string
+
+val esc : string -> string
+(** Escape the four HTML metacharacters (angle brackets, ampersand,
+    double quote) for text and attribute values; shared with
+    {!Dashboard}. *)

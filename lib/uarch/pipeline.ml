@@ -1,6 +1,5 @@
 module Ir = Levioso_ir.Ir
 module Stall = Levioso_telemetry.Stall
-module Registry = Levioso_telemetry.Registry
 module Audit = Levioso_telemetry.Audit
 module Flowtrace = Levioso_telemetry.Flowtrace
 
@@ -163,7 +162,6 @@ type t = {
   mutable policy : policy;
   stats : Sim_stats.t;
   stall : Stall.t;
-  reg : Registry.t;
   (* Completion calendar: a power-of-two ring of buckets indexed by
      completion cycle, flattened into [comp_buf] ([comp_cap] ints per
      bucket, occupancy in [comp_len]).  Sized so the largest configured
@@ -323,7 +321,6 @@ let mem t = t.memory
 let cycle t = t.cyc
 let stats t = t.stats
 let audit t = t.audit
-let registry t = t.reg
 let hierarchy t = t.hierarchy
 let predictor t = t.predictor
 let config t = t.cfg
@@ -1319,7 +1316,7 @@ let pow2_at_least n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1
 
-let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
+let create ?(mem_init = fun _ -> ()) ?audit ?memory ?hierarchy
     ?predictor cfg ~policy program =
   (match Config.validate cfg with
   | Ok () -> ()
@@ -1327,11 +1324,6 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
   (match Ir.validate program with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pipeline.create: bad program: " ^ msg));
-  let reg =
-    match registry with
-    | Some r -> r
-    | None -> Registry.create ()
-  in
   let rob = cfg.Config.rob_size in
   let arena = pow2_at_least rob in
   let vb = pow2_at_least (2 * rob) in
@@ -1349,7 +1341,7 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
   let hierarchy =
     match hierarchy with
     | Some h -> h
-    | None -> Cache.Hierarchy.create ~registry:reg cfg
+    | None -> Cache.Hierarchy.create cfg
   in
   let predictor =
     match predictor with
@@ -1417,7 +1409,6 @@ let create ?(mem_init = fun _ -> ()) ?registry ?audit ?memory ?hierarchy
       policy = always_execute_policy;
       stats = Sim_stats.create ();
       stall = Stall.create ~num_pcs:(Array.length program);
-      reg;
       comp_buf = Array.make (wheel * comp_cap) 0;
       comp_len = Array.make wheel 0;
       comp_cap;

@@ -66,7 +66,6 @@ val always_execute_policy : policy
 
 val create :
   ?mem_init:(int array -> unit) ->
-  ?registry:Levioso_telemetry.Registry.t ->
   ?audit:Levioso_telemetry.Audit.t ->
   ?memory:int array ->
   ?hierarchy:Cache.Hierarchy.h ->
@@ -75,13 +74,7 @@ val create :
   policy:policy_maker ->
   Levioso_ir.Ir.program ->
   t
-(** [registry] hosts this pipeline's telemetry instruments (the cache
-    hierarchy's counters register under its ["cache"] scope); a private
-    registry is created when omitted.  Pass a
-    [Levioso_telemetry.Registry.scope]d view to keep several concurrent
-    runs (e.g. one per policy) separable.
-
-    [audit] enables restriction provenance: every policy-refusal episode
+(** [audit] enables restriction provenance: every policy-refusal episode
     is recorded as one [Levioso_telemetry.Audit] event when it closes
     (the instruction issues or is squashed).  Episodes still open when
     the run halts are not recorded, so the audited cycle total is a
@@ -155,9 +148,6 @@ val stall_attribution : t -> Levioso_telemetry.Stall.t
     calling it and running on, counts nothing twice.  Read the table
     through this function after running: a table held across
     {!step}s lacks the waits still pending at the time of the read. *)
-
-val registry : t -> Levioso_telemetry.Registry.t
-(** The telemetry registry passed to (or created by) {!create}. *)
 
 val audit : t -> Levioso_telemetry.Audit.t option
 (** The restriction-provenance recorder passed to {!create}, if any. *)

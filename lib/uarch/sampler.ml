@@ -1,6 +1,5 @@
 module Emulator = Levioso_ir.Emulator
 module Stall = Levioso_telemetry.Stall
-module Registry = Levioso_telemetry.Registry
 module Json = Levioso_telemetry.Json
 
 type spec = { interval : int; warmup : int; period : int }
@@ -110,14 +109,9 @@ let warming_hooks cfg hierarchy predictor =
         end);
   }
 
-let run ?registry ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
+let run ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
     spec cfg ~policy program =
-  let reg =
-    match registry with
-    | Some r -> r
-    | None -> Registry.create ()
-  in
-  let hierarchy = Cache.Hierarchy.create ~registry:reg cfg in
+  let hierarchy = Cache.Hierarchy.create cfg in
   let predictor = Predictor.create cfg in
   let memory = Array.make cfg.Config.mem_words 0 in
   mem_init memory;
@@ -138,8 +132,7 @@ let run ?registry ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000
        [warmup] instructions (discarded), measure [interval]
        instructions, then hand the architectural state back. *)
     let pipe =
-      Pipeline.create ~registry:reg ~memory ~hierarchy ~predictor cfg ~policy
-        program
+      Pipeline.create ~memory ~hierarchy ~predictor cfg ~policy program
     in
     Pipeline.warm_start pipe ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
     let st = Pipeline.stats pipe in

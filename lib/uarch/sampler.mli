@@ -64,7 +64,6 @@ val warming_hooks :
     engine does. *)
 
 val run :
-  ?registry:Levioso_telemetry.Registry.t ->
   ?mem_init:(int array -> unit) ->
   ?fuel:int ->
   spec ->

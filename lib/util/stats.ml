@@ -16,16 +16,6 @@ let stddev xs =
     let var = mean (List.map (fun x -> (x -. m) ** 2.0) xs) in
     sqrt var
 
-let percentile p = function
-  | [] -> invalid_arg "Stats.percentile: empty list"
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    let idx = max 0 (min (n - 1) (rank - 1)) in
-    a.(idx)
-
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty list"
   | x :: xs -> List.fold_left min x xs

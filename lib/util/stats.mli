@@ -9,10 +9,6 @@ val geomean : float list -> float
 val stddev : float list -> float
 (** Population standard deviation; 0 on lists shorter than 2. *)
 
-val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [\[0, 100\]], nearest-rank method.
-    @raise Invalid_argument on the empty list. *)
-
 val minimum : float list -> float
 (** Smallest element. @raise Invalid_argument on the empty list. *)
 

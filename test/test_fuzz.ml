@@ -275,12 +275,32 @@ let test_campaign_counts () =
     List.fold_left
       (fun acc (o : Oracle.t) ->
         acc
-        + Option.value ~default:0
-            (Levioso_telemetry.Registry.counter_value report.Campaign.counters
-               (o.Oracle.name ^ "/runs")))
+        + List.assoc (o.Oracle.name ^ "/runs") report.Campaign.counters)
       0 Oracle.all
   in
   Alcotest.(check int) "every iteration ran exactly one oracle" 25 total_runs
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Both report renderings at a fixed seed and iteration count, byte for
+   byte: counter names, order and values included. *)
+let test_campaign_report_golden () =
+  let report =
+    Campaign.run
+      {
+        Campaign.default_options with
+        Campaign.seed = 4;
+        iters = 25;
+        corpus_dir = None;
+      }
+  in
+  Alcotest.(check string) "to_json" (read_file "golden_campaign.json")
+    (Json.to_string (Campaign.to_json report) ^ "\n");
+  let file = Filename.temp_file "levioso_campaign" ".txt" in
+  Out_channel.with_open_bin file (fun oc -> Campaign.print oc report);
+  let text = read_file file in
+  Sys.remove file;
+  Alcotest.(check string) "print" (read_file "golden_campaign.txt") text
 
 (* --- sharpened library errors ----------------------------------------- *)
 
@@ -333,6 +353,8 @@ let suite =
         test_campaign_parallel_deterministic;
       Alcotest.test_case "campaign counts iterations per oracle" `Quick
         test_campaign_counts;
+      Alcotest.test_case "campaign report golden" `Quick
+        test_campaign_report_golden;
       Alcotest.test_case "emulator rejects non-power-of-two memory" `Quick
         test_emulator_rejects_bad_mem_words;
       Alcotest.test_case "parse_exn raises Parse_error" `Quick

@@ -1,10 +1,12 @@
 (* The issue stage is wakeup-driven and charges operand waits in bulk,
    so the stall table is only complete after a flush.  These tests pin
    its contents to values recorded before that change and check that
-   reading it is idempotent at any cycle. *)
+   reading it is idempotent at any cycle.  The quick pass also pins each
+   cell's cache counters. *)
 
 module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
+module Cache = Levioso_uarch.Cache
 module Sampler = Levioso_uarch.Sampler
 module Sim_stats = Levioso_uarch.Sim_stats
 module Stall = Levioso_telemetry.Stall
@@ -15,6 +17,7 @@ module Catalog = Levioso_serve.Catalog
 
 let baseline_path = "../bench/history/baseline-quick.json"
 let golden_path = "golden_stalls_quick.txt"
+let cache_golden_path = "golden_cache_quick.txt"
 
 let stall_digest program stall =
   Digest.to_hex
@@ -39,28 +42,40 @@ let quick_cells () =
         Json.to_string_exn (Json.member_exn "policy" c) ))
     (Json.to_list_exn (Json.member_exn "cells" entry))
 
-(* One line per cell: workload, policy, cycles and the digest of the
-   full per-PC stall table. *)
-let quick_line (workload, policy) =
+let cache_line h =
+  String.concat " "
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Cache.Hierarchy.stats h))
+
+(* Two lines per cell: workload, policy, cycles and the digest of the
+   full per-PC stall table; and workload, policy and the cache
+   counters. *)
+let quick_lines (workload, policy) =
   let w = Catalog.find_workload_exn workload in
   let pipe =
     Pipeline.create ~mem_init:w.Workload.mem_init Config.default
       ~policy:(Registry.find_exn policy) w.Workload.program
   in
   Pipeline.run pipe;
-  Printf.sprintf "%s %s %d %s" workload policy
-    (Pipeline.stats pipe).Sim_stats.cycles
-    (stall_digest w.Workload.program (Pipeline.stall_attribution pipe))
+  ( Printf.sprintf "%s %s %d %s" workload policy
+      (Pipeline.stats pipe).Sim_stats.cycles
+      (stall_digest w.Workload.program (Pipeline.stall_attribution pipe)),
+    Printf.sprintf "%s %s %s" workload policy
+      (cache_line (Pipeline.hierarchy pipe)) )
+
+let read_lines path =
+  In_channel.with_open_bin path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
 
 let test_quick_stall_tables () =
-  let expected =
-    In_channel.with_open_bin golden_path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  let actual = List.map quick_line (quick_cells ()) in
-  Alcotest.(check int) "cell count" (List.length expected) (List.length actual);
-  List.iter2 (fun e a -> Alcotest.(check string) "cell" e a) expected actual
+  let stalls, caches = List.split (List.map quick_lines (quick_cells ())) in
+  List.iter
+    (fun (path, actual) ->
+      let expected = read_lines path in
+      Alcotest.(check int) (path ^ " cell count") (List.length expected)
+        (List.length actual);
+      List.iter2 (fun e a -> Alcotest.(check string) "cell" e a) expected actual)
+    [ (golden_path, stalls); (cache_golden_path, caches) ]
 
 let stepped_digest ~read_every cfg ~policy workload =
   let w = Catalog.find_workload_exn workload in
@@ -126,6 +141,23 @@ let test_sampled_pooled_stalls () =
         digest
         (sampled_digest (workload, policy, spec)))
     sampled_pins
+
+(* The sampler's one hierarchy counts demand accesses across every
+   detailed interval and the fast tier in between. *)
+let test_sampled_cache_counters () =
+  let w = Catalog.find_workload_exn "compact" in
+  let sp =
+    match Sampler.parse "1000:500:4" with
+    | Ok (Some s) -> s
+    | Ok None | Error _ -> Alcotest.fail "bad spec"
+  in
+  let r =
+    Sampler.run ~mem_init:w.Workload.mem_init sp Config.default
+      ~policy:(Registry.find_exn "levioso") w.Workload.program
+  in
+  Alcotest.(check string) "compact/levioso @ 1000:500:4"
+    "l1_hits=11369 l1_misses=1126 l2_hits=1 l2_misses=1125"
+    (cache_line r.Sampler.hierarchy)
 
 (* The stall tracer sees every charge of the table exactly once, and
    each instruction's cycles in ascending order. *)
@@ -195,6 +227,8 @@ let suite =
         test_read_idempotent;
       Alcotest.test_case "sampled pooled stalls pinned" `Quick
         test_sampled_pooled_stalls;
+      Alcotest.test_case "sampled cache counters pinned" `Quick
+        test_sampled_cache_counters;
       Alcotest.test_case "stall tracer matches the table" `Quick
         test_tracer_matches_table;
       Alcotest.test_case "wake rows drain lowest bit first" `Quick test_pop_min;

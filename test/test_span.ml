@@ -86,6 +86,30 @@ let test_chrome_export () =
       evs
   | _ -> Alcotest.fail "no traceEvents array"
 
+(* The exact bytes of the export: key order, the untraced track, attrs
+   after the span/parent/trace args. *)
+let test_chrome_bytes () =
+  let spans = Span.create ~clock:(counter_clock 0.001) () in
+  let root = Span.start spans ~trace:"tr-1" "submit" in
+  Span.add_attr root "request" "r1";
+  let cell = Span.start spans ~trace:"tr-1" ~parent:(Span.id root) "cell" in
+  Span.finish spans ~attrs:[ ("source", "sim") ] cell;
+  let bare = Span.start spans "decode" in
+  Span.finish spans bare;
+  Span.finish spans root;
+  let expected =
+    String.concat ""
+      [
+        {|{"schema_version":2,"traceEvents":[{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"tr-1"}},|};
+        {|{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"untraced"}},|};
+        {|{"name":"submit","cat":"serve","ph":"X","ts":0,"dur":5000,"pid":0,"tid":0,"args":{"span":0,"parent":-1,"trace":"tr-1","request":"r1"}},|};
+        {|{"name":"cell","cat":"serve","ph":"X","ts":1000,"dur":1000,"pid":0,"tid":0,"args":{"span":1,"parent":0,"trace":"tr-1","source":"sim"}},|};
+        {|{"name":"decode","cat":"serve","ph":"X","ts":3000,"dur":1000,"pid":0,"tid":1,"args":{"span":2,"parent":-1,"trace":""}}]}|};
+      ]
+  in
+  Alcotest.(check string) "bytes" expected
+    (Json.to_string ~minify:true (Span.to_chrome ~epoch:0.001 (Span.drain spans)))
+
 let test_access_record () =
   let make () =
     Span.access_record ~ts:12.5 ~trace:"tr-1" ~request:"r1" ~index:2
@@ -195,6 +219,7 @@ let suite =
         test_collector_tree;
       Alcotest.test_case "chrome export: deterministic + well-formed" `Quick
         test_chrome_export;
+      Alcotest.test_case "chrome export: bytes pinned" `Quick test_chrome_bytes;
       Alcotest.test_case "access record: shape + clamping" `Quick
         test_access_record;
       Alcotest.test_case "histogram: fixed log-scale buckets" `Quick test_hist;

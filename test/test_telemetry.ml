@@ -1,10 +1,10 @@
-(* The telemetry layer: JSON tree, counter/histogram registry, stall
-   attribution and trace sinks — plus the end-to-end invariants the
-   machine-readable simulator reports rely on. *)
+(* The telemetry layer: JSON tree, stall attribution, trace sinks (with
+   the exact bytes of the Chrome encoding), monitor exposition and schema
+   tags — plus the end-to-end invariants the machine-readable simulator
+   reports rely on. *)
 
 module Json = Levioso_telemetry.Json
 module Monitor = Levioso_telemetry.Monitor
-module Registry = Levioso_telemetry.Registry
 module Stall = Levioso_telemetry.Stall
 module Trace = Levioso_telemetry.Trace
 module Config = Levioso_uarch.Config
@@ -55,79 +55,6 @@ let test_json_accessors () =
     Alcotest.(check string) "string elem" "x" (Json.to_string_exn z)
   | _ -> Alcotest.fail "wrong list shape");
   Alcotest.(check bool) "missing member" true (Json.member "zzz" v = None)
-
-(* --- Registry ------------------------------------------------------- *)
-
-let test_counter_semantics () =
-  let r = Registry.create () in
-  let c = Registry.counter r "hits" in
-  Registry.Counter.incr c;
-  Registry.Counter.add c 10;
-  Alcotest.(check int) "value" 11 (Registry.Counter.value c);
-  (* find-or-create returns the same instrument *)
-  let c' = Registry.counter r "hits" in
-  Registry.Counter.incr c';
-  Alcotest.(check int) "shared" 12 (Registry.Counter.value c);
-  Alcotest.(check (option int)) "read by name" (Some 12)
-    (Registry.counter_value r "hits");
-  Alcotest.(check (option int)) "unknown name" None
-    (Registry.counter_value r "nope");
-  (* a name cannot be both a counter and a histogram *)
-  Alcotest.check_raises "kind conflict"
-    (Invalid_argument "Registry.histogram: hits exists as a counter")
-    (fun () -> ignore (Registry.histogram r "hits"))
-
-let test_histogram_semantics () =
-  let r = Registry.create () in
-  let h = Registry.histogram r "lat" in
-  List.iter (Registry.Histogram.observe h) [ 5; 1; 9; 3; 7 ];
-  Alcotest.(check int) "count" 5 (Registry.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Registry.Histogram.mean h);
-  Alcotest.(check int) "p50" 5 (Registry.Histogram.percentile h 50.0);
-  Alcotest.(check int) "max" 9 (Registry.Histogram.max_value h);
-  (* p95 of 100 observations 1..100 is 95 under nearest-rank *)
-  let h2 = Registry.histogram r "lat2" in
-  for i = 1 to 100 do
-    Registry.Histogram.observe h2 i
-  done;
-  Alcotest.(check int) "p95" 95 (Registry.Histogram.percentile h2 95.0)
-
-let test_registry_scoping () =
-  let root = Registry.create () in
-  let a = Registry.scope root "levioso" in
-  let b = Registry.scope root "fence" in
-  Registry.Counter.add (Registry.counter a "stalls") 3;
-  Registry.Counter.add (Registry.counter b "stalls") 8;
-  (* same relative name, distinct instruments *)
-  Alcotest.(check (option int)) "scope a" (Some 3)
-    (Registry.counter_value a "stalls");
-  Alcotest.(check (option int)) "scope b" (Some 8)
-    (Registry.counter_value b "stalls");
-  Alcotest.(check (option int)) "root sees full name" (Some 3)
-    (Registry.counter_value root "levioso/stalls");
-  (* root enumerates both; each scope only itself, names stripped *)
-  Alcotest.(check (list string))
-    "root names"
-    [ "fence/stalls"; "levioso/stalls" ]
-    (Registry.names root);
-  Alcotest.(check (list string)) "scoped names" [ "stalls" ] (Registry.names a);
-  (* reset is scope-local *)
-  Registry.reset a;
-  Alcotest.(check (option int)) "reset a" (Some 0)
-    (Registry.counter_value a "stalls");
-  Alcotest.(check (option int)) "b untouched" (Some 8)
-    (Registry.counter_value b "stalls")
-
-let test_registry_json () =
-  let r = Registry.create () in
-  Registry.Counter.add (Registry.counter r "c") 4;
-  Registry.Histogram.observe (Registry.histogram r "h") 10;
-  let j = Registry.to_json r in
-  Alcotest.(check int) "counter field" 4 (Json.to_int_exn (Json.member_exn "c" j));
-  let h = Json.member_exn "h" j in
-  Alcotest.(check int) "hist count" 1
-    (Json.to_int_exn (Json.member_exn "count" h));
-  Alcotest.(check int) "hist p95" 10 (Json.to_int_exn (Json.member_exn "p95" h))
 
 (* --- Stall attribution ---------------------------------------------- *)
 
@@ -272,6 +199,55 @@ let test_trace_chrome_format () =
   Alcotest.(check string) "ph" "X" (Json.to_string_exn (Json.member_exn "ph" e));
   Alcotest.(check int) "ts" 0 (Json.to_int_exn (Json.member_exn "ts" e))
 
+(* The exact bytes of a Chrome sink: five events covering omitted
+   seq/pc, extra args and a track reused, and two process records. *)
+let test_trace_chrome_bytes () =
+  let events =
+    [
+      { Trace.cycle = 0; seq = 0; pc = 0; stage = "fetch"; args = [] };
+      { Trace.cycle = 1; seq = 0; pc = 0; stage = "issue"; args = [] };
+      {
+        Trace.cycle = 3;
+        seq = -1;
+        pc = -1;
+        stage = "squash";
+        args = [ ("count", Json.Int 2) ];
+      };
+      {
+        Trace.cycle = 4;
+        seq = 1;
+        pc = -1;
+        stage = "resolve";
+        args = [ ("taken", Json.Bool true) ];
+      };
+      { Trace.cycle = 5; seq = 2; pc = 5; stage = "issue"; args = [] };
+    ]
+  in
+  let file = Filename.temp_file "levioso_trace" ".json" in
+  Out_channel.with_open_bin file (fun oc ->
+      let sink = Trace.to_channel ~format:Trace.Chrome oc in
+      Trace.begin_process sink ~name:"stream/unsafe";
+      List.iteri
+        (fun i e ->
+          if i = 3 then Trace.begin_process sink ~name:"stream/levioso";
+          Trace.emit sink e)
+        events;
+      Trace.close sink);
+  let got = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  Alcotest.(check string) "bytes"
+    {|{"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"stream/unsafe"}},
+{"name":"fetch","cat":"sim","ph":"X","ts":0,"dur":1,"pid":1,"tid":0,"args":{"seq":0,"pc":0}},
+{"name":"issue","cat":"sim","ph":"X","ts":1,"dur":1,"pid":1,"tid":1,"args":{"seq":0,"pc":0}},
+{"name":"squash","cat":"sim","ph":"X","ts":3,"dur":1,"pid":1,"tid":2,"args":{"count":2}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"stream/levioso"}},
+{"name":"resolve","cat":"sim","ph":"X","ts":4,"dur":1,"pid":2,"tid":3,"args":{"seq":1,"taken":true}},
+{"name":"issue","cat":"sim","ph":"X","ts":5,"dur":1,"pid":2,"tid":1,"args":{"seq":2,"pc":5}}
+]}
+|}
+    got
+
 let test_trace_jsonl_format () =
   let contents = with_temp_trace ~format:Trace.Jsonl ~every:2 6 in
   let lines =
@@ -408,73 +384,6 @@ let test_json_roundtrip_property () =
           Alcotest.failf "seed %d (minify %b): parse error %s" seed minify msg)
       [ false; true ]
   done
-
-(* --- reservoir histograms -------------------------------------------- *)
-
-let test_reservoir_bounds_memory () =
-  let r = Registry.create () in
-  let h = Registry.histogram ~bound:1024 r "lat" in
-  (* 1M observations, uniform over [0, 1000) by construction *)
-  for i = 0 to 999_999 do
-    Registry.Histogram.observe h (i mod 1000)
-  done;
-  Alcotest.(check int) "count exact" 1_000_000 (Registry.Histogram.count h);
-  Alcotest.(check int) "stored = bound" 1024 (Registry.Histogram.stored h);
-  Alcotest.(check int) "max exact" 999 (Registry.Histogram.max_value h);
-  Alcotest.(check (float 0.001)) "mean exact" 499.5 (Registry.Histogram.mean h);
-  let p50 = Registry.Histogram.percentile h 50.0 in
-  let p95 = Registry.Histogram.percentile h 95.0 in
-  (* sampled percentiles: 4-sigma tolerance for a 1024-sample reservoir *)
-  Alcotest.(check bool)
-    (Printf.sprintf "p50 %d within tolerance" p50)
-    true
-    (abs (p50 - 500) <= 65);
-  Alcotest.(check bool)
-    (Printf.sprintf "p95 %d within tolerance" p95)
-    true
-    (abs (p95 - 950) <= 40);
-  (* deterministic: same name, same stream -> same reservoir *)
-  let r2 = Registry.create () in
-  let h2 = Registry.histogram ~bound:1024 r2 "lat" in
-  for i = 0 to 999_999 do
-    Registry.Histogram.observe h2 (i mod 1000)
-  done;
-  Alcotest.(check int)
-    "deterministic p95" p95
-    (Registry.Histogram.percentile h2 95.0)
-
-let test_reservoir_json_schema_matches_unbounded () =
-  let keys j =
-    match j with
-    | Json.Obj fields -> List.map fst fields
-    | _ -> []
-  in
-  let render bound =
-    let r = Registry.create () in
-    let h = Registry.histogram ?bound r "lat" in
-    for i = 1 to 100 do
-      Registry.Histogram.observe h i
-    done;
-    keys (Json.member_exn "lat" (Registry.to_json r))
-  in
-  Alcotest.(check (list string))
-    "same keys" (render None)
-    (render (Some 16))
-
-let test_reservoir_exact_under_bound () =
-  let r = Registry.create () in
-  let h = Registry.histogram ~bound:1000 r "lat" in
-  for i = 1 to 100 do
-    Registry.Histogram.observe h i
-  done;
-  (* under the bound nothing is sampled: exact percentiles *)
-  Alcotest.(check int) "p50 exact" 50 (Registry.Histogram.percentile h 50.0);
-  Alcotest.(check int) "p95 exact" 95 (Registry.Histogram.percentile h 95.0);
-  Alcotest.(check bool)
-    "negative bound rejected" true
-    (match Registry.histogram ~bound:(-1) r "neg" with
-    | (_ : Registry.Histogram.h) -> false
-    | exception Invalid_argument _ -> true)
 
 (* --- monitor gauges / OpenMetrics exposition -------------------------- *)
 
@@ -674,10 +583,6 @@ let suite =
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
       Alcotest.test_case "json accessors" `Quick test_json_accessors;
-      Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
-      Alcotest.test_case "histogram semantics" `Quick test_histogram_semantics;
-      Alcotest.test_case "registry scoping" `Quick test_registry_scoping;
-      Alcotest.test_case "registry json" `Quick test_registry_json;
       Alcotest.test_case "stall table" `Quick test_stall_table;
       Alcotest.test_case "attribution = policy stalls" `Quick
         test_attribution_matches_policy_stalls;
@@ -687,6 +592,8 @@ let suite =
         test_attribution_per_pc_consistency;
       Alcotest.test_case "trace sampling" `Quick test_trace_sampling;
       Alcotest.test_case "trace chrome format" `Quick test_trace_chrome_format;
+      Alcotest.test_case "trace chrome bytes pinned" `Quick
+        test_trace_chrome_bytes;
       Alcotest.test_case "trace jsonl format" `Quick test_trace_jsonl_format;
       Alcotest.test_case "trace format by extension" `Quick
         test_format_of_filename;
@@ -699,12 +606,6 @@ let suite =
         test_json_nonfinite_policy;
       Alcotest.test_case "json roundtrip property" `Quick
         test_json_roundtrip_property;
-      Alcotest.test_case "reservoir bounds memory" `Quick
-        test_reservoir_bounds_memory;
-      Alcotest.test_case "reservoir json schema" `Quick
-        test_reservoir_json_schema_matches_unbounded;
-      Alcotest.test_case "reservoir exact under bound" `Quick
-        test_reservoir_exact_under_bound;
       Alcotest.test_case "monitor gauge sanitization" `Quick
         test_monitor_gauge_sanitization;
       Alcotest.test_case "monitor HELP escaping" `Quick

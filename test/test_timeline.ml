@@ -7,7 +7,7 @@
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
 module Timeline = Levioso_telemetry.Timeline
-module Ring = Levioso_telemetry.Timeline.Ring
+module Ring = Levioso_telemetry.Ring
 module Monitor = Levioso_telemetry.Monitor
 module Hostprof = Levioso_telemetry.Hostprof
 module Parser = Levioso_ir.Parser
@@ -31,7 +31,7 @@ let contains needle hay =
   let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
   at 0
 
-(* --- ring buffer ------------------------------------------------------ *)
+(* --- ring buffer (Levioso_telemetry.Ring) ----------------------------- *)
 
 let test_ring () =
   let r = Ring.create 3 in

@@ -72,12 +72,6 @@ let test_stddev () =
   check feq "constant" 0.0 (Stats.stddev [ 3.0; 3.0; 3.0 ]);
   check (Alcotest.float 1e-6) "known" 1.0 (Stats.stddev [ 1.0; 3.0; 1.0; 3.0 ])
 
-let test_percentile () =
-  let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  check feq "p50" 3.0 (Stats.percentile 50.0 xs);
-  check feq "p100" 5.0 (Stats.percentile 100.0 xs);
-  check feq "p1" 1.0 (Stats.percentile 1.0 xs)
-
 let test_overhead_pct () =
   check feq "23%" 23.0 (Stats.overhead_pct ~baseline:100.0 123.0);
   check feq "0%" 0.0 (Stats.overhead_pct ~baseline:100.0 100.0)
@@ -123,7 +117,6 @@ let suite =
       Alcotest.test_case "mean" `Quick test_mean;
       Alcotest.test_case "geomean" `Quick test_geomean;
       Alcotest.test_case "stddev" `Quick test_stddev;
-      Alcotest.test_case "percentile" `Quick test_percentile;
       Alcotest.test_case "overhead pct" `Quick test_overhead_pct;
       Alcotest.test_case "table renders" `Quick test_table_renders;
       Alcotest.test_case "grouped bars" `Quick test_grouped_bars_renders;
