@@ -127,7 +127,7 @@ let alu_code = function
 (* branch opcodes are 18 + cmp_code *)
 let op_branch = 18
 
-let eval_cmp_code c x y =
+let eval_cmp_code c (x : int) (y : int) =
   match c with
   | 0 -> x = y
   | 1 -> x <> y

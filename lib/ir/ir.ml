@@ -40,7 +40,7 @@ type instr =
 
 type program = instr array
 
-let eval_cmp c x y =
+let eval_cmp c (x : int) (y : int) =
   match c with
   | Eq -> x = y
   | Ne -> x <> y

@@ -110,8 +110,10 @@ type entry = {
   mutable fi_id : int;
   mutable fi_v : int;
   fi_src : int array;  (* length 3 *)
-  (* branches carry recovery snapshots (blitted in place at dispatch) *)
-  rename_snap : int array;  (* length num_regs; -1 = no mapping *)
+  (* Squash recovery: the rename mapping this entry's destination
+     replaced at dispatch (undone youngest first by [squash]), and the
+     predictor history when it was fetched (branches roll back to it). *)
+  mutable prev_map : int;
   mutable hist_snap : Predictor.snapshot;
 }
 
@@ -160,8 +162,9 @@ type t = {
   mutable cyc : int;
   mutable is_halted : bool;
   mutable policy : policy;
-  stats : Sim_stats.t;
-  stall : Stall.t;
+  make_policy : Config.t -> Ir.program -> t -> policy;  (* re-run by [restart] *)
+  mutable stats : Sim_stats.t;
+  mutable stall : Stall.t;
   (* Completion calendar: a power-of-two ring of buckets indexed by
      completion cycle, flattened into [comp_buf] ([comp_cap] ints per
      bucket, occupancy in [comp_len]).  Sized so the largest configured
@@ -377,8 +380,9 @@ let decode_event tag a b c =
       { seq = a; pc = b; taken = c land 1 = 1; mispredicted = c land 2 = 2 }
   | _ -> Squashed { boundary = a; count = b }
 
+(* The capacity is a power of two, so the ring index is a mask. *)
 let ring_store t tag a b c =
-  let i = t.recent_len mod recent_events_capacity * 5 in
+  let i = (t.recent_len land (recent_events_capacity - 1)) * 5 in
   t.recent_buf.(i) <- t.cyc;
   t.recent_buf.(i + 1) <- tag;
   t.recent_buf.(i + 2) <- a;
@@ -412,7 +416,7 @@ let recent_events t =
   let rec go k acc =
     if k < t.recent_len - n then acc
     else
-      let i = k mod recent_events_capacity * 5 in
+      let i = (k land (recent_events_capacity - 1)) * 5 in
       go (k - 1)
         (( t.recent_buf.(i),
            decode_event
@@ -740,7 +744,9 @@ let dispatch_one t =
   e.started <- false;
   e.is_miss <- false;
   e.policy_stalled <- false;
-  e.gate <- None;
+  (match e.gate with
+  | Some _ -> e.gate <- None
+  | None -> ());
   e.fi_id <- -1;
   e.fi_v <- -1;
   (match instr with
@@ -762,7 +768,6 @@ let dispatch_one t =
     set_src t e 0 after
   | Ir.Jump _ | Ir.Halt -> e.n_srcs <- 0);
   let is_br = Ir.is_branch instr in
-  if is_br then Array.blit t.rename 0 e.rename_snap 0 (Array.length t.rename);
   e.hist_snap <- Predictor.snapshot t.predictor;
   t.tail_seq <- seq + 1;
   (* [seq] exceeds every in-flight seq, so appending keeps the queue
@@ -773,9 +778,13 @@ let dispatch_one t =
   end;
   t.stats.Sim_stats.fetched <- t.stats.Sim_stats.fetched + 1;
   emit_seq t tag_fetched seq pc;
-  (* Rename the destination after capturing sources. *)
+  (* Rename the destination after capturing sources, remembering the
+     mapping it replaces for squash recovery. *)
   let d = def_reg instr in
-  if d >= 0 then t.rename.(d) <- seq;
+  if d >= 0 then begin
+    e.prev_map <- t.rename.(d);
+    t.rename.(d) <- seq
+  end;
   (* Steer fetch. *)
   (match instr with
   | Ir.Branch { target; _ } ->
@@ -828,6 +837,10 @@ let squash t ~boundary =
     | Some a -> audit_close t a e Audit.Squashed
     | None -> ());
     if e.st = st_waiting && not e.queued then charge_wait t e t.cyc;
+    (* undo this entry's rename; youngest first, so each register ends
+       at the mapping it had when the boundary branch dispatched *)
+    let d = def_reg e.instr in
+    if d >= 0 then t.rename.(d) <- e.prev_map;
     t.stats.Sim_stats.squashed <- t.stats.Sim_stats.squashed + 1;
     if e.is_miss then begin
       e.is_miss <- false;
@@ -860,12 +873,10 @@ let squash t ~boundary =
   while t.sq_tail > t.sq_head && t.sq.((t.sq_tail - 1) land t.slot_mask) > boundary do
     t.sq_tail <- t.sq_tail - 1
   done;
-  (* Restore the rename table from the branch's snapshot, dropping mappings
-     whose producers have committed meanwhile (their values are in the
-     register file). *)
+  (* Drop restored mappings whose producers have committed meanwhile
+     (their values are in the register file). *)
   for r = 0 to Array.length t.rename - 1 do
-    let s = branch.rename_snap.(r) in
-    t.rename.(r) <- (if s >= 0 && s < t.head_seq then -1 else s)
+    if t.rename.(r) < t.head_seq then t.rename.(r) <- -1
   done;
   t.policy.on_squash ~boundary
 
@@ -1280,13 +1291,16 @@ let run_until_committed ?(max_cycles = 100_000_000) ?(deadlock_window = 100_000)
     ~stop:(fun () -> t.stats.Sim_stats.committed >= target)
     t
 
+let check_start what t ~regs ~pc =
+  if Array.length regs <> Ir.num_regs then
+    invalid_arg (Printf.sprintf "Pipeline.%s: bad register file size" what);
+  if pc < 0 || pc >= Array.length t.program then
+    invalid_arg (Printf.sprintf "Pipeline.%s: pc %d out of range" what pc)
+
 let warm_start t ~regs ~pc =
   if t.cyc <> 0 || t.tail_seq <> 0 then
     invalid_arg "Pipeline.warm_start: pipeline has already run";
-  if Array.length regs <> Ir.num_regs then
-    invalid_arg "Pipeline.warm_start: bad register file size";
-  if pc < 0 || pc >= Array.length t.program then
-    invalid_arg (Printf.sprintf "Pipeline.warm_start: pc %d out of range" pc);
+  check_start "warm_start" t ~regs ~pc;
   Array.blit regs 0 t.regs 0 Ir.num_regs;
   t.fetch_pc <- pc
 
@@ -1315,6 +1329,47 @@ let completion_wheel_size cfg =
 let pow2_at_least n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1
+
+(* Every dynamic field back to what [create] + [warm_start] leave, in
+   place, then a fresh policy from the stored maker.  The ROB
+   arena, [value_buf] and the queue bodies keep stale contents, as they
+   do from one instruction to the next: dispatch rewrites a slot before
+   anything reads it, a value is buffered at completion before any
+   consumer reads it, and the queues are read only below their lengths.
+   The adopted memory, hierarchy and predictor, the installed observers
+   and the flow tracer's node numbering carry over. *)
+let restart t ~regs ~pc =
+  check_start "restart" t ~regs ~pc;
+  Array.fill t.rename 0 (Array.length t.rename) (-1);
+  Array.blit regs 0 t.regs 0 Ir.num_regs;
+  t.head_seq <- 0;
+  t.tail_seq <- 0;
+  t.fetch_pc <- pc;
+  t.fetch_resume <- 0;
+  t.fetch_stopped <- false;
+  t.outstanding_misses <- 0;
+  t.cyc <- 0;
+  t.is_halted <- false;
+  t.stats <- Sim_stats.create ();
+  t.stall <- Stall.create ~num_pcs:(Array.length t.program);
+  Array.fill t.comp_len 0 (Array.length t.comp_len) 0;
+  t.ub_len <- 0;
+  for r = 0 to t.slot_mask do
+    Slot_mask.clear t.wake r
+  done;
+  t.ready_len <- 0;
+  t.last_issue_cyc <- -1;
+  t.sq_head <- 0;
+  t.sq_tail <- 0;
+  (match t.flow with
+  | Some fl ->
+    Array.fill fl.fl_taint_regs 0 (Array.length fl.fl_taint_regs) (-1);
+    Array.fill fl.fl_taint_mem 0 (Array.length fl.fl_taint_mem) (-1);
+    Array.fill fl.fl_taint_buf 0 (Array.length fl.fl_taint_buf) (-1)
+  | None -> ());
+  t.recent_len <- 0;
+  t.head_stall_cause <- -1;
+  t.policy <- t.make_policy t.cfg t.program t
 
 let create ?(mem_init = fun _ -> ()) ?audit ?memory ?hierarchy
     ?predictor cfg ~policy program =
@@ -1393,7 +1448,7 @@ let create ?(mem_init = fun _ -> ()) ?audit ?memory ?hierarchy
               fi_id = -1;
               fi_v = -1;
               fi_src = Array.make 3 (-1);
-              rename_snap = Array.make Ir.num_regs (-1);
+              prev_map = -1;
               hist_snap = hist0;
             });
       value_buf = Array.make vb 0;
@@ -1407,6 +1462,7 @@ let create ?(mem_init = fun _ -> ()) ?audit ?memory ?hierarchy
       cyc = 0;
       is_halted = false;
       policy = always_execute_policy;
+      make_policy = policy;
       stats = Sim_stats.create ();
       stall = Stall.create ~num_pcs:(Array.length program);
       comp_buf = Array.make (wheel * comp_cap) 0;

@@ -5,7 +5,8 @@
 
     - fetch follows the branch predictor and really executes down
       mispredicted paths (wrong-path loads access and fill the caches);
-    - register renaming with per-branch rename/history snapshots for
+    - register renaming with a per-entry undo log (the mapping each
+      destination replaced) and per-branch history snapshots for
       single-cycle squash recovery;
     - a unified ROB/issue window: any operand-ready instruction may begin
       execution, subject to the active {e policy}'s [may_execute] gate —
@@ -88,7 +89,17 @@ val create :
     [cfg.mem_words] words or @raise Invalid_argument), and an adopted
     hierarchy/predictor is mutated in place — this is how a detailed
     interval inherits the fast tier's functional warming.  [mem_init]
-    still runs on whatever memory ends up in use. *)
+    still runs on whatever memory ends up in use.
+
+    Without [memory], every pipeline allocates its own [cfg.mem_words]
+    image (8 MB at the default config) rather than borrowing a reused
+    per-domain buffer the way {!Sampler.run} does.  The image escapes:
+    {!mem} returns it to callers that read it after the run, often with
+    a second pipeline alive in the same domain (the fuzz oracles'
+    observations, the attack harness, [Levioso_api]'s emulator check,
+    tests comparing two runs' memories), and [Checkpoint.to_pipeline]
+    hands out pipelines that must not alias one another.  A reused
+    buffer would make those pipelines share one image. *)
 
 val step : t -> unit
 (** Advance one cycle. *)
@@ -110,6 +121,22 @@ val warm_start : t -> regs:int array -> pc:int -> unit
 (** Seed architectural state before the first cycle: copy [regs] into
     the register file and point fetch at [pc].  For resuming from a
     checkpoint; @raise Invalid_argument once the pipeline has run. *)
+
+val restart : t -> regs:int array -> pc:int -> unit
+(** Reuse a pipeline for a new run from [regs] and [pc]: the same as a
+    fresh {!create} adopting this pipeline's memory, hierarchy and
+    predictor, followed by {!warm_start}, without allocating the window.
+    Every dynamic field is reset in place — window, counters and cycle,
+    completion wheel, wake rows, ready, store and branch queues, rename
+    table, event ring — and {!stats} and
+    {!stall_attribution} start from fresh tables (ones returned before
+    the restart keep their values).  The stored policy maker runs again,
+    so the new run gets a fresh policy.  Memory, hierarchy and predictor
+    are left as they are, as are the installed tracers and audit
+    recorder; a flow tracer's taint shadows are cleared, and its node
+    ids keep counting.  The sampled engine calls this once per detailed
+    interval after the first.
+    @raise Invalid_argument on a bad register file size or [pc]. *)
 
 val halted : t -> bool
 

@@ -45,8 +45,8 @@ let predict t ~pc =
   dir
 
 let bump table i taken =
-  if taken then table.(i) <- min 3 (table.(i) + 1)
-  else table.(i) <- max 0 (table.(i) - 1)
+  if taken then table.(i) <- Int.min 3 (table.(i) + 1)
+  else table.(i) <- Int.max 0 (table.(i) - 1)
 
 let update t ~pc ~history ~taken =
   match t.kind with
@@ -60,6 +60,14 @@ let snapshot t = t.history
 let restore t s = t.history <- s
 
 let force_history t ~taken = shift t taken
+
+(* What snapshot / predict / update / restore-on-mispredict /
+   force_history computes for a committed branch: the entry at the
+   pre-branch history trains, and the history ends up shifted by the
+   real direction either way.  [predict] touches only the history. *)
+let train t ~pc ~taken =
+  update t ~pc ~history:t.history ~taken;
+  shift t taken
 
 (* Full-state capture (history *and* tables) for checkpointed
    simulation — unlike [snapshot], which carries only the history for

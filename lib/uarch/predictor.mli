@@ -14,7 +14,8 @@
 
 type t
 
-type snapshot
+type snapshot = private int
+(** An immediate, so storing one never needs a write barrier. *)
 
 val create : Config.t -> t
 
@@ -35,6 +36,13 @@ val restore : t -> snapshot -> unit
 val force_history : t -> taken:bool -> unit
 (** Shift a now-known direction into the speculative history (used after
     [restore] to account for the resolved branch itself). *)
+
+val train : t -> pc:int -> taken:bool -> unit
+(** Committed-path training for functional warming, in one call: leaves
+    the tables and history exactly as {!snapshot}, {!predict},
+    {!update} at the snapshot, and on a mispredict {!restore} +
+    {!force_history} would — the entry at the current history trains on
+    [taken], then [taken] is shifted in. *)
 
 type state
 (** Full predictor state — history {e and} learned tables — for

@@ -94,26 +94,31 @@ let warming_hooks cfg hierarchy predictor =
           Cache.Hierarchy.prefetch hierarchy ((addr + line_words) land mem_mask));
     h_store = (fun addr -> Cache.Hierarchy.store_commit hierarchy addr);
     h_flush = (fun addr -> Cache.Hierarchy.flush hierarchy addr);
-    h_branch =
-      (fun ~pc ~taken ->
-        (* The committed-path history discipline: predict shifts the
-           predicted bit; commit trains against the pre-predict snapshot;
-           a mispredict rolls the history back and shifts the real
-           direction. *)
-        let h = Predictor.snapshot predictor in
-        let dir = Predictor.predict predictor ~pc in
-        Predictor.update predictor ~pc ~history:h ~taken;
-        if dir <> taken then begin
-          Predictor.restore predictor h;
-          Predictor.force_history predictor ~taken
-        end);
+    (* The committed-path history discipline, in one call: train the
+       entry at the pre-branch history, shift in the real direction. *)
+    h_branch = (fun ~pc ~taken -> Predictor.train predictor ~pc ~taken);
   }
+
+(* One memory image per domain, reused by every run in it.  A run takes
+   the image out of the slot and puts it back when it finishes, so a
+   nested run, or the run after one that raised, finds the slot empty
+   and allocates its own. *)
+let image_slot : int array option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let take_image words =
+  match Domain.DLS.get image_slot with
+  | Some m when Array.length m = words ->
+    Domain.DLS.set image_slot None;
+    Array.fill m 0 words 0;
+    m
+  | Some _ | None -> Array.make words 0
 
 let run ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
     spec cfg ~policy program =
   let hierarchy = Cache.Hierarchy.create cfg in
   let predictor = Predictor.create cfg in
-  let memory = Array.make cfg.Config.mem_words 0 in
+  let memory = take_image cfg.Config.mem_words in
   mem_init memory;
   let emu = Emulator.create ~memory program in
   let hooks = warming_hooks cfg hierarchy predictor in
@@ -125,6 +130,8 @@ let run ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
   let detailed_instrs = ref 0 in
   let detailed_cycles = ref 0 in
   let period_instrs = spec.period * spec.interval in
+  (* One interval pipeline per run, restarted at each later interval. *)
+  let pipe = ref None in
   while not emu.Emulator.halted do
     if emu.Emulator.retired > fuel then raise Emulator.Out_of_fuel;
     (* Detailed interval at the head of each period: adopt the warmed
@@ -132,9 +139,16 @@ let run ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
        [warmup] instructions (discarded), measure [interval]
        instructions, then hand the architectural state back. *)
     let pipe =
-      Pipeline.create ~memory ~hierarchy ~predictor cfg ~policy program
+      match !pipe with
+      | Some p ->
+        Pipeline.restart p ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
+        p
+      | None ->
+        let p = Pipeline.create ~memory ~hierarchy ~predictor cfg ~policy program in
+        Pipeline.warm_start p ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
+        pipe := Some p;
+        p
     in
-    Pipeline.warm_start pipe ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
     let st = Pipeline.stats pipe in
     if spec.warmup > 0 then Pipeline.run_until_committed pipe spec.warmup;
     let before = stats_copy st in
@@ -166,6 +180,7 @@ let run ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
       if skip > 0 then ignore (Emulator.run_steps ~hooks emu skip : int)
     end
   done;
+  Domain.DLS.set image_slot (Some memory);
   let total_instrs = emu.Emulator.retired in
   let samples = List.rev !samples in
   let m_cycles = List.fold_left (fun acc (c, _) -> acc + c) 0 samples in

@@ -5,15 +5,26 @@
     microarchitectural state — cache hierarchy and branch predictor —
     functionally warm through the emulator's observation hooks.  At the
     head of every sampling period the detailed tier takes over: a
-    {!Pipeline} is created {e adopting} the shared memory, hierarchy and
-    predictor in place, runs [warmup] instructions to fill the
+    {!Pipeline} {e adopting} the shared memory, hierarchy and predictor
+    in place (created for the first interval, {!Pipeline.restart}ed for
+    every later one) runs [warmup] instructions to fill the
     short-lived structures (ROB, LSQ, in-flight misses), then measures
     [interval] instructions in full cycle-level detail.  Total cycles are
     extrapolated from the instruction-weighted CPI of the measured
     intervals, with a 95%-confidence error bound from their dispersion.
 
     The architectural results are exact (the fast tier is the oracle
-    emulator); only the cycle count is an estimate. *)
+    emulator); only the cycle count is an estimate.
+
+    Memory: after its first interval a run allocates only each
+    interval's fresh stats, stall table and policy state — no memory
+    image and no window.  The [cfg.mem_words] image (8 MB at the default
+    config) is one per domain, kept in domain-local storage and re-zeroed
+    at the start of each run, so every domain that has sampled keeps
+    that much resident between runs.  A run takes the image for its
+    duration; a run nested inside another's [mem_init], or the first run
+    after one that raised, allocates a fresh image instead.  Results
+    never depend on which image a run got. *)
 
 type spec = {
   interval : int;  (** instructions measured in detail per sample *)
@@ -72,7 +83,10 @@ val run :
   Levioso_ir.Ir.program ->
   result
 (** Run [program] to completion under sampling.  [mem_init] is applied
-    once to the shared memory image (interval pipelines never re-run it).
+    once to the zeroed memory image (interval pipelines never re-run it).
+    It must not keep a reference to the array: the image belongs to the
+    domain and the next run in it re-zeroes and overwrites it.  Nothing
+    in the result refers to the image.
     @raise Levioso_ir.Emulator.Out_of_fuel past [fuel] (default 1G)
     architectural instructions. *)
 

@@ -70,7 +70,16 @@ let cardinal t r =
   done;
   !n
 
-(* Isolate the lowest set bit and count the zeros below it, instead of
+(* Bit index of a one-bit 32-bit word: multiplying by the de Bruijn
+   constant 0x077CB531 puts a distinct 5-bit pattern in bits 27..31 for
+   each of the 32 positions (the product fits in OCaml's 63 bits). *)
+let debruijn_pos =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let bit_index low = debruijn_pos.(((low * 0x077CB531) lsr 27) land 31)
+
+(* Isolate the lowest set bit and look its position up, instead of
    shifting through the word one bit at a time. *)
 let pop_min t r =
   let base = r lsl t.wshift in
@@ -85,7 +94,7 @@ let pop_min t r =
     let w = t.data.(i) in
     let low = w land -w in
     t.data.(i) <- w lxor low;
-    (!k * word_bits) + popcount32 (low - 1)
+    (!k * word_bits) + bit_index low
   end
 
 (* The bits of [a, b) that fall in word [k]. *)

@@ -90,12 +90,12 @@ let predict t ~pc ~history =
     else e.ctr >= 4
 
 let bump_ctr e taken =
-  if taken then e.ctr <- min 7 (e.ctr + 1) else e.ctr <- max 0 (e.ctr - 1)
+  if taken then e.ctr <- Int.min 7 (e.ctr + 1) else e.ctr <- Int.max 0 (e.ctr - 1)
 
 let bump_base t pc taken =
   let i = base_index t pc in
-  if taken then t.base.(i) <- min 3 (t.base.(i) + 1)
-  else t.base.(i) <- max 0 (t.base.(i) - 1)
+  if taken then t.base.(i) <- Int.min 3 (t.base.(i) + 1)
+  else t.base.(i) <- Int.max 0 (t.base.(i) - 1)
 
 (* Allocate an entry in a randomly-chosen table with longer history than
    the provider, preferring a not-useful slot; on failure decay usefulness
@@ -118,7 +118,7 @@ let allocate t ~pc ~history ~above ~taken =
     if t.tick >= 64 then begin
       t.tick <- 0;
       Array.iter
-        (fun table -> Array.iter (fun e -> e.useful <- max 0 (e.useful - 1)) table)
+        (fun table -> Array.iter (fun e -> e.useful <- Int.max 0 (e.useful - 1)) table)
         t.tables
     end
   end
@@ -188,12 +188,12 @@ let update t ~pc ~history ~taken =
     in
     (* usefulness: the provider proved better (or worse) than the alternate *)
     if provider_pred <> alt_pred then begin
-      if provider_pred = taken then e.useful <- min 3 (e.useful + 1)
-      else e.useful <- max 0 (e.useful - 1);
+      if provider_pred = taken then e.useful <- Int.min 3 (e.useful + 1)
+      else e.useful <- Int.max 0 (e.useful - 1);
       (* track whether new entries should defer to the alternate *)
       if weak e then
-        if alt_pred = taken then t.use_alt_on_new <- min 15 (t.use_alt_on_new + 1)
-        else t.use_alt_on_new <- max 0 (t.use_alt_on_new - 1)
+        if alt_pred = taken then t.use_alt_on_new <- Int.min 15 (t.use_alt_on_new + 1)
+        else t.use_alt_on_new <- Int.max 0 (t.use_alt_on_new - 1)
     end;
     bump_ctr e taken;
     if e.ctr >= 4 <> taken && provider_pred <> taken then

@@ -94,6 +94,59 @@ let test_div_semantics_match_alu () =
   Alcotest.(check int) "ocaml division" (-3) s.Emulator.regs.(2);
   Alcotest.(check int) "ocaml remainder" (-1) s.Emulator.regs.(3)
 
+(* Both evaluators — [Ir.eval_cmp] behind {!Emulator.step} and the
+   decoded fast path behind {!Emulator.run_steps} — against
+   [Int.compare], for every comparison, on both set-compare ALU ops and
+   branches, at the extremes of the int range. *)
+let test_compares_match_int_compare () =
+  let values = [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ] in
+  let cmps =
+    [
+      (Ir.Eq, fun c -> c = 0);
+      (Ir.Ne, fun c -> c <> 0);
+      (Ir.Lt, fun c -> c < 0);
+      (Ir.Le, fun c -> c <= 0);
+      (Ir.Gt, fun c -> c > 0);
+      (Ir.Ge, fun c -> c >= 0);
+    ]
+  in
+  List.iter
+    (fun (cmp, holds) ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              let expected = holds (Int.compare x y) in
+              let label = Printf.sprintf "%s %d %d" (Ir.cmp_to_string cmp) x y in
+              Alcotest.(check bool) (label ^ ": eval_cmp") expected
+                (Ir.eval_cmp cmp x y);
+              (* r3 <- set-compare; r4 <- 1 iff the branch is taken *)
+              let program =
+                [|
+                  Ir.Alu { op = Ir.Set cmp; dst = 3; a = Ir.Imm x; b = Ir.Imm y };
+                  Ir.Branch { cmp; a = Ir.Imm x; b = Ir.Imm y; target = 4 };
+                  Ir.Alu { op = Ir.Add; dst = 4; a = Ir.Imm 0; b = Ir.Imm 0 };
+                  Ir.Jump { target = 5 };
+                  Ir.Alu { op = Ir.Add; dst = 4; a = Ir.Imm 1; b = Ir.Imm 0 };
+                  Ir.Halt;
+                |]
+              in
+              let bit b = if b then 1 else 0 in
+              let stepped = Emulator.create ~memory:(Array.make 16 0) program in
+              Emulator.run stepped;
+              let batched = Emulator.create ~memory:(Array.make 16 0) program in
+              ignore (Emulator.run_steps batched 10 : int);
+              List.iter
+                (fun (tier, st) ->
+                  Alcotest.(check int) (label ^ ": set, " ^ tier) (bit expected)
+                    st.Emulator.regs.(3);
+                  Alcotest.(check int) (label ^ ": branch, " ^ tier) (bit expected)
+                    st.Emulator.regs.(4))
+                [ ("step", stepped); ("run_steps", batched) ])
+            values)
+        values)
+    cmps
+
 let suite =
   ( "emulator",
     [
@@ -106,4 +159,6 @@ let suite =
       Alcotest.test_case "step after halt" `Quick test_step_after_halt_is_noop;
       Alcotest.test_case "branch directions" `Quick test_branch_both_directions;
       Alcotest.test_case "div semantics" `Quick test_div_semantics_match_alu;
+      Alcotest.test_case "compares match Int.compare (both tiers)" `Quick
+        test_compares_match_int_compare;
     ] )

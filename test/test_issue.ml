@@ -218,6 +218,16 @@ let test_pop_min () =
   Alcotest.(check bool) "row drained" true (Slot_mask.is_empty m 1);
   Alcotest.(check bool) "other row kept" true (Slot_mask.mem m 0 7)
 
+(* Every bit position alone in a row, across all four words. *)
+let test_pop_min_each_position () =
+  let module Slot_mask = Levioso_uarch.Slot_mask in
+  let m = Slot_mask.create ~rows:1 ~bits:128 in
+  for b = 0 to 127 do
+    Slot_mask.add m 0 b;
+    Alcotest.(check int) (Printf.sprintf "bit %d" b) b (Slot_mask.pop_min m 0);
+    Alcotest.(check int) "then empty" (-1) (Slot_mask.pop_min m 0)
+  done
+
 let suite =
   ( "issue",
     [
@@ -232,4 +242,6 @@ let suite =
       Alcotest.test_case "stall tracer matches the table" `Quick
         test_tracer_matches_table;
       Alcotest.test_case "wake rows drain lowest bit first" `Quick test_pop_min;
+      Alcotest.test_case "pop_min finds every bit position" `Quick
+        test_pop_min_each_position;
     ] )

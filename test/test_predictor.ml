@@ -86,6 +86,24 @@ let test_force_history_changes_state () =
   Predictor.force_history p ~taken:true;
   Alcotest.(check bool) "shifted" true (Predictor.snapshot p <> snap)
 
+(* [train] is the old per-branch warming sequence in one call: after
+   every branch the full state and the history agree with [one_branch]. *)
+let prop_train_matches_five_calls kind =
+  QCheck.Test.make ~count:100
+    ~name:(Printf.sprintf "train = five-call sequence (%s)" (Config.predictor_kind_to_string kind))
+    QCheck.(list_of_size Gen.(1 -- 200) (pair (int_bound 15) bool))
+    (fun branches ->
+      (* small tables, so TAGE allocates, ages and aliases *)
+      let cfg = { Config.default with Config.predictor = kind; predictor_bits = 6 } in
+      let old_way = Predictor.create cfg and new_way = Predictor.create cfg in
+      List.for_all
+        (fun (pc, taken) ->
+          ignore (one_branch old_way ~pc ~taken : bool);
+          Predictor.train new_way ~pc ~taken;
+          (Predictor.snapshot old_way :> int) = (Predictor.snapshot new_way :> int)
+          && Predictor.save_state old_way = Predictor.save_state new_way)
+        branches)
+
 let suite =
   ( "predictor",
     [
@@ -98,4 +116,7 @@ let suite =
       Alcotest.test_case "biased branch" `Quick test_biased_branch_all_predictors;
       Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
       Alcotest.test_case "force history" `Quick test_force_history_changes_state;
-    ] )
+    ]
+    @ List.map
+        (fun k -> QCheck_alcotest.to_alcotest ~long:false (prop_train_matches_five_calls k))
+        [ Config.Always_taken; Config.Bimodal; Config.Gshare; Config.Tage ] )

@@ -259,6 +259,182 @@ let test_sampled_error_bound () =
         [ "unsafe"; "levioso" ])
     [ ("stream", "2000:2000:10"); ("compact", "1000:1000:5") ]
 
+(* --- restart and the per-domain image --------------------------------- *)
+
+module Stall = Levioso_telemetry.Stall
+module Json = Levioso_telemetry.Json
+module Parallel = Levioso_util.Parallel
+
+let cache_line h =
+  String.concat " "
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Cache.Hierarchy.stats h))
+
+(* The fast tier, functionally warmed, stopped mid-run. *)
+let mid_run_checkpoint workload ~retired =
+  let cfg = Config.default in
+  let w = Suite.find_exn workload in
+  let memory = Array.make cfg.Config.mem_words 0 in
+  w.Workload.mem_init memory;
+  let emu = Emulator.create ~memory w.Workload.program in
+  let hierarchy = Cache.Hierarchy.create cfg in
+  let predictor = Predictor.create cfg in
+  let hooks = Sampler.warming_hooks cfg hierarchy predictor in
+  ignore (Emulator.run_steps ~hooks emu retired : int);
+  (w.Workload.program, Checkpoint.capture emu ~hierarchy ~predictor)
+
+(* Stats, stall table, registers, memory and the run's cache-counter
+   deltas after [n] more commits. *)
+let observe_commits program pipe n =
+  let before = Cache.Hierarchy.stats (Pipeline.hierarchy pipe) in
+  Pipeline.run_until_committed pipe n;
+  let after = Cache.Hierarchy.stats (Pipeline.hierarchy pipe) in
+  ( Pipeline.stats pipe,
+    Json.to_string ~minify:true
+      (Stall.to_json ~top_k:(Array.length program) (Pipeline.stall_attribution pipe)),
+    Array.copy (Pipeline.regs pipe),
+    Array.copy (Pipeline.mem pipe),
+    List.map2 (fun (k, a) (_, b) -> (k, a - b)) after before )
+
+(* A pipeline that already ran — window half full, queues and wake rows
+   dirty — restarted from a checkpoint must behave exactly like a fresh
+   [create] + [warm_start] from it. *)
+let test_restart_matches_create () =
+  let n = 3000 in
+  List.iter
+    (fun workload ->
+      let program, ck = mid_run_checkpoint workload ~retired:20_000 in
+      List.iter
+        (fun policy ->
+          let maker = Registry.find_exn policy in
+          let makes = ref 0 in
+          let counted cfg prog pipe =
+            incr makes;
+            maker cfg prog pipe
+          in
+          let fresh =
+            observe_commits program
+              (Checkpoint.to_pipeline ck Config.default ~policy:maker program)
+              n
+          in
+          let pipe =
+            Checkpoint.to_pipeline ck Config.default ~policy:counted program
+          in
+          Pipeline.run_until_committed pipe 1234;
+          (* back to the checkpoint's memory, caches and predictor, in place *)
+          let emu = Emulator.create ~memory:(Pipeline.mem pipe) program in
+          Checkpoint.restore_emulator ck emu;
+          Checkpoint.restore_uarch ck ~hierarchy:(Pipeline.hierarchy pipe)
+            ~predictor:(Pipeline.predictor pipe);
+          Pipeline.restart pipe ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
+          let restarted = observe_commits program pipe n in
+          let label = Printf.sprintf "%s/%s" workload policy in
+          let s1, t1, r1, m1, c1 = fresh and s2, t2, r2, m2, c2 = restarted in
+          Alcotest.(check bool) (label ^ " stats") true (s1 = s2);
+          Alcotest.(check string) (label ^ " stall table") t1 t2;
+          Alcotest.(check bool) (label ^ " registers") true (r1 = r2);
+          Alcotest.(check bool) (label ^ " memory") true (m1 = m2);
+          Alcotest.(check (list (pair string int))) (label ^ " cache counters") c1 c2;
+          Alcotest.(check int) (label ^ " one maker call per start") 2 !makes)
+        Registry.names)
+    [ "stream"; "compact" ]
+
+let test_restart_rejects_bad_start () =
+  let w = Suite.find_exn "stream" in
+  let pipe =
+    Pipeline.create Config.default ~policy:(Registry.find_exn "unsafe")
+      w.Workload.program
+  in
+  let regs = Array.make Levioso_ir.Ir.num_regs 0 in
+  Alcotest.check_raises "pc"
+    (Invalid_argument "Pipeline.restart: pc -1 out of range") (fun () ->
+      Pipeline.restart pipe ~regs ~pc:(-1));
+  Alcotest.check_raises "regs"
+    (Invalid_argument "Pipeline.restart: bad register file size") (fun () ->
+      Pipeline.restart pipe ~regs:[| 0 |] ~pc:0)
+
+(* Estimate, stall digest and cache counters of one sampled cell;
+   [before] runs inside its [mem_init]. *)
+let sampled_line ?(before = ignore) (workload, policy) =
+  let w = Suite.find_exn workload in
+  let sp = { Sampler.interval = 1000; warmup = 500; period = 4 } in
+  let r =
+    Sampler.run
+      ~mem_init:(fun m ->
+        before ();
+        w.Workload.mem_init m)
+      sp Config.default
+      ~policy:(Registry.find_exn policy) w.Workload.program
+  in
+  Printf.sprintf "%s/%s %d %s %s" workload policy r.Sampler.estimated_cycles
+    (Digest.to_hex
+       (Digest.string
+          (Json.to_string ~minify:true
+             (Stall.to_json ~top_k:(Array.length w.Workload.program) r.Sampler.stall))))
+    (cache_line r.Sampler.hierarchy)
+
+let reuse_cells =
+  [ ("compact", "levioso"); ("stream", "delay"); ("compact", "levioso") ]
+
+(* Runs that follow one another in a domain reuse its memory image; none
+   may see what the one before left in it. *)
+let test_image_reuse () =
+  let first = sampled_line (List.hd reuse_cells) in
+  let serial = List.map sampled_line reuse_cells in
+  Alcotest.(check string) "first cell again, same domain" first (List.nth serial 2);
+  let pool = Parallel.create ~size:2 () in
+  let parallel =
+    Fun.protect
+      ~finally:(fun () -> Parallel.shutdown pool)
+      (fun () -> Parallel.map pool sampled_line (reuse_cells @ reuse_cells))
+  in
+  Alcotest.(check (list string)) "2-domain pool" (serial @ serial) parallel
+
+(* A loop whose trip count is a word the program never writes: a run
+   retires 3 + 2 * (10 + mem[100]) instructions, 23 on a zeroed image. *)
+let reads_unwritten_word =
+  Parser.parse_exn
+    {|
+      load r1, [r0 + #100]
+      add r2, r1, #10
+    loop:
+      sub r2, r2, #1
+      bne r2, #0, loop
+      halt
+    |}
+
+(* Whatever the previous run in the domain left in the image, the next
+   one starts from zeros. *)
+let test_image_zeroed () =
+  let sp = { Sampler.interval = 5; warmup = 0; period = 2 } in
+  let total mem_init =
+    (Sampler.run ~mem_init sp Config.default ~policy:(Registry.find_exn "unsafe")
+       reads_unwritten_word)
+      .Sampler.total_instrs
+  in
+  Alcotest.(check int) "first run" 23 (total ignore);
+  Alcotest.(check int) "dirtying run" 37
+    (total (fun m -> Array.fill m 0 (Array.length m) 7));
+  Alcotest.(check int) "after it" 23 (total ignore)
+
+(* A run that raises leaves the slot empty and a nested run finds it
+   empty: both just allocate, and the runs after them are unchanged. *)
+let test_image_failed_and_nested () =
+  let cell = List.hd reuse_cells in
+  let expected = sampled_line cell in
+  let w = Suite.find_exn "stream" in
+  Alcotest.check_raises "out of fuel" Emulator.Out_of_fuel (fun () ->
+      ignore
+        (Sampler.run ~fuel:10 ~mem_init:w.Workload.mem_init
+           { Sampler.interval = 100; warmup = 0; period = 2 }
+           Config.default ~policy:(Registry.find_exn "unsafe") w.Workload.program
+          : Sampler.result));
+  Alcotest.(check string) "after a failed run" expected (sampled_line cell);
+  let inner = ref "" in
+  let outer = sampled_line ~before:(fun () -> inner := sampled_line cell) cell in
+  Alcotest.(check string) "nested run" expected !inner;
+  Alcotest.(check string) "run around it" expected outer;
+  Alcotest.(check string) "after a nested run" expected (sampled_line cell)
+
 let suite =
   ( "sampler",
     [
@@ -269,6 +445,15 @@ let suite =
       Alcotest.test_case "restore_emulator rolls back" `Quick
         test_restore_emulator_rolls_back;
       Alcotest.test_case "sampled error bound" `Slow test_sampled_error_bound;
+      Alcotest.test_case "restart = create + warm_start (9 policies x 2)" `Quick
+        test_restart_matches_create;
+      Alcotest.test_case "restart rejects a bad start" `Quick
+        test_restart_rejects_bad_start;
+      Alcotest.test_case "image reuse: 1 domain and a 2-domain pool" `Quick
+        test_image_reuse;
+      Alcotest.test_case "image zeroed for every run" `Quick test_image_zeroed;
+      Alcotest.test_case "image reuse after a failed and a nested run" `Quick
+        test_image_failed_and_nested;
     ]
     @ List.map
         (QCheck_alcotest.to_alcotest ~long:false)
