@@ -6,17 +6,15 @@
      dune exec bench/main.exe -- --list     # experiment ids
      dune exec bench/main.exe -- --only fig3 --only table2
      dune exec bench/main.exe -- --quick    # subsampled workloads
-     dune exec bench/main.exe -- --bechamel # micro-benchmarks too
      dune exec bench/main.exe -- --json results.json  # machine-readable
      dune exec bench/main.exe -- -j 8       # matrix on 8 domains
      dune exec bench/main.exe -- --no-cache # ignore bench/.cache
      dune exec bench/main.exe -- --audit    # restriction provenance
-                                            # (implies --no-cache)
+                                            # (never cached)
      dune exec bench/main.exe -- --sample 5000:2000:20  # two-tier sampled
                                             # engine: cycles become
-                                            # estimates (implies
-                                            # --no-cache, excludes
-                                            # --audit)
+                                            # estimates (never cached,
+                                            # excludes --audit)
      dune exec bench/main.exe -- --progress # live status line (stderr)
      dune exec bench/main.exe -- --progress-file progress.json
      dune exec bench/main.exe -- --metrics metrics.prom  # OpenMetrics
@@ -31,22 +29,21 @@
    independent, so the matrix is computed up front on a domain pool
    (-j N, default all cores) and memoized; figures then only read the
    memo.  Results are deterministic: -j N output is bit-identical to
-   -j 1.  Finished cells are also persisted under bench/.cache keyed by
-   config digest + workload + policy + a digest of this executable, so
-   a warm re-run (e.g. --only fig3 after a full run) replays from disk
-   instead of re-simulating; any rebuild or config change misses.  Each
-   run also drops BENCH_matrix.json (per-cell wall clock + totals) in
-   the working directory. *)
+   -j 1.  Each cell runs through Levioso_serve.Engine.run_cell, the
+   daemon's own cell runner, so a local cell and a --remote one are the
+   same bits by construction.  Plain cells are also persisted under
+   bench/.cache keyed by config digest + workload + policy + a digest of
+   this executable, so a warm re-run (e.g. --only fig3 after a full run)
+   replays from disk instead of re-simulating; any rebuild or config
+   change misses.  Each run also drops BENCH_matrix.json (per-cell wall
+   clock, source and host profile + totals) in the working directory. *)
 
 module Config = Levioso_uarch.Config
-module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
-module Cache = Levioso_uarch.Cache
 module Summary = Levioso_uarch.Summary
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
 module Registry = Levioso_core.Registry
-module Explain = Levioso_core.Explain
 module Annotation = Levioso_core.Annotation
 module Workload = Levioso_workload.Workload
 module Suite = Levioso_workload.Suite
@@ -61,10 +58,10 @@ module Hostprof = Levioso_telemetry.Hostprof
 module Sampler = Levioso_uarch.Sampler
 module Serve_protocol = Levioso_serve.Protocol
 module Serve_client = Levioso_serve.Client
+module Engine = Levioso_serve.Engine
 
 let quick = ref false
 let only : string list ref = ref []
-let run_bechamel = ref false
 let json_out : string option ref = ref None
 let jobs = ref 0 (* 0 = auto: Domain.recommended_domain_count *)
 let use_cache = ref true
@@ -76,9 +73,9 @@ let progress_file : string option ref = ref None
 let metrics_file : string option ref = ref None
 
 (* --remote SOCKET: the whole matrix is submitted to a levioso_serve
-   daemon instead of being simulated in-process.  The daemon's cell
-   execution makes exactly the same calls as [simulate], so figures and
-   --json output are bit-identical either way. *)
+   daemon instead of being simulated in-process.  The daemon runs each
+   cell through the same Engine.run_cell a local cell uses, so figures
+   and --json output are bit-identical either way. *)
 let remote : string option ref = ref None
 let cache_prune : int option ref = ref None
 
@@ -120,7 +117,7 @@ type cell_result = {
   stats : Sim_stats.t;
   summary : Json.t;
   wall_s : float;
-  source : string; (* "sim" | "disk" | "sampled" *)
+  source : string; (* "sim" | "cache" | "remote-sim" | "remote-cache" *)
   host : Json.t;
       (* host self-profiling phases (wall clock + Gc.quick_stat deltas);
          lands in BENCH_matrix.json, deliberately NOT in the --json
@@ -133,92 +130,37 @@ let matrix : (Config.t * string * string, cell_result) Hashtbl.t =
 let matrix_mutex = Mutex.create ()
 let disk : Run_cache.t option ref = ref None
 
-(* Two-tier sampled cell: the Sampler replaces Pipeline.run, and the
-   extrapolated cycle estimate is written into stats.cycles so every
-   figure (they all read stats.cycles) transparently plots estimates.
-   The summary keeps the sampling block (estimate, error bound, interval
-   accounting) for the --json export. *)
-let simulate_sampled sp config (w : Workload.t) policy =
-  let t0 = Unix.gettimeofday () in
-  let r, run_span =
-    Hostprof.measure (fun () ->
-        Sampler.run ~mem_init:w.Workload.mem_init sp config
-          ~policy:(Registry.find_exn policy) w.Workload.program)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let summary = Summary.of_sampled ~workload:w.Workload.name ~policy r in
-  let stats = r.Sampler.stats in
-  stats.Sim_stats.cycles <- r.Sampler.estimated_cycles;
+let protocol_cell config (w : Workload.t) policy =
   {
-    stats;
-    summary;
-    wall_s;
-    source = "sampled";
-    host = Hostprof.phases_to_json [ ("run", run_span) ];
+    Serve_protocol.config;
+    workload = w.Workload.name;
+    policy;
+    audit = !audit;
+    sample = !sample;
   }
 
-let simulate config (w : Workload.t) policy =
-  match !sample with
-  | Some sp -> simulate_sampled sp config w policy
-  | None ->
-  let t0 = Unix.gettimeofday () in
-  (* Each cell gets a private recorder, so -j N stays bit-identical. *)
-  let audit_rec =
-    if !audit then Some (Explain.audit_for w.Workload.program) else None
-  in
-  let pipe, create_span =
-    Hostprof.measure (fun () ->
-        Pipeline.create ~mem_init:w.Workload.mem_init ?audit:audit_rec config
-          ~policy:(Registry.find_exn policy) w.Workload.program)
-  in
-  let (), run_span = Hostprof.measure (fun () -> Pipeline.run pipe) in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  {
-    stats = Pipeline.stats pipe;
-    summary = Summary.of_pipeline ~workload:w.Workload.name ~policy pipe;
-    wall_s;
-    source = "sim";
-    host =
-      Hostprof.phases_to_json [ ("create", create_span); ("run", run_span) ];
-  }
+(* Figures read stats.cycles, which Summary.stats fills with the estimate
+   for a sampled cell. *)
+let stats_of ~what summary =
+  match Summary.stats summary with
+  | Ok stats -> stats
+  | Error msg -> failwith (what ^ ": " ^ msg)
 
-let compute_cell config (w : Workload.t) policy =
-  match !disk with
-  | None -> simulate config w policy
-  | Some cache -> (
-    let workload = w.Workload.name in
-    let fresh () =
-      let c = simulate config w policy in
-      Run_cache.store cache ~config ~workload ~policy c.summary;
-      c
-    in
-    let replayed, replay_span =
-      Hostprof.measure (fun () ->
-          match Run_cache.find cache ~config ~workload ~policy with
-          | None -> None
-          | Some summary -> (
-            (* the stored summary carries everything the figures read; an
-               entry from a different schema generation is a miss, not a
-               misread *)
-            match Schema.check ~what:"cached summary" summary with
-            | Error _ -> None
-            | Ok () -> (
-              match
-                Option.map Sim_stats.of_json (Json.member "stats" summary)
-              with
-              | Some (Ok stats) -> Some (stats, summary)
-              | Some (Error _) | None -> None)))
-    in
-    match replayed with
-    | None -> fresh ()
-    | Some (stats, summary) ->
-      {
-        stats;
-        summary;
-        wall_s = replay_span.Hostprof.wall_s;
-        source = "disk";
-        host = Hostprof.phases_to_json [ ("replay", replay_span) ];
-      })
+(* The store is offered for every cell; Engine.cacheable keeps audited
+   and sampled cells out of it.  Each cell gets a private audit
+   recorder inside run_cell, so -j N stays bit-identical. *)
+let compute_cell config w policy =
+  let o, span =
+    Hostprof.measure (fun () ->
+        Engine.run_cell ?cache:!disk (protocol_cell config w policy))
+  in
+  {
+    stats = stats_of ~what:"bench" o.Engine.summary;
+    summary = o.Engine.summary;
+    wall_s = o.Engine.wall_s;
+    source = o.Engine.source;
+    host = Hostprof.phases_to_json [ ("cell", span) ];
+  }
 
 (* Memoized, thread-safe access: the simulation itself runs outside the
    lock (the prefetch pass deduplicates keys, so no cell is computed
@@ -290,18 +232,7 @@ let cells_of id =
    results back in submission order and the memo is filled from them, so
    figures afterwards never simulate locally. *)
 let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
-  let cells =
-    List.map
-      (fun (c, (w : Workload.t), p) ->
-        {
-          Serve_protocol.config = c;
-          workload = w.Workload.name;
-          policy = p;
-          audit = !audit;
-          sample = !sample;
-        })
-      todo
-  in
+  let cells = List.map (fun (c, w, p) -> protocol_cell c w p) todo in
   let todo_arr = Array.of_list todo in
   let client = Serve_client.connect socket in
   Fun.protect
@@ -345,22 +276,7 @@ let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
               w.Workload.name p msg
           | None ->
           let summary = r.Serve_client.summary in
-          let stats =
-            match Option.map Sim_stats.of_json (Json.member "stats" summary) with
-            | Some (Ok stats) -> stats
-            | Some (Error msg) ->
-              failwith ("--remote: undecodable stats in result: " ^ msg)
-            | None -> failwith "--remote: result summary has no stats block"
-          in
-          (* sampled cells: figures read stats.cycles, which must carry
-             the extrapolated estimate — same fixup as simulate_sampled *)
-          (match
-             Option.bind
-               (Json.member "sampled" summary)
-               (Json.member "estimated_cycles")
-           with
-          | Some (Json.Int n) -> stats.Sim_stats.cycles <- n
-          | _ -> ());
+          let stats = stats_of ~what:"--remote" summary in
           Hashtbl.replace matrix
             (config, w.Workload.name, p)
             {
@@ -749,108 +665,6 @@ let audit_exp () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* The pipeline hot-loop regression check: simulated cycles per second of
-   wall clock AND minor words allocated per simulated cycle (the
-   zero-alloc detailed-core regression metric), on every defense scheme.
-   Rows are also stashed for BENCH_matrix.json so CI can gate on them. *)
-let microbench_results : Json.t list ref = ref []
-
-let sim_speed () =
-  print_endline
-    (Report.section
-       "bechamel: simulator throughput (Mcyc/s, minor words/cycle)");
-  microbench_results := [];
-  List.iter
-    (fun (wname, policy) ->
-      let w = Suite.find_exn wname in
-      let pipe, create_span =
-        Hostprof.measure (fun () ->
-            Pipeline.create ~mem_init:w.Workload.mem_init Config.default
-              ~policy:(Registry.find_exn policy) w.Workload.program)
-      in
-      let (), run_span = Hostprof.measure (fun () -> Pipeline.run pipe) in
-      let cyc = (Pipeline.stats pipe).Sim_stats.cycles in
-      let words_per_cyc =
-        run_span.Hostprof.minor_words /. float_of_int (max 1 cyc)
-      in
-      Printf.printf "  %-10s %-14s %9d cyc  %7.2f Mcyc/s  %8.2f words/cyc\n"
-        wname policy cyc
-        (float_of_int cyc /. run_span.Hostprof.wall_s /. 1e6)
-        words_per_cyc;
-      microbench_results :=
-        Json.Obj
-          [
-            ("workload", Json.String wname);
-            ("policy", Json.String policy);
-            ("cycles", Json.Int cyc);
-            ( "mcyc_per_s",
-              Json.Float (float_of_int cyc /. run_span.Hostprof.wall_s /. 1e6)
-            );
-            ("minor_words_per_cycle", Json.Float words_per_cyc);
-            ( "host",
-              Hostprof.phases_to_json
-                [ ("create", create_span); ("run", run_span) ] );
-          ]
-        :: !microbench_results)
-    (List.map (fun p -> ("matmul", p)) ("unsafe" :: paper_schemes)
-    @ [ ("graph", "delay"); ("compact", "stt") ]);
-  microbench_results := List.rev !microbench_results
-
-let bechamel () =
-  sim_speed ();
-  print_endline
-    (Report.section "bechamel: simulator micro-benchmarks (Bechamel)");
-  let open Bechamel in
-  let open Toolkit in
-  let small = Suite.find_exn "matmul" in
-  let sim policy () =
-    let pipe =
-      Pipeline.create ~mem_init:small.Workload.mem_init Config.default
-        ~policy:(Registry.find_exn policy) small.Workload.program
-    in
-    Pipeline.run pipe
-  in
-  let tests =
-    [
-      Test.make ~name:"pipeline-unsafe" (Staged.stage (sim "unsafe"));
-      Test.make ~name:"pipeline-levioso" (Staged.stage (sim "levioso"));
-      Test.make ~name:"compiler-pass"
-        (Staged.stage (fun () ->
-             ignore (Annotation.analyze small.Workload.program : Annotation.t)));
-      Test.make ~name:"emulator"
-        (Staged.stage (fun () ->
-             ignore
-               (Levioso_ir.Emulator.run_program ~mem_words:(1 lsl 20)
-                  ~init:(fun s -> small.Workload.mem_init s.Levioso_ir.Emulator.mem)
-                  small.Workload.program
-                 : Levioso_ir.Emulator.state)));
-    ]
-  in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-    Benchmark.all cfg Instance.[ monotonic_clock ] test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  List.iter
-    (fun t ->
-      let results = analyze (benchmark t) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-20s %12.0f ns/run\n" name est
-          | Some _ | None -> Printf.printf "  %-20s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -868,8 +682,9 @@ let experiments =
     ("audit", audit_exp);
   ]
 
-(* BENCH_matrix.json: the run's trajectory artifact — per-cell wall clock
-   and provenance (simulated vs replayed from bench/.cache) plus totals.
+(* BENCH_matrix.json: the run's trajectory artifact — per-cell wall clock,
+   source (Engine's "sim"/"cache", or "remote-" + the daemon's) and the
+   one "cell" host phase, plus totals.
    Timing-only by design: the deterministic results live in --json. *)
 let write_bench_matrix ~total_wall_s =
   let cells =
@@ -893,7 +708,7 @@ let write_bench_matrix ~total_wall_s =
   let simulated = List.filter (fun (_, c) -> c.source = "sim") cells in
   let artifact =
     Schema.tag
-      ([
+      [
         ("schema", Json.String "levioso-bench-matrix/v1");
         ("jobs", Json.Int (effective_jobs ()));
         ("cache", Json.Bool (!disk <> None));
@@ -914,14 +729,8 @@ let write_bench_matrix ~total_wall_s =
           Json.Float (List.fold_left (fun a (_, c) -> a +. c.wall_s) 0.0 cells)
         );
         ("total_wall_s", Json.Float total_wall_s);
+        ("matrix", Json.List (List.map entry cells));
       ]
-      (* quick runs skip the microbench entirely: omit the key rather
-         than commit an empty list claiming a measurement that never
-         happened (readers treat absent and present alike) *)
-      @ (match !microbench_results with
-        | [] -> []
-        | results -> [ ("microbench", Json.List results) ])
-      @ [ ("matrix", Json.List (List.map entry cells)) ])
   in
   let oc = open_out "BENCH_matrix.json" in
   Json.to_channel oc artifact;
@@ -934,9 +743,6 @@ let () =
     | [] -> ()
     | "--quick" :: rest ->
       quick := true;
-      parse rest
-    | "--bechamel" :: rest ->
-      run_bechamel := true;
       parse rest
     | "--only" :: id :: rest ->
       only := id :: !only;
@@ -992,7 +798,6 @@ let () =
       parse rest
     | "--list" :: _ ->
       List.iter (fun (id, _) -> print_endline id) experiments;
-      print_endline "bechamel";
       exit 0
     | arg :: _ ->
       prerr_endline ("unknown argument: " ^ arg ^ " (try --list)");
@@ -1008,18 +813,10 @@ let () =
       removed days !cache_dir;
     exit 0
   | None -> ());
-  (* Audited runs can't replay from disk: cached summaries have no audit
-     section and the cache key doesn't cover the flag. *)
-  if !audit then use_cache := false;
-  if !sample <> None then begin
-    (* Sampled cells are estimates; never let them replay as (or pollute
-       the cache of) exact runs, and the two-tier engine has no per-event
-       audit stream to record. *)
-    if !audit then begin
-      prerr_endline "--sample cannot be combined with --audit";
-      exit 2
-    end;
-    use_cache := false
+  (* the two-tier engine has no per-event audit stream to record *)
+  if !sample <> None && !audit then begin
+    prerr_endline "--sample cannot be combined with --audit";
+    exit 2
   end;
   (* With --remote, caching is the daemon's business (gated per batch by
      --no-cache); a local store would never be consulted. *)
@@ -1062,14 +859,4 @@ let () =
     output_char oc '\n';
     close_out oc;
     Printf.printf "\nwrote %d run summaries to %s\n" (List.length cells) file);
-  (* micro-benchmarks run on full sweeps by default; skip with --quick.
-     They run before write_bench_matrix so their throughput and
-     minor-words-per-cycle rows land in the artifact ("bech" is kept as
-     an --only alias for older scripts). *)
-  if
-    !run_bechamel
-    || List.mem "bechamel" !only
-    || List.mem "bech" !only
-    || ((not !quick) && !only = [])
-  then bechamel ();
   write_bench_matrix ~total_wall_s:(Unix.gettimeofday () -. t_start)

@@ -145,16 +145,11 @@ let with_client socket f =
       Client.close c;
       `Error (false, msg))
 
+(* -1 marks a failed cell, whose result carries no summary *)
 let cycles_of_summary summary =
-  let stat block field =
-    Option.bind (Json.member block summary) (Json.member field)
-  in
-  match stat "sampled" "estimated_cycles" with
-  | Some (Json.Int n) -> n
-  | _ -> (
-    match stat "stats" "cycles" with
-    | Some (Json.Int n) -> n
-    | _ -> -1)
+  match Levioso_uarch.Summary.stats summary with
+  | Ok stats -> stats.Levioso_uarch.Sim_stats.cycles
+  | Error _ -> -1
 
 let print_batch_stats (stats : Protocol.done_stats) =
   Printf.eprintf "serve: %d simulated, %d cached%s in %.2fs\n%!"

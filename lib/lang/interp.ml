@@ -95,7 +95,10 @@ and stmt env (s : Ast.stmt) =
   | Ast.Store (a, v) ->
     let addr = mask env (eval env a) in
     env.mem.(addr) <- eval env v
-  | Ast.Flush _ -> () (* caches are not architectural *)
+  | Ast.Flush a ->
+    (* caches are not architectural, but the address expression can call
+       a function that stores *)
+    ignore (eval env a : int)
   | Ast.Expr_stmt e -> ignore (eval env e : int)
   | Ast.Return e -> raise (Returning (Option.fold ~none:0 ~some:(eval env) e))
   | Ast.Halt -> raise Halted

@@ -2,12 +2,10 @@ module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
 module Sampler = Levioso_uarch.Sampler
 module Summary = Levioso_uarch.Summary
-module Sim_stats = Levioso_uarch.Sim_stats
 module Run_cache = Levioso_uarch.Run_cache
 module Registry = Levioso_core.Registry
 module Explain = Levioso_core.Explain
 module Json = Levioso_telemetry.Json
-module Schema = Levioso_telemetry.Schema
 module Span = Levioso_telemetry.Span
 module Workload = Levioso_workload.Workload
 
@@ -37,22 +35,16 @@ let validate_cell (c : Protocol.cell) =
     Error "audit cannot be combined with sampling (no per-event stream)"
   else Ok ()
 
+(* The one cacheability rule, for the daemon and bench alike: audited
+   summaries carry provenance the key does not cover, and sampled
+   summaries are estimates, so neither may replay as (or shadow) an
+   exact run. *)
 let cacheable (c : Protocol.cell) =
-  (* Audited summaries carry provenance the key does not cover, and
-     sampled summaries are estimates: neither may replay as (or shadow)
-     an exact run — the same rule bench applies locally. *)
   (not c.Protocol.audit) && c.Protocol.sample = None
 
 (* A stored summary is trusted only if it declares the current artifact
-   schema and its stats block parses — mirroring bench's replay guard,
-   so daemon replays are exactly as strict as local ones. *)
-let replayable summary =
-  match Schema.check ~what:"cached summary" summary with
-  | Error _ -> false
-  | Ok () -> (
-    match Option.map Sim_stats.of_json (Json.member "stats" summary) with
-    | Some (Ok _) -> true
-    | Some (Error _) | None -> false)
+   schema and its stats block decodes. *)
+let replayable summary = Result.is_ok (Summary.stats summary)
 
 (* Stage timing is Option-gated on [scope]: with tracing off no clock
    is read and no span allocated, so the untraced path is exactly the
@@ -136,10 +128,6 @@ let run_cell ?cache ?scope (c : Protocol.cell) =
                 Some (Explain.audit_for w.Workload.program)
               else None
             in
-            (* Exactly the calls a local serial bench cell makes — same
-               pipeline construction, same summarizer, no host section —
-               so the streamed summary is bit-identical to an in-process
-               run. *)
             let pipe =
               Pipeline.create ~mem_init:w.Workload.mem_init ?audit config
                 ~policy w.Workload.program

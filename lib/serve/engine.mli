@@ -1,11 +1,10 @@
-(** Execution of one wire-protocol cell, shared by the daemon and the
-    in-process tests.
-
-    The simulation path makes {e exactly} the calls a local serial bench
-    cell makes ([Pipeline.create] → [Pipeline.run] →
-    [Summary.of_pipeline], or the [Sampler] pair for sampled cells, with
-    no host section), so a remote summary is bit-identical to an
-    in-process run of the same cell. *)
+(** Execution of one wire-protocol cell.  The daemon runs every cell
+    through {!run_cell}, and so does bench: its local cells call it
+    directly, its [--remote] cells reach it through the daemon.  A plain
+    cell runs [Pipeline.create] → [Pipeline.run] → [Summary.of_pipeline],
+    a sampled one [Sampler.run] → [Summary.of_sampled], with no host
+    section, so a summary is the same bits whichever process computed
+    it. *)
 
 type scope = {
   spans : Levioso_telemetry.Span.t;
@@ -32,13 +31,13 @@ val validate_cell : Protocol.cell -> (unit, string) result
 
 val cacheable : Protocol.cell -> bool
 (** Plain cells only: audited and sampled summaries never enter (or
-    replay from) the shared store. *)
+    replay from) a store.  This is the only cacheability rule; callers
+    pass their store for every cell and let it decide. *)
 
 val run_cell :
   ?cache:Levioso_uarch.Run_cache.t -> ?scope:scope -> Protocol.cell -> outcome
-(** Replay from the shard store when possible (schema-checked, stats
-    block must parse — the same strictness as bench's local replay),
-    otherwise simulate and store.  With a [scope], emits
+(** Replay from the store when possible (the entry must decode through
+    [Summary.stats]), otherwise simulate and store.  With a [scope], emits
     [cache_probe]/[replay]/[simulate] child spans (hit/miss and
     workload/policy attributes) and fills [stages]; the summary bits
     are identical either way.

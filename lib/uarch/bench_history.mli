@@ -24,7 +24,7 @@ type entry = { label : string; cells : cell list }
 
 val of_matrix :
   label:string -> Levioso_telemetry.Json.t -> (entry, string) result
-(** Reduce a {!Summary.matrix} / [BENCH_matrix.json] value to an entry.
+(** Reduce a {!Summary.runs} / [BENCH_matrix.json] value to an entry.
     Each run's [host] section, when present, is folded into
     [alloc_mwords].  [Error] when the value has no ["runs"] list or a
     run lacks workload/policy/stats.cycles. *)

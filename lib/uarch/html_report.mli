@@ -1,6 +1,6 @@
 (** Self-contained HTML rendering of a bench matrix.
 
-    [render] turns a {!Summary.matrix} JSON value (the shape
+    [render] turns a {!Summary.runs} JSON value (the shape
     [levioso_bench --json] and [BENCH_matrix.json] emit) into one HTML
     document with inline CSS and inline SVG charts — no external
     resources, no scripts, so the file opens anywhere and the output is

@@ -62,8 +62,21 @@ let of_sampled ?workload ?policy ?host ?(top_k = 10) (r : Sampler.result) =
 
 let runs summaries = Schema.tag [ ("runs", Json.List summaries) ]
 
-let matrix cells =
-  runs
-    (List.map
-       (fun (workload, policy, pipe) -> of_pipeline ~workload ~policy pipe)
-       cells)
+let stats summary =
+  let ( let* ) = Result.bind in
+  let* () = Schema.check ~what:"run summary" summary in
+  let* stats =
+    match Json.member "stats" summary with
+    | Some block -> Sim_stats.of_json block
+    | None -> Error "run summary has no stats block"
+  in
+  match Json.member "sampled" summary with
+  | None -> Ok stats
+  | Some sampled -> (
+    (* figures read stats.cycles, which for a sampled run must carry the
+       extrapolated estimate rather than the detailed intervals' sum *)
+    match Json.member "estimated_cycles" sampled with
+    | Some (Json.Int n) ->
+      stats.Sim_stats.cycles <- n;
+      Ok stats
+    | _ -> Error "sampled run summary has no integer estimated_cycles")

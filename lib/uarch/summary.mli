@@ -2,7 +2,8 @@
 
     One serializer for everything a finished pipeline run can report —
     [levioso_sim --json] and the bench harness both emit through this
-    module, so downstream tooling sees a single schema:
+    module, so downstream tooling sees a single schema, and every reader
+    that needs a run's counters back decodes them with {!stats}:
 
     {v
     {"workload": …, "policy": …,
@@ -49,7 +50,10 @@ val runs : Levioso_telemetry.Json.t list -> Levioso_telemetry.Json.t
     harnesses that serialize each cell as it finishes instead of keeping
     every pipeline (8 MB of simulated memory each) alive. *)
 
-val matrix :
-  (string * string * Pipeline.t) list -> Levioso_telemetry.Json.t
-(** [matrix cells] with [(workload, policy, pipe)] triples:
-    [{"runs": [summary, …]}]. *)
+val stats : Levioso_telemetry.Json.t -> (Sim_stats.t, string) result
+(** The inverse of {!of_pipeline} and {!of_sampled} for every reader of a
+    stored or streamed summary: check the [schema_version], then decode
+    the ["stats"] block.  For a sampled summary, [cycles] is the
+    ["sampled"] block's [estimated_cycles], so figures plot estimates
+    unchanged.  [Error] on a stale schema, a missing or undecodable
+    stats block, or a sampled block without an integer estimate. *)

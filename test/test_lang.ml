@@ -5,6 +5,7 @@ module Lparser = Levioso_lang.Lparser
 module Ast = Levioso_lang.Ast
 module Resolve = Levioso_lang.Resolve
 module Compiler = Levioso_lang.Compiler
+module Interp = Levioso_lang.Interp
 module Api = Levioso_core.Levioso_api
 module Config = Levioso_uarch.Config
 
@@ -197,6 +198,30 @@ let test_memory_builtins () =
        ~mem_init:(fun mem -> mem.(1000) <- 98)
        "fn main() { var v = load(1000); store(64, v + 1); }")
 
+let test_flush_address_runs_its_calls () =
+  (* a flush discards no architectural effect of its address expression:
+     the call's store lands in both the compiled and the interpreted
+     memory *)
+  let src =
+    {|
+      fn mark(x) { store(64, x); return x; }
+      fn main() { flush(1024 + (mark(7) & 255)); }
+    |}
+  in
+  let compiled =
+    (Emulator.run_program ~mem_words:65536
+       ~init:(fun _ -> ())
+       (Compiler.compile_exn src))
+      .Emulator.mem
+  in
+  let interpreted = Array.make 65536 0 in
+  (match Lparser.parse src with
+  | Ok ast -> Interp.run ~mem:interpreted ast
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check int) "compiled store" 7 compiled.(64);
+  Alcotest.(check int) "interpreted store" 7 interpreted.(64);
+  Alcotest.(check bool) "memories agree" true (compiled = interpreted)
+
 let test_functions_and_calls () =
   let src =
     {|
@@ -296,6 +321,8 @@ let suite =
       Alcotest.test_case "while loop" `Quick test_while_loop;
       Alcotest.test_case "nested control (primes)" `Quick test_nested_control;
       Alcotest.test_case "memory builtins" `Quick test_memory_builtins;
+      Alcotest.test_case "flush address runs its calls" `Quick
+        test_flush_address_runs_its_calls;
       Alcotest.test_case "functions and calls" `Quick test_functions_and_calls;
       Alcotest.test_case "early return" `Quick test_early_return;
       Alcotest.test_case "implicit zero return" `Quick test_function_without_return_yields_zero;

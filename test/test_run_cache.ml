@@ -1,9 +1,15 @@
 (* The bench result cache: round-trip, key sensitivity (config, names,
    code stamp), corruption tolerance, the sharded on-disk layout
    (shard subdirectories, flat-layout migration, racing writers, prune)
-   and the Sim_stats JSON round-trip that cache replay leans on. *)
+   and the Sim_stats JSON round-trip that cache replay leans on,
+   through Summary.stats, the one decoder every summary reader uses. *)
 
 module Config = Levioso_uarch.Config
+module Pipeline = Levioso_uarch.Pipeline
+module Sampler = Levioso_uarch.Sampler
+module Summary = Levioso_uarch.Summary
+module Schema = Levioso_telemetry.Schema
+module Workload = Levioso_workload.Workload
 module Run_cache = Levioso_uarch.Run_cache
 module Sim_stats = Levioso_uarch.Sim_stats
 module Json = Levioso_telemetry.Json
@@ -221,7 +227,60 @@ let test_sim_stats_rejects_garbage () =
     (Result.is_error (Sim_stats.of_json (Json.Obj [ ("cycles", Json.Int 1) ])));
   Alcotest.(check bool)
     "non-object rejected" true
-    (Result.is_error (Sim_stats.of_json (Json.String "nope")))
+    (Result.is_error (Sim_stats.of_json (Json.String "nope")));
+  let w = Levioso_workload.Suite.find_exn "compact" in
+  let policy = Levioso_core.Registry.find_exn "levioso" in
+  let pipe =
+    Pipeline.create ~mem_init:w.Workload.mem_init Config.default ~policy
+      w.Workload.program
+  in
+  Pipeline.run pipe;
+  let exact = Summary.of_pipeline ~workload:"compact" ~policy:"levioso" pipe in
+  (match Summary.stats exact with
+  | Ok s ->
+    Alcotest.(check bool)
+      "exact summary decodes to Pipeline.stats" true
+      (s = { (Pipeline.stats pipe) with Sim_stats.wrong_path_transmits = [] })
+  | Error msg -> Alcotest.fail msg);
+  let spec =
+    match Sampler.parse "1000:500:4" with
+    | Ok (Some sp) -> sp
+    | _ -> Alcotest.fail "bad sample spec"
+  in
+  let r =
+    Sampler.run ~mem_init:w.Workload.mem_init spec Config.default ~policy
+      w.Workload.program
+  in
+  let detailed = r.Sampler.stats.Sim_stats.cycles in
+  let sampled = Summary.of_sampled r in
+  Alcotest.(check bool)
+    "estimate differs from the detailed cycles" true
+    (r.Sampler.estimated_cycles <> detailed);
+  (match Summary.stats sampled with
+  | Ok s ->
+    Alcotest.(check int)
+      "sampled cycles = estimated_cycles" r.Sampler.estimated_cycles
+      s.Sim_stats.cycles;
+    Alcotest.(check int)
+      "other counters are the intervals'" r.Sampler.stats.Sim_stats.committed
+      s.Sim_stats.committed
+  | Error msg -> Alcotest.fail msg);
+  let edit f = function
+    | Json.Obj kvs -> Json.Obj (f kvs)
+    | j -> j
+  in
+  let set k v =
+    edit (List.map (fun (k', x) -> if k' = k then (k', v) else (k', x)))
+  in
+  let rejected what j =
+    Alcotest.(check bool) what true (Result.is_error (Summary.stats j))
+  in
+  rejected "wrong schema_version"
+    (set "schema_version" (Json.Int (Schema.version + 1)) exact);
+  rejected "missing stats block" (edit (List.remove_assoc "stats") exact);
+  rejected "garbage stats block" (set "stats" (Json.String "nope") exact);
+  rejected "sampled block without an estimate"
+    (set "sampled" (Json.Obj []) sampled)
 
 let suite =
   ( "run_cache",
