@@ -629,16 +629,12 @@ let audit_exp () =
       "  (skipped: run with --audit to collect restriction provenance)"
   else begin
     let share w p =
-      match Json.member "audit" (cell w p).summary with
-      | Some a -> (
-        match
-          ( Json.member "cycles" a,
-            Option.bind (Json.member "unnecessary" a) (Json.member "cycles") )
-        with
-        | Some total, Some unnec ->
-          Some (Json.to_int_exn total, Json.to_int_exn unnec)
-        | _ -> None)
-      | None -> None
+      match Summary.run_of_json (cell w p).summary with
+      | Ok run ->
+        Option.map
+          (fun (a : Summary.audit) -> (a.restricted, a.unnecessary))
+          run.Summary.audit
+      | Error msg -> failwith ("audit: " ^ msg)
     in
     let render = function
       | None -> "-"

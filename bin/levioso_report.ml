@@ -22,13 +22,16 @@
          no external resources); optionally append the run's cycles to a
          history file.
 
-   MATRIX.json is anything with a "runs" list (levioso_sim --json,
-   levioso_bench --json) or a BENCH_matrix.json trajectory (reduced to
-   cycles-only runs). *)
+   MATRIX.json is a runs document (levioso_sim --json, bench --json) or
+   a BENCH_matrix.json trajectory (its default-config cells, cycles and
+   host totals only); every mode reads it through Summary.read_runs, so
+   a sampled run counts its estimated cycles, and input that does not
+   decode exits 2 naming the file. *)
 
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
 module Tsdb = Levioso_telemetry.Tsdb
+module Summary = Levioso_uarch.Summary
 module Html_report = Levioso_uarch.Html_report
 module Dashboard = Levioso_uarch.Dashboard
 module Diff_report = Levioso_uarch.Diff_report
@@ -46,62 +49,10 @@ let read_json path =
     | Ok j -> j
     | Error msg -> die "%s: %s" path msg)
 
-(* Accept either a runs file or a BENCH_matrix trajectory; reduce the
-   latter to cycles-only run summaries (default config cells only, so
-   sweep configs don't collide with the default-config cell of the same
-   workload/policy pair). *)
-let normalize_runs path j =
-  match Json.member "runs" j with
-  | Some (Json.List _) ->
-    (match Schema.check ~what:path j with
-    | Ok () -> j
-    | Error msg -> die "%s" msg)
-  | Some _ -> die "%s: \"runs\" is not a list" path
-  | None -> (
-    match Json.member "matrix" j with
-    | Some (Json.List cells) ->
-      (match Schema.check ~what:path j with
-      | Ok () -> ()
-      | Error msg -> die "%s" msg);
-      let runs =
-        List.filter_map
-          (fun cell ->
-            let keep =
-              match Json.member "default_config" cell with
-              | Some (Json.Bool b) -> b
-              | _ -> true
-            in
-            if not keep then None
-            else
-              match
-                ( Json.member "workload" cell,
-                  Json.member "policy" cell,
-                  Json.member "cycles" cell )
-              with
-              | Some w, Some p, Some c ->
-                let host =
-                  match Json.member "host" cell with
-                  | Some h -> [ ("host", h) ]
-                  | None -> []
-                in
-                Some
-                  (Json.Obj
-                     ([
-                        ("workload", w);
-                        ("policy", p);
-                        ("stats", Json.Obj [ ("cycles", c) ]);
-                      ]
-                     @ host))
-              | _ -> None)
-          cells
-      in
-      Schema.tag [ ("runs", Json.List runs) ]
-    | _ -> die "%s: neither a \"runs\" file nor a bench trajectory" path)
-
-let runs_of path j =
-  match Json.member "runs" (normalize_runs path j) with
-  | Some (Json.List runs) -> runs
-  | _ -> assert false
+let read_runs path j =
+  match Summary.read_runs j with
+  | Ok runs -> runs
+  | Error msg -> die "%s: %s" path msg
 
 let mode_compare old_path new_path tolerance alloc_tolerance =
   let load path =
@@ -127,42 +78,31 @@ let mode_compare old_path new_path tolerance alloc_tolerance =
     1
 
 let mode_diff policy baseline workload top_k as_json path =
-  let runs = runs_of path (read_json path) in
-  let field k run =
-    match Json.member k run with Some (Json.String s) -> Some s | _ -> None
-  in
+  let runs = read_runs path (read_json path) in
   let find p w =
     List.find_opt
-      (fun run -> field "policy" run = Some p && field "workload" run = w)
+      (fun (r : Summary.run) -> r.policy = p && r.workload = w)
       runs
   in
   let workloads =
     match workload with
-    | Some w -> [ Some w ]
+    | Some w -> [ w ]
     | None ->
       List.filter_map
-        (fun run ->
-          if field "policy" run = Some policy then Some (field "workload" run)
-          else None)
+        (fun (r : Summary.run) ->
+          if r.policy = policy then Some r.workload else None)
         runs
       |> List.sort_uniq compare
   in
   if workloads = [] then die "no %s runs in %s" policy path;
   let diffs =
-    List.filter_map
+    List.map
       (fun w ->
         match (find policy w, find baseline w) with
-        | Some p, Some b -> (
-          match Diff_report.compute ~top_k ~baseline:b p with
-          | Ok d -> Some d
-          | Error msg -> die "%s" msg)
-        | None, _ ->
-          die "no %s run%s in %s" policy
-            (match w with Some w -> " for " ^ w | None -> "")
-            path
+        | Some p, Some b -> Diff_report.compute ~top_k ~baseline:b p
+        | None, _ -> die "no %s run for %s in %s" policy w path
         | _, None ->
-          die "no %s baseline run%s in %s (needed by --diff)" baseline
-            (match w with Some w -> " for " ^ w | None -> "")
+          die "no %s baseline run for %s in %s (needed by --diff)" baseline w
             path)
       workloads
   in
@@ -182,7 +122,7 @@ let mode_diff policy baseline workload top_k as_json path =
   0
 
 let mode_render path out title append label leak_trace =
-  let matrix = normalize_runs path (read_json path) in
+  let matrix = read_json path in
   let leak =
     Option.map
       (fun p ->
@@ -200,7 +140,7 @@ let mode_render path out title append label leak_trace =
   let html =
     match Html_report.render ~title ?leak matrix with
     | Ok html -> html
-    | Error msg -> die "%s" msg
+    | Error msg -> die "%s: %s" path msg
   in
   let oc = open_out_bin out in
   output_string oc html;
@@ -210,7 +150,7 @@ let mode_render path out title append label leak_trace =
   | None -> ()
   | Some hist_path -> (
     match Bench_history.of_matrix ~label matrix with
-    | Error msg -> die "%s" msg
+    | Error msg -> die "%s: %s" path msg
     | Ok entry -> (
       match Bench_history.append ~path:hist_path entry with
       | Error msg -> die "%s" msg

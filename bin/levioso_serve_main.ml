@@ -286,13 +286,7 @@ let submit socket workload_names policy_names rob predictor budget audit
         if not quiet then print_batch_stats stats;
         print_cell_errors cells results;
         if json then
-          print_endline
-            (Json.to_string
-               (Levioso_uarch.Summary.runs
-                  (Array.to_list
-                     (Array.map
-                        (fun (r : Client.result_cell) -> r.Client.summary)
-                        results))))
+          print_endline (Json.to_string (Client.runs results))
         else begin
           let n = List.length policies in
           let baseline row =
@@ -709,7 +703,8 @@ let json_arg =
     & info [ "json" ]
         ~doc:
           "Emit the summaries as JSON — the same artifact a local \
-           levioso_sim --json run of the matrix produces.")
+           levioso_sim --json run of the matrix produces.  Failed cells \
+           are reported on stderr and left out.")
 
 let submit_cmd =
   let doc = "submit a workload x policy matrix and stream the results" in

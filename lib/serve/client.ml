@@ -166,3 +166,9 @@ let submit ?(cache = true) ?trace ?on_result ?timings c cells =
       results
   in
   (filled, stats)
+
+let runs results =
+  Levioso_uarch.Summary.runs
+    (List.filter_map
+       (fun r -> if r.error = None then Some r.summary else None)
+       (Array.to_list results))

@@ -80,3 +80,8 @@ val submit :
     (minted via {!Levioso_telemetry.Span.mint_trace} when omitted);
     [timings] receives the client-side latency breakdown once the
     [done] frame lands. *)
+
+val runs : result_cell array -> Levioso_telemetry.Json.t
+(** A batch's summaries as one {!Levioso_uarch.Summary.runs} document,
+    failed cells left out: their [Null] summaries would make the whole
+    document unreadable to [levioso_report]. *)

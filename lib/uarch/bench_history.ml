@@ -10,85 +10,19 @@ type cell = {
 
 type entry = { label : string; cells : cell list }
 
-(* Host sections carry {phases, total:{minor_words, major_words,
-   promoted_words, ...}}; the regression-tracked scalar is words
-   allocated (minor + major - promoted) in millions. *)
-let alloc_of_host host =
-  match Json.member "total" host with
-  | None -> None
-  | Some total -> (
-    let f k = Option.map Json.to_float_exn (Json.member k total) in
-    match (f "minor_words", f "major_words", f "promoted_words") with
-    | Some mi, Some ma, Some pr -> Some ((mi +. ma -. pr) /. 1e6)
-    | _ -> None)
-
-let cell_of_run run =
-  let str k = Option.map Json.to_string_exn (Json.member k run) in
-  match (str "workload", str "policy") with
-  | Some workload, Some policy -> (
-    match Json.member "stats" run with
-    | Some stats -> (
-      match Json.member "cycles" stats with
-      | Some c ->
-        let alloc_mwords =
-          match Json.member "host" run with
-          | Some host -> alloc_of_host host
-          | None -> None
-        in
-        Ok { workload; policy; cycles = Json.to_int_exn c; alloc_mwords }
-      | None -> Error "run has no stats.cycles")
-    | None -> Error "run has no stats")
-  | _ -> Error "run has no workload/policy labels"
-
 let of_matrix ~label j =
-  match Json.member "runs" j with
-  | Some (Json.List runs) ->
-    let rec collect acc = function
-      | [] -> Ok { label; cells = List.rev acc }
-      | run :: rest -> (
-        match cell_of_run run with
-        | Ok c -> collect (c :: acc) rest
-        | Error e -> Error e)
-    in
-    collect [] runs
-  | _ -> Error "matrix JSON has no \"runs\" list"
-
-(* BENCH_matrix.json trajectory files carry cycles directly on each
-   matrix cell (no nested stats object) plus the host phases; only
-   default-config cells are reducible — sweep configs reuse (workload,
-   policy) labels and would make the comparison key ambiguous. *)
-let cell_of_trajectory run =
-  let str k = Option.map Json.to_string_exn (Json.member k run) in
-  match (str "workload", str "policy", Json.member "cycles" run) with
-  | Some workload, Some policy, Some c ->
-    let alloc_mwords =
-      match Json.member "host" run with
-      | Some host -> alloc_of_host host
-      | None -> None
-    in
-    Ok { workload; policy; cycles = Json.to_int_exn c; alloc_mwords }
-  | _ -> Error "matrix cell has no workload/policy/cycles"
-
-let of_trajectory ~label j =
-  match Json.member "matrix" j with
-  | Some (Json.List runs) ->
-    let default_only =
-      List.filter
-        (fun run ->
-          match Json.member "default_config" run with
-          | Some (Json.Bool b) -> b
-          | _ -> true)
-        runs
-    in
-    let rec collect acc = function
-      | [] -> Ok { label; cells = List.rev acc }
-      | run :: rest -> (
-        match cell_of_trajectory run with
-        | Ok c -> collect (c :: acc) rest
-        | Error e -> Error e)
-    in
-    collect [] default_only
-  | _ -> Error "JSON has neither an \"entries\", \"runs\" nor \"matrix\" list"
+  Result.map
+    (fun runs ->
+      let cell (r : Summary.run) =
+        {
+          workload = r.workload;
+          policy = r.policy;
+          cycles = r.cycles;
+          alloc_mwords = r.alloc_mwords;
+        }
+      in
+      { label; cells = List.map cell runs })
+    (Summary.read_runs j)
 
 let cell_to_json c =
   Json.Obj
@@ -154,11 +88,7 @@ let load path =
         | None -> (
           (* fall back: a bare matrix file (summary runs) or a
              BENCH_matrix.json trajectory artifact *)
-          let reduced =
-            if Json.member "runs" j <> None then of_matrix ~label:"matrix" j
-            else of_trajectory ~label:"matrix" j
-          in
-          match reduced with
+          match of_matrix ~label:"matrix" j with
           | Ok e -> Ok [ e ]
           | Error msg -> Error (path ^ ": " ^ msg)))))
 

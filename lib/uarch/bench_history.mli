@@ -24,17 +24,13 @@ type entry = { label : string; cells : cell list }
 
 val of_matrix :
   label:string -> Levioso_telemetry.Json.t -> (entry, string) result
-(** Reduce a {!Summary.runs} / [BENCH_matrix.json] value to an entry.
-    Each run's [host] section, when present, is folded into
-    [alloc_mwords].  [Error] when the value has no ["runs"] list or a
-    run lacks workload/policy/stats.cycles. *)
-
-val of_trajectory :
-  label:string -> Levioso_telemetry.Json.t -> (entry, string) result
-(** Reduce a [BENCH_matrix.json] trajectory artifact (cells carry
-    [cycles] and [host] directly under ["matrix"]) to an entry.
-    Non-default-config sweep cells are skipped — they reuse (workload,
-    policy) labels and would make the comparison key ambiguous. *)
+(** Reduce a {!Summary.runs} document or a [BENCH_matrix.json]
+    trajectory to an entry, through {!Summary.read_runs}: a sampled
+    run's cycles are its estimate, a trajectory keeps its default-config
+    cells only, and a run's [host] section, when present, is folded
+    into [alloc_mwords].  [Error] on anything {!Summary.read_runs}
+    rejects — a malformed [host] section included, so an allocation
+    gate never passes with nothing checked. *)
 
 val load : string -> (entry list, string) result
 (** Read a history file.  Also accepts a bare matrix JSON file or a

@@ -11,7 +11,7 @@ type pc_delta = {
 }
 
 type t = {
-  workload : string option;
+  workload : string;
   policy : string;
   baseline : string;
   policy_cycles : int;
@@ -29,156 +29,78 @@ let cause_names =
   List.map Levioso_telemetry.Stall.cause_to_string
     Levioso_telemetry.Stall.all_causes
 
-let mem_int path j =
-  match Json.member path j with
-  | Some v -> (try Some (Json.to_int_exn v) with Invalid_argument _ -> None)
-  | None -> None
-
-let mem_str path j =
-  match Json.member path j with Some (Json.String s) -> Some s | _ -> None
-
-(* stall top_pcs as an assoc pc -> total *)
-let stall_pcs summary =
-  match Json.member "stalls" summary with
-  | None -> []
-  | Some stalls -> (
-    match Json.member "top_pcs" stalls with
-    | Some (Json.List pcs) ->
-      List.filter_map
-        (fun entry ->
-          match (mem_int "pc" entry, mem_int "total" entry) with
-          | Some pc, Some total -> Some (pc, total)
-          | _ -> None)
-        pcs
-    | _ -> [])
-
-let audit_pcs summary =
-  match Json.member "audit" summary with
-  | None -> []
-  | Some audit -> (
-    match Json.member "top_pcs" audit with
-    | Some (Json.List pcs) ->
-      List.filter_map
-        (fun entry ->
-          match
-            ( mem_int "pc" entry,
-              mem_int "necessary_cycles" entry,
-              mem_int "unnecessary_cycles" entry )
-          with
-          | Some pc, Some nec, Some unnec -> Some (pc, (nec, unnec))
-          | _ -> None)
-        pcs
-    | _ -> [])
-
-let cause_counts summary =
-  match Json.member "stalls" summary with
-  | None -> []
-  | Some stalls -> (
-    match Json.member "by_cause" stalls with
-    | Some (Json.Obj fields) ->
-      List.filter_map
-        (fun (k, v) ->
-          try Some (k, Json.to_int_exn v) with Invalid_argument _ -> None)
-        fields
-    | _ -> [])
-
 let assoc_or_0 k l = Option.value ~default:0 (List.assoc_opt k l)
 
-let compute ?(top_k = 10) ~baseline policy_summary =
-  let cycles summary =
-    match Json.member "stats" summary with
-    | Some stats -> mem_int "cycles" stats
-    | None -> None
+let compute ?(top_k = 10) ~(baseline : Summary.run) (run : Summary.run) =
+  let policy_cycles = run.cycles and baseline_cycles = baseline.cycles in
+  let overhead_cycles = policy_cycles - baseline_cycles in
+  let overhead_pct =
+    if baseline_cycles = 0 then 0.0
+    else 100.0 *. float_of_int overhead_cycles /. float_of_int baseline_cycles
   in
-  match (cycles policy_summary, cycles baseline) with
-  | None, _ -> Error "Diff_report: policy summary has no stats.cycles"
-  | _, None -> Error "Diff_report: baseline summary has no stats.cycles"
-  | Some policy_cycles, Some baseline_cycles ->
-    let policy =
-      Option.value ~default:"?" (mem_str "policy" policy_summary)
-    in
-    let base_name = Option.value ~default:"?" (mem_str "policy" baseline) in
-    let workload = mem_str "workload" policy_summary in
-    let overhead_cycles = policy_cycles - baseline_cycles in
-    let overhead_pct =
-      if baseline_cycles = 0 then 0.0
-      else 100.0 *. float_of_int overhead_cycles /. float_of_int baseline_cycles
-    in
-    let pc = cause_counts policy_summary and bc = cause_counts baseline in
-    let cause_delta =
-      List.map (fun c -> (c, assoc_or_0 c pc - assoc_or_0 c bc)) cause_names
-    in
-    let audited_cycles, audited_unnecessary_cycles =
-      match Json.member "audit" policy_summary with
-      | None -> (0, 0)
-      | Some audit ->
-        let unnec =
-          match Json.member "unnecessary" audit with
-          | Some u -> Option.value ~default:0 (mem_int "cycles" u)
-          | None -> 0
+  let cause_delta =
+    List.map
+      (fun c -> (c, assoc_or_0 c run.by_cause - assoc_or_0 c baseline.by_cause))
+      cause_names
+  in
+  let audited_cycles, audited_unnecessary_cycles, a_pcs =
+    match run.audit with
+    | None -> (0, 0, [])
+    | Some a ->
+      ( a.restricted,
+        a.unnecessary,
+        List.map (fun (pc, _, nec, unnec) -> (pc, (nec, unnec))) a.top_pcs )
+  in
+  let unnecessary_share =
+    if audited_cycles = 0 then 0.0
+    else float_of_int audited_unnecessary_cycles /. float_of_int audited_cycles
+  in
+  let all_pcs =
+    List.sort_uniq compare
+      (List.map fst run.stall_pcs @ List.map fst baseline.stall_pcs)
+  in
+  let top_pcs =
+    List.map
+      (fun pc ->
+        let policy_stalls = assoc_or_0 pc run.stall_pcs in
+        let baseline_stalls = assoc_or_0 pc baseline.stall_pcs in
+        let nec, unnec =
+          Option.value ~default:(0, 0) (List.assoc_opt pc a_pcs)
         in
-        (Option.value ~default:0 (mem_int "cycles" audit), unnec)
-    in
-    let unnecessary_share =
-      if audited_cycles = 0 then 0.0
-      else
-        float_of_int audited_unnecessary_cycles /. float_of_int audited_cycles
-    in
-    let p_pcs = stall_pcs policy_summary
-    and b_pcs = stall_pcs baseline
-    and a_pcs = audit_pcs policy_summary in
-    let all_pcs =
-      List.sort_uniq compare (List.map fst p_pcs @ List.map fst b_pcs)
-    in
-    let top_pcs =
-      List.map
-        (fun pc ->
-          let policy_stalls = assoc_or_0 pc p_pcs in
-          let baseline_stalls = assoc_or_0 pc b_pcs in
-          let nec, unnec =
-            Option.value ~default:(0, 0) (List.assoc_opt pc a_pcs)
-          in
-          {
-            pc;
-            policy_stalls;
-            baseline_stalls;
-            delta = policy_stalls - baseline_stalls;
-            audit_necessary_cycles = nec;
-            audit_unnecessary_cycles = unnec;
-          })
-        all_pcs
-      |> List.sort (fun a b ->
-             match compare b.delta a.delta with
-             | 0 -> compare a.pc b.pc
-             | c -> c)
-      |> List.filteri (fun i _ -> i < top_k)
-    in
-    Ok
-      {
-        workload;
-        policy;
-        baseline = base_name;
-        policy_cycles;
-        baseline_cycles;
-        overhead_cycles;
-        overhead_pct;
-        cause_delta;
-        audited_cycles;
-        audited_unnecessary_cycles;
-        unnecessary_share;
-        top_pcs;
-      }
-
-let compute_exn ?top_k ~baseline policy_summary =
-  match compute ?top_k ~baseline policy_summary with
-  | Ok t -> t
-  | Error msg -> invalid_arg msg
+        {
+          pc;
+          policy_stalls;
+          baseline_stalls;
+          delta = policy_stalls - baseline_stalls;
+          audit_necessary_cycles = nec;
+          audit_unnecessary_cycles = unnec;
+        })
+      all_pcs
+    |> List.sort (fun a b ->
+           match compare b.delta a.delta with
+           | 0 -> compare a.pc b.pc
+           | c -> c)
+    |> List.filteri (fun i _ -> i < top_k)
+  in
+  {
+    workload = run.workload;
+    policy = run.policy;
+    baseline = baseline.policy;
+    policy_cycles;
+    baseline_cycles;
+    overhead_cycles;
+    overhead_pct;
+    cause_delta;
+    audited_cycles;
+    audited_unnecessary_cycles;
+    unnecessary_share;
+    top_pcs;
+  }
 
 let to_json t =
   Schema.tag
     ([
-       ( "workload",
-         match t.workload with Some w -> Json.String w | None -> Json.Null );
+       ("workload", Json.String t.workload);
        ("policy", Json.String t.policy);
        ("baseline", Json.String t.baseline);
        ("policy_cycles", Json.Int t.policy_cycles);
@@ -211,8 +133,7 @@ let to_json t =
 
 let to_rows t =
   let label =
-    Printf.sprintf "%s vs %s%s" t.policy t.baseline
-      (match t.workload with Some w -> " on " ^ w | None -> "")
+    Printf.sprintf "%s vs %s on %s" t.policy t.baseline t.workload
   in
   [
     ("diff", label);

@@ -1,15 +1,16 @@
-(** Differential overhead attribution between two run summaries.
+(** Differential overhead attribution between two runs.
 
-    Takes two {!Summary.of_pipeline} JSON values for the same workload —
-    a defense policy and a baseline (normally ["unsafe"]) — and charges
-    the cycle difference to stall causes and static PCs:
+    Takes two {!Summary.run}s for the same workload — a defense policy
+    and a baseline (normally ["unsafe"]) — and charges the cycle
+    difference to stall causes and static PCs:
 
     "defense X costs +N cycles (+P%), of which the policy gate accounts
     for M stall-cycles, Q% of the audited restriction cycles were
     unnecessary, concentrated at these top-K PCs."
 
-    Inputs are JSON (not live pipelines) so the diff can run over
-    [--json] files, bench matrix cells, and cached summaries alike. *)
+    Runs come from {!Summary.read_runs}, so the diff works over
+    [--json] files, bench matrices and [BENCH_matrix.json] trajectories
+    alike, and a sampled run is charged its estimated cycles. *)
 
 type pc_delta = {
   pc : int;
@@ -22,7 +23,7 @@ type pc_delta = {
 }
 
 type t = {
-  workload : string option;
+  workload : string;
   policy : string;
   baseline : string;
   policy_cycles : int;
@@ -37,21 +38,10 @@ type t = {
   top_pcs : pc_delta list;  (** largest positive delta first *)
 }
 
-val compute :
-  ?top_k:int ->
-  baseline:Levioso_telemetry.Json.t ->
-  Levioso_telemetry.Json.t ->
-  (t, string) result
-(** [compute ~baseline policy_summary] — both arguments are single-run
-    summary objects (elements of a ["runs"] list, or [--json] output).
-    [top_k] (default 10) bounds [top_pcs].  [Error] on summaries missing
-    the stats/stalls sections. *)
-
-val compute_exn :
-  ?top_k:int ->
-  baseline:Levioso_telemetry.Json.t ->
-  Levioso_telemetry.Json.t ->
-  t
+val compute : ?top_k:int -> baseline:Summary.run -> Summary.run -> t
+(** [compute ~baseline run]: [top_k] (default 10) bounds [top_pcs].
+    Cause and PC deltas are zero where a run carries no stall section;
+    the audit fields are zero unless [run] was audited. *)
 
 val to_json : t -> Levioso_telemetry.Json.t
 (** Schema-tagged object mirroring the record. *)

@@ -1,85 +1,16 @@
 module Json = Levioso_telemetry.Json
 
-type audit_view = {
-  a_cycles : int;
-  a_nec : int;
-  a_unnec : int;
-  a_top : (int * int * int * int) list; (* pc, events, nec, unnec *)
-}
+open Summary
 
-type run_view = {
-  workload : string;
-  policy : string;
-  cycles : int;
-  ipc : float;
-  by_cause : (string * int) list;
-  stall_total : int;
-  audit : audit_view option;
-}
-
-(* ---------- extraction ---------- *)
+(* ---------- leak-graph extraction ---------- *)
 
 let mem_int k j =
   match Json.member k j with
   | Some v -> (try Json.to_int_exn v with Invalid_argument _ -> 0)
   | None -> 0
 
-let mem_float k j =
-  match Json.member k j with
-  | Some v -> (try Json.to_float_exn v with Invalid_argument _ -> 0.0)
-  | None -> 0.0
-
 let mem_str k j =
   match Json.member k j with Some (Json.String s) -> s | _ -> "?"
-
-let audit_of_json audit =
-  let top =
-    match Json.member "top_pcs" audit with
-    | Some (Json.List pcs) ->
-      List.map
-        (fun p ->
-          ( mem_int "pc" p,
-            mem_int "events" p,
-            mem_int "necessary_cycles" p,
-            mem_int "unnecessary_cycles" p ))
-        pcs
-    | _ -> []
-  in
-  let section k =
-    match Json.member k audit with Some s -> mem_int "cycles" s | None -> 0
-  in
-  {
-    a_cycles = mem_int "cycles" audit;
-    a_nec = section "necessary";
-    a_unnec = section "unnecessary";
-    a_top = top;
-  }
-
-let run_of_json run =
-  let stats =
-    Option.value ~default:(Json.Obj []) (Json.member "stats" run)
-  in
-  let stalls =
-    Option.value ~default:(Json.Obj []) (Json.member "stalls" run)
-  in
-  let by_cause =
-    match Json.member "by_cause" stalls with
-    | Some (Json.Obj fields) ->
-      List.map
-        (fun (k, v) ->
-          (k, try Json.to_int_exn v with Invalid_argument _ -> 0))
-        fields
-    | _ -> []
-  in
-  {
-    workload = mem_str "workload" run;
-    policy = mem_str "policy" run;
-    cycles = mem_int "cycles" stats;
-    ipc = mem_float "ipc" stats;
-    by_cause;
-    stall_total = mem_int "total" stalls;
-    audit = Option.map audit_of_json (Json.member "audit" run);
-  }
 
 let first_appearance xs =
   List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
@@ -267,7 +198,7 @@ let necessity_chart b runs =
     List.filter_map
       (fun r ->
         match r.audit with
-        | Some a when a.a_cycles > 0 -> Some (r, a)
+        | Some a when a.restricted > 0 -> Some (r, a)
         | _ -> None)
       runs
   in
@@ -288,7 +219,7 @@ let necessity_chart b runs =
       (fun i (r, a) ->
         let y = 4 + (i * row_h) in
         let share =
-          float_of_int a.a_unnec /. float_of_int (max 1 a.a_cycles)
+          float_of_int a.unnecessary /. float_of_int (max 1 a.restricted)
         in
         let unnec_w = int_of_float (float_of_int bar_w *. share) in
         Buffer.add_string b
@@ -300,13 +231,13 @@ let necessity_chart b runs =
           (fp
              "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" \
               fill=\"%s\"><title>necessary: %d cycles</title></rect>\n"
-             left y (bar_w - unnec_w) bar_h necessary_color a.a_nec);
+             left y (bar_w - unnec_w) bar_h necessary_color a.necessary);
         Buffer.add_string b
           (fp
              "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" \
               fill=\"%s\"><title>unnecessary: %d cycles</title></rect>\n"
              (left + bar_w - unnec_w)
-             y unnec_w bar_h unnecessary_color a.a_unnec);
+             y unnec_w bar_h unnecessary_color a.unnecessary);
         Buffer.add_string b
           (fp "<text x=\"%d\" y=\"%d\" class=\"value\">%.1f%% unnec</text>\n"
              (left + bar_w + 6) (y + 13) (100.0 *. share)))
@@ -325,7 +256,7 @@ let top_pc_tables b runs =
   List.iter
     (fun r ->
       match r.audit with
-      | Some a when a.a_top <> [] ->
+      | Some a when a.top_pcs <> [] ->
         Buffer.add_string b
           (fp "<h3>%s / %s — most-restricted PCs</h3>\n" (esc r.workload)
              (esc r.policy));
@@ -338,7 +269,7 @@ let top_pc_tables b runs =
               (fp
                  "<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n"
                  pc events nec unnec))
-          a.a_top;
+          a.top_pcs;
         Buffer.add_string b "</table>\n"
       | _ -> ())
     runs
@@ -508,9 +439,9 @@ let summary_table b runs =
     (fun r ->
       let audit_cells =
         match r.audit with
-        | Some a when a.a_cycles > 0 ->
-          fp "<td>%d</td><td>%.1f%%</td>" a.a_cycles
-            (100.0 *. float_of_int a.a_unnec /. float_of_int a.a_cycles)
+        | Some a when a.restricted > 0 ->
+          fp "<td>%d</td><td>%.1f%%</td>" a.restricted
+            (100.0 *. float_of_int a.unnecessary /. float_of_int a.restricted)
         | Some _ -> "<td>0</td><td>–</td>"
         | None -> "<td>–</td><td>–</td>"
       in
@@ -535,9 +466,8 @@ let css =
    vertical-align:-.1em}"
 
 let render ?(title = "Levioso report") ?leak matrix =
-  match Json.member "runs" matrix with
-  | Some (Json.List run_json) ->
-    let runs = List.map run_of_json run_json in
+  match read_runs matrix with
+  | Ok runs ->
     let workloads = first_appearance (List.map (fun r -> r.workload) runs) in
     let policies = first_appearance (List.map (fun r -> r.policy) runs) in
     let color_of p =
@@ -604,9 +534,9 @@ let render ?(title = "Levioso report") ?leak matrix =
     summary_table b runs;
     Buffer.add_string b "</body></html>\n";
     Ok (Buffer.contents b)
-  | _ -> Error "Html_report.render: matrix JSON has no \"runs\" list"
+  | Error msg -> Error msg
 
 let render_exn ?title ?leak matrix =
   match render ?title ?leak matrix with
   | Ok s -> s
-  | Error msg -> invalid_arg msg
+  | Error msg -> invalid_arg ("Html_report.render: " ^ msg)

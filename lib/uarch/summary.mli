@@ -1,9 +1,7 @@
-(** Machine-readable run summaries.
+(** Machine-readable run summaries: the one writer and the one reader.
 
-    One serializer for everything a finished pipeline run can report —
     [levioso_sim --json] and the bench harness both emit through this
-    module, so downstream tooling sees a single schema, and every reader
-    that needs a run's counters back decodes them with {!stats}:
+    module, so downstream tooling sees a single schema:
 
     {v
     {"workload": …, "policy": …,
@@ -12,9 +10,19 @@
      "stalls": {total, by_cause: {policy_gate, operand_wait, lsq_order,
                 rob_full, exec_port}, top_pcs: […]},
      "audit": {…},          (only when the run was audited)
+     "sampled": {estimated_cycles, …}
+                            (only for a two-tier sampled run)
      "host": {phases: {…}, total: {wall_s, minor_words, …}}}
                             (only when host profiling was requested)
-    v} *)
+    v}
+
+    It is also the only module that reads that layout back, and the
+    [BENCH_matrix.json] trajectory layout: replay and figures decode a
+    run's counters with {!stats}; reports ([Html_report], [Diff_report],
+    [Bench_history], bench's audit table) read a typed {!run} through
+    {!run_of_json} or {!read_runs}.  Both apply one cycles rule: a
+    sampled run's cycles are its [sampled.estimated_cycles], never the
+    detailed intervals' sum. *)
 
 val of_pipeline :
   ?workload:string ->
@@ -57,3 +65,46 @@ val stats : Levioso_telemetry.Json.t -> (Sim_stats.t, string) result
     ["sampled"] block's [estimated_cycles], so figures plot estimates
     unchanged.  [Error] on a stale schema, a missing or undecodable
     stats block, or a sampled block without an integer estimate. *)
+
+(** {1 Report view} *)
+
+type audit = {
+  restricted : int;  (** audited restriction cycles *)
+  necessary : int;  (** of which on a true branch dependency *)
+  unnecessary : int;
+  top_pcs : (int * int * int * int) list;
+      (** pc, episodes, necessary cycles, unnecessary cycles *)
+}
+
+type run = {
+  workload : string;
+  policy : string;
+  cycles : int;  (** the estimate for a sampled run *)
+  ipc : float;  (** 0 when absent *)
+  stall_total : int;  (** 0 when absent *)
+  by_cause : (string * int) list;  (** stall cycles, document order *)
+  stall_pcs : (int * int) list;  (** costliest PCs: pc, stall cycles *)
+  audit : audit option;  (** present for audited runs *)
+  alloc_mwords : float option;
+      (** host words allocated (minor + major - promoted), in millions,
+          when the run carried a [host] section *)
+}
+(** What a report needs of one run.  Workload, policy and cycles are
+    required; the rest is read when present. *)
+
+val run_of_json : Levioso_telemetry.Json.t -> (run, string) result
+(** Decode one run summary (an element of a ["runs"] list, or a
+    {!of_pipeline}/{!of_sampled} value).  [Error] on a missing or
+    non-string label, non-integer cycles, a sampled block without an
+    integer estimate, or any present section that is malformed — a
+    [host] section without numeric totals included.  An empty [host]
+    object, which bench writes for its remote cells, gives no
+    [alloc_mwords], like an absent one. *)
+
+val read_runs : Levioso_telemetry.Json.t -> (run list, string) result
+(** Decode a {!runs} document, or a [BENCH_matrix.json] trajectory whose
+    default-config cells carry [cycles] (and [host]) directly; sweep
+    cells under other configs are skipped, since they reuse (workload,
+    policy) labels.  [Error] on a stale [schema_version], a value that
+    is neither shape, or the first run that does not decode (named by
+    its index). *)

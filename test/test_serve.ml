@@ -8,6 +8,7 @@
 module Config = Levioso_uarch.Config
 module Run_cache = Levioso_uarch.Run_cache
 module Sampler = Levioso_uarch.Sampler
+module Summary = Levioso_uarch.Summary
 module Json = Levioso_telemetry.Json
 module Tsdb = Levioso_telemetry.Tsdb
 module Alerts = Levioso_telemetry.Alerts
@@ -380,6 +381,16 @@ let test_server_end_to_end () =
         bad_results.(0).Client.source;
       Alcotest.(check bool) "invalid cell carries an error" true
         (bad_results.(0).Client.error <> None);
+      (* the runs document of a partly failed batch leaves the failed
+         cell out, so the rest still decodes for reports *)
+      let mixed, _ = Client.submit c [ cell (); cell ~workload:"no-such" () ] in
+      (match Summary.read_runs (Client.runs mixed) with
+      | Ok runs ->
+        Alcotest.(check (list (pair string string)))
+          "runs document keeps the good cell"
+          [ ("stream", "unsafe") ]
+          (List.map (fun (r : Summary.run) -> (r.workload, r.policy)) runs)
+      | Error msg -> Alcotest.fail msg);
       Client.ping c;
       Client.shutdown c;
       Client.close c;
