@@ -3,6 +3,7 @@
    experiment index and EXPERIMENTS.md for paper-vs-measured records).
 
      dune exec bench/main.exe               # everything
+     dune exec bench/main.exe -- --help     # every flag
      dune exec bench/main.exe -- --list     # experiment ids
      dune exec bench/main.exe -- --only fig3 --only table2
      dune exec bench/main.exe -- --quick    # subsampled workloads
@@ -24,6 +25,10 @@
                                             # bit-identical to local)
      dune exec bench/main.exe -- --cache-prune 30  # delete stale store
                                             # entries, run nothing
+
+   -j, --audit, --sample and the monitor flags are the ones levioso_sim
+   takes (Levioso_cli.Cli); a bad value of any flag is a usage error
+   (exit 124).
 
    Every (config, workload, policy) simulation the figures need is
    independent, so the matrix is computed up front on a domain pool
@@ -59,32 +64,25 @@ module Sampler = Levioso_uarch.Sampler
 module Serve_protocol = Levioso_serve.Protocol
 module Serve_client = Levioso_serve.Client
 module Engine = Levioso_serve.Engine
+module Cli = Levioso_cli.Cli
 
+(* Set once from the command line, before any cell runs. *)
 let quick = ref false
-let only : string list ref = ref []
-let json_out : string option ref = ref None
-let jobs = ref 0 (* 0 = auto: Domain.recommended_domain_count *)
+let jobs = ref 1
 let use_cache = ref true
-let cache_dir = ref (Filename.concat "bench" ".cache")
 let audit = ref false
 let sample : Sampler.spec option ref = ref None
-let progress = ref false
-let progress_file : string option ref = ref None
-let metrics_file : string option ref = ref None
 
 (* --remote SOCKET: the whole matrix is submitted to a levioso_serve
    daemon instead of being simulated in-process.  The daemon runs each
    cell through the same Engine.run_cell a local cell uses, so figures
    and --json output are bit-identical either way. *)
 let remote : string option ref = ref None
-let cache_prune : int option ref = ref None
 
 (* Live heartbeat for the matrix prefetch.  Strictly observational: the
    monitor never touches cell computation, so --json output stays
    bit-identical with it on or off (and across -j N). *)
 let monitor : Monitor.t option ref = ref None
-
-let effective_jobs () = if !jobs > 0 then !jobs else Parallel.default_size ()
 
 let workloads () =
   if !quick then List.filteri (fun i _ -> i mod 2 = 0) Suite.all else Suite.all
@@ -303,7 +301,6 @@ let prefetch_matrix ids =
         end)
       (List.concat_map cells_of ids)
   in
-  let n = effective_jobs () in
   (match !monitor with
   | Some m -> Monitor.set_total m (List.length todo)
   | None -> ());
@@ -319,8 +316,8 @@ let prefetch_matrix ids =
       | Some m -> Monitor.item_done m ~wall_s:r.wall_s ()
       | None -> ()
     in
-    if n > 1 && List.length todo > 1 then
-      Parallel.with_pool ~size:n (fun pool -> Parallel.iter pool work todo)
+    if !jobs > 1 && List.length todo > 1 then
+      Parallel.with_pool ~size:!jobs (fun pool -> Parallel.iter pool work todo)
     else List.iter work todo);
   match !monitor with Some m -> Monitor.close m | None -> ()
 
@@ -706,7 +703,7 @@ let write_bench_matrix ~total_wall_s =
     Schema.tag
       [
         ("schema", Json.String "levioso-bench-matrix/v1");
-        ("jobs", Json.Int (effective_jobs ()));
+        ("jobs", Json.Int !jobs);
         ("cache", Json.Bool (!disk <> None));
         ( "remote",
           match !remote with
@@ -733,126 +730,137 @@ let write_bench_matrix ~total_wall_s =
   output_char oc '\n';
   close_out oc
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--only" :: id :: rest ->
-      only := id :: !only;
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | ("-j" | "--jobs") :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 0 -> jobs := n
-      | Some _ | None ->
-        prerr_endline "-j expects a non-negative integer (0 = auto)";
-        exit 2);
-      parse rest
-    | "--cache" :: rest ->
-      use_cache := true;
-      parse rest
-    | "--no-cache" :: rest ->
-      use_cache := false;
-      parse rest
-    | "--audit" :: rest ->
-      audit := true;
-      parse rest
-    | "--sample" :: spec :: rest ->
-      (match Sampler.parse spec with
-      | Ok s -> sample := s
-      | Error msg ->
-        prerr_endline ("--sample: " ^ msg);
-        exit 2);
-      parse rest
-    | "--cache-dir" :: dir :: rest ->
-      cache_dir := dir;
-      use_cache := true;
-      parse rest
-    | "--cache-prune" :: days :: rest ->
-      (match int_of_string_opt days with
-      | Some d when d >= 0 -> cache_prune := Some d
-      | Some _ | None ->
-        prerr_endline "--cache-prune expects a non-negative day count";
-        exit 2);
-      parse rest
-    | "--remote" :: socket :: rest ->
-      remote := Some socket;
-      parse rest
-    | "--progress" :: rest ->
-      progress := true;
-      parse rest
-    | "--progress-file" :: file :: rest ->
-      progress_file := Some file;
-      parse rest
-    | "--metrics" :: file :: rest ->
-      metrics_file := Some file;
-      parse rest
-    | "--list" :: _ ->
-      List.iter (fun (id, _) -> print_endline id) experiments;
-      exit 0
-    | arg :: _ ->
-      prerr_endline ("unknown argument: " ^ arg ^ " (try --list)");
-      exit 2
+let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
+    remote_ make_monitor list =
+  let use_cache_ = List.nth cache (List.length cache - 1) in
+  if list then begin
+    List.iter (fun (id, _) -> print_endline id) experiments;
+    `Ok ()
+  end
+  else
+    match cache_prune with
+    | Some days ->
+      (* store maintenance mode: prune and exit, running nothing *)
+      let cache = Run_cache.create ~dir:cache_dir () in
+      let removed = Run_cache.prune cache ~max_age_days:days in
+      Printf.printf
+        "cache-prune: removed %d entries older than %d days from %s\n" removed
+        days cache_dir;
+      `Ok ()
+    | None when sample_ <> None && audit_ ->
+      (* the two-tier engine has no per-event audit stream to record *)
+      `Error (true, "--sample cannot be combined with --audit")
+    | None ->
+      quick := quick_;
+      jobs := jobs_;
+      use_cache := use_cache_;
+      audit := audit_;
+      sample := sample_;
+      remote := remote_;
+      (* With --remote, caching is the daemon's business (gated per batch
+         by --no-cache); a local store would never be consulted. *)
+      if use_cache_ && remote_ = None then
+        disk := Some (Run_cache.create ~dir:cache_dir ());
+      monitor := make_monitor ~label:"bench" ();
+      let t_start = Unix.gettimeofday () in
+      let selected id = only = [] || List.mem id only in
+      let ids =
+        List.filter_map
+          (fun (id, _) -> if selected id then Some id else None)
+          experiments
+      in
+      (* Fill the matrix — on the domain pool, or via one batched daemon
+         submission with --remote — before any figure prints; the figures
+         then read memoized cells in deterministic order. *)
+      (try prefetch_matrix ids
+       with Serve_client.Server_error msg ->
+         prerr_endline ("--remote: " ^ msg);
+         exit 1);
+      List.iter (fun (id, f) -> if selected id then f ()) experiments;
+      (* every default-config cell, with its stall breakdown, through the
+         same serializer levioso_sim --json uses *)
+      (match json_out with
+      | None -> ()
+      | Some file ->
+        let cells =
+          Hashtbl.fold
+            (fun (config, w, p) c acc ->
+              if config = Config.default then ((w, p), c.summary) :: acc
+              else acc)
+            matrix []
+          |> List.sort (fun (a, _) (b, _) -> compare a b)
+          |> List.map snd
+        in
+        let oc = open_out file in
+        Json.to_channel oc (Summary.runs cells);
+        output_char oc '\n';
+        close_out oc;
+        Printf.printf "\nwrote %d run summaries to %s\n" (List.length cells)
+          file);
+      write_bench_matrix ~total_wall_s:(Unix.gettimeofday () -. t_start);
+      `Ok ()
+
+open Cmdliner
+
+let cmd =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let some name docv doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
   in
-  parse args;
-  (* Store maintenance mode: prune and exit, running nothing. *)
-  (match !cache_prune with
-  | Some days ->
-    let cache = Run_cache.create ~dir:!cache_dir () in
-    let removed = Run_cache.prune cache ~max_age_days:days in
-    Printf.printf "cache-prune: removed %d entries older than %d days from %s\n"
-      removed days !cache_dir;
-    exit 0
-  | None -> ());
-  (* the two-tier engine has no per-event audit stream to record *)
-  if !sample <> None && !audit then begin
-    prerr_endline "--sample cannot be combined with --audit";
-    exit 2
-  end;
-  (* With --remote, caching is the daemon's business (gated per batch by
-     --no-cache); a local store would never be consulted. *)
-  if !use_cache && !remote = None then
-    disk := Some (Run_cache.create ~dir:!cache_dir ());
-  if !progress || !progress_file <> None || !metrics_file <> None then
-    monitor :=
-      Some
-        (* status line on a TTY, auto-suppressed when stderr is piped;
-           --progress forces it regardless *)
-        (Monitor.create ~ansi:stderr ~force_ansi:!progress
-           ?json_path:!progress_file ?metrics_path:!metrics_file
-           ~label:"bench" ());
-  let t_start = Unix.gettimeofday () in
-  let selected id = !only = [] || List.mem id !only in
-  let ids = List.filter_map (fun (id, _) -> if selected id then Some id else None) experiments in
-  (* Fill the matrix — on the domain pool, or via one batched daemon
-     submission with --remote — before any figure prints; the figures
-     then read memoized cells in deterministic order. *)
-  (try prefetch_matrix ids
-   with Serve_client.Server_error msg ->
-     prerr_endline ("--remote: " ^ msg);
-     exit 1);
-  List.iter (fun (id, f) -> if selected id then f ()) experiments;
-  (* every default-config cell, with its stall breakdown, through the
-     same serializer levioso_sim --json uses *)
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    let cells =
-      Hashtbl.fold
-        (fun (config, w, p) c acc ->
-          if config = Config.default then ((w, p), c.summary) :: acc else acc)
-        matrix []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map snd
-    in
-    let oc = open_out file in
-    Json.to_channel oc (Summary.runs cells);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nwrote %d run summaries to %s\n" (List.length cells) file);
-  write_bench_matrix ~total_wall_s:(Unix.gettimeofday () -. t_start)
+  let quick = flag "quick" "Run every figure on every other suite workload." in
+  let only =
+    Arg.(
+      value & opt_all string []
+      & info [ "only" ] ~docv:"ID"
+          ~doc:"Run only experiment $(docv) (repeatable; see --list).")
+  in
+  let json_out =
+    some "json" "FILE" "Write every default-config run summary to $(docv)."
+  in
+  let jobs =
+    Cli.jobs
+      ~doc:
+        "Simulate the matrix on $(docv) domains; 0 (the default) uses every \
+         core.  Results are bit-identical to -j 1."
+  in
+  let cache =
+    Arg.(
+      value
+      & vflag_all [ true ]
+          [
+            (true, info [ "cache" ] ~doc:"Use the result store (the default).");
+            ( false,
+              info [ "no-cache" ]
+                ~doc:"Simulate every cell; the last of --cache/--no-cache wins."
+            );
+          ])
+  in
+  let cache_dir =
+    Arg.(
+      value
+      & opt string (Filename.concat "bench" ".cache")
+      & info [ "cache-dir" ] ~docv:"DIR" ~doc:"Directory of the result store.")
+  in
+  let cache_prune =
+    Arg.(
+      value
+      & opt (some Cli.non_negative) None
+      & info [ "cache-prune" ] ~docv:"DAYS"
+          ~doc:
+            "Delete store entries older than $(docv) days, then exit \
+             without running anything.")
+  in
+  let remote =
+    some "remote" "SOCKET"
+      "Submit the whole matrix to the levioso_serve daemon at $(docv) \
+       instead of simulating it here."
+  in
+  let list = flag "list" "Print the experiment ids and exit." in
+  Cmd.v
+    (Cmd.info "bench" ~doc:"regenerate the evaluation's tables and figures")
+    Term.(
+      ret
+        (const main $ quick $ only $ json_out $ jobs $ cache $ cache_dir
+       $ Cli.audit $ Cli.sample $ cache_prune $ remote $ Cli.monitor $ list))
+
+let () = exit (Cmd.eval cmd)

@@ -21,6 +21,7 @@ module Campaign = Levioso_fuzz.Campaign
 module Corpus = Levioso_fuzz.Corpus
 module Json = Levioso_telemetry.Json
 module Monitor = Levioso_telemetry.Monitor
+module Cli = Levioso_cli.Cli
 
 let list_oracles () =
   List.iter
@@ -122,8 +123,7 @@ let record_anchors ~config ~dir specs =
   | e :: _ -> `Error (false, e)
 
 let main seed iters time_budget jobs oracle_names corpus_dir no_persist
-    shrink_budget max_failures json replay record list progress progress_file
-    metrics_file =
+    shrink_budget max_failures json replay record list monitor =
   if list then list_oracles ()
   else
     let config = Levioso_fuzz.Gen.default_config in
@@ -151,20 +151,9 @@ let main seed iters time_budget jobs oracle_names corpus_dir no_persist
         (* the monitor hangs off the campaign's chunk-boundary callback;
            it is observational only, so the report (and exit status) is
            the same with or without it *)
-        let monitor =
-          if progress || progress_file <> None || metrics_file <> None then begin
-            let m =
-              (* the status line shows on a TTY, is auto-suppressed when
-                 stderr is piped, and --progress forces it regardless *)
-              Monitor.create ~ansi:stderr ~force_ansi:progress
-                ?json_path:progress_file ?metrics_path:metrics_file
-                ~label:"levioso_fuzz" ()
-            in
-            if iters > 0 then Monitor.set_total m iters;
-            Some m
-          end
-          else None
-        in
+        let monitor = monitor ~label:"levioso_fuzz" () in
+        if iters > 0 then
+          Option.iter (fun m -> Monitor.set_total m iters) monitor;
         let on_progress =
           Option.map
             (fun m ~executed ~failures ->
@@ -292,32 +281,6 @@ let list_arg =
   Arg.(
     value & flag & info [ "list-oracles" ] ~doc:"List oracles and exit.")
 
-let progress_arg =
-  Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:
-          "Show an in-place status line on stderr, updated at chunk \
-           boundaries (observational: the report is unchanged).")
-
-let progress_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "progress-file" ] ~docv:"FILE"
-        ~doc:
-          "Atomically rewrite $(docv) with a JSON progress snapshot at \
-           chunk boundaries.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Atomically rewrite $(docv) in OpenMetrics text format at \
-           chunk boundaries.")
-
 let cmd =
   let doc = "fuzz the simulator: differential and security oracles" in
   let info = Cmd.info "levioso_fuzz" ~doc in
@@ -327,6 +290,6 @@ let cmd =
         (const main $ seed_arg $ iters_arg $ time_budget_arg $ jobs_arg
        $ oracle_arg $ corpus_arg $ no_persist_arg $ shrink_budget_arg
        $ max_failures_arg $ json_arg $ replay_arg $ record_arg $ list_arg
-       $ progress_arg $ progress_file_arg $ metrics_arg))
+       $ Cli.monitor))
 
 let () = exit (Cmd.eval cmd)

@@ -13,29 +13,25 @@
      levioso_serve shutdown --socket /tmp/lev.sock *)
 
 module Config = Levioso_uarch.Config
-module Sampler = Levioso_uarch.Sampler
 module Run_cache = Levioso_uarch.Run_cache
-module Registry = Levioso_core.Registry
 module Suite = Levioso_workload.Suite
+module Workload = Levioso_workload.Workload
 module Json = Levioso_telemetry.Json
 module Monitor = Levioso_telemetry.Monitor
 module Span = Levioso_telemetry.Span
 module Tsdb = Levioso_telemetry.Tsdb
 module Alerts = Levioso_telemetry.Alerts
 module Report = Levioso_util.Report
-module Stats = Levioso_util.Stats
-module Serve = Levioso_serve
 module Protocol = Levioso_serve.Protocol
 module Client = Levioso_serve.Client
 module Server = Levioso_serve.Server
-module Catalog = Levioso_serve.Catalog
+module Cli = Levioso_cli.Cli
 
 (* ---------- serve ---------- *)
 
 let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
     trace_out access_log_path history_out history_interval alerts_file quiet =
-  if jobs < 0 then `Error (false, "-j expects a non-negative integer")
-  else if queue_max < 0 then
+  if queue_max < 0 then
     `Error (false, "--queue-max expects a non-negative integer")
   else if history_interval <= 0. then
     `Error (false, "--history-interval expects a positive number of seconds")
@@ -83,9 +79,6 @@ let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
             Printf.eprintf "[levioso_serve %.3f] %s\n%!"
               (Unix.gettimeofday ()) msg)
     in
-    let pool_size =
-      if jobs = 0 then Levioso_util.Parallel.default_size () else jobs
-    in
     (* the collector also powers the access log's engine-stage columns,
        so either flag turns it on *)
     let spans =
@@ -101,7 +94,7 @@ let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
       Server.run
         {
           Server.socket_path = socket;
-          pool_size;
+          pool_size = jobs;
           queue_max = (if queue_max = 0 then None else Some queue_max);
           cache;
           monitor;
@@ -146,8 +139,8 @@ let with_client socket f =
       `Error (false, msg))
 
 (* -1 marks a failed cell, whose result carries no summary *)
-let cycles_of_summary summary =
-  match Levioso_uarch.Summary.stats summary with
+let cycles_of (r : Client.result_cell) =
+  match Levioso_uarch.Summary.stats r.Client.summary with
   | Ok stats -> stats.Levioso_uarch.Sim_stats.cycles
   | Error _ -> -1
 
@@ -245,85 +238,44 @@ let render_stats socket j =
 
 (* ---------- submit ---------- *)
 
-let submit socket workload_names policy_names rob predictor budget audit
-    sample no_cache json quiet =
-  match Sampler.parse sample with
-  | Error msg -> `Error (false, msg)
-  | Ok sample_spec ->
-    let config =
-      {
-        Config.default with
-        Config.rob_size = rob;
-        predictor;
-        depset_budget = budget;
-      }
-    in
-    let workloads =
-      match workload_names with [] -> Suite.names | names -> names
-    in
-    let policies =
-      match policy_names with [] -> Registry.names | names -> names
-    in
-    let cells =
-      List.concat_map
-        (fun w ->
-          List.map
-            (fun p ->
-              {
-                Protocol.config;
-                workload = w;
-                policy = p;
-                audit;
-                sample = sample_spec;
-              })
-            policies)
-        workloads
-    in
+let submit socket workloads policies config audit sample no_cache json quiet =
+  let cells =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        List.map
+          (fun p ->
+            {
+              Protocol.config;
+              workload = w.Workload.name;
+              policy = p;
+              audit;
+              sample;
+            })
+          policies)
+      workloads
+  in
+  let failed =
     with_client socket (fun c ->
-        let results, stats =
-          Client.submit ~cache:(not no_cache) c cells
-        in
+        let results, stats = Client.submit ~cache:(not no_cache) c cells in
         if not quiet then print_batch_stats stats;
         print_cell_errors cells results;
-        if json then
-          print_endline (Json.to_string (Client.runs results))
-        else begin
-          let n = List.length policies in
-          let baseline row =
-            List.find_opt (fun (p, _) -> p = "unsafe") row
-            |> Option.map (fun (_, c) -> c)
-          in
-          let header =
-            "workload" :: List.map (fun p -> p ^ " (cyc)") policies
-          in
-          let body =
-            List.mapi
-              (fun i w ->
-                let row =
-                  List.mapi
-                    (fun j p ->
-                      (p, cycles_of_summary results.((i * n) + j).Client.summary))
-                    policies
-                in
-                let base = baseline row in
-                w
-                :: List.map
-                     (fun (_, c) ->
-                       match base with
-                       | Some b when b > 0 && b <> c ->
-                         Printf.sprintf "%d (%+.1f%%)" c
-                           (Stats.overhead_pct ~baseline:(float_of_int b)
-                              (float_of_int c))
-                       | Some _ | None -> string_of_int c)
-                     row)
-              workloads
-          in
-          print_endline (Report.table ~header ~rows:body)
-        end)
+        if json then print_endline (Json.to_string (Client.runs results))
+        else
+          print_endline
+            (Cli.overhead_table ~policies
+               ~workloads:(List.map (fun w -> w.Workload.name) workloads)
+               (Array.to_list (Array.map cycles_of results)));
+        stats.Protocol.failed)
+  in
+  (* the failed cells are listed on stderr above *)
+  match failed with
+  | `Ok 0 -> `Ok ()
+  | `Ok _ -> exit 1
+  | `Error e -> `Error e
 
 (* ---------- stress ---------- *)
 
-let stress socket cells_n workload policy use_cache =
+let stress socket cells_n (workload : Workload.t) policy use_cache =
   if cells_n < 1 then `Error (false, "--cells expects a positive integer")
   else
     (* distinct rob sizes make every cell real scheduled work instead of
@@ -333,7 +285,7 @@ let stress socket cells_n workload policy use_cache =
           {
             Protocol.config =
               { Config.default with Config.rob_size = 64 + i };
-            workload;
+            workload = workload.Workload.name;
             policy;
             audit = false;
             sample = None;
@@ -523,12 +475,10 @@ let socket_arg =
         ~doc:"Unix-domain socket path of the daemon.")
 
 let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Simulation domains in the daemon's pool; 0 (the default) uses \
-           every core.")
+  Cli.jobs
+    ~doc:
+      "Simulation domains in the daemon's pool; 0 (the default) uses every \
+       core."
 
 let queue_max_arg =
   Arg.(
@@ -635,62 +585,6 @@ let serve_cmd =
        $ access_log_arg $ history_out_arg $ history_interval_arg $ alerts_arg
        $ quiet_arg))
 
-let workloads_arg =
-  let doc =
-    "Workload to submit (repeatable; default: the whole suite). Known: "
-    ^ String.concat ", " (Catalog.workload_names ())
-  in
-  Arg.(value & opt_all string [] & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
-
-let policies_arg =
-  let doc =
-    "Defense policy (repeatable; default: all). Known: "
-    ^ String.concat ", " Registry.names
-  in
-  Arg.(value & opt_all string [] & info [ "p"; "policy" ] ~docv:"NAME" ~doc)
-
-let rob_arg =
-  Arg.(
-    value
-    & opt int Config.default.Config.rob_size
-    & info [ "rob" ] ~docv:"N" ~doc:"Reorder-buffer size.")
-
-let predictor_arg =
-  let predictor_conv =
-    Arg.enum
-      [
-        ("always-taken", Config.Always_taken);
-        ("bimodal", Config.Bimodal);
-        ("gshare", Config.Gshare);
-        ("tage", Config.Tage);
-      ]
-  in
-  Arg.(
-    value
-    & opt predictor_conv Config.default.Config.predictor
-    & info [ "predictor" ] ~docv:"KIND"
-        ~doc:"Branch predictor: always-taken, bimodal, gshare or tage.")
-
-let budget_arg =
-  Arg.(
-    value
-    & opt int Config.default.Config.depset_budget
-    & info [ "budget" ] ~docv:"K" ~doc:"Dependency-set hardware budget.")
-
-let audit_arg =
-  Arg.(
-    value & flag
-    & info [ "audit" ]
-        ~doc:"Record restriction provenance (disables caching).")
-
-let sample_arg =
-  Arg.(
-    value & opt string "off"
-    & info [ "sample" ] ~docv:"N:W[:P]"
-        ~doc:
-          "Two-tier sampled simulation (see levioso_sim --sample); \
-           estimates never enter the result store.")
-
 let submit_no_cache_arg =
   Arg.(
     value & flag
@@ -708,13 +602,16 @@ let json_arg =
 
 let submit_cmd =
   let doc = "submit a workload x policy matrix and stream the results" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"when any cell failed (each is listed on stderr)."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "submit" ~doc)
+    (Cmd.info "submit" ~doc ~exits)
     Term.(
       ret
-        (const submit $ socket_arg $ workloads_arg $ policies_arg $ rob_arg
-       $ predictor_arg $ budget_arg $ audit_arg $ sample_arg
-       $ submit_no_cache_arg $ json_arg $ quiet_arg))
+        (const submit $ socket_arg $ Cli.workloads $ Cli.policies $ Cli.config
+       $ Cli.audit $ Cli.sample $ submit_no_cache_arg $ json_arg $ quiet_arg))
 
 let cells_arg =
   Arg.(
@@ -725,12 +622,12 @@ let cells_arg =
 let stress_workload_arg =
   Arg.(
     value
-    & opt string (List.hd Suite.names)
+    & opt Cli.workload (List.hd Suite.all)
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload to sweep.")
 
 let stress_policy_arg =
   Arg.(
-    value & opt string "unsafe"
+    value & opt Cli.policy "unsafe"
     & info [ "p"; "policy" ] ~docv:"NAME" ~doc:"Policy to sweep.")
 
 let stress_cache_arg =

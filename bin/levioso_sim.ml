@@ -15,7 +15,6 @@
    cell at a time, so -j is forced to 1 when --trace/--trace-out is
    given. *)
 
-module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
 module Cache = Levioso_uarch.Cache
@@ -27,9 +26,6 @@ module Stall = Levioso_telemetry.Stall
 module Audit = Levioso_telemetry.Audit
 module Explain = Levioso_core.Explain
 module Workload = Levioso_workload.Workload
-module Suite = Levioso_workload.Suite
-module Report = Levioso_util.Report
-module Stats = Levioso_util.Stats
 module Parallel = Levioso_util.Parallel
 module Timeline = Levioso_telemetry.Timeline
 module Monitor = Levioso_telemetry.Monitor
@@ -39,6 +35,7 @@ module Sampler = Levioso_uarch.Sampler
 module Flowtrace = Levioso_telemetry.Flowtrace
 module Gadget = Levioso_attack.Gadget
 module Catalog = Levioso_serve.Catalog
+module Cli = Levioso_cli.Cli
 
 let trace_event_of = function
   | Pipeline.Fetched { seq; pc } ->
@@ -112,21 +109,6 @@ let verbose_report w p pipe =
   | None -> ());
   Buffer.contents buf
 
-let parse_window = function
-  | None -> Ok None
-  | Some s ->
-    Result.map Option.some (Flowtrace.parse_range ~what:"--timeline-window" s)
-
-let parse_secret_ranges specs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: rest -> (
-      match Flowtrace.parse_range ~what:"--secret-range" s with
-      | Ok r -> go (r :: acc) rest
-      | Error _ as e -> e)
-  in
-  go [] specs
-
 let sampled_verbose_report w p (r : Sampler.result) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -149,10 +131,9 @@ let sampled_verbose_report w p (r : Sampler.result) =
     (Stall.to_rows r.Sampler.stall);
   Buffer.contents buf
 
-let main workload_names policy_names rob predictor budget verbose trace json
-    trace_out trace_every jobs audit_flag audit_out timeline_out
-    timeline_window leak_trace secret_range_specs progress progress_file
-    metrics_file sample list_workloads list_policies =
+let main workloads policies config verbose trace json trace_out trace_every
+    jobs audit_flag audit_out timeline_out window leak_trace secret_ranges
+    monitor sample_spec list_workloads list_policies =
   if list_workloads || list_policies then begin
     (* the same roster the levioso_serve wire protocol's `list` request
        advertises — one name set across every surface *)
@@ -164,32 +145,7 @@ let main workload_names policy_names rob predictor budget verbose trace json
       List.iter print_endline (Catalog.policies ());
     `Ok ()
   end
-  else
-  let config =
-    {
-      Config.default with
-      Config.rob_size = rob;
-      predictor;
-      depset_budget = budget;
-    }
-  in
-  let workloads =
-    match workload_names with
-    | [] -> Suite.all
-    | names -> List.map Catalog.find_workload_exn names
-  in
-  let policies =
-    match policy_names with
-    | [] -> Registry.names
-    | names ->
-      List.iter (fun n -> ignore (Registry.find_exn n : Pipeline.policy_maker)) names;
-      names
-  in
-  match Sampler.parse sample with
-  | Error msg -> `Error (false, msg)
-  | Ok sample_spec ->
-  if trace_every < 1 then `Error (false, "--trace-every must be >= 1")
-  else if jobs < 0 then `Error (false, "-j expects a non-negative integer")
+  else if trace_every < 1 then `Error (false, "--trace-every must be >= 1")
   else if
     sample_spec <> None
     && (trace > 0 || trace_out <> None || audit_flag || audit_out <> None
@@ -208,7 +164,7 @@ let main workload_names policy_names rob predictor budget verbose trace json
       ( false,
         "--timeline records a single cell: pick exactly one workload (-w) \
          and one policy (-p)" )
-  else if timeline_out = None && timeline_window <> None then
+  else if timeline_out = None && window <> None then
     `Error (false, "--timeline-window needs --timeline")
   else if
     leak_trace <> None
@@ -218,15 +174,9 @@ let main workload_names policy_names rob predictor budget verbose trace json
       ( false,
         "--leak-trace records a single cell: pick exactly one workload (-w) \
          and one policy (-p)" )
-  else if leak_trace = None && secret_range_specs <> [] then
+  else if leak_trace = None && secret_ranges <> [] then
     `Error (false, "--secret-range needs --leak-trace")
   else begin
-    match
-      ( parse_window timeline_window,
-        parse_secret_ranges secret_range_specs )
-    with
-    | Error msg, _ | _, Error msg -> `Error (false, msg)
-    | Ok window, Ok secret_ranges ->
     let secret_ranges =
       (* the stock gadget's secret slot is the natural default *)
       if
@@ -267,7 +217,6 @@ let main workload_names policy_names rob predictor budget verbose trace json
     let jobs =
       if sink <> None || audit_sink <> None || trace > 0 || timeline_out <> None
       then 1
-      else if jobs = 0 then Parallel.default_size ()
       else jobs
     in
     let cells =
@@ -319,16 +268,8 @@ let main workload_names policy_names rob predictor budget verbose trace json
               | None -> () ))
         flow_graph
     in
-    let monitor =
-      if progress || progress_file <> None || metrics_file <> None then
-        Some
-          (* status line on a TTY, auto-suppressed when stderr is piped;
-             --progress forces it regardless *)
-          (Monitor.create ~ansi:stderr ~force_ansi:progress
-             ?json_path:progress_file ?metrics_path:metrics_file
-             ~total:(List.length cells) ~label:"levioso_sim" ())
-      else None
-    in
+    let monitor = monitor ~label:"levioso_sim" () in
+    Option.iter (fun m -> Monitor.set_total m (List.length cells)) monitor;
     let run_cell ((w : Workload.t), p) =
       Option.iter
         (fun m -> Monitor.start m (w.Workload.name ^ "/" ^ p))
@@ -390,27 +331,15 @@ let main workload_names policy_names rob predictor budget verbose trace json
         end
         else None
       in
-      (p, cycles, summary, verbose_text)
+      (cycles, summary, verbose_text)
     in
     let results = Parallel.with_pool ~size:jobs (fun pool ->
         Parallel.map pool run_cell cells)
     in
     Option.iter Monitor.close monitor;
     List.iter
-      (fun (_, _, _, verbose_text) -> Option.iter print_string verbose_text)
+      (fun (_, _, verbose_text) -> Option.iter print_string verbose_text)
       results;
-    let rows =
-      (* regroup the flat, order-preserved cell list by workload *)
-      let rec chunk = function
-        | [] -> []
-        | results ->
-          let n = List.length policies in
-          let row = List.filteri (fun i _ -> i < n) results in
-          let rest = List.filteri (fun i _ -> i >= n) results in
-          List.map (fun (p, c, s, _) -> (p, c, s)) row :: chunk rest
-      in
-      List.map2 (fun w cells -> (w, cells)) workloads (chunk results)
-    in
     (match sink with
     | Some s ->
       Trace.close s;
@@ -467,85 +396,17 @@ let main workload_names policy_names rob predictor budget verbose trace json
     | _ -> ());
     if json then
       print_endline
-        (Json.to_string
-           (Summary.runs
-              (List.concat_map
-                 (fun (_, cells) -> List.map (fun (_, _, s) -> s) cells)
-                 rows)))
-    else begin
-      (* The unsafe baseline anchors overhead percentages wherever it
-         appears in the policy list, not only in front position. *)
-      let baseline_of cells =
-        Option.map (fun (_, c, _) -> c)
-          (List.find_opt (fun (p, _, _) -> p = "unsafe") cells)
-      in
-      let header = "workload" :: List.map (fun p -> p ^ " (cyc)") policies in
-      let body =
-        List.map
-          (fun ((w : Workload.t), cells) ->
-            let base = baseline_of cells in
-            w.Workload.name
-            :: List.map
-                 (fun (_, c, _) ->
-                   match base with
-                   | Some b when b > 0 && b <> c ->
-                     Printf.sprintf "%d (%+.1f%%)" c
-                       (Stats.overhead_pct ~baseline:(float_of_int b)
-                          (float_of_int c))
-                   | Some _ | None -> string_of_int c)
-                 cells)
-          rows
-      in
-      print_endline (Report.table ~header ~rows:body)
-    end;
+        (Json.to_string (Summary.runs (List.map (fun (_, s, _) -> s) results)))
+    else
+      print_endline
+        (Cli.overhead_table ~policies
+           ~workloads:(List.map (fun w -> w.Workload.name) workloads)
+           (List.map (fun (c, _, _) -> c) results));
     `Ok ()
     end
   end
 
 open Cmdliner
-
-let workloads_arg =
-  let doc =
-    "Workload to run (repeatable, see --list-workloads). Known: "
-    ^ String.concat ", " (Catalog.workload_names ())
-    ^ " (spectre-v1 is the stock bounds-check-bypass gadget, the \
-       canonical --leak-trace victim)."
-  in
-  Arg.(value & opt_all string [] & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
-
-let policies_arg =
-  let doc =
-    "Defense policy (repeatable). Known: " ^ String.concat ", " Registry.names
-  in
-  Arg.(value & opt_all string [] & info [ "p"; "policy" ] ~docv:"NAME" ~doc)
-
-let rob_arg =
-  Arg.(
-    value
-    & opt int Config.default.Config.rob_size
-    & info [ "rob" ] ~docv:"N" ~doc:"Reorder-buffer size.")
-
-let predictor_arg =
-  let predictor_conv =
-    Arg.enum
-      [
-        ("always-taken", Config.Always_taken);
-        ("bimodal", Config.Bimodal);
-        ("gshare", Config.Gshare);
-        ("tage", Config.Tage);
-      ]
-  in
-  Arg.(
-    value
-    & opt predictor_conv Config.default.Config.predictor
-    & info [ "predictor" ] ~docv:"KIND"
-        ~doc:"Branch predictor: always-taken, bimodal, gshare or tage.")
-
-let budget_arg =
-  Arg.(
-    value
-    & opt int Config.default.Config.depset_budget
-    & info [ "budget" ] ~docv:"K" ~doc:"Dependency-set hardware budget.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print full per-run statistics.")
@@ -581,27 +442,6 @@ let trace_every_arg =
     & info [ "trace-every" ] ~docv:"K"
         ~doc:"Sample the structured trace: keep every K-th event (default 1).")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Simulate (workload x policy) cells on $(docv) domains; 0 (the \
-           default) uses every core.  Results are bit-identical to -j 1.  \
-           Tracing (--trace/--trace-out/--audit-out) forces serial \
-           execution.")
-
-let audit_arg =
-  Arg.(
-    value & flag
-    & info [ "audit" ]
-        ~doc:
-          "Record restriction provenance: every policy refusal becomes an \
-           audit event with its cause (the gating branches or tainted \
-           producers) and a necessary/unnecessary classification against \
-           the static branch-dependence analysis.  Verbose and --json \
-           output gain an audit section.")
-
 let audit_out_arg =
   Arg.(
     value
@@ -622,10 +462,15 @@ let timeline_arg =
            requires exactly one -w and one -p.  Stages F/I/X/C on lane 0, \
            per-cycle stall causes on lane 1, squashes as flush markers.")
 
+(* A:B, checked while parsing *)
+let range what =
+  let print ppf (a, b) = Format.fprintf ppf "%d:%d" a b in
+  Arg.conv' (Flowtrace.parse_range ~what, print)
+
 let timeline_window_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (range "--timeline-window")) None
     & info [ "timeline-window" ] ~docv:"A:B"
         ~doc:
           "Record only instructions fetched in cycles A..B (inclusive), so \
@@ -647,53 +492,12 @@ let leak_trace_arg =
 
 let secret_range_arg =
   Arg.(
-    value & opt_all string []
+    value
+    & opt_all (range "--secret-range") []
     & info [ "secret-range" ] ~docv:"A:B"
         ~doc:
           "Word-address range (inclusive) holding secret data, seeding the \
            --leak-trace taint sources (repeatable).")
-
-let progress_arg =
-  Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:
-          "Render an in-place live status line on stderr (cells done/total, \
-           ETA, what each domain is simulating).  Purely observational: \
-           results are bit-identical with or without it.")
-
-let progress_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "progress-file" ] ~docv:"FILE"
-        ~doc:
-          "Periodically write a machine-readable progress snapshot to \
-           $(docv) (atomic rename, safe to tail/poll).")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Periodically write progress gauges in OpenMetrics text format to \
-           $(docv) (atomic rename, scrapable).")
-
-let sample_arg =
-  Arg.(
-    value & opt string "off"
-    & info [ "sample" ] ~docv:"N:W[:P]"
-        ~doc:
-          "Two-tier sampled simulation: fast-forward architecturally with \
-           functional cache/predictor warming, and simulate in cycle-level \
-           detail only N instructions out of every P*N (default P = 10), \
-           after W detailed warmup instructions.  Reported cycles are an \
-           extrapolated estimate with a 95%-confidence error bound (the \
-           $(b,sampled) section of --json).  $(b,off) (the default) runs \
-           the ordinary full-detail simulation, bit-identical to builds \
-           without this flag.  Incompatible with the per-event streams \
-           (--trace/--audit/--timeline/--leak-trace).")
 
 let list_workloads_arg =
   Arg.(
@@ -710,17 +514,23 @@ let list_policies_arg =
     & info [ "list-policies" ]
         ~doc:"Print every registered defense policy, then exit.")
 
+let jobs_arg =
+  Cli.jobs
+    ~doc:
+      "Simulate (workload x policy) cells on $(docv) domains; 0 (the \
+       default) uses every core.  Results are bit-identical to -j 1.  \
+       Tracing (--trace/--trace-out/--audit-out) forces serial execution."
+
 let cmd =
   let doc = "simulate workloads under secure-speculation defenses" in
   let info = Cmd.info "levioso_sim" ~doc in
   Cmd.v info
     Term.(
       ret
-        (const main $ workloads_arg $ policies_arg $ rob_arg $ predictor_arg
-       $ budget_arg $ verbose_arg $ trace_arg $ json_arg $ trace_out_arg
-       $ trace_every_arg $ jobs_arg $ audit_arg $ audit_out_arg
-       $ timeline_arg $ timeline_window_arg $ leak_trace_arg
-       $ secret_range_arg $ progress_arg $ progress_file_arg $ metrics_arg
-       $ sample_arg $ list_workloads_arg $ list_policies_arg))
+        (const main $ Cli.workloads $ Cli.policies $ Cli.config $ verbose_arg
+       $ trace_arg $ json_arg $ trace_out_arg $ trace_every_arg $ jobs_arg
+       $ Cli.audit $ audit_out_arg $ timeline_arg $ timeline_window_arg
+       $ leak_trace_arg $ secret_range_arg $ Cli.monitor $ Cli.sample
+       $ list_workloads_arg $ list_policies_arg))
 
 let () = exit (Cmd.eval cmd)

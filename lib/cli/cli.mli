@@ -1,0 +1,67 @@
+(** The command-line flags every matrix front end shares.
+
+    [levioso_sim], [bench], [levioso_serve submit] and [levioso_fuzz] all
+    take a workload × policy matrix, a core configuration, sampling, a
+    domain count and the live-monitor flags.  Each of those flags is
+    declared here once, so its name, documentation and checking are the
+    same everywhere.  A bad value is a usage error naming the flag
+    (Cmdliner's exit 124, e.g. [option '-w': unknown workload "nosuch"
+    (known: ...)]) at parse time, never an exception in the middle of a
+    run. *)
+
+open Cmdliner
+
+(** {1 Converters} *)
+
+val workload : Levioso_workload.Workload.t Arg.conv
+(** A workload name, resolved through {!Levioso_serve.Catalog}: suite
+    kernels, extras like [stream-xl], compiled Lev workloads and the
+    [spectre-v1] gadget. *)
+
+val policy : string Arg.conv
+(** A defense-policy name, checked against {!Levioso_core.Registry}. *)
+
+val non_negative : int Arg.conv
+(** An integer [>= 0]. *)
+
+(** {1 Terms} *)
+
+val workloads : Levioso_workload.Workload.t list Term.t
+(** [-w]/[--workload NAME], repeatable; default [Suite.all]. *)
+
+val policies : string list Term.t
+(** [-p]/[--policy NAME], repeatable; default [Registry.names]. *)
+
+val config : Levioso_uarch.Config.t Term.t
+(** [--rob N], [--predictor KIND] and [--budget K] over
+    [Config.default].  Each value is checked with [Config.validate], so
+    [--rob 0] is rejected while parsing. *)
+
+val audit : bool Term.t
+(** [--audit]: record restriction provenance. *)
+
+val sample : Levioso_uarch.Sampler.spec option Term.t
+(** [--sample N:W[:P]|off], parsed by [Sampler.parse]; default [None]
+    ([off]). *)
+
+val jobs : doc:string -> int Term.t
+(** [-j]/[--jobs N] with [N >= 0], documented by [doc].  0, the default,
+    means every core and is resolved here to
+    [Parallel.default_size ()], so the result is always [>= 1]. *)
+
+val monitor :
+  (label:string -> unit -> Levioso_telemetry.Monitor.t option) Term.t
+(** [--progress], [--progress-file FILE] and [--metrics FILE].  The
+    function builds the run's monitor, or [None] when none of the three
+    was given.  The status line is drawn on stderr when it is a
+    terminal; [--progress] forces it when stderr is piped. *)
+
+(** {1 Output} *)
+
+val overhead_table :
+  policies:string list -> workloads:string list -> int list -> string
+(** [overhead_table ~policies ~workloads cycles] renders the matrix's
+    cycles, given workload-major (one per workload × policy cell), as one
+    row per workload and one column per policy.  Each cell shows its
+    overhead against the row's [unsafe] cell when the policy list has one
+    and its cycles are positive. *)

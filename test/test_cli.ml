@@ -1,0 +1,109 @@
+(* The shared command-line terms, evaluated on argument vectors. *)
+
+module Cli = Levioso_cli.Cli
+module Config = Levioso_uarch.Config
+module Registry = Levioso_core.Registry
+module Workload = Levioso_workload.Workload
+module Suite = Levioso_workload.Suite
+module Parallel = Levioso_util.Parallel
+open Cmdliner
+
+let matrix =
+  Cmd.v (Cmd.info "t")
+    Term.(
+      const (fun ws ps config sample jobs -> (ws, ps, config, sample, jobs))
+      $ Cli.workloads $ Cli.policies $ Cli.config $ Cli.sample
+      $ Cli.jobs ~doc:"")
+
+let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore
+
+let eval args =
+  Cmd.eval_value ~err:quiet ~help:quiet
+    ~argv:(Array.of_list ("t" :: args))
+    matrix
+
+let parsed args =
+  match eval args with
+  | Ok (`Ok v) -> v
+  | _ -> Alcotest.failf "%s: did not parse" (String.concat " " args)
+
+let names ws = List.map (fun (w : Workload.t) -> w.Workload.name) ws
+
+let test_defaults () =
+  let ws, ps, config, sample, jobs = parsed [] in
+  Alcotest.(check (list string)) "workloads" (names Suite.all) (names ws);
+  Alcotest.(check (list string)) "policies" Registry.names ps;
+  Alcotest.(check bool) "config" true (config = Config.default);
+  Alcotest.(check bool) "no sample" true (sample = None);
+  Alcotest.(check int) "-j 0 is every core" (Parallel.default_size ()) jobs;
+  let _, _, _, _, jobs = parsed [ "-j"; "0" ] in
+  Alcotest.(check int) "explicit -j 0" (Parallel.default_size ()) jobs
+
+let test_values () =
+  let ws, ps, config, sample, jobs =
+    parsed
+      [
+        "-w"; "stream"; "-w"; "stream-xl"; "-p"; "levioso"; "-p"; "unsafe";
+        "--rob"; "96"; "--predictor"; "gshare"; "--budget"; "4"; "--sample";
+        "1000:500:4"; "-j"; "3";
+      ]
+  in
+  Alcotest.(check (list string))
+    "workloads" [ "stream"; "stream-xl" ] (names ws);
+  Alcotest.(check (list string)) "policies" [ "levioso"; "unsafe" ] ps;
+  Alcotest.(check bool) "config" true
+    (config
+    = {
+        Config.default with
+        Config.rob_size = 96;
+        predictor = Config.Gshare;
+        depset_budget = 4;
+      });
+  Alcotest.(check bool) "sample" true
+    (sample
+    = Some { Levioso_uarch.Sampler.interval = 1000; warmup = 500; period = 4 });
+  Alcotest.(check int) "jobs" 3 jobs
+
+let test_bad_values () =
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      match eval args with
+      | Error `Parse -> ()
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error (`Term | `Exn) -> Alcotest.failf "%s: not a parse error" what)
+    [
+      [ "-w"; "nosuch" ];
+      [ "-p"; "nosuch" ];
+      [ "--rob"; "0" ];
+      [ "--budget"; "0" ];
+      [ "--predictor"; "oracle" ];
+      [ "--sample"; "0:1" ];
+      [ "-j"; "x" ];
+      [ "--jobs=-1" ];
+    ]
+
+let test_overhead_table () =
+  let table =
+    Cli.overhead_table ~policies:[ "levioso"; "unsafe" ] ~workloads:[ "a"; "b" ]
+      [ 150; 100; 100; -1 ]
+  in
+  let has s =
+    let n = String.length s in
+    let rec go i =
+      i + n <= String.length table && (String.sub table i n = s || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "overhead against unsafe" true (has "150 (+50.0%)");
+  Alcotest.(check bool) "failed baseline shows plain cycles" true
+    (has "| 100 " && not (has "100 ("))
+
+let suite =
+  ( "cli",
+    [
+      Alcotest.test_case "defaults" `Quick test_defaults;
+      Alcotest.test_case "flag values" `Quick test_values;
+      Alcotest.test_case "bad values are parse errors" `Quick test_bad_values;
+      Alcotest.test_case "overhead table" `Quick test_overhead_table;
+    ] )

@@ -22,6 +22,7 @@ let () =
       Test_branch_dep.suite;
       Test_loops.suite;
       Test_config.suite;
+      Test_cli.suite;
       Test_parallel.suite;
       Test_run_cache.suite;
       Test_tsdb.suite;
