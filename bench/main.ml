@@ -117,9 +117,10 @@ type cell_result = {
   wall_s : float;
   source : string; (* "sim" | "cache" | "remote-sim" | "remote-cache" *)
   host : Json.t;
-      (* host self-profiling phases (wall clock + Gc.quick_stat deltas);
-         lands in BENCH_matrix.json, deliberately NOT in the --json
-         summaries, which are byte-compared across -j N *)
+      (* host self-profiling phases (wall clock and the words
+         Hostprof.measure counts); lands in BENCH_matrix.json,
+         deliberately NOT in the --json summaries, which are
+         byte-compared across -j N *)
 }
 
 let matrix : (Config.t * string * string, cell_result) Hashtbl.t =

@@ -1,11 +1,6 @@
-(* levioso_report: render, track and compare evaluation results.
+(* levioso_report: render and compare evaluation results.
 
    Modes (first matching wins):
-
-     levioso_report --compare OLD.json NEW.json --tolerance 15
-         Regression gate: compare the latest bench-history entries (or
-         bare matrix files); exit 1 when any overlapping cell slowed
-         down by more than the tolerance.
 
      levioso_report --diff POLICY MATRIX.json [--baseline unsafe]
          Differential attribution: per-cause and per-PC overhead deltas
@@ -17,16 +12,20 @@
          dashboard: queue depth, request/error rates, latency
          percentiles, cache hit share, GC heap, alert transitions.
 
-     levioso_report MATRIX.json [-o report.html] [--append HIST --label L]
+     levioso_report MATRIX.json [-o report.html] [--leak-trace LEAK.json]
          Render the matrix as a self-contained HTML report (inline SVG,
-         no external resources); optionally append the run's cycles to a
-         history file.
+         no external resources).
 
    MATRIX.json is a runs document (levioso_sim --json, bench --json) or
-   a BENCH_matrix.json trajectory (its default-config cells, cycles and
-   host totals only); every mode reads it through Summary.read_runs, so
-   a sampled run counts its estimated cycles, and input that does not
-   decode exits 2 naming the file. *)
+   a BENCH_matrix.json trajectory (its default-config cells, cycles
+   only); both modes read it through Summary.read_runs, so a sampled
+   run counts its estimated cycles, and input that does not decode
+   exits 2 naming the file.
+
+   Performance regressions are not this tool's business: tier-1 pins
+   every quick cell's cycles and each policy's allocation exactly, and
+   CI checks bench output against bench/history/baseline-quick.json
+   cycle for cycle. *)
 
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
@@ -35,7 +34,6 @@ module Summary = Levioso_uarch.Summary
 module Html_report = Levioso_uarch.Html_report
 module Dashboard = Levioso_uarch.Dashboard
 module Diff_report = Levioso_uarch.Diff_report
-module Bench_history = Levioso_uarch.Bench_history
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("levioso_report: " ^ msg); exit 2) fmt
 
@@ -53,29 +51,6 @@ let read_runs path j =
   match Summary.read_runs j with
   | Ok runs -> runs
   | Error msg -> die "%s: %s" path msg
-
-let mode_compare old_path new_path tolerance alloc_tolerance =
-  let load path =
-    match Bench_history.load path with
-    | Ok entries -> entries
-    | Error msg -> die "%s" msg
-  in
-  let old_ = load old_path and new_ = load new_path in
-  match
-    Bench_history.compare_latest ~tolerance ?alloc_tolerance ~old_ ~new_ ()
-  with
-  | Error msg -> die "%s" msg
-  | Ok [] ->
-    Printf.printf "no regression beyond %.1f%% (%s -> %s)\n" tolerance
-      old_path new_path;
-    0
-  | Ok regressions ->
-    Printf.printf "%d regression(s) beyond %.1f%%:\n"
-      (List.length regressions) tolerance;
-    List.iter
-      (fun r -> print_endline ("  " ^ Bench_history.regression_to_string r))
-      regressions;
-    1
 
 let mode_diff policy baseline workload top_k as_json path =
   let runs = read_runs path (read_json path) in
@@ -121,7 +96,7 @@ let mode_diff policy baseline workload top_k as_json path =
       diffs;
   0
 
-let mode_render path out title append label leak_trace =
+let mode_render path out title leak_trace =
   let matrix = read_json path in
   let leak =
     Option.map
@@ -146,16 +121,6 @@ let mode_render path out title append label leak_trace =
   output_string oc html;
   close_out oc;
   Printf.printf "wrote %s (%d bytes)\n" out (String.length html);
-  (match append with
-  | None -> ()
-  | Some hist_path -> (
-    match Bench_history.of_matrix ~label matrix with
-    | Error msg -> die "%s: %s" path msg
-    | Ok entry -> (
-      match Bench_history.append ~path:hist_path entry with
-      | Error msg -> die "%s" msg
-      | Ok n ->
-        Printf.printf "appended %S to %s (%d entries)\n" label hist_path n)));
   0
 
 let mode_dashboard dir out title =
@@ -176,38 +141,25 @@ let mode_dashboard dir out title =
   Printf.printf "wrote %s (%d bytes)\n" out (String.length html);
   0
 
-let main compare files diff baseline workload tolerance alloc_tolerance top_k
-    as_json out title append label leak_trace dashboard =
-  match (compare, diff, dashboard, files) with
-  | true, _, _, [ old_path; new_path ] ->
-    mode_compare old_path new_path tolerance alloc_tolerance
-  | true, _, _, _ -> die "--compare needs exactly two files: OLD NEW"
-  | false, Some policy, _, [ path ] ->
+let main files diff baseline workload top_k as_json out title leak_trace
+    dashboard =
+  match (diff, dashboard, files) with
+  | Some policy, _, [ path ] ->
     mode_diff policy baseline workload top_k as_json path
-  | false, Some _, _, _ -> die "--diff needs exactly one matrix file"
-  | false, None, Some dir, [] ->
+  | Some _, _, _ -> die "--diff needs exactly one matrix file"
+  | None, Some dir, [] ->
     let title =
       if title = "Levioso report" then "Levioso serve dashboard" else title
     in
     mode_dashboard dir out title
-  | false, None, Some _, _ -> die "--dashboard takes no positional files"
-  | false, None, None, [ path ] ->
-    mode_render path out title append label leak_trace
-  | false, None, None, _ -> die "expected one matrix file (try --help)"
+  | None, Some _, _ -> die "--dashboard takes no positional files"
+  | None, None, [ path ] -> mode_render path out title leak_trace
+  | None, None, _ -> die "expected one matrix file (try --help)"
 
 open Cmdliner
 
 let files_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"FILE")
-
-let compare_arg =
-  Arg.(
-    value & flag
-    & info [ "compare" ]
-        ~doc:
-          "Regression gate: compare the latest entries of two history (or \
-           matrix) files; exit 1 when a cell slowed down beyond \
-           --tolerance.")
 
 let diff_arg =
   Arg.(
@@ -230,22 +182,6 @@ let workload_arg =
     & opt (some string) None
     & info [ "workload" ] ~docv:"NAME" ~doc:"Restrict --diff to one workload.")
 
-let tolerance_arg =
-  Arg.(
-    value & opt float 15.0
-    & info [ "tolerance" ] ~docv:"PCT"
-        ~doc:"Allowed per-cell cycle growth for --compare, in percent.")
-
-let alloc_tolerance_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "alloc-tolerance" ] ~docv:"PCT"
-        ~doc:
-          "Allowed per-cell host-allocation growth for --compare, in percent \
-           (defaults to --tolerance; only checked for cells whose histories \
-           recorded host profiles on both sides).")
-
 let top_k_arg =
   Arg.(
     value & opt int 10
@@ -263,20 +199,6 @@ let title_arg =
   Arg.(
     value & opt string "Levioso report"
     & info [ "title" ] ~docv:"TITLE" ~doc:"HTML report title.")
-
-let append_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "append" ] ~docv:"HISTORY"
-        ~doc:
-          "Also append the matrix's (workload, policy, cycles) cells as one \
-           entry to this bench-history file (created if missing).")
-
-let label_arg =
-  Arg.(
-    value & opt string "run"
-    & info [ "label" ] ~docv:"LABEL" ~doc:"Entry label for --append.")
 
 let leak_trace_arg =
   Arg.(
@@ -300,13 +222,12 @@ let dashboard_arg =
            the same segments produces an identical file.")
 
 let cmd =
-  let doc = "render, track and compare Levioso evaluation results" in
+  let doc = "render and compare Levioso evaluation results" in
   let info = Cmd.info "levioso_report" ~doc in
   Cmd.v info
     Term.(
-      const main $ compare_arg $ files_arg $ diff_arg $ baseline_arg
-      $ workload_arg $ tolerance_arg $ alloc_tolerance_arg $ top_k_arg
-      $ json_arg $ out_arg $ title_arg $ append_arg $ label_arg
-      $ leak_trace_arg $ dashboard_arg)
+      const main $ files_arg $ diff_arg $ baseline_arg $ workload_arg
+      $ top_k_arg $ json_arg $ out_arg $ title_arg $ leak_trace_arg
+      $ dashboard_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -391,19 +391,44 @@ let history_records j =
 (* --- framing ----------------------------------------------------------
 
    One minified JSON object per line.  [Json.to_string ~minify:true]
-   never emits a newline, so a line is always exactly one frame, and
-   [input_line] is the whole decoder. *)
+   never emits a newline, so a line is always exactly one frame.  A
+   bounded read stops at [max_bytes] instead of buffering whatever a
+   peer sends. *)
+
+let max_frame_bytes = 1 lsl 20
 
 let write_frame oc j =
   output_string oc (Json.to_string ~minify:true j);
   output_char oc '\n';
   flush oc
 
-let read_frame ic =
-  match input_line ic with
+(* [input_line], refusing a line once it passes [max] bytes. *)
+let input_line_at_most ic max =
+  let buf = Buffer.create 1024 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Ok (Buffer.contents buf)
+    | exception End_of_file when Buffer.length buf > 0 ->
+      Ok (Buffer.contents buf)
+    | _ when Buffer.length buf >= max ->
+      Result.Error (Printf.sprintf "frame exceeds %d bytes" max)
+    | c ->
+      Buffer.add_char buf c;
+      go ()
+  in
+  go ()
+
+let read_frame ?max_bytes ic =
+  let read_line () =
+    match max_bytes with
+    | None -> Ok (input_line ic)
+    | Some max -> input_line_at_most ic max
+  in
+  match read_line () with
   | exception End_of_file -> Ok None
   | exception Sys_error msg -> Result.Error msg
-  | line -> (
+  | Result.Error _ as too_long -> too_long
+  | Ok line -> (
     match Json.of_string line with
     | Ok j -> Ok (Some j)
     | Result.Error msg -> Result.Error ("bad frame: " ^ msg))

@@ -120,6 +120,18 @@ val history_records :
 val write_frame : out_channel -> Levioso_telemetry.Json.t -> unit
 (** One minified JSON object plus newline, flushed. *)
 
+val max_frame_bytes : int
+(** The largest request frame the daemon reads: 1 MiB, about seven
+    times the 150 KB of a 300-cell submission (the biggest frame CI
+    sends).  A longer line is
+    refused with an [Error] frame and the connection is closed, so one
+    client cannot make the daemon buffer an unbounded line. *)
+
 val read_frame :
-  in_channel -> (Levioso_telemetry.Json.t option, string) result
-(** [Ok None] on orderly EOF; [Error] on torn or unparsable frames. *)
+  ?max_bytes:int ->
+  in_channel ->
+  (Levioso_telemetry.Json.t option, string) result
+(** [Ok None] on orderly EOF; [Error] on torn or unparsable frames, and
+    on a line longer than [max_bytes] (unbounded when omitted: the
+    daemon passes {!max_frame_bytes}; clients read their daemon's
+    responses, such as a long [History_data], whole). *)

@@ -677,7 +677,7 @@ let handle_client t conn fd =
                   cache = t.opts.cache <> None;
                 })));
       let rec loop () =
-        match Protocol.read_frame ic with
+        match Protocol.read_frame ~max_bytes:Protocol.max_frame_bytes ic with
         | Ok None -> log t (Printf.sprintf "client %d: disconnected" conn)
         | Error msg ->
           log t (Printf.sprintf "client %d: %s" conn msg);

@@ -59,8 +59,7 @@ let add a b =
     top_heap_words = max a.top_heap_words b.top_heap_words;
   }
 
-let alloc_mwords s =
-  (s.minor_words +. s.major_words -. s.promoted_words) /. 1e6
+let alloc_words s = s.minor_words +. s.major_words -. s.promoted_words
 
 let to_json s =
   Json.Obj

@@ -1,12 +1,16 @@
 (** Host self-profiling: wall clock + allocator behavior per phase.
 
-    Wraps a computation with [Unix.gettimeofday] and [Gc.quick_stat]
-    deltas so every JSON summary and bench-matrix cell can carry a
-    [host] section.  Allocation counts are near-deterministic for a
-    deterministic computation (and therefore a useful regression
-    metric); wall clock is not, which is why [host] sections are kept
-    out of the byte-compared simulation artifacts and only attached to
-    timing-oriented ones (cell provenance, [BENCH_matrix.json]). *)
+    Wraps a computation with [Unix.gettimeofday] and reads this domain's
+    [Gc.counters] between two forced minor collections, so every JSON
+    summary and bench-matrix cell can carry a [host] section.  On one
+    domain the word counts of a deterministic computation are exact and
+    repeatable, which is what tier-1's allocation pin
+    ([test/golden_alloc_quick.txt]) relies on; each span also counts the
+    few words [measure] allocates itself, which a [measure ignore] span
+    reads.  Wall clock is not repeatable, which is why [host] sections
+    are kept out of the byte-compared simulation artifacts and only
+    attached to timing-oriented ones ([BENCH_matrix.json] cells,
+    [levioso_sim --json] runs). *)
 
 type span = {
   wall_s : float;
@@ -28,9 +32,9 @@ val add : span -> span -> span
 
 val zero : span
 
-val alloc_mwords : span -> float
-(** Words allocated (minor + major - promoted, so promotions are not
-    double-counted), in millions. *)
+val alloc_words : span -> float
+(** Words allocated: minor + major - promoted, so promotions are not
+    double-counted. *)
 
 val to_json : span -> Json.t
 

@@ -2,10 +2,10 @@
 
     All JSON artifacts the project emits — [levioso_sim --json], the
     bench matrix and its [BENCH_matrix.json] trajectory, the fuzz
-    campaign report, audit summaries, diff reports and bench-history
-    entries — carry a top-level [schema_version] field.  Parsers check
-    it before trusting field layout, so a stale cache entry or an old
-    history file fails loudly (or is treated as a miss) instead of being
+    campaign report, audit summaries, diff reports and the committed
+    quick baseline — carry a top-level [schema_version] field.  Parsers
+    check it before trusting field layout, so a stale cache entry or an
+    old report fails loudly (or is treated as a miss) instead of being
     misread.
 
     The version is global: any breaking change to any report bumps it.

@@ -211,6 +211,64 @@ let of_json j =
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
+(* The upper bounds.  Each admits every value a sweep, test or doc uses,
+   and together they cap what [Pipeline.create] allocates (see
+   config.mli): the wake rows are quadratic in the window and the
+   completion wheel is sized by the largest latency. *)
+let largest =
+  let g = { sets = 1 lsl 14; ways = 32; line_words = 64; hit_latency = 1000 } in
+  {
+    rob_size = 2048;
+    fetch_width = 32;
+    issue_width = 32;
+    commit_width = 32;
+    alu_latency = 1000;
+    mul_latency = 1000;
+    div_latency = 1000;
+    branch_exec_latency = 1000;
+    redirect_penalty = 1000;
+    forward_latency = 1000;
+    l1 = g;
+    l2 = g;
+    memory_latency = 1000;
+    mshrs = 256;
+    next_line_prefetch = true;
+    mem_words = 1 lsl 22;
+    predictor = Tage;
+    predictor_bits = 16;
+    depset_budget = 256;
+  }
+
+(* Every field with an upper bound, by name. *)
+let bounded t =
+  [
+    ("rob_size", t.rob_size);
+    ("fetch_width", t.fetch_width);
+    ("issue_width", t.issue_width);
+    ("commit_width", t.commit_width);
+    ("alu_latency", t.alu_latency);
+    ("mul_latency", t.mul_latency);
+    ("div_latency", t.div_latency);
+    ("branch_exec_latency", t.branch_exec_latency);
+    ("redirect_penalty", t.redirect_penalty);
+    ("forward_latency", t.forward_latency);
+    ("l1.sets", t.l1.sets);
+    ("l1.ways", t.l1.ways);
+    ("l1.line_words", t.l1.line_words);
+    ("l1.hit_latency", t.l1.hit_latency);
+    ("l2.sets", t.l2.sets);
+    ("l2.ways", t.l2.ways);
+    ("l2.line_words", t.l2.line_words);
+    ("l2.hit_latency", t.l2.hit_latency);
+    ("memory_latency", t.memory_latency);
+    ("mshrs", t.mshrs);
+    ("mem_words", t.mem_words);
+    ("predictor_bits", t.predictor_bits);
+    ("depset_budget", t.depset_budget);
+  ]
+
+let limits = bounded largest
+
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in
   let ( let* ) r f =
@@ -235,11 +293,13 @@ let validate t =
       (is_power_of_two t.l2.sets && is_power_of_two t.l2.line_words)
       "l2 geometry must use powers of two"
   in
+  let* () = check (t.l1.ways > 0 && t.l2.ways > 0) "cache ways must be positive" in
   let* () =
     check (t.l1.line_words = t.l2.line_words) "cache levels must share a line size"
   in
   let* () = check (t.mshrs > 0) "mshrs must be positive" in
   let* () = check (t.depset_budget > 0) "depset_budget must be positive" in
+  let* () = check (t.predictor_bits >= 2) "predictor_bits must be >= 2" in
   (* The pipeline's completion calendar schedules every instruction a
      bounded, positive number of cycles ahead; a zero or negative latency
      would let a completion land in the cycle being drained. *)
@@ -251,4 +311,11 @@ let validate t =
       "execution and memory latencies must be positive"
   in
   let* () = check (t.redirect_penalty >= 0) "redirect_penalty must be >= 0" in
-  Ok ()
+  match
+    List.find_opt
+      (fun ((_, v), (_, max)) -> v > max)
+      (List.combine (bounded t) limits)
+  with
+  | Some ((name, v), (_, max)) ->
+    Error (Printf.sprintf "%s must be <= %d (got %d)" name max v)
+  | None -> Ok ()

@@ -68,4 +68,35 @@ val to_rows : t -> (string * string) list
 (** Human-readable key/value dump (used by the configuration table). *)
 
 val validate : t -> (unit, string) result
-(** Sanity-check structural parameters (powers of two, positive widths). *)
+(** Sanity-check structural parameters: powers of two, positive widths,
+    ways and latencies, and an upper bound on every size and latency.
+    The error names the first offending field.  {!Pipeline.create},
+    [Levioso_cli.Cli]'s [--rob]/[--budget] and the daemon's cell
+    validation all refuse what this refuses. *)
+
+val largest : t
+(** The largest configuration {!validate} accepts: every bounded field
+    at its upper bound, a TAGE predictor, and next-line prefetch on.
+
+    {v
+    rob_size                              <= 2048
+    fetch/issue/commit_width              <= 32
+    every latency, redirect_penalty       <= 1000
+    mem_words                             <= 2^22
+    l1/l2 sets                            <= 2^14
+    l1/l2 ways                            <= 32
+    l1/l2 line_words                      <= 64
+    mshrs, depset_budget                  <= 256
+    predictor_bits                        <= 16
+    v}
+
+    The bounds admit every value the bench sweeps, tests and docs use
+    (fig5's ROB sizes, [levioso_sim --rob 384], [levioso_serve stress]'s
+    ROB 64 + i).  What they are for is a ceiling on
+    [Pipeline.create]: the wake rows (and STT's and Levioso's
+    dependency rows) are quadratic in the ROB arena, the completion
+    wheel is the largest latency times the window, and the caches are
+    sets × ways.  Under every policy, [Pipeline.create] on [largest]
+    allocates under 10M words (80 MiB on a 64-bit host) beyond what is
+    proportional to the program; [test/test_config.ml] pins it.  For
+    scale, a ROB of 100000 alone would need 4.3 GB of wake rows. *)

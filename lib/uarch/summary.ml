@@ -112,7 +112,6 @@ type run = {
   by_cause : (string * int) list;
   stall_pcs : (int * int) list;
   audit : audit option;
-  alloc_mwords : float option;
 }
 
 let audit_of a =
@@ -127,13 +126,6 @@ let audit_of a =
     unnecessary = cycles (get obj "unnecessary" a);
     top_pcs = List.map top (get ~default:[] Json.to_list_exn "top_pcs" a);
   }
-
-(* Host words allocated (minor + major - promoted), in millions.  A
-   malformed host section fails rather than read as "no figure", so an
-   allocation gate never passes with nothing checked. *)
-let alloc_of host =
-  let f k = get (get Json.to_float_exn k) "total" host in
-  (f "minor_words" +. f "major_words" -. f "promoted_words") /. 1e6
 
 (* Everything but cycles, which the two layouts keep in different places. *)
 let run_with j ~cycles =
@@ -150,13 +142,6 @@ let run_with j ~cycles =
     let f k = get Json.to_int_exn k p in
     (f "pc", f "total")
   in
-  let alloc =
-    match Json.member "host" j with
-    (* bench writes an empty host for remote cells, which have no host
-       phases: no figure, as for a run without the section *)
-    | None | Some (Json.Obj []) -> None
-    | Some _ -> Some (get alloc_of "host" j)
-  in
   {
     workload = get Json.to_string_exn "workload" j;
     policy = get Json.to_string_exn "policy" j;
@@ -167,7 +152,6 @@ let run_with j ~cycles =
     stall_pcs =
       List.map stall_pc (get ~default:[] Json.to_list_exn "top_pcs" stalls);
     audit = get ~default:None (fun a -> Some (audit_of a)) "audit" j;
-    alloc_mwords = alloc;
   }
 
 let run_of_summary j =

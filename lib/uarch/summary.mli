@@ -19,7 +19,7 @@
     It is also the only module that reads that layout back, and the
     [BENCH_matrix.json] trajectory layout: replay and figures decode a
     run's counters with {!stats}; reports ([Html_report], [Diff_report],
-    [Bench_history], bench's audit table) read a typed {!run} through
+    bench's audit table) read a typed {!run} through
     {!run_of_json} or {!read_runs}.  Both apply one cycles rule: a
     sampled run's cycles are its [sampled.estimated_cycles], never the
     detailed intervals' sum. *)
@@ -85,9 +85,6 @@ type run = {
   by_cause : (string * int) list;  (** stall cycles, document order *)
   stall_pcs : (int * int) list;  (** costliest PCs: pc, stall cycles *)
   audit : audit option;  (** present for audited runs *)
-  alloc_mwords : float option;
-      (** host words allocated (minor + major - promoted), in millions,
-          when the run carried a [host] section *)
 }
 (** What a report needs of one run.  Workload, policy and cycles are
     required; the rest is read when present. *)
@@ -96,14 +93,13 @@ val run_of_json : Levioso_telemetry.Json.t -> (run, string) result
 (** Decode one run summary (an element of a ["runs"] list, or a
     {!of_pipeline}/{!of_sampled} value).  [Error] on a missing or
     non-string label, non-integer cycles, a sampled block without an
-    integer estimate, or any present section that is malformed — a
-    [host] section without numeric totals included.  An empty [host]
-    object, which bench writes for its remote cells, gives no
-    [alloc_mwords], like an absent one. *)
+    integer estimate, or any present section that is malformed.  A
+    [host] section is not read: it carries wall clock, and allocation
+    is pinned by tier-1 instead. *)
 
 val read_runs : Levioso_telemetry.Json.t -> (run list, string) result
 (** Decode a {!runs} document, or a [BENCH_matrix.json] trajectory whose
-    default-config cells carry [cycles] (and [host]) directly; sweep
+    default-config cells carry [cycles] directly; sweep
     cells under other configs are skipped, since they reuse (workload,
     policy) labels.  [Error] on a stale [schema_version], a value that
     is neither shape, or the first run that does not decode (named by

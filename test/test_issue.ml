@@ -2,7 +2,10 @@
    so the stall table is only complete after a flush.  These tests pin
    its contents to values recorded before that change and check that
    reading it is idempotent at any cycle.  The quick pass also pins each
-   cell's cache counters. *)
+   cell's cache counters and, per policy, what its cells allocate
+   (golden_alloc_quick.txt); [Engine.run_cell] must report the pinned
+   cycles too.  Together with bench/history/baseline-quick.json these
+   are the repository's performance contract. *)
 
 module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
@@ -10,14 +13,27 @@ module Cache = Levioso_uarch.Cache
 module Sampler = Levioso_uarch.Sampler
 module Sim_stats = Levioso_uarch.Sim_stats
 module Stall = Levioso_telemetry.Stall
+module Hostprof = Levioso_telemetry.Hostprof
 module Json = Levioso_telemetry.Json
 module Registry = Levioso_core.Registry
 module Workload = Levioso_workload.Workload
 module Catalog = Levioso_serve.Catalog
+module Engine = Levioso_serve.Engine
+module Protocol = Levioso_serve.Protocol
+module Summary = Levioso_uarch.Summary
 
 let baseline_path = "../bench/history/baseline-quick.json"
 let golden_path = "golden_stalls_quick.txt"
 let cache_golden_path = "golden_cache_quick.txt"
+let alloc_golden_path = "golden_alloc_quick.txt"
+
+(* What one quick cell allocated. *)
+type alloc = {
+  policy : string;
+  cycles : int;
+  run_minor : float;  (** minor words in [Pipeline.run] *)
+  cell_words : float;  (** words in [create] + [run] *)
+}
 
 let stall_digest program stall =
   Digest.to_hex
@@ -26,8 +42,8 @@ let stall_digest program stall =
           (Stall.to_json ~top_k:(Array.length program) stall)))
 
 (* The default-config cells of the committed quick baseline, in file
-   order. *)
-let quick_cells () =
+   order: workload, policy, cycles. *)
+let baseline_cells () =
   let doc =
     Json.of_string_exn (In_channel.with_open_bin baseline_path In_channel.input_all)
   in
@@ -38,9 +54,13 @@ let quick_cells () =
   in
   List.map
     (fun c ->
-      ( Json.to_string_exn (Json.member_exn "workload" c),
-        Json.to_string_exn (Json.member_exn "policy" c) ))
+      let field k = Json.member_exn k c in
+      ( Json.to_string_exn (field "workload"),
+        Json.to_string_exn (field "policy"),
+        Json.to_int_exn (field "cycles") ))
     (Json.to_list_exn (Json.member_exn "cells" entry))
+
+let quick_cells () = List.map (fun (w, p, _) -> (w, p)) (baseline_cells ())
 
 let cache_line h =
   String.concat " "
@@ -48,34 +68,128 @@ let cache_line h =
 
 (* Two lines per cell: workload, policy, cycles and the digest of the
    full per-PC stall table; and workload, policy and the cache
-   counters. *)
+   counters.  Also what the cell allocated: minor words in [run] and
+   words in [create] + [run]. *)
 let quick_lines (workload, policy) =
   let w = Catalog.find_workload_exn workload in
-  let pipe =
-    Pipeline.create ~mem_init:w.Workload.mem_init Config.default
-      ~policy:(Registry.find_exn policy) w.Workload.program
+  let pipe, created =
+    Hostprof.measure (fun () ->
+        Pipeline.create ~mem_init:w.Workload.mem_init Config.default
+          ~policy:(Registry.find_exn policy) w.Workload.program)
   in
-  Pipeline.run pipe;
-  ( Printf.sprintf "%s %s %d %s" workload policy
-      (Pipeline.stats pipe).Sim_stats.cycles
+  let (), ran = Hostprof.measure (fun () -> Pipeline.run pipe) in
+  (* less the words [measure] allocates itself, so a run that allocates
+     nothing reads 0 *)
+  let (), empty = Hostprof.measure ignore in
+  let cycles = (Pipeline.stats pipe).Sim_stats.cycles in
+  ( Printf.sprintf "%s %s %d %s" workload policy cycles
       (stall_digest w.Workload.program (Pipeline.stall_attribution pipe)),
     Printf.sprintf "%s %s %s" workload policy
-      (cache_line (Pipeline.hierarchy pipe)) )
+      (cache_line (Pipeline.hierarchy pipe)),
+    {
+      policy;
+      cycles;
+      run_minor = ran.Hostprof.minor_words -. empty.Hostprof.minor_words;
+      cell_words = Hostprof.alloc_words (Hostprof.add created ran);
+    } )
 
 let read_lines path =
   In_channel.with_open_bin path In_channel.input_all
   |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+(* The allocation pin: per policy, minor words per simulated cycle in
+   [run] over all of the policy's quick cells, and the largest
+   [create] + [run] total of any one of its cells.  Each may exceed the
+   value recorded in golden_alloc_quick.txt by [alloc_headroom] at most,
+   as that file's header states; a recorded 0 stays a bound of 0. *)
+let alloc_headroom = 0.01
+
+let alloc_lines allocs =
+  List.sort_uniq compare (List.map (fun a -> a.policy) allocs)
+  |> List.map (fun policy ->
+         let mine = List.filter (fun a -> a.policy = policy) allocs in
+         let sum f = List.fold_left (fun acc a -> acc +. f a) 0. mine in
+         ( policy,
+           sum (fun a -> a.run_minor) /. sum (fun a -> float_of_int a.cycles),
+           List.fold_left (fun m a -> Float.max m a.cell_words) 0. mine ))
+
+let check_alloc_pin allocs =
+  let recorded =
+    List.map
+      (fun l ->
+        Scanf.sscanf l "%s %f %f" (fun policy per_cycle cell ->
+            (policy, (per_cycle, cell))))
+      (read_lines alloc_golden_path)
+  in
+  let measured = alloc_lines allocs in
+  (* the test log shows the measured lines in the file's format *)
+  List.iter (fun (p, c, t) -> Printf.printf "%s %.6f %.0f\n" p c t) measured;
+  Alcotest.(check (list string))
+    (alloc_golden_path ^ " policies") (List.map fst recorded)
+    (List.map (fun (p, _, _) -> p) measured);
+  List.iter
+    (fun (policy, per_cycle, cell) ->
+      let r_cycle, r_cell = List.assoc policy recorded in
+      let within what measured recorded =
+        if measured > recorded *. (1. +. alloc_headroom) then
+          Alcotest.failf "%s %s: %.6f, recorded %.6f (+%.0f%% allowed)" policy
+            what measured recorded (100. *. alloc_headroom)
+      in
+      within "minor words per cycle in run" per_cycle r_cycle;
+      within "words per cell, create + run" cell r_cell)
+    measured
 
 let test_quick_stall_tables () =
-  let stalls, caches = List.split (List.map quick_lines (quick_cells ())) in
+  let stalls, caches, allocs =
+    List.fold_right
+      (fun cell (ss, cs, als) ->
+        let s, c, a = quick_lines cell in
+        (s :: ss, c :: cs, a :: als))
+      (quick_cells ()) ([], [], [])
+  in
   List.iter
     (fun (path, actual) ->
       let expected = read_lines path in
       Alcotest.(check int) (path ^ " cell count") (List.length expected)
         (List.length actual);
       List.iter2 (fun e a -> Alcotest.(check string) "cell" e a) expected actual)
-    [ (golden_path, stalls); (cache_golden_path, caches) ]
+    [ (golden_path, stalls); (cache_golden_path, caches) ];
+  check_alloc_pin allocs
+
+(* bench and the daemon compute a cell through [Engine.run_cell]: with
+   no store it must report the pinned cycles, here for each policy's
+   shortest quick cell. *)
+let test_run_cell_cycles () =
+  let shortest =
+    List.fold_left
+      (fun acc ((_, p, n) as c) ->
+        match List.find_opt (fun (_, q, _) -> q = p) acc with
+        | Some (_, _, m) when m <= n -> acc
+        | _ -> c :: List.filter (fun (_, q, _) -> q <> p) acc)
+      [] (baseline_cells ())
+  in
+  Alcotest.(check int) "one cell per policy"
+    (List.length Registry.names)
+    (List.length shortest);
+  List.iter
+    (fun (workload, policy, cycles) ->
+      let outcome =
+        Engine.run_cell
+          {
+            Protocol.config = Config.default;
+            workload;
+            policy;
+            audit = false;
+            sample = None;
+          }
+      in
+      match Summary.stats outcome.Engine.summary with
+      | Ok stats ->
+        Alcotest.(check int) (workload ^ "/" ^ policy) cycles
+          stats.Sim_stats.cycles
+      | Error msg -> Alcotest.fail msg)
+    (List.rev shortest)
 
 let stepped_digest ~read_every cfg ~policy workload =
   let w = Catalog.find_workload_exn workload in
@@ -233,6 +347,8 @@ let suite =
     [
       Alcotest.test_case "quick cells: full per-PC stall tables pinned" `Slow
         test_quick_stall_tables;
+      Alcotest.test_case "run_cell reports the pinned cycles" `Quick
+        test_run_cell_cycles;
       Alcotest.test_case "stall read is idempotent (rob 5/37/130)" `Quick
         test_read_idempotent;
       Alcotest.test_case "sampled pooled stalls pinned" `Quick

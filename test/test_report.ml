@@ -1,7 +1,6 @@
 (* Reporting pipeline: differential overhead attribution on real runs,
    byte-deterministic HTML rendering against a checked-in golden file,
-   bench-history regression gating, and the one run reader all three
-   decode through (Summary.read_runs). *)
+   and the one run reader both decode through (Summary.read_runs). *)
 
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
@@ -10,7 +9,6 @@ module Pipeline = Levioso_uarch.Pipeline
 module Summary = Levioso_uarch.Summary
 module Diff_report = Levioso_uarch.Diff_report
 module Html_report = Levioso_uarch.Html_report
-module Bench_history = Levioso_uarch.Bench_history
 module Sampler = Levioso_uarch.Sampler
 module Registry = Levioso_core.Registry
 module Explain = Levioso_core.Explain
@@ -75,8 +73,8 @@ let test_diff_on_real_runs () =
   Alcotest.(check bool) "rows render" true (Diff_report.to_rows d <> [])
 
 (* Every report reads runs through Summary.read_runs, so each malformed
-   input must be refused by all three readers alike, rather than crash
-   one of them or read as zeros. *)
+   input must be refused by both readers alike, rather than crash one of
+   them or read as zeros.  A [host] section is not read at all. *)
 let test_diff_rejects_garbage () =
   Alcotest.(check bool)
     "a summary without labels or stats" true
@@ -131,6 +129,7 @@ let test_diff_rejects_garbage () =
     [
       runs [ run [] ];
       runs [ run [ ("host", host (Json.Float 1e6)) ] ];
+      runs [ run [ ("host", host (Json.String "many")) ] ];
       traj (Json.Float 1e6);
     ];
   List.iter
@@ -141,8 +140,7 @@ let test_diff_rejects_garbage () =
           true (Result.is_error result)
       in
       reject "Summary.read_runs" (Summary.read_runs v);
-      reject "Html_report.render" (Html_report.render v);
-      reject "Bench_history.of_matrix" (Bench_history.of_matrix ~label:"x" v))
+      reject "Html_report.render" (Html_report.render v))
     [
       ( "stale schema_version",
         Json.Obj
@@ -164,11 +162,6 @@ let test_diff_rejects_garbage () =
       ("fractional cycles", runs [ run ~cycles:(Json.Float 1.5) [] ]);
       ( "sampled block without estimated_cycles",
         runs [ run [ ("sampled", Json.Obj [ ("intervals", Json.Int 4) ]) ] ] );
-      ( "malformed host total in a run",
-        runs [ run [ ("host", host (Json.String "many")) ] ] );
-      ( "host section without totals",
-        runs [ run [ ("host", Json.Obj [ ("phases", Json.Obj []) ]) ] ] );
-      ("malformed host total in a trajectory", traj (Json.String "many"));
       ("neither runs nor trajectory", Schema.tag [ ("entries", Json.List []) ]);
       ("runs is not a list", Schema.tag [ ("runs", Json.Obj []) ]);
     ]
@@ -217,51 +210,24 @@ let test_html_deterministic_and_total () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "rendering a runs-less object should fail"
 
-(* --- bench history ---------------------------------------------------- *)
+(* --- the run reader on its two layouts --------------------------------- *)
 
-let cell ?alloc workload policy cycles =
-  { Bench_history.workload; policy; cycles; alloc_mwords = alloc }
-
-let entry label cells = { Bench_history.label; cells }
-
-let test_history_roundtrip_and_append () =
-  let path = Filename.temp_file "levioso_hist" ".json" in
-  let e1 =
-    entry "first" [ cell "stream" "unsafe" 1000; cell "stream" "levioso" 1100 ]
-  in
-  let e2 =
-    entry "second" [ cell "stream" "unsafe" 1000; cell "stream" "levioso" 1105 ]
-  in
-  Bench_history.save path [ e1 ];
-  (match Bench_history.load path with
-  | Ok [ e ] ->
-    Alcotest.(check string) "label" "first" e.Bench_history.label;
-    Alcotest.(check int) "cells" 2 (List.length e.Bench_history.cells)
-  | Ok es -> Alcotest.failf "expected 1 entry, got %d" (List.length es)
-  | Error msg -> Alcotest.fail msg);
-  (match Bench_history.append ~path e2 with
-  | Ok n -> Alcotest.(check int) "append count" 2 n
-  | Error msg -> Alcotest.fail msg);
-  (match Bench_history.load path with
-  | Ok entries ->
-    Alcotest.(check (list string))
-      "order preserved" [ "first"; "second" ]
-      (List.map (fun e -> e.Bench_history.label) entries)
-  | Error msg -> Alcotest.fail msg);
-  Sys.remove path
-
-let test_history_of_matrix () =
-  (match Bench_history.of_matrix ~label:"golden" (golden_matrix ()) with
+let read_runs_ok doc =
+  match Summary.read_runs doc with
+  | Ok runs -> runs
   | Error msg -> Alcotest.fail msg
-  | Ok e ->
-    Alcotest.(check int) "one cell per run" 6 (List.length e.Bench_history.cells);
-    let c = List.hd e.Bench_history.cells in
-    Alcotest.(check string) "workload" "alpha" c.Bench_history.workload;
-    Alcotest.(check string) "policy" "unsafe" c.Bench_history.policy;
-    Alcotest.(check int) "cycles" 1000 c.Bench_history.cycles);
-  (* a BENCH_matrix.json trajectory: cycles and host sit on each cell,
-     a sweep cell reuses the default cell's labels, and a remote cell
-     carries the empty host bench writes for it *)
+
+let test_read_runs_layouts () =
+  (match read_runs_ok (golden_matrix ()) with
+  | [] -> Alcotest.fail "no runs in golden_matrix.json"
+  | r :: _ as rs ->
+    Alcotest.(check int) "one run per summary" 6 (List.length rs);
+    Alcotest.(check (triple string string int))
+      "first run" ("alpha", "unsafe", 1000)
+      (r.Summary.workload, r.Summary.policy, r.Summary.cycles));
+  (* a BENCH_matrix.json trajectory: cycles sit on each cell, a sweep
+     cell reuses the default cell's labels, and a remote cell carries
+     the empty host bench writes for it *)
   let cell ?(policy = "levioso") ~default cycles extra =
     Json.Obj
       ([
@@ -273,20 +239,6 @@ let test_history_of_matrix () =
        ]
       @ extra)
   in
-  let host =
-    Json.Obj
-      [
-        ("phases", Json.Obj []);
-        ( "total",
-          Json.Obj
-            [
-              ("wall_s", Json.Float 0.5);
-              ("minor_words", Json.Float 3e6);
-              ("promoted_words", Json.Float 5e5);
-              ("major_words", Json.Float 1e6);
-            ] );
-      ]
-  in
   let trajectory =
     Schema.tag
       [
@@ -294,7 +246,7 @@ let test_history_of_matrix () =
         ( "matrix",
           Json.List
             [
-              cell ~default:true 1234 [ ("host", host) ];
+              cell ~default:true 1234 [];
               cell ~default:false 999 [];
               cell ~policy:"unsafe" ~default:true 1000
                 [
@@ -304,105 +256,17 @@ let test_history_of_matrix () =
             ] );
       ]
   in
-  (match Bench_history.of_matrix ~label:"trajectory" trajectory with
-  | Error msg -> Alcotest.fail msg
-  | Ok { Bench_history.cells = [ c; remote ]; _ } ->
-    Alcotest.(check int)
-      "cycles from the kept cell" 1234 c.Bench_history.cycles;
-    Alcotest.(check (option (float 1e-9)))
-      "alloc from the kept cell's host totals" (Some 3.5)
-      c.Bench_history.alloc_mwords;
-    Alcotest.(check (pair string int))
-      "remote cell kept" ("unsafe", 1000)
-      (remote.Bench_history.policy, remote.Bench_history.cycles);
-    Alcotest.(check (option (float 1e-9)))
-      "an empty host is no alloc figure" None
-      remote.Bench_history.alloc_mwords
-  | Ok e ->
-    Alcotest.failf "expected two default-config cells, got %d"
-      (List.length e.Bench_history.cells));
+  Alcotest.(check (list (pair string int)))
+    "default-config cells only, remote cell kept"
+    [ ("levioso", 1234); ("unsafe", 1000) ]
+    (List.map
+       (fun (r : Summary.run) -> (r.policy, r.cycles))
+       (read_runs_ok trajectory));
   match Html_report.render trajectory with
   | Ok html ->
     Alcotest.(check bool) "trajectory renders its cycles" true
       (contains "stream / levioso: 1234 cycles" html)
   | Error msg -> Alcotest.fail msg
-
-let test_compare_flags_regression () =
-  let old_ =
-    [ entry "base" [ cell "w" "levioso" 1000; cell "w" "delay" 4000 ] ]
-  in
-  (* levioso slows down 20%, delay improves: only levioso flagged *)
-  let new_ =
-    [
-      entry "old-run" [ cell "w" "levioso" 900; cell "w" "delay" 4100 ];
-      entry "current" [ cell "w" "levioso" 1200; cell "w" "delay" 3900 ];
-    ]
-  in
-  (match Bench_history.compare_latest ~tolerance:15.0 ~old_ ~new_ () with
-  | Ok [ r ] ->
-    Alcotest.(check string) "flagged policy" "levioso" r.Bench_history.r_policy;
-    Alcotest.(check string) "metric" "cycles" r.Bench_history.r_metric;
-    Alcotest.(check (float 0.01)) "old cycles" 1000.0 r.Bench_history.r_old;
-    Alcotest.(check (float 0.01)) "new cycles" 1200.0 r.Bench_history.r_new;
-    Alcotest.(check (float 0.01)) "pct" 20.0 r.Bench_history.pct
-  | Ok rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs)
-  | Error msg -> Alcotest.fail msg);
-  (* within tolerance: clean *)
-  (match Bench_history.compare_latest ~tolerance:25.0 ~old_ ~new_ () with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "20% growth within 25% tolerance was flagged"
-  | Error msg -> Alcotest.fail msg);
-  (* disjoint matrices can't be compared *)
-  (match
-     Bench_history.compare_latest ~tolerance:15.0 ~old_
-       ~new_:[ entry "other" [ cell "x" "fence" 5 ] ]
-       ()
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "no-overlap comparison should error");
-  match Bench_history.compare_latest ~tolerance:15.0 ~old_:[] ~new_ () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty history comparison should error"
-
-let test_compare_flags_alloc_regression () =
-  (* cycles hold steady but the host section shows a 50% allocation
-     growth: only the alloc metric is flagged *)
-  let old_ = [ entry "base" [ cell ~alloc:10.0 "w" "levioso" 1000 ] ] in
-  let new_ = [ entry "current" [ cell ~alloc:15.0 "w" "levioso" 1000 ] ] in
-  (match Bench_history.compare_latest ~tolerance:5.0 ~old_ ~new_ () with
-  | Ok [ r ] ->
-    Alcotest.(check string) "metric" "alloc_mwords" r.Bench_history.r_metric;
-    Alcotest.(check (float 0.01)) "old alloc" 10.0 r.Bench_history.r_old;
-    Alcotest.(check (float 0.01)) "new alloc" 15.0 r.Bench_history.r_new;
-    Alcotest.(check (float 0.01)) "pct" 50.0 r.Bench_history.pct
-  | Ok rs -> Alcotest.failf "expected 1 regression, got %d" (List.length rs)
-  | Error msg -> Alcotest.fail msg);
-  (* a looser alloc-specific tolerance silences it without loosening the
-     cycle gate *)
-  (match
-     Bench_history.compare_latest ~tolerance:5.0 ~alloc_tolerance:60.0 ~old_
-       ~new_ ()
-   with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "50% alloc growth within 60% tolerance was flagged"
-  | Error msg -> Alcotest.fail msg);
-  (* histories recorded before host profiling existed have no alloc
-     numbers; comparison must not invent them *)
-  let bare = [ entry "pre-host" [ cell "w" "levioso" 1000 ] ] in
-  (match Bench_history.compare_latest ~tolerance:5.0 ~old_:bare ~new_ () with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "alloc flagged against a baseline without alloc"
-  | Error msg -> Alcotest.fail msg);
-  (* alloc numbers survive the JSON round-trip *)
-  let path = Filename.temp_file "levioso_hist" ".json" in
-  Bench_history.save path new_;
-  (match Bench_history.load path with
-  | Ok [ e ] -> (
-    match (List.hd e.Bench_history.cells).Bench_history.alloc_mwords with
-    | Some v -> Alcotest.(check (float 0.01)) "alloc round-trips" 15.0 v
-    | None -> Alcotest.fail "alloc_mwords lost in round-trip")
-  | Ok _ | Error _ -> Alcotest.fail "round-trip load failed");
-  Sys.remove path
 
 (* Every report charges a sampled run its estimate, not the detailed
    intervals' cycle sum. *)
@@ -434,12 +298,9 @@ let test_sampled_runs_report_estimate () =
   Alcotest.(check int) "diff overhead is the estimates' difference"
     (lev_est - base_est) d.Diff_report.overhead_cycles;
   let matrix = Summary.runs [ base; lev ] in
-  (match Bench_history.of_matrix ~label:"sampled" matrix with
-  | Ok e ->
-    Alcotest.(check (list int)) "history cells carry the estimates"
-      [ base_est; lev_est ]
-      (List.map (fun c -> c.Bench_history.cycles) e.Bench_history.cells)
-  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check (list int)) "read_runs carries the estimates"
+    [ base_est; lev_est ]
+    (List.map (fun (r : Summary.run) -> r.cycles) (read_runs_ok matrix));
   let html = Html_report.render_exn matrix in
   List.iter
     (fun (policy, est) ->
@@ -456,13 +317,8 @@ let suite =
       Alcotest.test_case "html golden" `Quick test_html_golden;
       Alcotest.test_case "html deterministic and total" `Quick
         test_html_deterministic_and_total;
-      Alcotest.test_case "history roundtrip and append" `Quick
-        test_history_roundtrip_and_append;
-      Alcotest.test_case "history of matrix" `Quick test_history_of_matrix;
-      Alcotest.test_case "compare flags regression" `Quick
-        test_compare_flags_regression;
-      Alcotest.test_case "compare flags alloc regression" `Quick
-        test_compare_flags_alloc_regression;
+      Alcotest.test_case "read_runs on both layouts" `Quick
+        test_read_runs_layouts;
       Alcotest.test_case "sampled runs report their estimate" `Quick
         test_sampled_runs_report_estimate;
     ] )

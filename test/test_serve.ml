@@ -651,6 +651,57 @@ let test_history_unavailable () =
       | _ -> Alcotest.fail "history without --history-out should error");
       Client.close c)
 
+(* A config whose create would need gigabytes (a 100000-entry window
+   squares into 4.3 GB of wake rows) is refused by validation: that cell
+   gets its own error frame and the rest of the batch runs. *)
+let test_oversized_config_cell () =
+  with_server (fun socket ->
+      let c = Client.connect socket in
+      let huge = cell ~config:{ Config.default with Config.rob_size = 100_000 } () in
+      let results, stats = Client.submit c [ cell (); huge; cell () ] in
+      Alcotest.(check int) "one cell failed" 1 stats.Protocol.failed;
+      Alcotest.(check (list string)) "sources" [ "sim"; "error"; "sim" ]
+        (Array.to_list
+           (Array.map (fun (r : Client.result_cell) -> r.Client.source) results));
+      (match results.(1).Client.error with
+      | Some msg ->
+        Alcotest.(check bool) ("error names rob_size: " ^ msg) true
+          (contains msg "rob_size")
+      | None -> Alcotest.fail "oversized cell has no error");
+      Client.close c)
+
+(* A request line one byte over [Protocol.max_frame_bytes] gets an error
+   frame and its connection is closed; the next client is served. *)
+let test_frame_cap () =
+  with_server (fun socket ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX socket);
+      let ic = Unix.in_channel_of_descr fd
+      and oc = Unix.out_channel_of_descr fd in
+      let response () =
+        match Protocol.read_frame ic with
+        | Ok (Some j) -> Protocol.response_of_json j
+        | Ok None -> Alcotest.fail "connection closed before a response"
+        | Error msg -> Alcotest.fail msg
+      in
+      (match response () with
+      | Ok (Protocol.Hello _) -> ()
+      | _ -> Alcotest.fail "no hello");
+      output_string oc (String.make (Protocol.max_frame_bytes + 1) 'x');
+      output_char oc '\n';
+      flush oc;
+      (match response () with
+      | Ok (Protocol.Error msg) ->
+        Alcotest.(check bool) ("error names the cap: " ^ msg) true
+          (contains msg (string_of_int Protocol.max_frame_bytes))
+      | _ -> Alcotest.fail "over-cap frame got no error frame");
+      Alcotest.(check bool) "connection closed" true
+        (Protocol.read_frame ic = Ok None);
+      Unix.close fd;
+      let c = Client.connect socket in
+      Client.ping c;
+      Client.close c)
+
 let suite =
   ( "serve",
     [
@@ -683,4 +734,8 @@ let suite =
         test_history_daemon;
       Alcotest.test_case "daemon: history without --history-out" `Quick
         test_history_unavailable;
+      Alcotest.test_case "daemon: oversized config is a cell error" `Quick
+        test_oversized_config_cell;
+      Alcotest.test_case "daemon: over-cap frame is refused" `Quick
+        test_frame_cap;
     ] )

@@ -376,11 +376,11 @@ let test_hostprof_measure () =
   Alcotest.(check int) "thunk result" 10_000 v;
   Alcotest.(check bool) "wall clock non-negative" true (span.Hostprof.wall_s >= 0.0);
   Alcotest.(check bool) "allocation observed" true
-    (Hostprof.alloc_mwords span > 0.0);
+    (Hostprof.alloc_words span > 0.0);
   let doubled = Hostprof.add span span in
   Alcotest.(check (float 1e-6)) "add sums allocation"
-    (2.0 *. Hostprof.alloc_mwords span)
-    (Hostprof.alloc_mwords doubled);
+    (2.0 *. Hostprof.alloc_words span)
+    (Hostprof.alloc_words doubled);
   Alcotest.(check bool) "zero is neutral" true
     (Hostprof.add Hostprof.zero span = span);
   match Hostprof.phases_to_json [ ("run", span) ] with
