@@ -3,6 +3,7 @@
    and the one run reader both decode through (Summary.read_runs). *)
 
 module Json = Levioso_telemetry.Json
+module Flowtrace = Levioso_telemetry.Flowtrace
 module Schema = Levioso_telemetry.Schema
 module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
@@ -178,15 +179,29 @@ let golden_matrix () =
   | Ok j -> j
   | Error msg -> Alcotest.failf "golden_matrix.json: %s" msg
 
+(* The leak graph of the stock Spectre-v1 gadget under unsafe, as
+   [levioso_sim -w spectre-v1 -p unsafe --leak-trace FILE.json] writes it. *)
+let spectre_leak () = Flowtrace.to_json (Test_flowtrace.run_spectre "unsafe")
+
 let test_html_golden () =
-  let html = Html_report.render_exn (golden_matrix ()) in
-  let golden = read_file "golden_report.html" in
-  if not (String.equal html golden) then
-    Alcotest.failf
-      "rendered HTML differs from golden_report.html (%d vs %d bytes); \
-       regenerate with: dune exec bin/levioso_report.exe -- \
-       test/golden_matrix.json -o test/golden_report.html"
-      (String.length html) (String.length golden)
+  List.iter
+    (fun (golden_file, leak) ->
+      let html = Html_report.render_exn ?leak (golden_matrix ()) in
+      let golden = read_file golden_file in
+      if not (String.equal html golden) then
+        Alcotest.failf
+          "rendered HTML differs from %s (%d vs %d bytes); regenerate with: \
+           dune exec bin/levioso_report.exe -- test/golden_matrix.json -o \
+           test/%s%s"
+          golden_file (String.length html) (String.length golden) golden_file
+          (if leak = None then ""
+           else
+             " --leak-trace L.json, L.json from levioso_sim -w spectre-v1 \
+              -p unsafe --leak-trace L.json"))
+    [
+      ("golden_report.html", None);
+      ("golden_report_leak.html", Some (spectre_leak ()));
+    ]
 
 let test_html_deterministic_and_total () =
   let m = golden_matrix () in

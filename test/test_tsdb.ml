@@ -374,6 +374,13 @@ let test_dashboard_deterministic () =
   in
   Alcotest.(check string) "re-render byte-identical" html
     (Dashboard.render_exn records);
+  let golden =
+    In_channel.with_open_bin "golden_dashboard.html" In_channel.input_all
+  in
+  if not (String.equal html golden) then
+    fail_fmt "rendered dashboard differs from golden_dashboard.html (%d vs %d \
+              bytes)"
+      (String.length html) (String.length golden);
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " present") true
