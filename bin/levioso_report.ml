@@ -14,7 +14,8 @@
 
      levioso_report MATRIX.json [-o report.html] [--leak-trace LEAK.json]
          Render the matrix as a self-contained HTML report (inline SVG,
-         no external resources).
+         no external resources).  LEAK.json is decoded by
+         Summary.leak_of_json: a malformed one exits 2 naming the file.
 
    MATRIX.json is a runs document (levioso_sim --json, bench --json) or
    a BENCH_matrix.json trajectory (its default-config cells, cycles
@@ -96,50 +97,34 @@ let mode_diff policy baseline workload top_k as_json path =
       diffs;
   0
 
+(* Write a rendered page to [out], or exit 2 with [what]'s error. *)
+let write_html out what = function
+  | Error msg -> die "%s: %s" what msg
+  | Ok html ->
+    Out_channel.with_open_bin out (fun oc -> output_string oc html);
+    Printf.printf "wrote %s (%d bytes)\n" out (String.length html);
+    0
+
 let mode_render path out title leak_trace =
   let matrix = read_json path in
   let leak =
     Option.map
       (fun p ->
-        let j = read_json p in
-        (match Json.member "kind" j with
-        | Some (Json.String "levioso-flowtrace") -> ()
-        | _ ->
-          die
-            "%s: not a levioso-flowtrace document (want levioso_sim \
-             --leak-trace FILE.json output)"
-            p);
-        j)
+        match Summary.leak_of_json (read_json p) with
+        | Ok leak -> leak
+        | Error msg ->
+          die "%s: %s (want levioso_sim --leak-trace FILE.json output)" p msg)
       leak_trace
   in
-  let html =
-    match Html_report.render ~title ?leak matrix with
-    | Ok html -> html
-    | Error msg -> die "%s: %s" path msg
-  in
-  let oc = open_out_bin out in
-  output_string oc html;
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" out (String.length html);
-  0
+  write_html out path (Html_report.render ~title ?leak matrix)
 
 let mode_dashboard dir out title =
-  let records =
-    match Tsdb.read_dir dir with
-    | Ok [] -> die "%s: no time-series segments (run the daemon with --history-out %s)" dir dir
-    | Ok records -> records
-    | Error msg -> die "%s" msg
-  in
-  let html =
-    match Dashboard.render ~title records with
-    | Ok html -> html
-    | Error msg -> die "%s" msg
-  in
-  let oc = open_out_bin out in
-  output_string oc html;
-  close_out oc;
-  Printf.printf "wrote %s (%d bytes)\n" out (String.length html);
-  0
+  match Tsdb.read_dir dir with
+  | Ok [] ->
+    die "%s: no time-series segments (run the daemon with --history-out %s)"
+      dir dir
+  | Ok records -> write_html out dir (Dashboard.render ~title records)
+  | Error msg -> die "%s" msg
 
 let main files diff baseline workload top_k as_json out title leak_trace
     dashboard =

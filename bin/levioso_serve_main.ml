@@ -276,48 +276,34 @@ let submit socket workloads policies config audit sample no_cache json quiet =
 (* ---------- stress ---------- *)
 
 let stress socket cells_n (workload : Workload.t) policy use_cache =
-  if cells_n < 1 then `Error (false, "--cells expects a positive integer")
-  else
-    (* distinct rob sizes make every cell real scheduled work instead of
-       one simulation plus (N-1) merges *)
-    let cells =
-      List.init cells_n (fun i ->
-          {
-            Protocol.config =
-              { Config.default with Config.rob_size = 64 + i };
-            workload = workload.Workload.name;
-            policy;
-            audit = false;
-            sample = None;
-          })
-    in
-    with_client socket (fun c ->
-        let walls = ref [] in
-        let t0 = Unix.gettimeofday () in
-        let _, stats =
-          Client.submit ~cache:use_cache
-            ~on_result:(fun _ rc ->
-              if rc.Client.error = None then
-                walls := rc.Client.wall_s :: !walls)
-            c cells
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        Printf.printf
-          "stress: %d cells (%d simulated, %d cached%s) in %.2fs — %.1f \
-           cells/s\n"
-          cells_n stats.Protocol.simulated stats.Protocol.cached
-          (if stats.Protocol.failed > 0 then
-             Printf.sprintf ", %d failed" stats.Protocol.failed
-           else "")
-          wall
-          (float_of_int cells_n /. wall);
-        if !walls <> [] then begin
-          let window = Span.Window.create (List.length !walls) in
-          List.iter (Span.Window.observe window) !walls;
-          let pct q = fmt_dur (Option.get (Span.Window.percentile window q)) in
-          Printf.printf "  cell wall: p50 %s, p95 %s, p99 %s\n" (pct 0.5)
-            (pct 0.95) (pct 0.99)
-        end)
+  let cells = Client.sweep ~workload:workload.Workload.name ~policy cells_n in
+  with_client socket (fun c ->
+      let walls = ref [] in
+      let t0 = Unix.gettimeofday () in
+      let _, stats =
+        Client.submit ~cache:use_cache
+          ~on_result:(fun _ rc ->
+            if rc.Client.error = None then
+              walls := rc.Client.wall_s :: !walls)
+          c cells
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      Printf.printf
+        "stress: %d cells (%d simulated, %d cached%s) in %.2fs — %.1f \
+         cells/s\n"
+        cells_n stats.Protocol.simulated stats.Protocol.cached
+        (if stats.Protocol.failed > 0 then
+           Printf.sprintf ", %d failed" stats.Protocol.failed
+         else "")
+        wall
+        (float_of_int cells_n /. wall);
+      if !walls <> [] then begin
+        let window = Span.Window.create (List.length !walls) in
+        List.iter (Span.Window.observe window) !walls;
+        let pct q = fmt_dur (Option.get (Span.Window.percentile window q)) in
+        Printf.printf "  cell wall: p50 %s, p95 %s, p99 %s\n" (pct 0.5)
+          (pct 0.95) (pct 0.99)
+      end)
 
 (* ---------- one-frame commands ---------- *)
 
@@ -614,10 +600,21 @@ let submit_cmd =
        $ Cli.audit $ Cli.sample $ submit_no_cache_arg $ json_arg $ quiet_arg))
 
 let cells_arg =
+  let in_range n =
+    if n >= 1 && n <= Client.max_sweep then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "must be in 1..%d (one cell per reorder-buffer size from 64 to %d)"
+           Client.max_sweep Config.largest.Config.rob_size)
+  in
   Arg.(
-    value & opt int 200
+    value
+    & opt (Cli.checked_int in_range) 200
     & info [ "cells" ] ~docv:"N"
-        ~doc:"Distinct cells to submit (reorder-buffer sweep).")
+        ~doc:
+          "Distinct cells to submit (reorder-buffer sweep: cell i runs with \
+           a ROB of 64 + i entries).")
 
 let stress_workload_arg =
   Arg.(

@@ -21,6 +21,9 @@ val workload : Levioso_workload.Workload.t Arg.conv
 val policy : string Arg.conv
 (** A defense-policy name, checked against {!Levioso_core.Registry}. *)
 
+val checked_int : (int -> (unit, string) result) -> int Arg.conv
+(** An integer that [check] accepts; its [Error] is the usage error. *)
+
 val non_negative : int Arg.conv
 (** An integer [>= 0]. *)
 

@@ -1,4 +1,5 @@
 module Json = Levioso_telemetry.Json
+module Config = Levioso_uarch.Config
 
 exception Server_error of string
 
@@ -172,3 +173,12 @@ let runs results =
     (List.filter_map
        (fun r -> if r.error = None then Some r.summary else None)
        (Array.to_list results))
+
+let max_sweep = Config.largest.rob_size - 63
+
+let sweep ~workload ~policy n =
+  if n < 1 || n > max_sweep then
+    invalid_arg (Printf.sprintf "Client.sweep: %d cells, want 1..%d" n max_sweep);
+  List.init n (fun i ->
+      let config = { Config.default with rob_size = 64 + i } in
+      { Protocol.config; workload; policy; audit = false; sample = None })

@@ -85,3 +85,13 @@ val runs : result_cell array -> Levioso_telemetry.Json.t
 (** A batch's summaries as one {!Levioso_uarch.Summary.runs} document,
     failed cells left out: their [Null] summaries would make the whole
     document unreadable to [levioso_report]. *)
+
+val max_sweep : int
+(** The most cells {!sweep} builds: one per ROB size from 64 to
+    [Config.largest.rob_size]. *)
+
+val sweep : workload:string -> policy:string -> int -> Protocol.cell list
+(** [sweep ~workload ~policy n] is [levioso_serve stress]'s batch: [n]
+    [Config.default] cells, cell [i] with a ROB of [64 + i] entries, so
+    each is distinct work.  @raise Invalid_argument unless
+    [1 <= n <= max_sweep]. *)

@@ -5,9 +5,9 @@
     summary and bench-matrix cell can carry a [host] section.  On one
     domain the word counts of a deterministic computation are exact and
     repeatable, which is what tier-1's allocation pin
-    ([test/golden_alloc_quick.txt]) relies on; each span also counts the
-    few words [measure] allocates itself, which a [measure ignore] span
-    reads.  Wall clock is not repeatable, which is why [host] sections
+    ([test/golden_alloc_quick.txt]) relies on.  The words [measure]
+    allocates itself are left out, so [measure ignore] reads 0 words.
+    Wall clock is not repeatable, which is why [host] sections
     are kept out of the byte-compared simulation artifacts and only
     attached to timing-oriented ones ([BENCH_matrix.json] cells,
     [levioso_sim --json] runs). *)

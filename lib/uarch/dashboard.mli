@@ -3,12 +3,9 @@
     [levioso_serve serve --history-out] and rendered by
     [levioso_report --dashboard DIR]).
 
-    Same contract as {!Html_report}: one HTML document, inline CSS,
-    inline SVG area charts and sparklines, no scripts, no external
-    references — it opens from a file:// URL or an artifact store.  The
-    output is a pure function of the input records (every float printed
-    with a fixed format), so re-rendering the same segments is
-    byte-identical and CI diffs dashboards textually. *)
+    The page is written through {!Levioso_telemetry.Html}, as
+    {!Html_report} is, and keeps that module's contract: every float is
+    printed with a fixed format, so CI diffs dashboards textually. *)
 
 val render :
   ?title:string ->
@@ -18,7 +15,3 @@ val render :
     percentiles, cache hit share and GC heap, plus alert transitions
     and the newest sample's full field table.  [Error] when the records
     contain no samples. *)
-
-val render_exn :
-  ?title:string -> Levioso_telemetry.Tsdb.record list -> string
-(** @raise Invalid_argument when {!render} fails. *)

@@ -168,16 +168,19 @@ let run_of_json = decoded run_of_summary
    directly. *)
 let run_of_cell j = run_with j ~cycles:(get Json.to_int_exn "cycles" j)
 
+(* [f] over a list's entries, a failure naming the entry by its index *)
+let each key f entries =
+  List.mapi
+    (fun i j ->
+      try f j
+      with Invalid_argument msg ->
+        invalid_arg (Printf.sprintf "%s[%d]: %s" key i msg))
+    entries
+
 let read_runs doc =
-  (* an error names the entry by its index in the document *)
   let decode key keep run_of entries =
     List.filter_map Fun.id
-      (List.mapi
-         (fun i j ->
-           try if keep j then Some (run_of j) else None
-           with Invalid_argument msg ->
-             invalid_arg (Printf.sprintf "%s[%d]: %s" key i msg))
-         entries)
+      (each key (fun j -> if keep j then Some (run_of j) else None) entries)
   in
   match Schema.check ~what:"run summary document" doc with
   | Error _ as e -> e
@@ -193,3 +196,55 @@ let read_runs doc =
       in
       decoded (decode "matrix" default_config run_of_cell) cells
     | _ -> Error "neither a \"runs\" document nor a bench trajectory")
+
+type leak_node = {
+  id : int;
+  pc : int;
+  kind : string;
+  disasm : string;
+  sources : int;
+  transmits : int;
+  mispredicted : bool;
+  outcome : string;
+}
+
+type leak = {
+  nodes : leak_node list;
+  edges : (int * int * string) list;
+  chains : int;
+}
+
+let ints v = List.map Json.to_int_exn (Json.to_list_exn v)
+
+let leak_node n =
+  let int k = get Json.to_int_exn k n and str k = get Json.to_string_exn k n in
+  let count k = List.length (get ~default:[] ints k n) in
+  let bool = function Json.Bool b -> b | _ -> invalid_arg "not a bool" in
+  {
+    id = int "id";
+    pc = int "pc";
+    kind = str "kind";
+    disasm = str "disasm";
+    sources = count "source_addrs";
+    transmits = count "transmit_addrs";
+    mispredicted = get ~default:false bool "mispredicted" n;
+    outcome = str "outcome";
+  }
+
+let leak_of_doc doc =
+  if get Json.to_string_exn "kind" doc <> "levioso-flowtrace" then
+    invalid_arg "not a levioso-flowtrace document";
+  let entries key f = each key f (get Json.to_list_exn key doc) in
+  let edge e =
+    let int k = get Json.to_int_exn k e in
+    (int "src", int "dst", get Json.to_string_exn "dep" e)
+  in
+  {
+    nodes = entries "nodes" leak_node;
+    edges = entries "edges" edge;
+    chains = List.length (entries "chains" ints);
+  }
+
+let leak_of_json doc =
+  Result.bind (Schema.check ~what:"leak graph" doc) (fun () ->
+      decoded leak_of_doc doc)

@@ -22,7 +22,8 @@
     bench's audit table) read a typed {!run} through
     {!run_of_json} or {!read_runs}.  Both apply one cycles rule: a
     sampled run's cycles are its [sampled.estimated_cycles], never the
-    detailed intervals' sum. *)
+    detailed intervals' sum.  The HTML report's leak graph is read here
+    too, by {!leak_of_json}. *)
 
 val of_pipeline :
   ?workload:string ->
@@ -104,3 +105,29 @@ val read_runs : Levioso_telemetry.Json.t -> (run list, string) result
     policy) labels.  [Error] on a stale [schema_version], a value that
     is neither shape, or the first run that does not decode (named by
     its index). *)
+
+(** {1 Leak graph} *)
+
+type leak_node = {
+  id : int;
+  pc : int;
+  kind : string;
+  disasm : string;
+  sources : int;  (** secret addresses the node loaded *)
+  transmits : int;  (** tainted addresses it sent to the cache *)
+  mispredicted : bool;
+  outcome : string;
+}
+
+type leak = {
+  nodes : leak_node list;
+  edges : (int * int * string) list;  (** source id, target id, dependence *)
+  chains : int;  (** 0 when nothing leaked *)
+}
+
+val leak_of_json : Levioso_telemetry.Json.t -> (leak, string) result
+(** Decode a [levioso-flowtrace] document ([levioso_sim --leak-trace
+    FILE.json]).  [Error] on a stale schema, another [kind], or a
+    missing or ill-typed field (an entry named by its index), so a
+    malformed graph never reads as an empty one, that is, as "no
+    leak". *)

@@ -78,9 +78,6 @@ let quick_lines (workload, policy) =
           ~policy:(Registry.find_exn policy) w.Workload.program)
   in
   let (), ran = Hostprof.measure (fun () -> Pipeline.run pipe) in
-  (* less the words [measure] allocates itself, so a run that allocates
-     nothing reads 0 *)
-  let (), empty = Hostprof.measure ignore in
   let cycles = (Pipeline.stats pipe).Sim_stats.cycles in
   ( Printf.sprintf "%s %s %d %s" workload policy cycles
       (stall_digest w.Workload.program (Pipeline.stall_attribution pipe)),
@@ -89,7 +86,7 @@ let quick_lines (workload, policy) =
     {
       policy;
       cycles;
-      run_minor = ran.Hostprof.minor_words -. empty.Hostprof.minor_words;
+      run_minor = ran.Hostprof.minor_words;
       cell_words = Hostprof.alloc_words (Hostprof.add created ran);
     } )
 

@@ -22,6 +22,20 @@ let read_file path =
   close_in ic;
   body
 
+(* The leak graph of the stock Spectre-v1 gadget under unsafe, as
+   [levioso_sim -w spectre-v1 -p unsafe --leak-trace FILE.json] writes it. *)
+let spectre_leak () = Flowtrace.to_json (Test_flowtrace.run_spectre "unsafe")
+
+let render_ok ?leak matrix =
+  match Html_report.render ?leak matrix with
+  | Ok html -> html
+  | Error msg -> Alcotest.fail msg
+
+let leak_ok doc =
+  match Summary.leak_of_json doc with
+  | Ok leak -> leak
+  | Error msg -> Alcotest.fail msg
+
 (* --- differential attribution on real simulator output ---------------- *)
 
 let audited_summary ~workload ~policy =
@@ -165,6 +179,44 @@ let test_diff_rejects_garbage () =
         runs [ run [ ("sampled", Json.Obj [ ("intervals", Json.Int 4) ]) ] ] );
       ("neither runs nor trajectory", Schema.tag [ ("entries", Json.List []) ]);
       ("runs is not a list", Schema.tag [ ("runs", Json.Obj []) ]);
+    ];
+  (* A leak graph is read by the same rules: the unedited spectre-v1
+     document decodes, and each edit is refused instead of reading as an
+     empty graph, which the report would print as "no leak". *)
+  let leak = spectre_leak () in
+  Alcotest.(check bool) "the unedited leak graph has chains" true
+    ((leak_ok leak).Summary.chains > 0);
+  (* [field k f] rewrites field [k] of an object through [f]; [None]
+     drops it *)
+  let field k f = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.filter_map
+           (fun (k', v) ->
+             if k' = k then Option.map (fun v -> (k, v)) (f v)
+             else Some (k', v))
+           fields)
+    | j -> j
+  in
+  let first f = function
+    | Json.List (x :: rest) -> Json.List (f x :: rest)
+    | _ -> Alcotest.fail "expected a non-empty list"
+  in
+  List.iter
+    (fun (what, edit) ->
+      Alcotest.(check bool)
+        (what ^ " / Summary.leak_of_json")
+        true
+        (Result.is_error (Summary.leak_of_json (edit leak))))
+    [
+      ("non-list nodes", field "nodes" (fun _ -> Some (Json.Obj [])));
+      ( "a node with a string pc",
+        field "nodes" (fun ns ->
+            Some (first (field "pc" (fun _ -> Some (Json.String "7"))) ns)) );
+      ( "an edge without dst",
+        field "edges" (fun es -> Some (first (field "dst" (fun _ -> None)) es)) );
+      ("no chains", field "chains" (fun _ -> None));
+      ("another kind", field "kind" (fun _ -> Some (Json.String "levioso-runs")));
     ]
 
 (* --- HTML golden ------------------------------------------------------ *)
@@ -179,14 +231,10 @@ let golden_matrix () =
   | Ok j -> j
   | Error msg -> Alcotest.failf "golden_matrix.json: %s" msg
 
-(* The leak graph of the stock Spectre-v1 gadget under unsafe, as
-   [levioso_sim -w spectre-v1 -p unsafe --leak-trace FILE.json] writes it. *)
-let spectre_leak () = Flowtrace.to_json (Test_flowtrace.run_spectre "unsafe")
-
 let test_html_golden () =
   List.iter
     (fun (golden_file, leak) ->
-      let html = Html_report.render_exn ?leak (golden_matrix ()) in
+      let html = render_ok ?leak (golden_matrix ()) in
       let golden = read_file golden_file in
       if not (String.equal html golden) then
         Alcotest.failf
@@ -200,14 +248,14 @@ let test_html_golden () =
               -p unsafe --leak-trace L.json"))
     [
       ("golden_report.html", None);
-      ("golden_report_leak.html", Some (spectre_leak ()));
+      ("golden_report_leak.html", Some (leak_ok (spectre_leak ())));
     ]
 
 let test_html_deterministic_and_total () =
   let m = golden_matrix () in
   Alcotest.(check string)
-    "two renders are byte-identical" (Html_report.render_exn m)
-    (Html_report.render_exn m);
+    "two renders are byte-identical" (render_ok m)
+    (render_ok m);
   (* a matrix straight out of the simulator renders too *)
   let runs =
     [
@@ -216,7 +264,7 @@ let test_html_deterministic_and_total () =
     ]
   in
   let html =
-    Html_report.render_exn (Schema.tag [ ("runs", Json.List runs) ])
+    render_ok (Schema.tag [ ("runs", Json.List runs) ])
   in
   Alcotest.(check bool) "has doctype" true
     (String.length html > 15 && String.sub html 0 15 = "<!DOCTYPE html>");
@@ -316,7 +364,7 @@ let test_sampled_runs_report_estimate () =
   Alcotest.(check (list int)) "read_runs carries the estimates"
     [ base_est; lev_est ]
     (List.map (fun (r : Summary.run) -> r.cycles) (read_runs_ok matrix));
-  let html = Html_report.render_exn matrix in
+  let html = render_ok matrix in
   List.iter
     (fun (policy, est) ->
       Alcotest.(check bool)

@@ -702,6 +702,54 @@ let test_frame_cap () =
       Client.ping c;
       Client.close c)
 
+(* [levioso_serve stress] sends its whole sweep as one submit frame: the
+   largest sweep must be cells the daemon accepts, in a frame it reads.
+   The bound is checked with the longest workload and policy names the
+   catalog has, and the longest id and trace a client can mint (the
+   largest Linux pid). *)
+let test_stress_sweep_bound () =
+  let longest names =
+    List.fold_left
+      (fun a b -> if String.length b > String.length a then b else a)
+      "" names
+  in
+  let workload = longest (Catalog.workload_names ())
+  and policy = longest (Catalog.policies ()) in
+  let cells = Client.sweep ~workload ~policy Client.max_sweep in
+  Alcotest.(check int) "one cell per ROB size from 64 to the largest"
+    (Config.largest.Config.rob_size - 63)
+    (List.length cells);
+  List.iter
+    (fun (c : Protocol.cell) ->
+      match Config.validate c.Protocol.config with
+      | Ok () -> ()
+      | Error msg ->
+        Alcotest.failf "ROB %d: %s" c.Protocol.config.Config.rob_size msg)
+    cells;
+  let frame =
+    Json.to_string ~minify:true
+      (Protocol.request_to_json
+         (Protocol.Submit
+            {
+              id = "req-4194304-4194304";
+              cache = false;
+              trace = Some "tr-4194304-4194304";
+              cells;
+            }))
+  in
+  let bytes = String.length frame + 1 in
+  Printf.printf "%d cells of %s/%s: a %d-byte frame\n" Client.max_sweep
+    workload policy bytes;
+  if bytes > Protocol.max_frame_bytes then
+    Alcotest.failf "%d cells of %s/%s take %d bytes, over the %d-byte cap"
+      Client.max_sweep workload policy bytes Protocol.max_frame_bytes;
+  List.iter
+    (fun n ->
+      match Client.sweep ~workload ~policy n with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "a sweep of %d cells was built" n)
+    [ 0; Client.max_sweep + 1 ]
+
 let suite =
   ( "serve",
     [
@@ -738,4 +786,6 @@ let suite =
         test_oversized_config_cell;
       Alcotest.test_case "daemon: over-cap frame is refused" `Quick
         test_frame_cap;
+      Alcotest.test_case "stress: the largest sweep fits one frame" `Quick
+        test_stress_sweep_bound;
     ] )

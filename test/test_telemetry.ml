@@ -4,6 +4,7 @@
    reports rely on. *)
 
 module Json = Levioso_telemetry.Json
+module Hostprof = Levioso_telemetry.Hostprof
 module Monitor = Levioso_telemetry.Monitor
 module Stall = Levioso_telemetry.Stall
 module Trace = Levioso_telemetry.Trace
@@ -577,6 +578,21 @@ let test_schema_check_sweep () =
           (contains msg what && contains msg "missing schema_version"))
     artifacts
 
+(* --- Hostprof ----------------------------------------------------- *)
+
+(* A span counts the thunk's words and none of [measure]'s own: an empty
+   span reads 0 on every word counter, and one [ref] is its two words
+   (header and field). *)
+let test_hostprof_own_words () =
+  let words (s : Hostprof.span) =
+    (s.minor_words, s.promoted_words, s.major_words)
+  in
+  let w3 = Alcotest.(triple (float 0.) (float 0.) (float 0.)) in
+  Alcotest.check w3 "empty span: minor, promoted, major" (0., 0., 0.)
+    (words (snd (Hostprof.measure ignore)));
+  let _, one_ref = Hostprof.measure (fun () -> Sys.opaque_identity (ref 0)) in
+  Alcotest.(check (float 0.)) "one ref: minor words" 2. one_ref.minor_words
+
 let suite =
   ( "telemetry",
     [
@@ -616,6 +632,8 @@ let suite =
         test_monitor_histogram_exposition;
       Alcotest.test_case "monitor process self-metrics" `Quick
         test_monitor_process_metrics;
+      Alcotest.test_case "hostprof counts none of its own words" `Quick
+        test_hostprof_own_words;
       Alcotest.test_case "schema sweep over every artifact" `Quick
         test_schema_check_sweep;
     ] )

@@ -372,8 +372,8 @@ let test_dashboard_deterministic () =
     | Ok html -> html
     | Error msg -> Alcotest.fail msg
   in
-  Alcotest.(check string) "re-render byte-identical" html
-    (Dashboard.render_exn records);
+  Alcotest.(check (result string string))
+    "re-render byte-identical" (Ok html) (Dashboard.render records);
   let golden =
     In_channel.with_open_bin "golden_dashboard.html" In_channel.input_all
   in
