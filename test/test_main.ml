@@ -27,6 +27,7 @@ let () =
       Test_run_cache.suite;
       Test_tsdb.suite;
       Test_serve.suite;
+      Test_decode.suite;
       Test_predictor.suite;
       Test_tage.suite;
       Test_cache.suite;
