@@ -178,63 +178,48 @@ let fmt_uptime s =
   else Printf.sprintf "%ds" s
 
 let render_stats socket j =
-  let num name =
-    match Json.member name j with
-    | Some (Json.Int n) -> float_of_int n
-    | Some (Json.Float f) -> f
-    | _ -> 0.
+  let int k o = Json.(get to_int_exn) k o in
+  let gauge k = int_of_float (Json.(get (get to_float_exn k)) "gauges" j) in
+  (* an empty window has no percentiles *)
+  let dur k s =
+    Json.get (function Json.Null -> "-" | v -> fmt_dur (Json.to_float_exn v)) k s
   in
-  let int_ name = int_of_float (num name) in
-  let gauge name =
-    match Option.bind (Json.member "gauges" j) (Json.member name) with
-    | Some (Json.Float f) -> int_of_float f
-    | Some (Json.Int n) -> n
-    | _ -> 0
+  let stage name s =
+    [
+      name; string_of_int (int "seen" s); string_of_int (int "window" s);
+      dur "p50_s" s; dur "p95_s" s; dur "p99_s" s;
+    ]
   in
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "levioso_serve @ %s — up %s, proto %d, pool %d, cache %s\n" socket
-    (fmt_uptime (num "uptime_s"))
-    (int_ "proto") (int_ "pool")
-    (match Json.member "cache" j with
-    | Some (Json.Bool true) -> "on"
-    | _ -> "off");
-  Printf.bprintf buf
-    "requests %d   errors %d   clients %d   queue %d   inflight %d\n"
-    (int_ "requests") (int_ "errors") (gauge "serve_clients")
-    (gauge "serve_queue_depth")
-    (gauge "serve_inflight");
-  Printf.bprintf buf "cells: %d simulated, %d cached, %d merged\n\n"
-    (gauge "serve_cells_simulated")
-    (gauge "serve_cells_cached")
-    (gauge "serve_cells_merged");
-  let header = [ "stage"; "seen"; "window"; "p50"; "p95"; "p99" ] in
-  let rows =
-    match Json.member "latency" j with
-    | Some (Json.Obj stages) ->
-      List.map
-        (fun (stage, sj) ->
-          let dur name =
-            match Json.member name sj with
-            | Some (Json.Float v) -> fmt_dur v
-            | Some (Json.Int v) -> fmt_dur (float_of_int v)
-            | _ -> "-"
-          in
-          let count name =
-            match Json.member name sj with
-            | Some (Json.Int v) -> string_of_int v
-            | _ -> "0"
-          in
-          [
-            stage; count "seen"; count "window"; dur "p50_s"; dur "p95_s";
-            dur "p99_s";
-          ])
-        stages
-    | _ -> []
+  let stages = function
+    | Json.Obj kvs as lat ->
+      List.map (fun (name, _) -> Json.get (stage name) name lat) kvs
+    | _ -> invalid_arg "not an object"
   in
-  Buffer.add_string buf (Report.table ~header ~rows);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let render j =
+    let buf = Buffer.create 512 in
+    Printf.bprintf buf
+      "levioso_serve @ %s — up %s, proto %d, pool %d, cache %s\n" socket
+      (fmt_uptime (Json.(get to_float_exn) "uptime_s" j))
+      (int "proto" j) (int "pool" j)
+      (if Json.(get to_bool_exn) "cache" j then "on" else "off");
+    Printf.bprintf buf
+      "requests %d   errors %d   clients %d   queue %d   inflight %d\n"
+      (int "requests" j) (int "errors" j) (gauge "serve_clients")
+      (gauge "serve_queue_depth")
+      (gauge "serve_inflight");
+    Printf.bprintf buf "cells: %d simulated, %d cached, %d merged\n\n"
+      (gauge "serve_cells_simulated")
+      (gauge "serve_cells_cached")
+      (gauge "serve_cells_merged");
+    let header = [ "stage"; "seen"; "window"; "p50"; "p95"; "p99" ] in
+    Buffer.add_string buf
+      (Report.table ~header ~rows:(Json.get stages "latency" j));
+    Buffer.add_char buf '\n';
+    Buffer.contents buf
+  in
+  match Json.decoded render j with
+  | Ok text -> text
+  | Error msg -> raise (Client.Server_error ("malformed stats frame: " ^ msg))
 
 (* ---------- submit ---------- *)
 
@@ -481,7 +466,7 @@ let cache_dir_arg =
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
           "Sharded result store shared by every client of this daemon \
-           (created, and any flat legacy entries migrated, on start).")
+           (created on the first store).")
 
 let no_cache_arg =
   Arg.(

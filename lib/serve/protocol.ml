@@ -170,189 +170,102 @@ let response_to_json = function
 
 (* --- decoding --------------------------------------------------------- *)
 
-let ( let* ) = Result.bind
+let str k j = Json.(get to_string_exn) k j
+let int k j = Json.(get to_int_exn) k j
+let bool k j = Json.(get to_bool_exn) k j
+let num k j = Json.(get to_float_exn) k j
 
-let check_frame j =
-  match Json.member "frame" j with
-  | Some (Json.String tag) when tag = frame_tag -> (
-    match Json.member "type" j with
-    | Some (Json.String ty) -> Ok ty
-    | Some _ | None -> Error "frame has no \"type\" field")
-  | Some (Json.String tag) ->
-    Error
+(* The optional fields ([trace], [error], [failed] and the history
+   bounds) were added after v1 shipped: absent on frames from older peers
+   (both directions keep working), malformed still rejected. *)
+let opt conv k j = Json.get ~default:None (fun v -> Some (conv v)) k j
+
+let frame_type j =
+  let tag = str "frame" j in
+  if tag <> frame_tag then
+    invalid_arg
       (Printf.sprintf "protocol mismatch: got %S, this side speaks %S" tag
-         frame_tag)
-  | Some _ | None -> Error "not a levioso-serve frame (missing \"frame\" tag)"
+         frame_tag);
+  str "type" j
 
-let string_field j name =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | Some _ | None ->
-    Error (Printf.sprintf "frame field %S is missing or not a string" name)
+let cell_of j =
+  let sample v = Json.(ok_exn (Sampler.parse (to_string_exn v))) in
+  {
+    workload = str "workload" j;
+    policy = str "policy" j;
+    audit = bool "audit" j;
+    sample = Json.get sample "sample" j;
+    config = Json.get (fun c -> Json.ok_exn (Config.of_json c)) "config" j;
+  }
 
-let int_field j name =
-  match Json.member name j with
-  | Some (Json.Int n) -> Ok n
-  | Some _ | None ->
-    Error (Printf.sprintf "frame field %S is missing or not an integer" name)
+let cell_of_json = Json.decoded cell_of
 
-let float_field j name =
-  match Json.member name j with
-  | Some (Json.Int n) -> Ok (float_of_int n)
-  | Some (Json.Float f) -> Ok f
-  | Some _ | None ->
-    Error (Printf.sprintf "frame field %S is missing or not a number" name)
+let request_of_json =
+  Json.decoded (fun j ->
+      match frame_type j with
+      | "list" -> List
+      | "ping" -> Ping
+      | "stats" -> Stats
+      | "shutdown" -> Shutdown
+      | "prune" -> Prune (int "days" j)
+      | "submit" ->
+        Submit
+          {
+            id = str "id" j;
+            cache = bool "cache" j;
+            trace = opt Json.to_string_exn "trace" j;
+            cells = Json.(get (each cell_of)) "cells" j;
+          }
+      | "history" ->
+        History
+          {
+            since = opt Json.to_float_exn "since" j;
+            until = opt Json.to_float_exn "until" j;
+            last = Json.(get ~default:0 to_int_exn) "last" j;
+          }
+      | ty -> invalid_arg (Printf.sprintf "unknown request type %S" ty))
 
-let bool_field j name =
-  match Json.member name j with
-  | Some (Json.Bool b) -> Ok b
-  | Some _ | None ->
-    Error (Printf.sprintf "frame field %S is missing or not a boolean" name)
-
-(* Optional fields added after v1 shipped: absent on frames from older
-   peers (both directions keep working), malformed still rejected. *)
-let opt_string_field j name =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok (Some s)
-  | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "frame field %S is not a string" name)
-
-let int_field_default j name ~default =
-  match Json.member name j with
-  | Some (Json.Int n) -> Ok n
-  | None -> Ok default
-  | Some _ -> Error (Printf.sprintf "frame field %S is not an integer" name)
-
-let opt_float_field j name =
-  match Json.member name j with
-  | Some (Json.Float f) -> Ok (Some f)
-  | Some (Json.Int n) -> Ok (Some (float_of_int n))
-  | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "frame field %S is not a number" name)
-
-let cell_of_json j =
-  let* workload = string_field j "workload" in
-  let* policy = string_field j "policy" in
-  let* audit = bool_field j "audit" in
-  let* sample_str = string_field j "sample" in
-  let* sample = Sampler.parse sample_str in
-  let* config =
-    match Json.member "config" j with
-    | Some c -> Config.of_json c
-    | None -> Error "cell has no \"config\""
-  in
-  Ok { config; workload; policy; audit; sample }
-
-let request_of_json j =
-  let* ty = check_frame j in
-  match ty with
-  | "list" -> Ok List
-  | "ping" -> Ok Ping
-  | "stats" -> Ok Stats
-  | "shutdown" -> Ok Shutdown
-  | "prune" ->
-    let* days = int_field j "days" in
-    Ok (Prune days)
-  | "submit" ->
-    let* id = string_field j "id" in
-    let* cache = bool_field j "cache" in
-    let* trace = opt_string_field j "trace" in
-    let* cells =
-      match Json.member "cells" j with
-      | Some (Json.List l) ->
-        List.fold_left
-          (fun acc c ->
-            let* acc = acc in
-            let* cell = cell_of_json c in
-            Ok (cell :: acc))
-          (Ok []) l
-        |> Result.map List.rev
-      | Some _ | None -> Error "submit has no \"cells\" list"
-    in
-    Ok (Submit { id; cache; trace; cells })
-  | "history" ->
-    let* since = opt_float_field j "since" in
-    let* until = opt_float_field j "until" in
-    let* last = int_field_default j "last" ~default:0 in
-    Ok (History { since; until; last })
-  | ty -> Error (Printf.sprintf "unknown request type %S" ty)
-
-let response_of_json j =
-  let* ty = check_frame j in
-  match ty with
-  | "hello" ->
-    let* proto = int_field j "proto" in
-    let* pool = int_field j "pool" in
-    let* cache = bool_field j "cache" in
-    Ok (Hello { proto; pool; cache })
-  | "listing" ->
-    let* workloads =
-      match Json.member "workloads" j with
-      | Some (Json.List l) ->
-        List.fold_left
-          (fun acc w ->
-            let* acc = acc in
-            let* name = string_field w "name" in
-            let* description = string_field w "description" in
-            Ok ((name, description) :: acc))
-          (Ok []) l
-        |> Result.map List.rev
-      | Some _ | None -> Error "listing has no \"workloads\""
-    in
-    let* policies =
-      match Json.member "policies" j with
-      | Some (Json.List l) ->
-        List.fold_left
-          (fun acc p ->
-            let* acc = acc in
-            match p with
-            | Json.String s -> Ok (s :: acc)
-            | _ -> Error "listing policy is not a string")
-          (Ok []) l
-        |> Result.map List.rev
-      | Some _ | None -> Error "listing has no \"policies\""
-    in
-    Ok (Listing { workloads; policies })
-  | "ack" ->
-    let* id = string_field j "id" in
-    let* cells = int_field j "cells" in
-    Ok (Ack { id; cells })
-  | "result" ->
-    let* id = string_field j "id" in
-    let* index = int_field j "index" in
-    let* source = string_field j "source" in
-    let* error = opt_string_field j "error" in
-    let* wall_s = float_field j "wall_s" in
-    let* summary =
-      match Json.member "summary" j with
-      | Some s -> Ok s
-      | None -> Error "result has no \"summary\""
-    in
-    Ok (Result { id; index; source; wall_s; summary; error })
-  | "done" ->
-    let* id = string_field j "id" in
-    let* simulated = int_field j "simulated" in
-    let* cached = int_field j "cached" in
-    let* failed = int_field_default j "failed" ~default:0 in
-    let* wall_s = float_field j "wall_s" in
-    Ok (Done { id; stats = { simulated; cached; failed; wall_s } })
-  | "pruned" ->
-    let* removed = int_field j "removed" in
-    Ok (Pruned removed)
-  | "stats" -> (
-    match Json.member "snapshot" j with
-    | Some s -> Ok (Stats_snapshot s)
-    | None -> Error "stats has no \"snapshot\"")
-  | "history" -> (
-    match Json.member "data" j with
-    | Some d -> Ok (History_data d)
-    | None -> Error "history has no \"data\"")
-  | "pong" -> Ok Pong
-  | "error" ->
-    let* msg = string_field j "message" in
-    Ok (Error msg)
-  | "bye" -> Ok Bye
-  | ty -> Error (Printf.sprintf "unknown response type %S" ty)
+let response_of_json =
+  Json.decoded (fun j ->
+      match frame_type j with
+      | "hello" ->
+        Hello
+          { proto = int "proto" j; pool = int "pool" j; cache = bool "cache" j }
+      | "listing" ->
+        let workload w = (str "name" w, str "description" w) in
+        Listing
+          {
+            workloads = Json.(get (each workload)) "workloads" j;
+            policies = Json.(get (each to_string_exn)) "policies" j;
+          }
+      | "ack" -> Ack { id = str "id" j; cells = int "cells" j }
+      | "result" ->
+        Result
+          {
+            id = str "id" j;
+            index = int "index" j;
+            source = str "source" j;
+            error = opt Json.to_string_exn "error" j;
+            wall_s = num "wall_s" j;
+            summary = Json.get Fun.id "summary" j;
+          }
+      | "done" ->
+        let stats =
+          {
+            simulated = int "simulated" j;
+            cached = int "cached" j;
+            failed = Json.(get ~default:0 to_int_exn) "failed" j;
+            wall_s = num "wall_s" j;
+          }
+        in
+        Done { id = str "id" j; stats }
+      | "pruned" -> Pruned (int "removed" j)
+      | "stats" -> Stats_snapshot (Json.get Fun.id "snapshot" j)
+      | "history" -> History_data (Json.get Fun.id "data" j)
+      | "pong" -> Pong
+      | "error" -> Error (str "message" j)
+      | "bye" -> Bye
+      | ty -> invalid_arg (Printf.sprintf "unknown response type %S" ty))
 
 (* --- history documents ------------------------------------------------
 
@@ -376,17 +289,10 @@ let history_doc records =
     ]
 
 let history_records j =
-  let* () = Schema.check ~what:"history document" j in
-  match Json.member "records" j with
-  | Some (Json.List l) ->
-    List.fold_left
-      (fun acc r ->
-        let* acc = acc in
-        let* record = Tsdb.record_of_json r in
-        Ok (record :: acc))
-      (Ok []) l
-    |> Result.map List.rev
-  | Some _ | None -> Error "history document has no \"records\" list"
+  Result.bind (Schema.check ~what:"history document" j) (fun () ->
+      Json.decoded
+        Json.(get (each (fun r -> ok_exn (Tsdb.record_of_json r))) "records")
+        j)
 
 (* --- framing ----------------------------------------------------------
 

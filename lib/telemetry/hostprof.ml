@@ -23,20 +23,21 @@ let zero =
    domain's own counters (minor words from the live allocation pointer,
    so short spans still see their allocation); quick_stat's
    promoted/major words also take in other domains' allocation.  A minor
-   collection on each side of the span, outside its clock, flushes the
-   young generation, so the words promoted inside the span are exactly
-   the span's own survivors and [minor + major - promoted] is the span's
-   allocation, whatever ran before it or beside it. *)
+   collection on each side of the span, outside its clock and its
+   collection counts, flushes the young generation, so the words
+   promoted inside the span are exactly the span's own survivors and
+   [minor + major - promoted] is the span's allocation, whatever ran
+   before it or beside it. *)
 let measure_less own f =
-  let g0 = Gc.quick_stat () in
   Gc.minor ();
+  let g0 = Gc.quick_stat () in
   let m0, p0, j0 = Gc.counters () in
   let t0 = Unix.gettimeofday () in
   let x = f () in
   let t1 = Unix.gettimeofday () in
+  let g1 = Gc.quick_stat () in
   Gc.minor ();
   let m1, p1, j1 = Gc.counters () in
-  let g1 = Gc.quick_stat () in
   ( x,
     {
       wall_s = t1 -. t0;
@@ -49,9 +50,10 @@ let measure_less own f =
     } )
 
 (* The first [Gc.counters] call allocates its result (a tuple of boxed
-   floats) after reading the counters, and the span keeps it into the
-   second minor collection.  That cost does not depend on the thunk, so
-   an empty span, measured once here, is exactly what to subtract. *)
+   floats) after reading the counters, the closing [Gc.quick_stat]
+   allocates its record inside the span, and the span keeps both into
+   the second minor collection.  That cost does not depend on the thunk,
+   so an empty span, measured once here, is exactly what to subtract. *)
 let own = snd (measure_less zero ignore)
 let measure f = measure_less own f
 

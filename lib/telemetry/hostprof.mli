@@ -6,7 +6,8 @@
     domain the word counts of a deterministic computation are exact and
     repeatable, which is what tier-1's allocation pin
     ([test/golden_alloc_quick.txt]) relies on.  The words [measure]
-    allocates itself are left out, so [measure ignore] reads 0 words.
+    allocates itself and its two collections are left out, so
+    [measure ignore] reads 0 words and 0 collections.
     Wall clock is not repeatable, which is why [host] sections
     are kept out of the byte-compared simulation artifacts and only
     attached to timing-oriented ones ([BENCH_matrix.json] cells,

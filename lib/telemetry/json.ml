@@ -192,7 +192,8 @@ let parse_number c =
   let text = String.sub c.src start (c.pos - start) in
   if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') text then
     match float_of_string_opt text with
-    | Some f -> Float f
+    | Some f when Float.is_finite f -> Float f
+    | Some _ -> error c ("number out of range " ^ text)
     | None -> error c ("bad number " ^ text)
   else
     match int_of_string_opt text with
@@ -274,7 +275,11 @@ let of_string_exn s =
   | Ok v -> v
   | Error msg -> invalid_arg ("Json.of_string_exn: " ^ msg)
 
-(* --- accessors ------------------------------------------------------- *)
+(* --- decoding ----------------------------------------------------------
+
+   A decoder is plain code over the [_exn] converters; a failure is an
+   [Invalid_argument] whose message grows a path prefix at each [get] and
+   [each] it passes through, and [decoded] turns it into an [Error]. *)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
@@ -283,21 +288,55 @@ let member key = function
 let member_exn key v =
   match member key v with
   | Some x -> x
-  | None -> invalid_arg ("Json.member_exn: no field " ^ key)
+  | None -> invalid_arg (Printf.sprintf "%S: missing" key)
 
 let to_list_exn = function
   | List items -> items
-  | _ -> invalid_arg "Json.to_list_exn: not a list"
+  | _ -> invalid_arg "not a list"
 
 let to_int_exn = function
   | Int i -> i
-  | _ -> invalid_arg "Json.to_int_exn: not an int"
+  | _ -> invalid_arg "not an int"
 
 let to_float_exn = function
   | Float f -> f
   | Int i -> float_of_int i
-  | _ -> invalid_arg "Json.to_float_exn: not a number"
+  | _ -> invalid_arg "not a number"
 
 let to_string_exn = function
   | String s -> s
-  | _ -> invalid_arg "Json.to_string_exn: not a string"
+  | _ -> invalid_arg "not a string"
+
+let to_bool_exn = function
+  | Bool b -> b
+  | _ -> invalid_arg "not a bool"
+
+let obj = function
+  | Obj _ as o -> o
+  | _ -> invalid_arg "not an object"
+
+let ok_exn = function
+  | Ok v -> v
+  | Error msg -> invalid_arg msg
+
+(* An entry's index joins its list's key without a separator:
+   [cells[2]: "rob_size": not an int]. *)
+let get ?default conv key j =
+  match (member key j, default) with
+  | Some v, _ -> (
+    try conv v
+    with Invalid_argument msg ->
+      invalid_arg
+        (if String.starts_with ~prefix:"[" msg then key ^ msg
+         else Printf.sprintf "%S: %s" key msg))
+  | None, Some d -> d
+  | None, None -> invalid_arg (Printf.sprintf "%S: missing" key)
+
+let each conv v =
+  List.mapi
+    (fun i entry ->
+      try conv entry
+      with Invalid_argument msg -> invalid_arg (Printf.sprintf "[%d]: %s" i msg))
+    (to_list_exn v)
+
+let decoded f j = try Ok (f j) with Invalid_argument msg -> Error msg

@@ -35,12 +35,41 @@ val of_string : string -> (t, string) result
 (** A small recursive-descent parser for the subset this module prints
     (all of JSON except unicode escapes beyond \uXXXX for BMP points).
     Numbers with a fraction or exponent parse as [Float], others as
-    [Int]. *)
+    [Int].  A number that overflows to ±infinity (say [1e999]) is an
+    error, so every parsed tree prints again. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on parse errors. *)
 
-(** {1 Accessors} (for tests and report post-processing) *)
+(** {1 Decoding}
+
+    Every document the programs read back (run summaries, run-cache
+    entries, wire frames, configs, tsdb records) is decoded with these.
+    A decoder is written with the raising converters below and {!get};
+    a failure raises [Invalid_argument] with a message naming the field
+    and its path ([cells[2]: "config": "rob_size": not an int]), and
+    {!decoded} at the entry point turns it into an [Error]. *)
+
+val decoded : (t -> 'a) -> t -> ('a, string) result
+(** [decoded f j] is [Ok (f j)], or [Error msg] when [f] raises
+    [Invalid_argument msg]. *)
+
+val get : ?default:'a -> (t -> 'a) -> string -> t -> 'a
+(** [get conv key j] is field [key] of [j] through [conv], a failure of
+    [conv] prefixed with the key.  [default] stands in for an absent
+    field, never for a malformed one; without it an absent field fails
+    as ["key": missing]. *)
+
+val each : (t -> 'a) -> t -> 'a list
+(** [conv] over a list's entries, a failure naming the entry by its
+    index: [get (each conv) "cells"] fails as [cells[2]: …]. *)
+
+val obj : t -> t
+(** The value itself when it is an [Obj]. *)
+
+val ok_exn : ('a, string) result -> 'a
+(** The [Ok] value; an [Error msg] fails as [msg], for a decoder that
+    reuses one returning a result. *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on missing field or non-object. *)
@@ -52,3 +81,6 @@ val to_float_exn : t -> float
 (** [to_float_exn] accepts both [Int] and [Float]. *)
 
 val to_string_exn : t -> string
+val to_bool_exn : t -> bool
+(** The converters raise [Invalid_argument] on a value of another
+    type. *)

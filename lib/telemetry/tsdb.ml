@@ -34,44 +34,33 @@ let alert_to_json a =
       ("state", Json.String (if a.firing then "firing" else "resolved"));
     ]
 
-let record_of_json j =
-  let ( let* ) = Result.bind in
-  let* () = Schema.check ~what:"tsdb record" j in
-  let str_field name =
-    match Json.member name j with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "tsdb record: missing %S field" name)
+let record_of j =
+  let str k = Json.(get to_string_exn) k j in
+  (* a sample keeps its numeric fields and skips the rest *)
+  let numeric = function
+    | Json.Obj kvs ->
+      List.filter_map
+        (fun (k, v) ->
+          match v with
+          | Json.Float f -> Some (k, f)
+          | Json.Int i -> Some (k, float_of_int i)
+          | _ -> None)
+        kvs
+    | _ -> invalid_arg "not an object"
   in
-  let float_field name =
-    match Json.member name j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "tsdb record: missing %S field" name)
-  in
-  let* kind = str_field "kind" in
-  let* ts = float_field "ts" in
-  if kind = sample_kind then
-    match Json.member "fields" j with
-    | Some (Json.Obj kvs) ->
-        let fields =
-          List.filter_map
-            (fun (k, v) ->
-              match v with
-              | Json.Float f -> Some (k, f)
-              | Json.Int i -> Some (k, float_of_int i)
-              | _ -> None)
-            kvs
-        in
-        Ok (Sample { ts; fields })
-    | _ -> Error "tsdb sample: missing \"fields\" object"
+  let kind = str "kind" in
+  let ts = Json.(get to_float_exn) "ts" j in
+  if kind = sample_kind then Sample { ts; fields = Json.get numeric "fields" j }
   else if kind = alert_kind then
-    let* rule = str_field "rule" in
-    let* state = str_field "state" in
-    match state with
-    | "firing" -> Ok (Alert { a_ts = ts; rule; firing = true })
-    | "resolved" -> Ok (Alert { a_ts = ts; rule; firing = false })
-    | s -> Error (Printf.sprintf "tsdb alert: unknown state %S" s)
-  else Error (Printf.sprintf "tsdb record: unknown kind %S" kind)
+    let rule = str "rule" in
+    match str "state" with
+    | "firing" -> Alert { a_ts = ts; rule; firing = true }
+    | "resolved" -> Alert { a_ts = ts; rule; firing = false }
+    | s -> invalid_arg (Printf.sprintf "tsdb alert: unknown state %S" s)
+  else invalid_arg (Printf.sprintf "tsdb record: unknown kind %S" kind)
+
+let record_of_json j =
+  Result.bind (Schema.check ~what:"tsdb record" j) (fun () -> Json.decoded record_of j)
 
 let record_ts = function Sample s -> s.ts | Alert a -> a.a_ts
 let samples records = List.filter_map (function Sample s -> Some s | Alert _ -> None) records
@@ -178,13 +167,10 @@ let file_last_ts path =
      while true do
        let line = input_line ic in
        if String.trim line <> "" then
-         match Json.of_string line with
-         | Ok j -> (
-             match Json.member "ts" j with
-             | Some (Json.Float f) -> last := f
-             | Some (Json.Int i) -> last := float_of_int i
-             | _ -> ())
-         | Error _ -> ()
+         Result.iter
+           (fun ts -> last := ts)
+           (Result.bind (Json.of_string line)
+              (Json.decoded Json.(get to_float_exn "ts")))
      done
    with End_of_file -> ());
   close_in ic;

@@ -135,79 +135,40 @@ let to_json t =
       ("depset_budget", Json.Int t.depset_budget);
     ]
 
-let of_json j =
-  let ( let* ) = Result.bind in
-  let int_field obj name =
-    match Json.member name obj with
-    | Some (Json.Int n) -> Ok n
-    | Some _ -> Error (Printf.sprintf "config field %S is not an integer" name)
-    | None -> Error (Printf.sprintf "config field %S is missing" name)
+let of_json =
+  let int k j = Json.(get to_int_exn) k j in
+  let geometry g =
+    {
+      sets = int "sets" g;
+      ways = int "ways" g;
+      line_words = int "line_words" g;
+      hit_latency = int "hit_latency" g;
+    }
   in
-  let bool_field obj name =
-    match Json.member name obj with
-    | Some (Json.Bool b) -> Ok b
-    | Some _ | None ->
-      Error (Printf.sprintf "config field %S is missing or not a boolean" name)
-  in
-  let geometry_field obj name =
-    match Json.member name obj with
-    | Some (Json.Obj _ as g) ->
-      let* sets = int_field g "sets" in
-      let* ways = int_field g "ways" in
-      let* line_words = int_field g "line_words" in
-      let* hit_latency = int_field g "hit_latency" in
-      Ok { sets; ways; line_words; hit_latency }
-    | Some _ | None ->
-      Error (Printf.sprintf "config field %S is missing or not an object" name)
-  in
-  match j with
-  | Json.Obj _ ->
-    let* rob_size = int_field j "rob_size" in
-    let* fetch_width = int_field j "fetch_width" in
-    let* issue_width = int_field j "issue_width" in
-    let* commit_width = int_field j "commit_width" in
-    let* alu_latency = int_field j "alu_latency" in
-    let* mul_latency = int_field j "mul_latency" in
-    let* div_latency = int_field j "div_latency" in
-    let* branch_exec_latency = int_field j "branch_exec_latency" in
-    let* redirect_penalty = int_field j "redirect_penalty" in
-    let* forward_latency = int_field j "forward_latency" in
-    let* l1 = geometry_field j "l1" in
-    let* l2 = geometry_field j "l2" in
-    let* memory_latency = int_field j "memory_latency" in
-    let* mshrs = int_field j "mshrs" in
-    let* next_line_prefetch = bool_field j "next_line_prefetch" in
-    let* mem_words = int_field j "mem_words" in
-    let* predictor =
-      match Json.member "predictor" j with
-      | Some (Json.String s) -> predictor_kind_of_string s
-      | Some _ | None -> Error "config field \"predictor\" is missing or not a string"
-    in
-    let* predictor_bits = int_field j "predictor_bits" in
-    let* depset_budget = int_field j "depset_budget" in
-    Ok
+  let predictor v = Json.(ok_exn (predictor_kind_of_string (to_string_exn v))) in
+  Json.decoded (fun j ->
+      let j = Json.obj j in
       {
-        rob_size;
-        fetch_width;
-        issue_width;
-        commit_width;
-        alu_latency;
-        mul_latency;
-        div_latency;
-        branch_exec_latency;
-        redirect_penalty;
-        forward_latency;
-        l1;
-        l2;
-        memory_latency;
-        mshrs;
-        next_line_prefetch;
-        mem_words;
-        predictor;
-        predictor_bits;
-        depset_budget;
-      }
-  | _ -> Error "config is not a JSON object"
+        rob_size = int "rob_size" j;
+        fetch_width = int "fetch_width" j;
+        issue_width = int "issue_width" j;
+        commit_width = int "commit_width" j;
+        alu_latency = int "alu_latency" j;
+        mul_latency = int "mul_latency" j;
+        div_latency = int "div_latency" j;
+        branch_exec_latency = int "branch_exec_latency" j;
+        redirect_penalty = int "redirect_penalty" j;
+        forward_latency = int "forward_latency" j;
+        l1 = Json.get geometry "l1" j;
+        l2 = Json.get geometry "l2" j;
+        memory_latency = int "memory_latency" j;
+        mshrs = int "mshrs" j;
+        next_line_prefetch = Json.(get to_bool_exn) "next_line_prefetch" j;
+        mem_words = int "mem_words" j;
+        predictor = Json.get predictor "predictor" j;
+        predictor_bits = int "predictor_bits" j;
+        depset_budget = int "depset_budget" j;
+      })
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 

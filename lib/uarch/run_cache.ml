@@ -23,12 +23,7 @@ let rec mkdir_p dir =
    Entries live under [dir/<shard>/<workload>__<policy>__<digest16>.json]
    where <shard> is the first two hex characters of the 16-character key
    digest, so concurrent clients spread their directory operations over
-   256 subdirectories instead of contending on one.  Pre-shard caches
-   kept everything flat in [dir]; [create] migrates those entries by
-   renaming them into their shard (a lost rename race just means another
-   process migrated the file first), and [find] still falls back to the
-   flat path so an entry written by an old binary mid-migration is a hit
-   rather than a re-simulation. *)
+   256 subdirectories instead of contending on one. *)
 
 let shard_chars = 2
 
@@ -47,7 +42,7 @@ let entry_key t ~config ~workload ~policy =
 let entry_name ~workload ~policy key16 =
   Printf.sprintf "%s__%s__%s.json" workload policy key16
 
-(* [Some digest16] for names of the entry shape, flat or sharded. *)
+(* [Some digest16] for names of the entry shape. *)
 let key_of_entry_name name =
   if not (Filename.check_suffix name ".json") then None
   else
@@ -60,34 +55,12 @@ let key_of_entry_name name =
       let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
       if sep = "__" && String.for_all is_hex key then Some key else None
 
-let migrate_flat dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-    Array.iter
-      (fun name ->
-        match key_of_entry_name name with
-        | None -> ()
-        | Some key -> (
-          let src = Filename.concat dir name in
-          (* Sys.is_directory raises if a concurrent migrator already
-             renamed src away; losing that race is fine, skip it. *)
-          try
-            if not (Sys.is_directory src) then begin
-              let shard_dir = Filename.concat dir (shard_of_key key) in
-              mkdir_p shard_dir;
-              Sys.rename src (Filename.concat shard_dir name)
-            end
-          with Sys_error _ -> ()))
-      entries
-
 let create ?stamp ~dir () =
   let stamp =
     match stamp with
     | Some s -> s
     | None -> code_stamp ()
   in
-  migrate_flat dir;
   { dir; stamp }
 
 let path t ~config ~workload ~policy =
@@ -95,10 +68,6 @@ let path t ~config ~workload ~policy =
   Filename.concat
     (Filename.concat t.dir (shard_of_key key))
     (entry_name ~workload ~policy key)
-
-let flat_path t ~config ~workload ~policy =
-  Filename.concat t.dir
-    (entry_name ~workload ~policy (entry_key t ~config ~workload ~policy))
 
 let read_entry file =
   match In_channel.with_open_bin file In_channel.input_all with
@@ -109,9 +78,7 @@ let read_entry file =
     | Error _ -> None)
 
 let find t ~config ~workload ~policy =
-  match read_entry (path t ~config ~workload ~policy) with
-  | Some _ as hit -> hit
-  | None -> read_entry (flat_path t ~config ~workload ~policy)
+  read_entry (path t ~config ~workload ~policy)
 
 (* Every store writes a process-and-call-unique temp file and renames it
    over the entry, so two writers racing on the same key each publish a
@@ -159,23 +126,15 @@ let prune ?now t ~max_age_days =
             if is_entry then incr removed
           with Sys_error _ -> ())
   in
-  let sweep dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> ()
-    | names -> Array.iter (fun n -> consider (Filename.concat dir n)) names
-  in
-  sweep t.dir;
-  (match Sys.readdir t.dir with
-  | exception Sys_error _ -> ()
-  | names ->
-    Array.iter
-      (fun n ->
-        if is_shard_dir t.dir n then begin
-          let shard = Filename.concat t.dir n in
-          sweep shard;
-          (* drop shards emptied by the sweep; losing the race to a
-             concurrent writer is fine (rmdir fails, the shard stays) *)
-          try Unix.rmdir shard with Unix.Unix_error _ -> ()
-        end)
-      names);
+  let names dir = try Sys.readdir dir with Sys_error _ -> [||] in
+  Array.iter
+    (fun n ->
+      if is_shard_dir t.dir n then begin
+        let shard = Filename.concat t.dir n in
+        Array.iter (fun f -> consider (Filename.concat shard f)) (names shard);
+        (* drop shards emptied by the sweep; losing the race to a
+           concurrent writer is fine (rmdir fails, the shard stays) *)
+        try Unix.rmdir shard with Unix.Unix_error _ -> ()
+      end)
+    (names t.dir);
   !removed

@@ -10,9 +10,7 @@
 
     Entries are sharded into 256 subdirectories by the first two hex
     characters of the key digest so many concurrent writers spread their
-    directory traffic; pre-shard flat caches are migrated transparently
-    on {!create} (and still hit through a flat-path fallback on
-    {!find}).
+    directory traffic.
 
     The payload is whatever {!Summary.of_pipeline} produced, stored and
     replayed verbatim, so a cache-served [--json] report is bit-identical
@@ -25,10 +23,7 @@ type t
 
 val create : ?stamp:string -> dir:string -> unit -> t
 (** [stamp] defaults to {!code_stamp}.  The directory is created lazily
-    on the first {!store}.  If [dir] already holds flat (pre-shard)
-    entries they are renamed into their shard subdirectories here;
-    concurrent migrations are safe (a lost rename means another process
-    moved the file first). *)
+    on the first {!store}. *)
 
 val code_stamp : unit -> string
 (** Digest of the running executable ([Sys.executable_name]), memoized.
@@ -46,8 +41,8 @@ val path : t -> config:Config.t -> workload:string -> policy:string -> string
 val find :
   t -> config:Config.t -> workload:string -> policy:string ->
   Levioso_telemetry.Json.t option
-(** [None] on missing, unreadable or unparsable entries.  Checks the
-    sharded path first, then the legacy flat path. *)
+(** [None] on missing, unreadable or unparsable entries (a number
+    out of float range, such as [1e999], is unparsable). *)
 
 val store :
   t -> config:Config.t -> workload:string -> policy:string ->
@@ -58,9 +53,10 @@ val store :
     and the last writer of a key wins. *)
 
 val prune : ?now:float -> t -> max_age_days:int -> int
-(** Delete entries whose mtime is older than [max_age_days] days (plus
-    any [.tmp] debris left by killed writers past the same horizon), and
-    remove shard directories emptied by the sweep.  Returns the number
+(** Delete entries in the shard directories whose mtime is older than
+    [max_age_days] days (plus any [.tmp] debris left by killed writers
+    past the same horizon), and remove shard directories emptied by the
+    sweep.  Returns the number
     of entries removed.  Deletion is a plain unlink, so concurrent
     readers of a pruned entry see an ordinary miss and concurrent
     writers are unaffected.  [now] (seconds since the epoch) defaults to

@@ -131,10 +131,10 @@ let to_json t =
       ("max_rob_occupancy", J.Int t.max_rob_occupancy);
     ]
 
-let of_json j =
+let of_json =
   let module J = Levioso_telemetry.Json in
-  match
-    let int k = J.to_int_exn (J.member_exn k j) in
+  J.decoded (fun j ->
+    let int k = J.(get to_int_exn) k j in
     {
       cycles = int "cycles";
       committed = int "committed";
@@ -154,7 +154,4 @@ let of_json j =
       wrong_path_transmit_count = int "wrong_path_transmits";
       wrong_path_transmits_dropped = int "wrong_path_transmits_dropped";
       max_rob_occupancy = int "max_rob_occupancy";
-    }
-  with
-  | t -> Ok t
-  | exception Invalid_argument msg -> Error ("Sim_stats.of_json: " ^ msg)
+    })

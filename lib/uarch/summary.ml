@@ -62,39 +62,20 @@ let of_sampled ?workload ?policy ?host ?(top_k = 10) (r : Sampler.result) =
 
 let runs summaries = Schema.tag [ ("runs", Json.List summaries) ]
 
-(* Decoding goes through [Json]'s [_exn] converters; each entry point
-   turns their [Invalid_argument] into an [Error]. *)
-let decoded f j = try Ok (f j) with Invalid_argument msg -> Error msg
-let obj = function Json.Obj _ as o -> o | _ -> invalid_arg "not an object"
-
-(* Field [k] of [j] through [conv], a failure naming the key; [default]
-   stands in for an absent field, never for a malformed one. *)
-let get ?default conv k j =
-  match (Json.member k j, default) with
-  | Some v, _ -> (
-    try conv v
-    with Invalid_argument msg -> invalid_arg (Printf.sprintf "%S: %s" k msg))
-  | None, Some d -> d
-  | None, None -> invalid_arg (Printf.sprintf "no %S" k)
-
 (* The one cycles rule: a sampled run's cycles are the extrapolated
    estimate, not the detailed intervals' sum.  [None] for an exact run. *)
-let sampled_estimate summary =
-  Option.map
-    (get Json.to_int_exn "estimated_cycles")
-    (Json.member "sampled" summary)
+let sampled_estimate =
+  Json.(get ~default:None (fun s -> Some (get to_int_exn "estimated_cycles" s)))
+    "sampled"
 
 let stats summary =
-  let ( let* ) = Result.bind in
-  let* () = Schema.check ~what:"run summary" summary in
-  let* stats =
-    match Json.member "stats" summary with
-    | Some block -> Sim_stats.of_json block
-    | None -> Error "run summary has no stats block"
-  in
-  let* estimate = decoded sampled_estimate summary in
-  Option.iter (fun n -> stats.Sim_stats.cycles <- n) estimate;
-  Ok stats
+  Result.bind (Schema.check ~what:"run summary" summary) (fun () ->
+      Json.decoded
+        (fun j ->
+          let stats = Json.(get (fun b -> ok_exn (Sim_stats.of_json b))) "stats" j in
+          Option.iter (fun n -> stats.Sim_stats.cycles <- n) (sampled_estimate j);
+          stats)
+        summary)
 
 type audit = {
   restricted : int;
@@ -114,88 +95,84 @@ type run = {
   audit : audit option;
 }
 
+let int k j = Json.(get to_int_exn) k j
+
 let audit_of a =
-  let cycles = get Json.to_int_exn "cycles" in
+  let cycles k = Json.get (int "cycles") k a in
   let top p =
-    let f k = get Json.to_int_exn k p in
-    (f "pc", f "events", f "necessary_cycles", f "unnecessary_cycles")
+    (int "pc" p, int "events" p, int "necessary_cycles" p, int "unnecessary_cycles" p)
   in
   {
-    restricted = cycles a;
-    necessary = cycles (get obj "necessary" a);
-    unnecessary = cycles (get obj "unnecessary" a);
-    top_pcs = List.map top (get ~default:[] Json.to_list_exn "top_pcs" a);
+    restricted = int "cycles" a;
+    necessary = cycles "necessary";
+    unnecessary = cycles "unnecessary";
+    top_pcs = Json.(get ~default:[] (each top)) "top_pcs" a;
   }
+
+(* [f] over an optional object field, an absent one read as empty *)
+let section k f j = Json.get ~default:(f (Json.Obj [])) (fun o -> f (Json.obj o)) k j
 
 (* Everything but cycles, which the two layouts keep in different places. *)
 let run_with j ~cycles =
-  let section k o = get ~default:(Json.Obj []) obj k o in
-  let stats = section "stats" j and stalls = section "stalls" j in
-  let by_cause = section "by_cause" stalls in
-  let causes =
-    match by_cause with
-    | Json.Obj fields ->
-      List.map (fun (k, _) -> (k, get Json.to_int_exn k by_cause)) fields
-    | _ -> []
+  let by_cause = function
+    | Json.Obj fields as o -> List.map (fun (k, _) -> (k, int k o)) fields
+    | _ -> invalid_arg "not an object"
   in
-  let stall_pc p =
-    let f k = get Json.to_int_exn k p in
-    (f "pc", f "total")
+  let stall_pc p = (int "pc" p, int "total" p) in
+  let stall_total, by_cause, stall_pcs =
+    section "stalls"
+      (fun s ->
+        ( Json.(get ~default:0 to_int_exn) "total" s,
+          Json.get ~default:[] by_cause "by_cause" s,
+          Json.(get ~default:[] (each stall_pc)) "top_pcs" s ))
+      j
   in
   {
-    workload = get Json.to_string_exn "workload" j;
-    policy = get Json.to_string_exn "policy" j;
+    workload = Json.(get to_string_exn) "workload" j;
+    policy = Json.(get to_string_exn) "policy" j;
     cycles;
-    ipc = get ~default:0.0 Json.to_float_exn "ipc" stats;
-    stall_total = get ~default:0 Json.to_int_exn "total" stalls;
-    by_cause = causes;
-    stall_pcs =
-      List.map stall_pc (get ~default:[] Json.to_list_exn "top_pcs" stalls);
-    audit = get ~default:None (fun a -> Some (audit_of a)) "audit" j;
+    ipc = section "stats" Json.(get ~default:0.0 to_float_exn "ipc") j;
+    stall_total;
+    by_cause;
+    stall_pcs;
+    audit = Json.get ~default:None (fun a -> Some (audit_of a)) "audit" j;
   }
 
 let run_of_summary j =
   let cycles =
     match sampled_estimate j with
     | Some n -> n
-    | None -> get Json.to_int_exn "cycles" (get obj "stats" j)
+    | None -> Json.get (int "cycles") "stats" j
   in
   run_with j ~cycles
 
-let run_of_json = decoded run_of_summary
+let run_of_json = Json.decoded run_of_summary
 
 (* A BENCH_matrix.json cell carries its (already estimated) cycles
    directly. *)
-let run_of_cell j = run_with j ~cycles:(get Json.to_int_exn "cycles" j)
-
-(* [f] over a list's entries, a failure naming the entry by its index *)
-let each key f entries =
-  List.mapi
-    (fun i j ->
-      try f j
-      with Invalid_argument msg ->
-        invalid_arg (Printf.sprintf "%s[%d]: %s" key i msg))
-    entries
+let run_of_cell j = run_with j ~cycles:(int "cycles" j)
 
 let read_runs doc =
-  let decode key keep run_of entries =
-    List.filter_map Fun.id
-      (each key (fun j -> if keep j then Some (run_of j) else None) entries)
+  let rows key keep run_of =
+    Json.decoded
+      (Json.get
+         (fun entries ->
+           List.filter_map Fun.id
+             (Json.each (fun j -> if keep j then Some (run_of j) else None) entries))
+         key)
+      doc
   in
-  match Schema.check ~what:"run summary document" doc with
-  | Error _ as e -> e
-  | Ok () -> (
-    match (Json.member "runs" doc, Json.member "matrix" doc) with
-    | Some (Json.List runs), _ ->
-      decoded (decode "runs" (fun _ -> true) run_of_summary) runs
-    | None, Some (Json.List cells) ->
-      (* sweep cells reuse (workload, policy) labels under other configs;
-         only the default-config cell of each pair is a report row *)
-      let default_config cell =
-        Json.member "default_config" cell <> Some (Json.Bool false)
-      in
-      decoded (decode "matrix" default_config run_of_cell) cells
-    | _ -> Error "neither a \"runs\" document nor a bench trajectory")
+  Result.bind (Schema.check ~what:"run summary document" doc) (fun () ->
+      match (Json.member "runs" doc, Json.member "matrix" doc) with
+      | Some (Json.List _), _ -> rows "runs" (fun _ -> true) run_of_summary
+      | None, Some (Json.List _) ->
+        (* sweep cells reuse (workload, policy) labels under other configs;
+           only the default-config cell of each pair is a report row *)
+        let default_config cell =
+          Json.member "default_config" cell <> Some (Json.Bool false)
+        in
+        rows "matrix" default_config run_of_cell
+      | _ -> Error "neither a \"runs\" document nor a bench trajectory")
 
 type leak_node = {
   id : int;
@@ -214,31 +191,27 @@ type leak = {
   chains : int;
 }
 
-let ints v = List.map Json.to_int_exn (Json.to_list_exn v)
+let ints = Json.(each to_int_exn)
 
 let leak_node n =
-  let int k = get Json.to_int_exn k n and str k = get Json.to_string_exn k n in
-  let count k = List.length (get ~default:[] ints k n) in
-  let bool = function Json.Bool b -> b | _ -> invalid_arg "not a bool" in
+  let str k = Json.(get to_string_exn) k n in
+  let count k = List.length (Json.get ~default:[] ints k n) in
   {
-    id = int "id";
-    pc = int "pc";
+    id = int "id" n;
+    pc = int "pc" n;
     kind = str "kind";
     disasm = str "disasm";
     sources = count "source_addrs";
     transmits = count "transmit_addrs";
-    mispredicted = get ~default:false bool "mispredicted" n;
+    mispredicted = Json.(get ~default:false to_bool_exn) "mispredicted" n;
     outcome = str "outcome";
   }
 
 let leak_of_doc doc =
-  if get Json.to_string_exn "kind" doc <> "levioso-flowtrace" then
+  if Json.(get to_string_exn) "kind" doc <> "levioso-flowtrace" then
     invalid_arg "not a levioso-flowtrace document";
-  let entries key f = each key f (get Json.to_list_exn key doc) in
-  let edge e =
-    let int k = get Json.to_int_exn k e in
-    (int "src", int "dst", get Json.to_string_exn "dep" e)
-  in
+  let entries key f = Json.(get (each f)) key doc in
+  let edge e = (int "src" e, int "dst" e, Json.(get to_string_exn) "dep" e) in
   {
     nodes = entries "nodes" leak_node;
     edges = entries "edges" edge;
@@ -247,4 +220,4 @@ let leak_of_doc doc =
 
 let leak_of_json doc =
   Result.bind (Schema.check ~what:"leak graph" doc) (fun () ->
-      decoded leak_of_doc doc)
+      Json.decoded leak_of_doc doc)

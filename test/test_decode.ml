@@ -85,19 +85,6 @@ type row =
     }
       -> row
 
-(* Errors the parent decoders raise without naming the field: each is
-   still an [Error]. *)
-let unnamed_at_parent row path =
-  match (row, path) with
-  | "Sim_stats.of_json", _
-  | "request_of_json submit", "cells.0"
-  | "response_of_json listing", ("workloads.0" | "policies.0")
-  | "Protocol.history_records", ("records.0" | "records.1")
-  | "Summary.run_of_json exact", ("stalls.top_pcs.0" | "audit.top_pcs.0")
-  | "Summary.run_of_json sampled", "sampled" ->
-    true
-  | _ -> false
-
 (* Every way [r] breaks its contract, one line each. *)
 let row_failures (Row r) =
   let failures = ref [] in
@@ -118,8 +105,7 @@ let row_failures (Row r) =
     match decode what j with
     | Some (Ok _) -> fail "%s accepted" what
     | Some (Error msg) ->
-      if not (unnamed_at_parent r.name path || contains msg (field_of path))
-      then
+      if not (contains msg (field_of path)) then
         fail "%s: error %S does not name %S" what msg (field_of path)
     | None -> ()
   in

@@ -1,6 +1,6 @@
 (* The bench result cache: round-trip, key sensitivity (config, names,
    code stamp), corruption tolerance, the sharded on-disk layout
-   (shard subdirectories, flat-layout migration, racing writers, prune)
+   (shard subdirectories, racing writers, prune)
    and the Sim_stats JSON round-trip that cache replay leans on,
    through Summary.stats, the one decoder every summary reader uses. *)
 
@@ -104,30 +104,19 @@ let test_sharded_layout () =
        (fun f -> not (Filename.check_suffix f ".tmp"))
        (Sys.readdir (Filename.dirname file)))
 
-(* Entries written by the pre-shard flat layout sit directly in the
-   store root; creating a store over such a directory migrates them into
-   their shard subdirectories (and a not-yet-migrated flat entry is
-   still found in place). *)
-let test_flat_migration_round_trip () =
-  let dir = fresh_dir () in
-  let cache = Run_cache.create ~stamp:"s1" ~dir () in
+(* A number that overflows a float, as in a hand-edited entry, makes
+   the entry unparsable: a miss to simulate again, never a value that
+   cannot be printed back. *)
+let test_overflowing_number_is_a_miss () =
+  let cache = Run_cache.create ~stamp:"s1" ~dir:(fresh_dir ()) () in
   let config = Config.default in
   Run_cache.store cache ~config ~workload:"w" ~policy:"p" summary;
-  let sharded = Run_cache.path cache ~config ~workload:"w" ~policy:"p" in
-  let flat = Filename.concat dir (Filename.basename sharded) in
-  (* reconstruct the legacy layout by hand *)
-  Sys.rename sharded flat;
+  let file = Run_cache.path cache ~config ~workload:"w" ~policy:"p" in
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc {|{"stats": {"cycles": 123, "ipc": 1e999}}|});
   Alcotest.(check (option string))
-    "flat entry found without migration"
-    (Some (Json.to_string summary))
-    (find_cycles cache ~config ~workload:"w" ~policy:"p");
-  let migrated = Run_cache.create ~stamp:"s1" ~dir () in
-  Alcotest.(check bool) "create migrated the flat entry" true
-    (Sys.file_exists sharded && not (Sys.file_exists flat));
-  Alcotest.(check (option string))
-    "hit after migration"
-    (Some (Json.to_string summary))
-    (find_cycles migrated ~config ~workload:"w" ~policy:"p")
+    "1e999 entry treated as miss" None
+    (find_cycles cache ~config ~workload:"w" ~policy:"p")
 
 (* Two writers racing on the same key: last rename wins, and a reader
    polling throughout only ever observes a complete entry (temp-file +
@@ -291,8 +280,8 @@ let suite =
       Alcotest.test_case "corrupt entry is a miss" `Quick
         test_corrupt_entry_is_a_miss;
       Alcotest.test_case "sharded on-disk layout" `Quick test_sharded_layout;
-      Alcotest.test_case "flat-layout migration round-trip" `Quick
-        test_flat_migration_round_trip;
+      Alcotest.test_case "overflowing number is a miss" `Quick
+        test_overflowing_number_is_a_miss;
       Alcotest.test_case "racing writers, atomic reads" `Quick
         test_racing_writers_atomicity;
       Alcotest.test_case "prune removes only stale entries" `Quick test_prune;

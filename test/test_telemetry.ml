@@ -367,6 +367,31 @@ let test_json_nonfinite_policy () =
       | exception Invalid_argument _ -> ())
     [ Float.nan; Float.infinity; Float.neg_infinity ]
 
+(* A literal that overflows a float is a parse error: [Float infinity]
+   is a tree the printer refuses, so a parsed document holding one (a
+   hand-edited cache entry, say) could not be printed again.  Every
+   finite literal, down to an underflow to 0, parses to a tree that
+   prints and parses back to itself. *)
+let test_json_overflow_is_a_parse_error () =
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.failf "parsed %s" s
+      | Error _ -> ())
+    [ "1e999"; "-1e999"; "[1, 1e999]"; {|{"ipc": 1E400}|}; "2e308" ];
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Error msg -> Alcotest.failf "%s: %s" s msg
+      | Ok v ->
+        Alcotest.(check bool)
+          (s ^ ": parse . print round-trips") true
+          (Json.of_string (Json.to_string v) = Ok v))
+    [
+      "1.7976931348623157e308"; "-1.7976931348623157e308"; "5e-324"; "1e-999";
+      {|{"ipc": 0.45013515286707784, "n": [1, -2.5e10]}|};
+    ]
+
 (* Every tree the sanitizing constructors can build survives a print ->
    parse round trip bit-exactly (generator restricted to exactly
    representable floats). *)
@@ -580,16 +605,21 @@ let test_schema_check_sweep () =
 
 (* --- Hostprof ----------------------------------------------------- *)
 
-(* A span counts the thunk's words and none of [measure]'s own: an empty
-   span reads 0 on every word counter, and one [ref] is its two words
-   (header and field). *)
+(* A span counts the thunk's words and collections and none of
+   [measure]'s own: an empty span reads 0 on every word counter and
+   collects nothing, and one [ref] is its two words (header and
+   field). *)
 let test_hostprof_own_words () =
   let words (s : Hostprof.span) =
     (s.minor_words, s.promoted_words, s.major_words)
   in
   let w3 = Alcotest.(triple (float 0.) (float 0.) (float 0.)) in
+  let empty = snd (Hostprof.measure ignore) in
   Alcotest.check w3 "empty span: minor, promoted, major" (0., 0., 0.)
-    (words (snd (Hostprof.measure ignore)));
+    (words empty);
+  Alcotest.(check (pair int int))
+    "empty span: minor, major collections" (0, 0)
+    (empty.minor_collections, empty.major_collections);
   let _, one_ref = Hostprof.measure (fun () -> Sys.opaque_identity (ref 0)) in
   Alcotest.(check (float 0.)) "one ref: minor words" 2. one_ref.minor_words
 
@@ -618,6 +648,8 @@ let suite =
         test_wrong_path_counter_tracks_length;
       Alcotest.test_case "schema tag and check" `Quick
         test_schema_tag_and_check;
+      Alcotest.test_case "json overflow is a parse error" `Quick
+        test_json_overflow_is_a_parse_error;
       Alcotest.test_case "json non-finite policy" `Quick
         test_json_nonfinite_policy;
       Alcotest.test_case "json roundtrip property" `Quick
