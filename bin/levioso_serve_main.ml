@@ -182,18 +182,15 @@ let render_stats socket j =
   let gauge k = int_of_float (Json.(get (get to_float_exn k)) "gauges" j) in
   (* an empty window has no percentiles *)
   let dur k s =
-    Json.get (function Json.Null -> "-" | v -> fmt_dur (Json.to_float_exn v)) k s
+    Json.get
+      (function Json.Null -> "-" | v -> fmt_dur (Json.to_float_exn v))
+      k s
   in
   let stage name s =
     [
       name; string_of_int (int "seen" s); string_of_int (int "window" s);
       dur "p50_s" s; dur "p95_s" s; dur "p99_s" s;
     ]
-  in
-  let stages = function
-    | Json.Obj kvs as lat ->
-      List.map (fun (name, _) -> Json.get (stage name) name lat) kvs
-    | _ -> invalid_arg "not an object"
   in
   let render j =
     let buf = Buffer.create 512 in
@@ -213,7 +210,7 @@ let render_stats socket j =
       (gauge "serve_cells_merged");
     let header = [ "stage"; "seen"; "window"; "p50"; "p95"; "p99" ] in
     Buffer.add_string buf
-      (Report.table ~header ~rows:(Json.get stages "latency" j));
+      (Report.table ~header ~rows:(Json.(get (fields stage)) "latency" j));
     Buffer.add_char buf '\n';
     Buffer.contents buf
   in

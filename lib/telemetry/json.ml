@@ -278,8 +278,9 @@ let of_string_exn s =
 (* --- decoding ----------------------------------------------------------
 
    A decoder is plain code over the [_exn] converters; a failure is an
-   [Invalid_argument] whose message grows a path prefix at each [get] and
-   [each] it passes through, and [decoded] turns it into an [Error]. *)
+   [Invalid_argument] whose message grows a path prefix at each [get],
+   [each] and [fields] it passes through, and [decoded] turns it into an
+   [Error]. *)
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
@@ -319,16 +320,18 @@ let ok_exn = function
   | Ok v -> v
   | Error msg -> invalid_arg msg
 
-(* An entry's index joins its list's key without a separator:
-   [cells[2]: "rob_size": not an int]. *)
+(* [conv v], a failure prefixed with the key [v] was read under; an
+   entry's index joins its list's key without a separator. *)
+let under key conv v =
+  try conv v
+  with Invalid_argument msg ->
+    invalid_arg
+      (if String.starts_with ~prefix:"[" msg then key ^ msg
+       else Printf.sprintf "%S: %s" key msg)
+
 let get ?default conv key j =
   match (member key j, default) with
-  | Some v, _ -> (
-    try conv v
-    with Invalid_argument msg ->
-      invalid_arg
-        (if String.starts_with ~prefix:"[" msg then key ^ msg
-         else Printf.sprintf "%S: %s" key msg))
+  | Some v, _ -> under key conv v
   | None, Some d -> d
   | None, None -> invalid_arg (Printf.sprintf "%S: missing" key)
 
@@ -336,7 +339,12 @@ let each conv v =
   List.mapi
     (fun i entry ->
       try conv entry
-      with Invalid_argument msg -> invalid_arg (Printf.sprintf "[%d]: %s" i msg))
+      with Invalid_argument msg ->
+        invalid_arg (Printf.sprintf "[%d]: %s" i msg))
     (to_list_exn v)
+
+let fields conv = function
+  | Obj kvs -> List.map (fun (k, v) -> under k (conv k) v) kvs
+  | _ -> invalid_arg "not an object"
 
 let decoded f j = try Ok (f j) with Invalid_argument msg -> Error msg

@@ -64,6 +64,10 @@ val each : (t -> 'a) -> t -> 'a list
 (** [conv] over a list's entries, a failure naming the entry by its
     index: [get (each conv) "cells"] fails as [cells[2]: …]. *)
 
+val fields : (string -> t -> 'a) -> t -> 'a list
+(** [conv key value] over an object's fields in document order, a
+    failure naming the key. *)
+
 val obj : t -> t
 (** The value itself when it is an [Obj]. *)
 

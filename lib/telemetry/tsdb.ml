@@ -37,20 +37,16 @@ let alert_to_json a =
 let record_of j =
   let str k = Json.(get to_string_exn) k j in
   (* a sample keeps its numeric fields and skips the rest *)
-  let numeric = function
-    | Json.Obj kvs ->
-      List.filter_map
-        (fun (k, v) ->
-          match v with
-          | Json.Float f -> Some (k, f)
-          | Json.Int i -> Some (k, float_of_int i)
-          | _ -> None)
-        kvs
-    | _ -> invalid_arg "not an object"
+  let numeric k = function
+    | Json.Float f -> Some (k, f)
+    | Json.Int i -> Some (k, float_of_int i)
+    | _ -> None
   in
   let kind = str "kind" in
   let ts = Json.(get to_float_exn) "ts" j in
-  if kind = sample_kind then Sample { ts; fields = Json.get numeric "fields" j }
+  if kind = sample_kind then
+    let fields = Json.(get (fields numeric)) "fields" j in
+    Sample { ts; fields = List.filter_map Fun.id fields }
   else if kind = alert_kind then
     let rule = str "rule" in
     match str "state" with
@@ -60,7 +56,8 @@ let record_of j =
   else invalid_arg (Printf.sprintf "tsdb record: unknown kind %S" kind)
 
 let record_of_json j =
-  Result.bind (Schema.check ~what:"tsdb record" j) (fun () -> Json.decoded record_of j)
+  Result.bind (Schema.check ~what:"tsdb record" j) (fun () ->
+      Json.decoded record_of j)
 
 let record_ts = function Sample s -> s.ts | Alert a -> a.a_ts
 let samples records = List.filter_map (function Sample s -> Some s | Alert _ -> None) records

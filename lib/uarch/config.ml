@@ -145,7 +145,9 @@ let of_json =
       hit_latency = int "hit_latency" g;
     }
   in
-  let predictor v = Json.(ok_exn (predictor_kind_of_string (to_string_exn v))) in
+  let predictor v =
+    Json.(ok_exn (predictor_kind_of_string (to_string_exn v)))
+  in
   Json.decoded (fun j ->
       let j = Json.obj j in
       {

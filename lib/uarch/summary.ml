@@ -72,8 +72,11 @@ let stats summary =
   Result.bind (Schema.check ~what:"run summary" summary) (fun () ->
       Json.decoded
         (fun j ->
-          let stats = Json.(get (fun b -> ok_exn (Sim_stats.of_json b))) "stats" j in
-          Option.iter (fun n -> stats.Sim_stats.cycles <- n) (sampled_estimate j);
+          let block b = Json.ok_exn (Sim_stats.of_json b) in
+          let stats = Json.get block "stats" j in
+          Option.iter
+            (fun n -> stats.Sim_stats.cycles <- n)
+            (sampled_estimate j);
           stats)
         summary)
 
@@ -100,7 +103,10 @@ let int k j = Json.(get to_int_exn) k j
 let audit_of a =
   let cycles k = Json.get (int "cycles") k a in
   let top p =
-    (int "pc" p, int "events" p, int "necessary_cycles" p, int "unnecessary_cycles" p)
+    ( int "pc" p,
+      int "events" p,
+      int "necessary_cycles" p,
+      int "unnecessary_cycles" p )
   in
   {
     restricted = int "cycles" a;
@@ -110,20 +116,18 @@ let audit_of a =
   }
 
 (* [f] over an optional object field, an absent one read as empty *)
-let section k f j = Json.get ~default:(f (Json.Obj [])) (fun o -> f (Json.obj o)) k j
+let section k f j =
+  Json.get ~default:(f (Json.Obj [])) (fun o -> f (Json.obj o)) k j
 
 (* Everything but cycles, which the two layouts keep in different places. *)
 let run_with j ~cycles =
-  let by_cause = function
-    | Json.Obj fields as o -> List.map (fun (k, _) -> (k, int k o)) fields
-    | _ -> invalid_arg "not an object"
-  in
+  let causes = Json.fields (fun k v -> (k, Json.to_int_exn v)) in
   let stall_pc p = (int "pc" p, int "total" p) in
   let stall_total, by_cause, stall_pcs =
     section "stalls"
       (fun s ->
         ( Json.(get ~default:0 to_int_exn) "total" s,
-          Json.get ~default:[] by_cause "by_cause" s,
+          Json.get ~default:[] causes "by_cause" s,
           Json.(get ~default:[] (each stall_pc)) "top_pcs" s ))
       j
   in
@@ -154,12 +158,9 @@ let run_of_cell j = run_with j ~cycles:(int "cycles" j)
 
 let read_runs doc =
   let rows key keep run_of =
+    let row j = if keep j then Some (run_of j) else None in
     Json.decoded
-      (Json.get
-         (fun entries ->
-           List.filter_map Fun.id
-             (Json.each (fun j -> if keep j then Some (run_of j) else None) entries))
-         key)
+      (fun doc -> List.filter_map Fun.id (Json.(get (each row)) key doc))
       doc
   in
   Result.bind (Schema.check ~what:"run summary document" doc) (fun () ->

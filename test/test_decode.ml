@@ -130,7 +130,8 @@ let row_failures (Row r) =
     fields;
   (* the table covers what it says it covers *)
   List.iter
-    (fun p -> if not (List.mem p fields) then fail "no field %s in the document" p)
+    (fun p ->
+      if not (List.mem p fields) then fail "no field %s in the document" p)
     (List.map fst r.optional @ stop);
   List.rev !failures
 
@@ -177,7 +178,14 @@ let request_rows =
 
 let result error =
   Protocol.Result
-    { id = "b1"; index = 2; source = "sim"; wall_s = 0.25; summary = Json.Null; error }
+    {
+      id = "b1";
+      index = 2;
+      source = "sim";
+      wall_s = 0.25;
+      summary = Json.Null;
+      error;
+    }
 
 let finished failed =
   Protocol.Done
@@ -325,14 +333,18 @@ let run_rows =
         optional =
           [
             ("stats.ipc", { run with ipc = 0. });
-            ("stalls", { run with stall_total = 0; by_cause = []; stall_pcs = [] });
+            ( "stalls",
+              { run with stall_total = 0; by_cause = []; stall_pcs = [] } );
             ("stalls.total", { run with stall_total = 0 });
             ("stalls.by_cause", { run with by_cause = [] });
-            ("stalls.by_cause.policy_gate", { run with by_cause = [ ("rob_full", 4) ] });
-            ("stalls.by_cause.rob_full", { run with by_cause = [ ("policy_gate", 3) ] });
+            ( "stalls.by_cause.policy_gate",
+              { run with by_cause = [ ("rob_full", 4) ] } );
+            ( "stalls.by_cause.rob_full",
+              { run with by_cause = [ ("policy_gate", 3) ] } );
             ("stalls.top_pcs", { run with stall_pcs = [] });
             ("audit", { run with audit = None });
-            ("audit.top_pcs", { run with audit = Some { audit with top_pcs = [] } });
+            ( "audit.top_pcs",
+              { run with audit = Some { audit with top_pcs = [] } } );
           ];
         any = [];
         opaque = [];
@@ -399,7 +411,8 @@ let leak_row =
                 {|[{"id": 0, "pc": 4, "kind": "load", "disasm": "ld r1, 0(r2)",
                     "outcome": "squashed", "mispredicted": true,
                     "source_addrs": [100, 101], "transmit_addrs": [7]}]|} );
-            ("edges", Json.of_string_exn {|[{"src": 0, "dst": 0, "dep": "address"}]|});
+            ( "edges",
+              Json.of_string_exn {|[{"src": 0, "dst": 0, "dep": "address"}]|} );
             ("chains", Json.of_string_exn "[[0]]");
           ];
       decode = Summary.leak_of_json;
@@ -407,7 +420,8 @@ let leak_row =
         [
           ("nodes.0.source_addrs", with_node { node with sources = 0 });
           ("nodes.0.transmit_addrs", with_node { node with transmits = 0 });
-          ("nodes.0.mispredicted", with_node { node with mispredicted = false });
+          ( "nodes.0.mispredicted",
+            with_node { node with mispredicted = false } );
         ];
       any = [];
       opaque = [];

@@ -181,7 +181,14 @@ let test_prune () =
     (Some (Json.to_string summary))
     (find_cycles cache ~config ~workload:"new" ~policy:"p");
   Alcotest.(check int) "second prune is a no-op" 0
-    (Run_cache.prune cache ~max_age_days:30)
+    (Run_cache.prune cache ~max_age_days:30);
+  (* entries live only in shard directories: the root is not swept *)
+  let stray = Filename.concat dir (Filename.basename old_file) in
+  Out_channel.with_open_bin stray (fun oc -> output_string oc "{}");
+  Unix.utimes stray past past;
+  Alcotest.(check int) "a file at the root is not an entry" 0
+    (Run_cache.prune cache ~max_age_days:30);
+  Alcotest.(check bool) "and stays" true (Sys.file_exists stray)
 
 let test_sim_stats_round_trip () =
   let s = Sim_stats.create () in
