@@ -12,6 +12,7 @@ module Summary = Levioso_uarch.Summary
 module Json = Levioso_telemetry.Json
 module Tsdb = Levioso_telemetry.Tsdb
 module Alerts = Levioso_telemetry.Alerts
+module Monitor = Levioso_telemetry.Monitor
 module Protocol = Levioso_serve.Protocol
 module Catalog = Levioso_serve.Catalog
 module Engine = Levioso_serve.Engine
@@ -264,7 +265,7 @@ let temp_socket () =
   (* bind_listener treats the (never-listened-on) leftover as stale *)
   f
 
-let with_server ?queue_max ?cache_dir ?spans ?access_log ?history f =
+let with_server ?queue_max ?cache_dir ?monitor ?spans ?access_log ?history f =
   let socket_path = temp_socket () in
   let cache =
     Option.map (fun dir -> Run_cache.create ~stamp:"t" ~dir ()) cache_dir
@@ -286,7 +287,7 @@ let with_server ?queue_max ?cache_dir ?spans ?access_log ?history f =
             pool_size = 2;
             queue_max;
             cache;
-            monitor = None;
+            monitor;
             log = None;
             spans;
             access_log;
@@ -641,6 +642,192 @@ let test_history_daemon () =
     Alcotest.(check bool) "cold read sees at least two samples" true
       (List.length (Tsdb.samples records) >= 2)
 
+(* The daemon's three metric surfaces, pinned by shape: the stats
+   frame's key paths (with each value's JSON kind), the last tsdb
+   sample's field names and the OpenMetrics lines, all in order with
+   values masked.  The histogram bucket fields of a sample depend on the
+   measured latency, so consecutive [total_le_*] names collapse to one.
+   Four readings of the end-to-end observation count must agree. *)
+let test_metric_surfaces_pinned () =
+  let dir = Filename.temp_file "lev-surfaces" "" in
+  Sys.remove dir;
+  let metrics = Filename.temp_file "lev-surfaces" ".prom" in
+  let monitor = Monitor.create ~metrics_path:metrics ~label:"levioso_serve" () in
+  let history =
+    { Server.history_dir = dir; history_interval_s = 0.05; alert_rules = [] }
+  in
+  let cells = [ cell (); cell ~policy:"levioso" () ] in
+  let stats =
+    with_server ~monitor ~history (fun socket ->
+        let c = Client.connect socket in
+        let _, done_ = Client.submit c cells in
+        Alcotest.(check int) "nothing failed" 0 done_.Protocol.failed;
+        let stats = Client.stats c in
+        Client.close c;
+        stats)
+  in
+  let kind = function
+    | Json.Null -> "null"
+    | Json.Bool _ -> "bool"
+    | Json.Int _ -> "int"
+    | Json.Float _ -> "float"
+    | Json.String _ -> "string"
+    | Json.List _ -> "list"
+    | Json.Obj _ -> "obj"
+  in
+  let rec paths prefix = function
+    | Json.Obj fields ->
+      List.concat_map (fun (k, v) -> paths (prefix ^ k ^ ".") v) fields
+    | v -> [ String.sub prefix 0 (String.length prefix - 1) ^ ":" ^ kind v ]
+  in
+  let stage_paths stage =
+    List.map
+      (fun k -> "latency." ^ stage ^ "." ^ k)
+      [ "seen:int"; "window:int"; "p50_s:float"; "p95_s:float"; "p99_s:float" ]
+  in
+  Alcotest.(check (list string))
+    "stats frame key paths"
+    ([
+       "schema_version:int"; "kind:string"; "proto:int"; "pool:int";
+       "queue_max:null"; "cache:bool"; "uptime_s:float"; "requests:int";
+       "errors:int"; "gauges.serve_queue_depth:float";
+       "gauges.serve_inflight:float"; "gauges.serve_clients:float";
+       "gauges.serve_cells_simulated:float"; "gauges.serve_cells_cached:float";
+       "gauges.serve_cells_merged:float"; "gauges.serve_requests:float";
+       "gauges.serve_errors:float";
+     ]
+    @ List.concat_map stage_paths [ "queue"; "exec"; "serialize"; "total" ])
+    (paths "" stats);
+  let samples =
+    match Tsdb.read_dir dir with
+    | Ok records -> Tsdb.samples records
+    | Error msg -> Alcotest.fail msg
+  in
+  let last = List.nth samples (List.length samples - 1) in
+  let names =
+    List.fold_right
+      (fun (name, _) acc ->
+        let name =
+          if String.starts_with ~prefix:"total_le_" name then "total_le_*"
+          else name
+        in
+        match acc with n :: _ when n = name -> acc | _ -> name :: acc)
+      last.Tsdb.fields []
+  in
+  let stage_fields suffixes stage = List.map (fun s -> stage ^ s) suffixes in
+  let stages = [ "queue"; "exec"; "serialize"; "total" ] in
+  Alcotest.(check (list string))
+    "tsdb sample field names"
+    ([
+       "uptime_s"; "queue_depth"; "inflight"; "clients"; "cells_simulated";
+       "cells_cached"; "cells_merged"; "requests"; "errors";
+     ]
+    @ List.concat_map
+        (stage_fields [ "_seen"; "_p50_s"; "_p95_s"; "_p99_s" ])
+        stages
+    @ List.concat_map (stage_fields [ "_hist_count"; "_hist_sum_s" ]) stages
+    @ [
+        "total_le_*"; "gc_heap_words"; "gc_top_heap_words";
+        "gc_minor_collections"; "gc_major_collections"; "gc_minor_words";
+        "gc_promoted_words"; "requests_per_s"; "errors_per_s"; "cells_per_s";
+        "cache_hit_share";
+      ])
+    names;
+  let text = In_channel.with_open_bin metrics In_channel.input_all in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  let masked =
+    List.map
+      (fun line ->
+        if String.starts_with ~prefix:"#" line then line
+        else String.sub line 0 (String.rindex line ' ') ^ " _")
+      lines
+  in
+  let job = "{job=\"levioso_serve\"}" in
+  let gauge name help =
+    [
+      "# TYPE levioso_" ^ name ^ " gauge";
+      "# HELP levioso_" ^ name ^ " " ^ help;
+      "levioso_" ^ name ^ job ^ " _";
+    ]
+  in
+  let histogram stage =
+    let name = "levioso_serve_" ^ stage ^ "_seconds" in
+    [
+      "# TYPE " ^ name ^ " histogram";
+      "# HELP " ^ name ^ " Per-cell " ^ stage ^ " latency, seconds.";
+    ]
+    @ List.map
+        (fun le ->
+          Printf.sprintf "%s_bucket{job=\"levioso_serve\",le=\"%s\"} _" name le)
+        ([
+           "1e-06"; "2.5e-06"; "5e-06"; "1e-05"; "2.5e-05"; "5e-05"; "0.0001";
+           "0.00025"; "0.0005"; "0.001"; "0.0025"; "0.005"; "0.01"; "0.025";
+           "0.05"; "0.1"; "0.25"; "0.5"; "1"; "2.5"; "5"; "10"; "25"; "50";
+           "100";
+         ]
+        @ [ "+Inf" ])
+    @ [ name ^ "_sum" ^ job ^ " _"; name ^ "_count" ^ job ^ " _" ]
+  in
+  let alerts = gauge "alerts_firing" "Alert rules currently firing." in
+  Alcotest.(check (list string))
+    "OpenMetrics lines"
+    (gauge "progress_done" "Items completed."
+    @ gauge "progress_total" "Items planned."
+    @ gauge "progress_elapsed_seconds" "Wall clock since start."
+    @ gauge "uptime_seconds"
+        "Wall clock seconds since this process's monitor started."
+    @ gauge "gc_heap_words" "Major heap size, words."
+    @ gauge "gc_top_heap_words" "Largest major heap size reached, words."
+    @ gauge "gc_minor_collections" "Minor collections since start."
+    @ gauge "gc_major_collections" "Major collection cycles since start."
+    @ gauge "gc_minor_words" "Words allocated in the minor heap since start."
+    @ gauge "serve_queue_depth" "Tasks waiting for a pool worker."
+    @ gauge "serve_inflight" "Cells currently being computed."
+    @ gauge "serve_clients" "Connected clients."
+    @ gauge "serve_cells_simulated" "Cells simulated since daemon start."
+    @ gauge "serve_cells_cached" "Cells replayed from the shard store."
+    @ gauge "serve_cells_merged" "Cells merged onto a concurrent computation."
+    @ gauge "serve_requests" "Requests handled since daemon start."
+    @ gauge "serve_errors" "Cells and frames that failed since daemon start."
+    @ List.concat_map histogram stages
+    @ [ "# EOF" ])
+    (List.filter (fun l -> not (List.mem l alerts)) masked);
+  (* the sampler thread sets this gauge while the daemon publishes its
+     own at start-up, so its place among the gauges is not pinned *)
+  let rec from = function
+    | [] -> []
+    | l :: _ as rest when l = List.hd alerts ->
+      List.filteri (fun i _ -> i < List.length alerts) rest
+    | _ :: rest -> from rest
+  in
+  Alcotest.(check (list string)) "alerts_firing gauge lines" alerts
+    (from masked);
+  Alcotest.(check int) "alerts_firing gauge once" (List.length alerts)
+    (List.length (List.filter (fun l -> List.mem l alerts) masked));
+  let n = float_of_int (List.length cells) in
+  let field name =
+    match List.assoc_opt name last.Tsdb.fields with
+    | Some v -> v
+    | None -> Alcotest.failf "sample has no %s" name
+  in
+  let om_count =
+    let prefix = "levioso_serve_total_seconds_count" ^ job ^ " " in
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | Some l ->
+      float_of_string
+        (String.sub l (String.length prefix)
+           (String.length l - String.length prefix))
+    | None -> Alcotest.fail "no total count line"
+  in
+  Alcotest.(check (list (float 0.)))
+    "stats seen, sample seen, sample hist count, OpenMetrics count"
+    [ n; n; n; n ]
+    [
+      float_of_int
+        Json.(get (get (get to_int_exn "seen") "total") "latency" stats);
+      field "total_seen"; field "total_hist_count"; om_count;
+    ]
+
 let test_history_unavailable () =
   with_server (fun socket ->
       let c = Client.connect socket in
@@ -782,6 +969,8 @@ let suite =
         test_history_daemon;
       Alcotest.test_case "daemon: history without --history-out" `Quick
         test_history_unavailable;
+      Alcotest.test_case "daemon: metric surfaces pinned" `Quick
+        test_metric_surfaces_pinned;
       Alcotest.test_case "daemon: oversized config is a cell error" `Quick
         test_oversized_config_cell;
       Alcotest.test_case "daemon: over-cap frame is refused" `Quick
