@@ -27,15 +27,18 @@ module Client = Levioso_serve.Client
 module Server = Levioso_serve.Server
 module Cli = Levioso_cli.Cli
 
+(* A runtime failure — a busy socket for the daemon; no daemon on the
+   socket, a daemon-side error or a malformed reply for a client — exits
+   1, so a script can tell it from a bad flag, Cmdliner's 124. *)
+let runtime_error msg =
+  Printf.eprintf "levioso_serve: %s\n%!" msg;
+  exit 1
+
 (* ---------- serve ---------- *)
 
 let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
     trace_out access_log_path history_out history_interval alerts_file quiet =
-  if queue_max < 0 then
-    `Error (false, "--queue-max expects a non-negative integer")
-  else if history_interval <= 0. then
-    `Error (false, "--history-interval expects a positive number of seconds")
-  else if alerts_file <> None && history_out = None then
+  if alerts_file <> None && history_out = None then
     `Error
       ( false,
         "--alerts needs --history-out (rules are evaluated against the \
@@ -44,19 +47,16 @@ let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
     let history =
       match history_out with
       | None -> Ok None
-      | Some dir -> (
-        match
-          match alerts_file with None -> Ok [] | Some f -> Alerts.load f
-        with
-        | Error msg -> Error msg
-        | Ok alert_rules ->
-          Ok
-            (Some
-               {
-                 Server.history_dir = dir;
-                 history_interval_s = history_interval;
-                 alert_rules;
-               }))
+      | Some dir ->
+        Result.map
+          (fun alert_rules ->
+            Some
+              {
+                Server.history_dir = dir;
+                history_interval_s = history_interval;
+                alert_rules;
+              })
+          (match alerts_file with None -> Ok [] | Some f -> Alerts.load f)
     in
     match history with
     | Error msg -> `Error (false, msg)
@@ -115,28 +115,22 @@ let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
       `Ok ()
     | exception Failure msg ->
       close_access ();
-      `Error (false, msg)
+      runtime_error msg
     | exception Unix.Unix_error (e, fn, arg) ->
       close_access ();
-      `Error
-        ( false,
-          Printf.sprintf "%s: %s(%s): %s" socket fn arg (Unix.error_message e)
-        )
+      runtime_error
+        (Printf.sprintf "%s: %s(%s): %s" socket fn arg (Unix.error_message e))
   end
 
 (* ---------- client-side helpers ---------- *)
 
 let with_client socket f =
   match Client.connect socket with
-  | exception Client.Server_error msg -> `Error (false, msg)
+  | exception Client.Server_error msg -> runtime_error msg
   | c -> (
-    match f c with
-    | v ->
-      Client.close c;
-      `Ok v
-    | exception Client.Server_error msg ->
-      Client.close c;
-      `Error (false, msg))
+    match Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c) with
+    | v -> `Ok v
+    | exception Client.Server_error msg -> runtime_error msg)
 
 (* -1 marks a failed cell, whose result carries no summary *)
 let cycles_of (r : Client.result_cell) =
@@ -250,10 +244,7 @@ let submit socket workloads policies config audit sample no_cache json quiet =
         stats.Protocol.failed)
   in
   (* the failed cells are listed on stderr above *)
-  match failed with
-  | `Ok 0 -> `Ok ()
-  | `Ok _ -> exit 1
-  | `Error e -> `Error e
+  match failed with `Ok 0 -> `Ok () | `Ok _ -> exit 1
 
 (* ---------- stress ---------- *)
 
@@ -280,9 +271,9 @@ let stress socket cells_n (workload : Workload.t) policy use_cache =
         wall
         (float_of_int cells_n /. wall);
       if !walls <> [] then begin
-        let window = Span.Window.create (List.length !walls) in
-        List.iter (Span.Window.observe window) !walls;
-        let pct q = fmt_dur (Option.get (Span.Window.percentile window q)) in
+        let sorted = Array.of_list !walls in
+        Array.sort Float.compare sorted;
+        let pct q = fmt_dur (Option.get (Span.Latency.nearest_rank sorted q)) in
         Printf.printf "  cell wall: p50 %s, p95 %s, p99 %s\n" (pct 0.5)
           (pct 0.95) (pct 0.99)
       end)
@@ -314,31 +305,25 @@ let stats_cmd socket json =
 (* ---------- top ---------- *)
 
 let top_cmd socket interval iterations =
-  if interval <= 0. then `Error (false, "--interval expects a positive number")
-  else if iterations < 0 then
-    `Error (false, "--iterations expects a non-negative integer")
-  else
-    with_client socket (fun c ->
-        (* in-place redraw only when talking to a terminal, so piping
-           `top --iterations 1` stays clean text *)
-        let ansi = Unix.isatty Unix.stdout in
-        let rec loop i =
-          let j = Client.stats c in
-          if ansi then print_string "\027[2J\027[H";
-          print_string (render_stats socket j);
-          flush stdout;
-          if iterations = 0 || i < iterations then begin
-            Unix.sleepf interval;
-            loop (i + 1)
-          end
-        in
-        loop 1)
+  with_client socket (fun c ->
+      (* in-place redraw only when talking to a terminal, so piping
+         `top --iterations 1` stays clean text *)
+      let ansi = Unix.isatty Unix.stdout in
+      let rec loop i =
+        let j = Client.stats c in
+        if ansi then print_string "\027[2J\027[H";
+        print_string (render_stats socket j);
+        flush stdout;
+        if iterations = 0 || i < iterations then begin
+          Unix.sleepf interval;
+          loop (i + 1)
+        end
+      in
+      loop 1)
 
 let prune_cmd socket days =
-  if days < 0 then `Error (false, "--days expects a non-negative integer")
-  else
-    with_client socket (fun c ->
-        Printf.printf "pruned %d entries\n" (Client.prune c ~max_age_days:days))
+  with_client socket (fun c ->
+      Printf.printf "pruned %d entries\n" (Client.prune c ~max_age_days:days))
 
 let shutdown_cmd socket =
   with_client socket (fun c ->
@@ -394,46 +379,43 @@ let render_history records fields =
       records
 
 let history_cmd socket dir since until last json fields =
-  if last < 0 then `Error (false, "--last expects a non-negative integer")
-  else
-    let fields =
-      Option.map
-        (fun csv ->
-          String.split_on_char ',' csv
-          |> List.map String.trim
-          |> List.filter (fun s -> s <> ""))
-        fields
-    in
-    let render records =
-      if json then print_endline (Json.to_string (Protocol.history_doc records))
-      else render_history records fields
-    in
-    match dir with
-    | Some dir -> (
-      (* offline: read the segments directly, no daemon required *)
-      match Tsdb.read_dir ?since ?until dir with
-      | Error msg -> `Error (false, msg)
-      | Ok records ->
-        let records =
-          if last > 0 then
-            let n = List.length records in
-            List.filteri (fun i _ -> i >= n - last) records
-          else records
-        in
-        render records;
-        `Ok ())
-    | None ->
-      with_client socket (fun c ->
-          let doc = Client.history ?since ?until ~last c in
-          if json then print_endline (Json.to_string doc)
-          else
-            match Protocol.history_records doc with
-            | Ok records -> render_history records fields
-            | Error msg -> raise (Client.Server_error msg))
+  let fields =
+    Option.map
+      (fun csv ->
+        String.split_on_char ',' csv
+        |> List.map String.trim
+        |> List.filter (fun s -> s <> ""))
+      fields
+  in
+  let render records =
+    if json then print_endline (Json.to_string (Protocol.history_doc records))
+    else render_history records fields
+  in
+  match dir with
+  | Some dir -> (
+    (* offline: read the segments directly, no daemon required *)
+    match Tsdb.read_dir ?since ?until ~last dir with
+    | Error msg -> runtime_error msg
+    | Ok records -> `Ok (render records))
+  | None ->
+    with_client socket (fun c ->
+        let doc = Client.history ?since ?until ~last c in
+        if json then print_endline (Json.to_string doc)
+        else
+          match Protocol.history_records doc with
+          | Ok records -> render_history records fields
+          | Error msg -> raise (Client.Server_error msg))
 
 (* ---------- cmdliner ---------- *)
 
 open Cmdliner
+
+let runtime_failure =
+  "on a runtime failure: no daemon answers on the socket, the daemon \
+   reports an error, or its reply is malformed"
+
+let client_exits =
+  Cmd.Exit.info 1 ~doc:(runtime_failure ^ ".") :: Cmd.Exit.defaults
 
 let socket_arg =
   Arg.(
@@ -450,7 +432,7 @@ let jobs_arg =
 
 let queue_max_arg =
   Arg.(
-    value & opt int 0
+    value & opt Cli.non_negative 0
     & info [ "queue-max" ] ~docv:"N"
         ~doc:
           "Bound the work queue at $(docv) pending cells: submissions \
@@ -526,7 +508,7 @@ let history_out_arg =
 
 let history_interval_arg =
   Arg.(
-    value & opt float 5.0
+    value & opt Cli.positive_float 5.0
     & info [ "history-interval" ] ~docv:"SECS"
         ~doc:"Seconds between history samples (default 5).")
 
@@ -545,7 +527,13 @@ let alerts_arg =
 let serve_cmd =
   let doc = "run the simulation daemon (blocks until a shutdown request)" in
   Cmd.v
-    (Cmd.info "serve" ~doc)
+    (Cmd.info "serve" ~doc
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "when the socket is served by a live daemon or cannot be \
+               bound."
+         :: Cmd.Exit.defaults))
     Term.(
       ret
         (const serve $ socket_arg $ jobs_arg $ queue_max_arg $ cache_dir_arg
@@ -571,7 +559,10 @@ let json_arg =
 let submit_cmd =
   let doc = "submit a workload x policy matrix and stream the results" in
   let exits =
-    Cmd.Exit.info 1 ~doc:"when any cell failed (each is listed on stderr)."
+    Cmd.Exit.info 1
+      ~doc:
+        ("when any cell failed (each is listed on stderr), or "
+        ^ runtime_failure ^ ".")
     :: Cmd.Exit.defaults
   in
   Cmd.v
@@ -620,7 +611,7 @@ let stress_cache_arg =
 let stress_cmd =
   let doc = "queued-load exercise: one large batch of distinct cells" in
   Cmd.v
-    (Cmd.info "stress" ~doc)
+    (Cmd.info "stress" ~doc ~exits:client_exits)
     Term.(
       ret
         (const stress $ socket_arg $ cells_arg $ stress_workload_arg
@@ -628,12 +619,13 @@ let stress_cmd =
 
 let list_sub =
   Cmd.v
-    (Cmd.info "list" ~doc:"list the daemon's workloads and policies")
+    (Cmd.info "list" ~exits:client_exits
+       ~doc:"list the daemon's workloads and policies")
     Term.(ret (const list_cmd $ socket_arg))
 
 let ping_sub =
   Cmd.v
-    (Cmd.info "ping" ~doc:"check daemon liveness")
+    (Cmd.info "ping" ~exits:client_exits ~doc:"check daemon liveness")
     Term.(ret (const ping_cmd $ socket_arg))
 
 let stats_json_arg =
@@ -646,19 +638,19 @@ let stats_json_arg =
 
 let stats_sub =
   Cmd.v
-    (Cmd.info "stats"
+    (Cmd.info "stats" ~exits:client_exits
        ~doc:"print the daemon's queue/throughput/latency snapshot")
     Term.(ret (const stats_cmd $ socket_arg $ stats_json_arg))
 
 let interval_arg =
   Arg.(
-    value & opt float 2.0
+    value & opt Cli.positive_float 2.0
     & info [ "interval" ] ~docv:"SECS"
         ~doc:"Seconds between refreshes (default 2).")
 
 let iterations_arg =
   Arg.(
-    value & opt int 0
+    value & opt Cli.non_negative 0
     & info [ "iterations" ] ~docv:"N"
         ~doc:
           "Stop after $(docv) refreshes; 0 (the default) runs until \
@@ -666,7 +658,7 @@ let iterations_arg =
 
 let top_sub =
   Cmd.v
-    (Cmd.info "top"
+    (Cmd.info "top" ~exits:client_exits
        ~doc:
          "live per-stage latency view (p50/p95/p99 over a sliding window, \
           redrawn in place on a terminal)")
@@ -674,18 +666,20 @@ let top_sub =
 
 let days_arg =
   Arg.(
-    value & opt int 30
+    value & opt Cli.non_negative 30
     & info [ "days" ] ~docv:"N"
         ~doc:"Delete entries older than $(docv) days (default 30).")
 
 let prune_sub =
   Cmd.v
-    (Cmd.info "prune" ~doc:"delete stale entries from the daemon's store")
+    (Cmd.info "prune" ~exits:client_exits
+       ~doc:"delete stale entries from the daemon's store")
     Term.(ret (const prune_cmd $ socket_arg $ days_arg))
 
 let shutdown_sub =
   Cmd.v
-    (Cmd.info "shutdown" ~doc:"drain outstanding work and stop the daemon")
+    (Cmd.info "shutdown" ~exits:client_exits
+       ~doc:"drain outstanding work and stop the daemon")
     Term.(ret (const shutdown_cmd $ socket_arg))
 
 let history_dir_arg =
@@ -713,7 +707,7 @@ let until_arg =
 
 let last_arg =
   Arg.(
-    value & opt int 0
+    value & opt Cli.non_negative 0
     & info [ "last" ] ~docv:"N"
         ~doc:"Keep only the newest $(docv) records; 0 (the default) = all.")
 
@@ -737,7 +731,7 @@ let fields_arg =
 
 let history_sub =
   Cmd.v
-    (Cmd.info "history"
+    (Cmd.info "history" ~exits:client_exits
        ~doc:
          "query the daemon's recorded telemetry time-series (or read \
           segment files directly with --dir)")

@@ -43,6 +43,15 @@ let checked_int check =
 let non_negative =
   checked_int (fun n -> if n >= 0 then Ok () else Error "must be >= 0")
 
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (Printf.sprintf "invalid value '%s', expected a number" s)
+    | Some f when f > 0. && Float.is_finite f -> Ok f
+    | Some _ -> Error "must be a finite number > 0"
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
 let workloads =
   let doc =
     "Workload to run (repeatable; default: the whole suite). Known: "

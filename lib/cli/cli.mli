@@ -27,6 +27,9 @@ val checked_int : (int -> (unit, string) result) -> int Arg.conv
 val non_negative : int Arg.conv
 (** An integer [>= 0]. *)
 
+val positive_float : float Arg.conv
+(** A finite number [> 0]. *)
+
 (** {1 Terms} *)
 
 val workloads : Levioso_workload.Workload.t list Term.t

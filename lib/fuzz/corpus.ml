@@ -20,14 +20,8 @@ let path_for ~dir entry =
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
 let save ~dir entry =
-  mkdir_p dir;
+  Levioso_telemetry.Files.mkdir_p dir;
   let path = path_for ~dir entry in
   let buf = Buffer.create 1024 in
   let meta key value = Buffer.add_string buf (Printf.sprintf "; %s: %s\n" key value) in

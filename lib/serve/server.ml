@@ -2,6 +2,7 @@ module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
 module Monitor = Levioso_telemetry.Monitor
 module Span = Levioso_telemetry.Span
+module Latency = Span.Latency
 module Tsdb = Levioso_telemetry.Tsdb
 module Alerts = Levioso_telemetry.Alerts
 module Flight = Levioso_telemetry.Flight
@@ -28,13 +29,11 @@ type opts = {
 }
 
 (* The latency-accounting stages every cell passes through, in path
-   order.  Sliding windows (exact p50/p95/p99 for the stats frame and
-   `top`) and log-scale histograms (OpenMetrics) are always on — they
-   are a handful of float writes per cell and never touch results;
-   span collection and the access log stay Option-gated. *)
+   order.  Their recorders (exact p50/p95/p99 for the stats frame and
+   `top`, log-scale histograms for OpenMetrics) are always on — one
+   lock and a handful of float writes per stage per cell, never touching
+   results; span collection and the access log stay Option-gated. *)
 let lat_stages = [ "queue"; "exec"; "serialize"; "total" ]
-
-let window_capacity = 512
 
 (* Continuous-telemetry state, allocated only under --history-out.  A
    daemon without it constructs none of this: the sampler thread, its
@@ -50,8 +49,8 @@ type hist = {
      sampler thread drains — a signal handler must not take locks) *)
   dump_req : string option Atomic.t;
   h_stop : bool Atomic.t;
-  (* previous tick's (ts, requests, errors, simulated, cached) for rates *)
-  mutable h_prev : (float * float * float * float * float) option;
+  (* previous tick's timestamp and fields, for rates *)
+  mutable h_prev : (float * (string * float) list) option;
 }
 
 type t = {
@@ -75,82 +74,90 @@ type t = {
   merged : int Atomic.t;
   requests : int Atomic.t;
   errors : int Atomic.t;
-  (* per-stage latency accounting: sliding windows for percentiles,
-     fixed log-scale histograms for OpenMetrics *)
-  lat : (string * Span.Window.w) list;
-  lat_hist : (string * Span.Hist.h) list;
+  lat : (string * Latency.t) list;  (* one recorder per stage *)
   access_mu : Mutex.t;
   history : hist option;
 }
 
 let log t msg = match t.opts.log with Some f -> f msg | None -> ()
 
-let gauges t =
-  [
-    ("serve_queue_depth", "Tasks waiting for a pool worker.",
-     float_of_int (Parallel.queue_depth t.pool));
-    ("serve_inflight", "Cells currently being computed.",
-     float_of_int
-       (Mutex.protect t.inflight_mu (fun () -> Hashtbl.length t.inflight)));
-    ("serve_clients", "Connected clients.",
-     float_of_int
-       (Mutex.protect t.clients_mu (fun () -> List.length !(t.clients))));
-    ("serve_cells_simulated", "Cells simulated since daemon start.",
-     float_of_int (Atomic.get t.simulated));
-    ("serve_cells_cached", "Cells replayed from the shard store.",
-     float_of_int (Atomic.get t.cached));
-    ("serve_cells_merged", "Cells merged onto a concurrent computation.",
-     float_of_int (Atomic.get t.merged));
-    ("serve_requests", "Requests handled since daemon start.",
-     float_of_int (Atomic.get t.requests));
-    ("serve_errors", "Cells and frames that failed since daemon start.",
-     float_of_int (Atomic.get t.errors));
-  ]
+(* One reading of everything the daemon exposes.  The stats frame, the
+   history sample and the monitor's gauges and histograms each render
+   one snapshot, so no surface reads the daemon's state on its own. *)
+type snapshot = {
+  (* name (history field; "serve_" prefixed elsewhere), help, value *)
+  gauges : (string * string * float) list;
+  latency : (string * Latency.reading) list;  (* [lat_stages] order *)
+  gc : (string * string * float) list;  (* [Monitor.gc_counters] *)
+}
+
+let snapshot t =
+  {
+    gauges =
+      [
+        ("queue_depth", "Tasks waiting for a pool worker.",
+         float_of_int (Parallel.queue_depth t.pool));
+        ("inflight", "Cells currently being computed.",
+         float_of_int
+           (Mutex.protect t.inflight_mu (fun () -> Hashtbl.length t.inflight)));
+        ("clients", "Connected clients.",
+         float_of_int
+           (Mutex.protect t.clients_mu (fun () -> List.length !(t.clients))));
+        ("cells_simulated", "Cells simulated since daemon start.",
+         float_of_int (Atomic.get t.simulated));
+        ("cells_cached", "Cells replayed from the shard store.",
+         float_of_int (Atomic.get t.cached));
+        ("cells_merged", "Cells merged onto a concurrent computation.",
+         float_of_int (Atomic.get t.merged));
+        ("requests", "Requests handled since daemon start.",
+         float_of_int (Atomic.get t.requests));
+        ("errors", "Cells and frames that failed since daemon start.",
+         float_of_int (Atomic.get t.errors));
+      ];
+    latency = List.map (fun (stage, r) -> (stage, Latency.read r)) t.lat;
+    gc = Monitor.gc_counters ();
+  }
+
+let gauge s name =
+  Option.get
+    (List.find_map
+       (fun (n, _, v) -> if n = name then Some v else None)
+       s.gauges)
+
+let percentiles (r : Latency.reading) =
+  let sorted = Lazy.force r.recent in
+  List.map
+    (fun (name, q) -> (name, Latency.nearest_rank sorted q))
+    [ ("p50_s", 0.5); ("p95_s", 0.95); ("p99_s", 0.99) ]
 
 let publish_gauges t =
   match t.opts.monitor with
   | None -> ()
   | Some m ->
-    List.iter (fun (n, help, v) -> Monitor.set_gauge m ~help n v) (gauges t);
+    let s = snapshot t in
     List.iter
-      (fun (stage, h) ->
-        if Span.Hist.count h > 0 then
+      (fun (n, help, v) -> Monitor.set_gauge m ~help ("serve_" ^ n) v)
+      s.gauges;
+    List.iter
+      (fun (stage, (r : Latency.reading)) ->
+        if r.seen > 0 then
           Monitor.set_histogram m
             ~help:(Printf.sprintf "Per-cell %s latency, seconds." stage)
             (Printf.sprintf "serve_%s_seconds" stage)
-            ~buckets:(Span.Hist.buckets h) ~sum:(Span.Hist.sum h)
-            ~count:(Span.Hist.count h))
-      t.lat_hist
+            ~buckets:r.buckets ~sum:r.sum ~count:r.seen)
+      s.latency
 
-let observe_stage t stage v =
-  (match List.assoc_opt stage t.lat with
-  | Some w -> Span.Window.observe w v
-  | None -> ());
-  match List.assoc_opt stage t.lat_hist with
-  | Some h -> Span.Hist.observe h v
-  | None -> ()
-
-let latency_json t =
-  Json.Obj
-    (List.map
-       (fun (stage, w) ->
-         let p q =
-           match Span.Window.percentile w q with
-           | Some v -> Json.float v
-           | None -> Json.Null
-         in
-         ( stage,
-           Json.Obj
-             [
-               ("seen", Json.Int (Span.Window.seen w));
-               ("window", Json.Int (Span.Window.count w));
-               ("p50_s", p 0.5);
-               ("p95_s", p 0.95);
-               ("p99_s", p 0.99);
-             ] ))
-       t.lat)
-
-let stats_snapshot t =
+let stats_json t s =
+  let stage (name, (r : Latency.reading)) =
+    ( name,
+      Json.Obj
+        (("seen", Json.Int r.seen)
+        :: ("window", Json.Int (Array.length (Lazy.force r.recent)))
+        :: List.map
+             (fun (name, p) ->
+               (name, match p with Some v -> Json.float v | None -> Json.Null))
+             (percentiles r)) )
+  in
   Schema.tag
     [
       ("kind", Json.String "levioso-serve-stats");
@@ -160,53 +167,41 @@ let stats_snapshot t =
         match t.opts.queue_max with Some n -> Json.Int n | None -> Json.Null );
       ("cache", Json.Bool (t.opts.cache <> None));
       ("uptime_s", Json.float (Unix.gettimeofday () -. t.started));
-      ("requests", Json.Int (Atomic.get t.requests));
-      ("errors", Json.Int (Atomic.get t.errors));
+      ("requests", Json.Int (int_of_float (gauge s "requests")));
+      ("errors", Json.Int (int_of_float (gauge s "errors")));
       ( "gauges",
-        Json.Obj (List.map (fun (n, _, v) -> (n, Json.float v)) (gauges t)) );
-      ("latency", latency_json t);
+        Json.Obj
+          (List.map (fun (n, _, v) -> ("serve_" ^ n, Json.float v)) s.gauges)
+      );
+      ("latency", Json.Obj (List.map stage s.latency));
     ]
 
 (* --- continuous telemetry (--history-out) ------------------------------
 
    One sampler thread wakes every interval, reads the clock once,
-   assembles the daemon's whole observable state into flat float fields
-   and appends a tsdb sample.  Field names deliberately match what the
-   alert language and the dashboard read: gauges lose their "serve_"
-   prefix (queue_depth, requests, ...), latency percentiles are
+   renders one snapshot into flat float fields and appends a tsdb
+   sample.  Field names deliberately match what the alert language and
+   the dashboard read: gauges go without their "serve_" prefix
+   (queue_depth, requests, ...), latency percentiles are
    "<stage>_p50_s" etc. so a "total_p99_ms > 500" rule resolves via the
    Alerts _ms fallback. *)
 
-let history_fields t ~ts =
-  let gauge_fields =
-    List.map
-      (fun (name, _, v) ->
-        let name =
-          if String.length name > 6 && String.sub name 0 6 = "serve_" then
-            String.sub name 6 (String.length name - 6)
-          else name
-        in
-        (name, v))
-      (gauges t)
-  in
+let history_fields t s ~ts =
   let lat_fields =
     List.concat_map
-      (fun (stage, w) ->
-        let p q suffix =
-          match Span.Window.percentile w q with
-          | Some v -> [ (stage ^ suffix, v) ]
-          | None -> []
-        in
-        [ (stage ^ "_seen", float_of_int (Span.Window.seen w)) ]
-        @ p 0.5 "_p50_s" @ p 0.95 "_p95_s" @ p 0.99 "_p99_s")
-      t.lat
+      (fun (stage, (r : Latency.reading)) ->
+        (stage ^ "_seen", float_of_int r.seen)
+        :: List.filter_map
+             (fun (name, p) -> Option.map (fun v -> (stage ^ "_" ^ name, v)) p)
+             (percentiles r))
+      s.latency
   in
   let hist_fields =
     List.concat_map
-      (fun (stage, h) ->
+      (fun (stage, (r : Latency.reading)) ->
         [
-          (stage ^ "_hist_count", float_of_int (Span.Hist.count h));
-          (stage ^ "_hist_sum_s", Span.Hist.sum h);
+          (stage ^ "_hist_count", float_of_int r.seen);
+          (stage ^ "_hist_sum_s", r.sum);
         ]
         (* full cumulative buckets for the end-to-end stage only: 4
            stages x ~25 buckets per sample would triple record size for
@@ -218,48 +213,37 @@ let history_fields t ~ts =
               if n > 0 then
                 Some (Printf.sprintf "total_le_%g" le, float_of_int n)
               else None)
-            (Span.Hist.buckets h)
+            r.buckets
         else [])
-      t.lat_hist
+      s.latency
   in
-  let gc = Gc.quick_stat () in
-  let gc_fields =
-    [
-      ("gc_heap_words", float_of_int gc.Gc.heap_words);
-      ("gc_top_heap_words", float_of_int gc.Gc.top_heap_words);
-      ("gc_minor_collections", float_of_int gc.Gc.minor_collections);
-      ("gc_major_collections", float_of_int gc.Gc.major_collections);
-      ("gc_minor_words", gc.Gc.minor_words);
-      ("gc_promoted_words", gc.Gc.promoted_words);
-    ]
-  in
-  (("uptime_s", ts -. t.started) :: gauge_fields) @ lat_fields @ hist_fields
-  @ gc_fields
+  let values = List.map (fun (name, _, v) -> (name, v)) in
+  (("uptime_s", ts -. t.started) :: values s.gauges)
+  @ lat_fields @ hist_fields @ values s.gc
 
 let history_rates h ~ts fields =
-  let get name = Option.value ~default:0. (List.assoc_opt name fields) in
-  let requests = get "requests" and errors = get "errors" in
-  let simulated = get "cells_simulated" and cached = get "cells_cached" in
+  let get fields name = Option.value ~default:0. (List.assoc_opt name fields) in
   let rates =
     match h.h_prev with
-    | Some (pts, preq, perr, psim, pcache) when ts > pts ->
+    | Some (pts, prev) when ts > pts ->
       let dt = ts -. pts in
-      let sim_d = simulated -. psim and cache_d = cached -. pcache in
-      let served = sim_d +. cache_d in
+      let delta name = get fields name -. get prev name in
+      let cached = delta "cells_cached" in
+      let served = delta "cells_simulated" +. cached in
       [
-        ("requests_per_s", (requests -. preq) /. dt);
-        ("errors_per_s", (errors -. perr) /. dt);
+        ("requests_per_s", delta "requests" /. dt);
+        ("errors_per_s", delta "errors" /. dt);
         ("cells_per_s", served /. dt);
-        ("cache_hit_share", if served > 0. then cache_d /. served else 0.);
+        ("cache_hit_share", if served > 0. then cached /. served else 0.);
       ]
     | _ -> []
   in
-  h.h_prev <- Some (ts, requests, errors, simulated, cached);
+  h.h_prev <- Some (ts, fields);
   rates
 
 let sample_history t h =
   let ts = Tsdb.now h.tsdb in
-  let fields = history_fields t ~ts in
+  let fields = history_fields t (snapshot t) ~ts in
   let fields = fields @ history_rates h ~ts fields in
   let s = Tsdb.append ~ts h.tsdb fields in
   Flight.add_sample h.flight s;
@@ -273,11 +257,11 @@ let sample_history t h =
          else Printf.sprintf "alert resolved: %s" rule.Alerts.name);
       Tsdb.append_alert h.tsdb ~ts ~rule:rule.Alerts.name ~firing)
     transitions;
-  match t.opts.monitor with
-  | Some m ->
-    Monitor.set_gauge m ~help:"Alert rules currently firing." "alerts_firing"
-      (float_of_int (Alerts.firing h.halerts))
-  | None -> ()
+  Option.iter
+    (fun m ->
+      Monitor.set_gauge m ~help:"Alert rules currently firing." "alerts_firing"
+        (float_of_int (Alerts.firing h.halerts)))
+    t.opts.monitor
 
 (* Post-mortem dump: flight-recorder rings to disk.  Called from the
    sampler thread (SIGUSR1 flag), a client thread (uncaught request
@@ -333,26 +317,23 @@ let cell_key ~use_cache (c : Protocol.cell) =
     ]
 
 let exec t ~use_cache ?scope cell () =
-  (match t.opts.monitor with
-  | Some m ->
-    Monitor.start m (cell.Protocol.workload ^ "/" ^ cell.Protocol.policy)
-  | None -> ());
+  Option.iter
+    (fun m ->
+      Monitor.start m (cell.Protocol.workload ^ "/" ^ cell.Protocol.policy))
+    t.opts.monitor;
   let cache = if use_cache then t.opts.cache else None in
   match Engine.run_cell ?cache ?scope cell with
   | o ->
     (match o.Engine.source with
     | "cache" -> Atomic.incr t.cached
     | _ -> Atomic.incr t.simulated);
-    (match t.opts.monitor with
-    | Some m -> Monitor.item_done m ~wall_s:o.Engine.wall_s ()
-    | None -> ());
+    Option.iter (fun m -> Monitor.item_done m ~wall_s:o.Engine.wall_s ())
+      t.opts.monitor;
     o
   | exception e ->
     (* the monitor's per-domain "current item" must clear even when a
        cell raises, or the live view shows it as stuck forever *)
-    (match t.opts.monitor with
-    | Some m -> Monitor.item_done m ()
-    | None -> ());
+    Option.iter (fun m -> Monitor.item_done m ()) t.opts.monitor;
     raise e
 
 (* Schedule one cell, merging onto an identical in-flight computation
@@ -429,25 +410,14 @@ let handle_submit t oc ~id ~cache ~trace cells =
           in
           (cell, `Invalid (msg, Unix.gettimeofday ()))
         | Ok () ->
-          let cspan =
-            Option.map
-              (fun spans ->
-                let sp = Span.start spans ~trace ~parent:req_parent "cell" in
-                Span.add_attr sp "workload" cell.Protocol.workload;
-                Span.add_attr sp "policy" cell.Protocol.policy;
-                sp)
-              t.opts.spans
-          in
-          let scope =
-            Option.map
-              (fun spans ->
-                {
-                  Engine.spans;
-                  trace;
-                  parent =
-                    (match cspan with Some sp -> Span.id sp | None -> -1);
-                })
-              t.opts.spans
+          let cspan, scope =
+            match t.opts.spans with
+            | None -> (None, None)
+            | Some spans ->
+              let sp = Span.start spans ~trace ~parent:req_parent "cell" in
+              Span.add_attr sp "workload" cell.Protocol.workload;
+              Span.add_attr sp "policy" cell.Protocol.policy;
+              (Some sp, Some { Engine.spans; trace; parent = Span.id sp })
           in
           let t_sched = Unix.gettimeofday () in
           let fut, fresh = schedule t ~use_cache:cache ?scope cell in
@@ -470,24 +440,21 @@ let handle_submit t oc ~id ~cache ~trace cells =
     let t_done = Unix.gettimeofday () in
     let serialize_s = t_done -. t_ser in
     let total_s = Float.max 0. (t_done -. t_sched) in
-    (match t.opts.spans with
-    | Some spans ->
-      Option.iter
-        (fun sp ->
-          Span.finish spans
-            ~attrs:
-              ([ ("index", string_of_int index); ("source", source) ]
-              @ (if merged then [ ("merged", "true") ] else [])
-              @ (match error with Some e -> [ ("error", e) ] | None -> []))
-            sp)
-        cspan
-    | None -> ());
-    if error = None then begin
-      observe_stage t "queue" queue_s;
-      observe_stage t "exec" exec_s;
-      observe_stage t "serialize" serialize_s;
-      observe_stage t "total" total_s
-    end;
+    (match (t.opts.spans, cspan) with
+    | Some spans, Some sp ->
+      Span.finish spans
+        ~attrs:
+          ([ ("index", string_of_int index); ("source", source) ]
+          @ (if merged then [ ("merged", "true") ] else [])
+          @ match error with Some e -> [ ("error", e) ] | None -> [])
+        sp
+    | _ -> ());
+    (* in [lat_stages] order *)
+    if error = None then
+      List.iter2
+        (fun (_, r) v -> Latency.observe r v)
+        t.lat
+        [ queue_s; exec_s; serialize_s; total_s ];
     if t.opts.access_log <> None || t.history <> None then begin
       (* one record, two consumers: the JSONL access log and the flight
          recorder's bounded ring.  All timestamps above were already
@@ -618,7 +585,8 @@ let handle_request t oc req =
   | Protocol.Ping -> Protocol.(write_frame oc (response_to_json Pong))
   | Protocol.Stats ->
     Protocol.(
-      write_frame oc (response_to_json (Stats_snapshot (stats_snapshot t))))
+      write_frame oc
+        (response_to_json (Stats_snapshot (stats_json t (snapshot t)))))
   | Protocol.Prune days ->
     let removed =
       match t.opts.cache with
@@ -641,17 +609,11 @@ let handle_request t oc req =
           (response_to_json
              (Error "daemon is running without --history-out")))
     | Some h -> (
-      match Tsdb.read_dir ?since ?until h.h_dir with
+      match Tsdb.read_dir ?since ?until ~last h.h_dir with
       | Error e ->
         Atomic.incr t.errors;
         Protocol.(write_frame oc (response_to_json (Error e)))
       | Ok records ->
-        let records =
-          if last > 0 then
-            let n = List.length records in
-            List.filteri (fun i _ -> i >= n - last) records
-          else records
-        in
         Protocol.(
           write_frame oc
             (response_to_json (History_data (Protocol.history_doc records))))))
@@ -778,13 +740,14 @@ let run ?(on_ready = fun () -> ()) opts =
       merged = Atomic.make 0;
       requests = Atomic.make 0;
       errors = Atomic.make 0;
-      lat =
-        List.map (fun s -> (s, Span.Window.create window_capacity)) lat_stages;
-      lat_hist = List.map (fun s -> (s, Span.Hist.create ())) lat_stages;
+      lat = List.map (fun s -> (s, Latency.create ())) lat_stages;
       access_mu = Mutex.create ();
       history;
     }
   in
+  (* publish before the sampler starts, so the daemon's gauges always
+     precede the sampler's alerts_firing in the monitor's exposition *)
+  publish_gauges t;
   let sampler =
     Option.map
       (fun h ->
@@ -810,7 +773,6 @@ let run ?(on_ready = fun () -> ()) opts =
        | Some n -> Printf.sprintf ", queue <= %d" n
        | None -> "")
        (if opts.cache <> None then "on" else "off"));
-  publish_gauges t;
   on_ready ();
   let rec accept_loop () =
     match Unix.accept t.listener with
@@ -848,5 +810,5 @@ let run ?(on_ready = fun () -> ()) opts =
   | _ -> ());
   (try Unix.close t.listener with Unix.Unix_error _ -> ());
   (try Sys.remove opts.socket_path with Sys_error _ -> ());
-  (match opts.monitor with Some m -> Monitor.close m | None -> ());
+  Option.iter Monitor.close opts.monitor;
   log t "stopped"

@@ -25,11 +25,15 @@ type history_opts = {
           [levioso_alerts_firing] monitor gauge *)
 }
 (** Continuous telemetry ([--history-out]): a sampler thread appends
-    the daemon's full observable state (queue/throughput gauges,
-    sliding-window latency percentiles, histogram mass and end-to-end
-    buckets, GC counters, derived per-second rates) to an on-disk
+    the daemon's full observable state (queue/throughput gauges, each
+    latency stage's recent-window percentiles, histogram mass and
+    end-to-end buckets, the {!Levioso_telemetry.Monitor.gc_counters},
+    derived per-second rates) to an on-disk
     {!Levioso_telemetry.Tsdb} at a fixed interval, feeds a bounded
-    flight-recorder ring, and evaluates alert rules.  A post-mortem
+    flight-recorder ring, and evaluates alert rules.  The sample, the
+    [stats] frame and the monitor's gauges and histograms are each
+    rendered from one snapshot of that state, read once per
+    rendering.  A post-mortem
     dump of the rings is written on SIGUSR1, on a deadlock diagnostic
     from a simulated cell, and on an uncaught server error. *)
 
@@ -42,7 +46,9 @@ type opts = {
       (** shared shard store; [None] disables replay/persist *)
   monitor : Levioso_telemetry.Monitor.t option;
       (** live progress + OpenMetrics queue/throughput gauges and
-          per-stage latency histograms *)
+          per-stage latency histograms, from one
+          {!Levioso_telemetry.Span.Latency} recorder per stage (queue,
+          exec, serialize, total) *)
   log : (string -> unit) option;  (** daemon-side event log lines *)
   spans : Levioso_telemetry.Span.t option;
       (** request-level tracing: with a collector, every submission

@@ -1,0 +1,22 @@
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+  end
+
+let tmp_counter = Atomic.make 0
+
+let write_atomic path write =
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_counter 1)
+  in
+  let oc = open_out_bin tmp in
+  match write oc with
+  | () ->
+    close_out oc;
+    Sys.rename tmp path
+  | exception e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e

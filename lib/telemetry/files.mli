@@ -1,0 +1,12 @@
+(** The file-system helpers of every on-disk store: {!Tsdb}, {!Flight},
+    {!Monitor}, the run cache and the fuzz corpus. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents ([0o755]); a failure is
+    left for the next open to report. *)
+
+val write_atomic : string -> (out_channel -> unit) -> unit
+(** [write_atomic path write] writes through a temp file beside [path]
+    named [<path>.<pid>.<n>.tmp], unique per call, then renames it over
+    [path], so a reader never sees a torn file.  If [write] raises, the
+    temp file is removed. *)

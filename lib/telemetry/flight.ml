@@ -13,9 +13,7 @@ let create ?(samples = 256) ?(records = 256) () =
     records = Ring.create (max 1 records);
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let add_sample t s = locked t (fun () -> Ring.push t.samples s)
 let add_record t j = locked t (fun () -> Ring.push t.records j)
@@ -34,30 +32,31 @@ let dump t ~reason ~ts =
           ("records", Json.List (Ring.to_list t.records));
         ])
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
+(* The slot is claimed by creating it with O_EXCL, so two dumps at once
+   (a SIGUSR1 dump in the sampler, a deadlock dump in a client thread)
+   never take the same one; the content then replaces the empty claim
+   atomically. *)
 let write t ~dir ~reason ~ts =
   let json = dump t ~reason ~ts in
-  mkdir_p dir;
-  let rec free_path n =
-    if n > 999 then None
+  Files.mkdir_p dir;
+  let rec claim n =
+    if n > 999 then Error "flight recorder: no free postmortem-NNN.json slot"
     else
       let path = Filename.concat dir (Printf.sprintf "postmortem-%03d.json" n) in
-      if Sys.file_exists path then free_path (n + 1) else Some path
-  in
-  match free_path 0 with
-  | None -> Error "flight recorder: no free postmortem-NNN.json slot"
-  | Some path -> (
-      try
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Json.to_channel oc json;
-        output_char oc '\n';
-        close_out oc;
-        Sys.rename tmp path;
+      match Unix.openfile path Unix.[ O_WRONLY; O_CREAT; O_EXCL ] 0o644 with
+      | fd ->
+        Unix.close fd;
         Ok path
-      with Sys_error e -> Error e)
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> claim (n + 1)
+      | exception Unix.Unix_error (e, _, _) ->
+        Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  in
+  Result.bind (claim 0) (fun path ->
+      try
+        Files.write_atomic path (fun oc ->
+            Json.to_channel oc json;
+            output_char oc '\n');
+        Ok path
+      with Sys_error e ->
+        (try Sys.remove path with Sys_error _ -> ());
+        Error e)

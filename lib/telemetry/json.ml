@@ -126,6 +126,19 @@ let expect_keyword c kw v =
   end
   else error c ("expected " ^ kw)
 
+(* The four hex digits of a u escape: [c.pos] starts on the u and ends
+   on the last digit. *)
+let parse_hex4 c =
+  let is_hex = function
+    | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+    | _ -> false
+  in
+  if c.pos + 4 >= String.length c.src then error c "truncated \\u escape";
+  let hex = String.sub c.src (c.pos + 1) 4 in
+  if not (String.for_all is_hex hex) then error c "bad \\u escape";
+  c.pos <- c.pos + 4;
+  int_of_string ("0x" ^ hex)
+
 let parse_string_body c =
   expect c '"';
   let buf = Buffer.create 16 in
@@ -145,24 +158,26 @@ let parse_string_body c =
       | Some 'b' -> Buffer.add_char buf '\b'
       | Some 'f' -> Buffer.add_char buf '\012'
       | Some 'u' ->
-        if c.pos + 4 >= String.length c.src then error c "truncated \\u escape";
-        let hex = String.sub c.src (c.pos + 1) 4 in
+        (* a surrogate pair spells one code point past the BMP; half of
+           one is not a character *)
+        let hi = parse_hex4 c in
         let code =
-          try int_of_string ("0x" ^ hex)
-          with _ -> error c "bad \\u escape"
+          if
+            hi land 0xFC00 = 0xD800
+            && c.pos + 2 < String.length c.src
+            && String.sub c.src (c.pos + 1) 2 = "\\u"
+          then begin
+            c.pos <- c.pos + 2;
+            let lo = parse_hex4 c in
+            if lo land 0xFC00 = 0xDC00 then
+              0x10000 + ((hi land 0x3FF) lsl 10) + (lo land 0x3FF)
+            else hi
+          end
+          else hi
         in
-        c.pos <- c.pos + 4;
-        (* encode the BMP code point as UTF-8 *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
+        if not (Uchar.is_valid code) then
+          error c "lone surrogate in \\u escape";
+        Buffer.add_utf_8_uchar buf (Uchar.of_int code)
       | Some x -> error c (Printf.sprintf "bad escape \\%c" x)
       | None -> error c "unterminated escape");
       advance c;
@@ -175,30 +190,42 @@ let parse_string_body c =
   loop ();
   Buffer.contents buf
 
+(* RFC 8259's number: an optional minus, then 0 or digits not starting
+   with 0, then an optional fraction (a dot and digits) and an optional
+   exponent (e or E, a sign, digits).  An integer literal past the int
+   range decodes as a [Float]; one past the float range is an error,
+   since [Float infinity] could not be printed. *)
 let parse_number c =
   let start = c.pos in
-  let is_num_char ch =
-    match ch with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  let accept p =
+    match peek c with
+    | Some ch when p ch ->
+      advance c;
+      true
     | _ -> false
   in
-  while
-    match peek c with
-    | Some ch -> is_num_char ch
-    | None -> false
-  do
-    advance c
-  done;
+  let digit = function '0' .. '9' -> true | _ -> false in
+  let digits () =
+    if not (accept digit) then error c "bad number: digit expected";
+    while accept digit do () done
+  in
+  ignore (accept (( = ) '-'));
+  if not (accept (( = ) '0')) then digits ()
+  else if accept digit then error c "bad number: leading zero";
+  let frac = accept (( = ) '.') in
+  if frac then digits ();
+  let exp = accept (function 'e' | 'E' -> true | _ -> false) in
+  if exp then begin
+    ignore (accept (function '+' | '-' -> true | _ -> false));
+    digits ()
+  end;
   let text = String.sub c.src start (c.pos - start) in
-  if String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') text then
-    match float_of_string_opt text with
-    | Some f when Float.is_finite f -> Float f
-    | Some _ -> error c ("number out of range " ^ text)
-    | None -> error c ("bad number " ^ text)
-  else
-    match int_of_string_opt text with
-    | Some i -> Int i
-    | None -> error c ("bad number " ^ text)
+  match if frac || exp then None else int_of_string_opt text with
+  | Some i -> Int i
+  | None ->
+    let f = float_of_string text in
+    if Float.is_finite f then Float f
+    else error c ("number out of range " ^ text)
 
 let rec parse_value c =
   skip_ws c;

@@ -57,9 +57,7 @@ let create ?ansi ?(force_ansi = false) ?json_path ?metrics_path
     closed = false;
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let domain_id () = (Domain.self () :> int)
 
@@ -72,21 +70,27 @@ let eta_s t elapsed =
       Some (elapsed /. float_of_int t.done_ *. float_of_int (tot - t.done_))
   | _ -> None
 
-(* Process-level self-metrics: uptime plus GC health, from
-   [Gc.quick_stat] (O(1)).  [live_words] is deliberately absent — on
-   OCaml 5 [quick_stat] reports it as 0 and the accurate [Gc.stat] walks
-   the whole heap, far too expensive for a 0.5 s render cadence — so
-   heap/top-heap words stand in for heap pressure. *)
-let process_metrics elapsed =
+(* GC health counters from [Gc.quick_stat] (O(1)).  [live_words] is
+   deliberately absent — on OCaml 5 [quick_stat] reports it as 0 and the
+   accurate [Gc.stat] walks the whole heap, far too expensive for a
+   0.5 s render cadence — so heap/top-heap words stand in for heap
+   pressure. *)
+let gc_counters () =
   let q = Gc.quick_stat () in
   [
-    ("uptime_seconds", "Wall clock seconds since this process's monitor started.", elapsed);
     ("gc_heap_words", "Major heap size, words.", float_of_int q.Gc.heap_words);
     ("gc_top_heap_words", "Largest major heap size reached, words.", float_of_int q.Gc.top_heap_words);
     ("gc_minor_collections", "Minor collections since start.", float_of_int q.Gc.minor_collections);
     ("gc_major_collections", "Major collection cycles since start.", float_of_int q.Gc.major_collections);
     ("gc_minor_words", "Words allocated in the minor heap since start.", q.Gc.minor_words);
+    ("gc_promoted_words", "Words promoted to the major heap since start.", q.Gc.promoted_words);
   ]
+
+(* Process-level self-metrics: uptime plus the GC counters, less the
+   promoted words, which only the daemon's history samples record. *)
+let process_metrics elapsed =
+  ("uptime_seconds", "Wall clock seconds since this process's monitor started.", elapsed)
+  :: List.filter (fun (n, _, _) -> n <> "gc_promoted_words") (gc_counters ())
 
 let snapshot_json_locked t now =
   let elapsed = now -. t.started in
@@ -242,22 +246,19 @@ let status_line_locked t now =
   in
   if String.length line > 120 then String.sub line 0 117 ^ "..." else line
 
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
-
 let render_locked ?(final = false) t =
   let now = Unix.gettimeofday () in
   if final || now -. t.last_render >= t.min_interval then (
     t.last_render <- now;
     (match t.json_path with
-    | Some p -> write_atomic p (Json.to_string (snapshot_json_locked t now) ^ "\n")
+    | Some p ->
+      Files.write_atomic p (fun oc ->
+          output_string oc (Json.to_string (snapshot_json_locked t now) ^ "\n"))
     | None -> ());
     (match t.metrics_path with
-    | Some p -> write_atomic p (openmetrics_locked t now)
+    | Some p ->
+      Files.write_atomic p (fun oc ->
+          output_string oc (openmetrics_locked t now))
     | None -> ());
     match t.ansi with
     | Some oc ->

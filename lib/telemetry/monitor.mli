@@ -64,12 +64,19 @@ val set_histogram :
   count:int ->
   unit
 (** Publish a latency histogram: [buckets] are [(upper_bound,
-    cumulative_count)] pairs (e.g. {!Span.Hist.buckets}), rendered as
-    OpenMetrics [<name>_bucket{le="..."}] series plus the implied
-    [+Inf] bucket, [<name>_sum] and [<name>_count].  Same
+    cumulative_count)] pairs (e.g. a {!Span.Latency.reading}'s
+    [buckets]), rendered as OpenMetrics [<name>_bucket{le="..."}]
+    series plus the implied [+Inf] bucket, [<name>_sum] and
+    [<name>_count].  Same
     sanitization, update-in-place and ordering rules as
     {!set_gauge}; the JSON snapshot carries a compact
     [histograms.<name> = {count, sum_s}] echo. *)
+
+val gc_counters : unit -> (string * string * float) list
+(** The one GC counter list, [(name, help, value)] from
+    [Gc.quick_stat], [gc_heap_words] to [gc_promoted_words]: the serve
+    daemon's history samples carry all six, a monitor all but the
+    last. *)
 
 val start : t -> string -> unit
 (** [start t what] notes that the calling domain began working on

@@ -1,7 +1,8 @@
 (** A fixed-capacity ring buffer: the last [capacity] values pushed,
     oldest first.  Backs the flight recorder's sample and record rings
     ({!Flight}), the audit layer's raw-event window ({!Audit}) and the
-    serve latency windows ({!Span.Window}).  Each caller decides what
+    recent observations of the serve latency recorders
+    ({!Span.Latency}).  Each caller decides what
     an out-of-range capacity means before calling {!create}.
 
     Not used by [Levioso_uarch.Pipeline]'s recent-event window: that

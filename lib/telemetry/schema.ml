@@ -12,7 +12,3 @@ let check ?(what = "report") j =
   | Some _ -> Error (what ^ ": schema_version is not an integer")
   | None -> Error (what ^ ": missing schema_version")
 
-let check_exn ?what j =
-  match check ?what j with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Schema.check_exn: " ^ msg)

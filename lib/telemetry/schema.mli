@@ -27,5 +27,3 @@ val check : ?what:string -> Json.t -> (unit, string) result
 (** Verify a parsed report declares the current version.  [what] names
     the artifact in the error message. *)
 
-val check_exn : ?what:string -> Json.t -> unit
-(** @raise Invalid_argument when {!check} fails. *)

@@ -178,7 +178,7 @@ let access_record ~ts ~trace ~request ~index ~workload ~policy ~source ?error
 
 (* --- latency accounting ------------------------------------------------ *)
 
-module Hist = struct
+module Latency = struct
   (* 1–2.5–5 per decade, 1 µs .. 100 s: shared by every stage so bucket
      boundaries line up across metrics and across daemon restarts. *)
   let bounds =
@@ -190,84 +190,73 @@ module Hist = struct
          [ -6; -5; -4; -3; -2; -1; 0; 1 ]
       @ [ 100. ])
 
-  type h = {
+  type t = {
+    mu : Mutex.t;
     counts : int array;  (* one per bound + overflow *)
-    mutable hsum : float;
-    mutable hcount : int;
-    hmu : Mutex.t;
+    mutable sum : float;
+    recent : float Ring.t;  (* its [pushed] is the observation count *)
   }
 
-  let create () =
+  let create ?(window = 512) () =
     {
+      mu = Mutex.create ();
       counts = Array.make (Array.length bounds + 1) 0;
-      hsum = 0.;
-      hcount = 0;
-      hmu = Mutex.create ();
+      sum = 0.;
+      recent = Ring.create (max 1 window);
     }
 
   let slot v =
     let n = Array.length bounds in
-    let rec find i = if i >= n then n else if v <= bounds.(i) then i else find (i + 1) in
+    let rec find i =
+      if i >= n then n else if v <= bounds.(i) then i else find (i + 1)
+    in
     find 0
 
-  let observe h v =
-    Mutex.protect h.hmu (fun () ->
-        h.counts.(slot v) <- h.counts.(slot v) + 1;
-        h.hsum <- h.hsum +. v;
-        h.hcount <- h.hcount + 1)
+  let observe t v =
+    let i = slot v in
+    Mutex.protect t.mu (fun () ->
+        t.counts.(i) <- t.counts.(i) + 1;
+        t.sum <- t.sum +. v;
+        Ring.push t.recent v)
 
-  let count h = Mutex.protect h.hmu (fun () -> h.hcount)
-  let sum h = Mutex.protect h.hmu (fun () -> h.hsum)
+  type reading = {
+    seen : int;
+    sum : float;
+    buckets : (float * int) list;
+    recent : float array Lazy.t;
+  }
 
-  let buckets h =
-    Mutex.protect h.hmu (fun () ->
-        let acc = ref 0 in
+  let read t =
+    let seen, sum, counts, recent =
+      Mutex.protect t.mu (fun () ->
+          ( Ring.pushed t.recent,
+            t.sum,
+            Array.copy t.counts,
+            Ring.to_list t.recent ))
+    in
+    let acc = ref 0 in
+    {
+      seen;
+      sum;
+      buckets =
         Array.to_list
           (Array.mapi
              (fun i b ->
-               acc := !acc + h.counts.(i);
+               acc := !acc + counts.(i);
                (b, !acc))
-             bounds))
+             bounds);
+      recent =
+        lazy
+          (let a = Array.of_list recent in
+           Array.sort Float.compare a;
+           a);
+    }
 
-  let percentile h q =
-    Mutex.protect h.hmu (fun () ->
-        if h.hcount = 0 then 0.
-        else begin
-          let target =
-            max 1 (int_of_float (Float.round (q *. float_of_int h.hcount)))
-          in
-          let n = Array.length bounds in
-          let rec walk i acc =
-            if i >= n then bounds.(n - 1)
-            else
-              let acc = acc + h.counts.(i) in
-              if acc >= target then bounds.(i) else walk (i + 1) acc
-          in
-          walk 0 0
-        end)
-end
-
-module Window = struct
-  type w = { ring : float Ring.t; wmu : Mutex.t }
-
-  let create capacity =
-    { ring = Ring.create (max 1 capacity); wmu = Mutex.create () }
-
-  let observe w v = Mutex.protect w.wmu (fun () -> Ring.push w.ring v)
-  let count w = Mutex.protect w.wmu (fun () -> Ring.length w.ring)
-  let seen w = Mutex.protect w.wmu (fun () -> Ring.pushed w.ring)
-
-  let percentile w q =
-    let live =
-      Array.of_list (Mutex.protect w.wmu (fun () -> Ring.to_list w.ring))
-    in
-    let n = Array.length live in
+  let nearest_rank sorted q =
+    let n = Array.length sorted in
     if n = 0 then None
-    else begin
-      Array.sort compare live;
-      let rank =
-        min (n - 1) (max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
-      in
-      Some live.(rank)
-    end
+    else
+      Some
+        sorted.(min (n - 1)
+                  (max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
 end

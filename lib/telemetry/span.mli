@@ -18,10 +18,10 @@
       schema-tagged like every other JSON artifact in the repo.
     - {!access_record}: one schema-tagged JSONL record per served cell
       with per-stage durations — the daemon's access log.
-    - {!Hist}: fixed log-scale latency histograms whose buckets feed
-      {!Monitor.set_histogram} (OpenMetrics).
-    - {!Window}: sliding-window exact percentiles for the live
-      [stats]/[top] views.
+    - {!Latency}: one recorder per latency stage, whose log-scale
+      buckets feed {!Monitor.set_histogram} (OpenMetrics) and whose
+      recent-observation ring gives the exact percentiles of the live
+      [stats]/[top] views and the history samples.
 
     Everything is byte-deterministic given a fixed [clock], so golden
     tests inject a counter clock and compare exporter output textually.
@@ -116,51 +116,41 @@ val access_record :
 
 (** {1 Latency accounting} *)
 
-(** Fixed log-scale histogram: 1–2.5–5 bucket bounds per decade from
-    1 µs to 100 s, plus an overflow bucket.  Mutex-guarded; the bounds
-    are fixed so daemon restarts and different stages always bucket
-    identically (OpenMetrics requirement). *)
-module Hist : sig
-  type h
+(** One stage's latency recorder.  Under one mutex, an observation
+    lands in a fixed log-scale histogram (1–2.5–5 bounds per decade
+    from 1 µs to 100 s, plus overflow) with its sum, and in a ring of
+    recent observations for exact percentiles; the ring's push count is
+    the one observation counter.  Fixed bounds make restarts and stages
+    bucket identically (OpenMetrics requirement). *)
+module Latency : sig
+  type t
 
   val bounds : float array
   (** The shared upper bounds, seconds, strictly increasing. *)
 
-  val create : unit -> h
-  val observe : h -> float -> unit
-  val count : h -> int
-  val sum : h -> float
+  val create : ?window:int -> unit -> t
+  (** [window] (default 512, clamped to [>= 1]) is how many recent
+      observations the percentiles cover. *)
 
-  val buckets : h -> (float * int) list
-  (** [(upper_bound, cumulative_count)] per bound — exactly the shape
-      {!Monitor.set_histogram} renders ([+Inf] is implied by
-      {!count}). *)
+  val observe : t -> float -> unit
 
-  val percentile : h -> float -> float
-  (** Upper-bound estimate of the [q]-quantile ([0 < q <= 1]); [0.] when
-      empty.  Coarse by construction — use {!Window} for exact
-      percentiles over recent samples. *)
-end
+  (** One consistent reading, taken under the recorder's lock. *)
+  type reading = {
+    seen : int;  (** observations ever made *)
+    sum : float;  (** their sum, seconds *)
+    buckets : (float * int) list;
+        (** [(upper_bound, cumulative_count)] per bound — exactly the
+            shape {!Monitor.set_histogram} renders ([+Inf] is [seen]) *)
+    recent : float array Lazy.t;
+        (** the last [window] observations, ascending; sorted only when
+            forced *)
+  }
 
-(** Sliding window of the last [capacity] observations (a {!Ring}) with
-    exact percentiles — the [stats] frame's p50/p95/p99 and
-    [levioso_serve stress]'s cell wall-clock percentiles; no other
-    nearest-rank percentile exists.  Mutex-guarded. *)
-module Window : sig
-  type w
+  val read : t -> reading
 
-  val create : int -> w
-  (** [capacity >= 1] (clamped). *)
-
-  val observe : w -> float -> unit
-  val count : w -> int
-  (** Observations currently held ([<= capacity]). *)
-
-  val seen : w -> int
-  (** Observations ever offered (monotonic). *)
-
-  val percentile : w -> float -> float option
-  (** Exact nearest-rank [q]-quantile ([0 < q <= 1]) over the held
-      window: the [ceil (q * n)]-th smallest of the [n] held values;
-      [None] when empty. *)
+  val nearest_rank : float array -> float -> float option
+  (** [nearest_rank sorted q]: the [ceil (q * n)]-th smallest of the [n]
+      values of an ascending array ([0 < q <= 1]), [None] when empty.
+      The one percentile function, also used by [levioso_serve
+      stress]. *)
 end

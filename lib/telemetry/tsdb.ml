@@ -103,15 +103,9 @@ type t = {
   mutable last_ts : float;  (* newest timestamp appended (age retention) *)
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let create ?(clock = Unix.gettimeofday) ?(max_segment_bytes = 256 * 1024)
     ?(max_total_bytes = 16 * 1024 * 1024) ?(max_age_s = infinity) ~dir () =
-  mkdir_p dir;
+  Files.mkdir_p dir;
   let seq =
     (* resume after any segment a previous process left behind *)
     List.fold_left
@@ -218,34 +212,23 @@ let append ?ts t fields =
   let ts = match ts with Some ts -> ts | None -> t.clock () in
   let fields = List.filter (fun (_, v) -> Float.is_finite v) fields in
   let s = { ts; fields } in
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
+  Mutex.protect t.mu (fun () ->
       t.last_ts <- ts;
       write_line t (sample_to_json s));
   s
 
 let append_alert t ~ts ~rule ~firing =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () -> write_line t (alert_to_json { a_ts = ts; rule; firing }))
+  Mutex.protect t.mu (fun () ->
+      write_line t (alert_to_json { a_ts = ts; rule; firing }))
 
 let close t =
-  Mutex.lock t.mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mu)
-    (fun () ->
-      match t.chan with
-      | Some ch ->
-          close_out ch;
-          t.chan <- None
-      | None -> ())
+  Mutex.protect t.mu (fun () ->
+      Option.iter close_out t.chan;
+      t.chan <- None)
 
 (* ---------- reader ---------- *)
 
-let read_dir ?(since = neg_infinity) ?(until = infinity) dir =
+let read_dir ?(since = neg_infinity) ?(until = infinity) ?(last = 0) dir =
   let ( let* ) = Result.bind in
   let read_file path =
     let ic = open_in path in
@@ -277,4 +260,9 @@ let read_dir ?(since = neg_infinity) ?(until = infinity) dir =
         Ok (records @ tail)
   in
   let* all = walk (segment_files dir) in
-  Ok (List.filter (fun r -> record_ts r >= since && record_ts r <= until) all)
+  let kept =
+    List.filter (fun r -> record_ts r >= since && record_ts r <= until) all
+  in
+  let drop = List.length kept - last in
+  Ok (if last > 0 && drop > 0 then List.filteri (fun i _ -> i >= drop) kept
+      else kept)

@@ -86,11 +86,16 @@ val segment_files : string -> string list
     Empty list when the directory is missing or holds no segments. *)
 
 val read_dir :
-  ?since:float -> ?until:float -> string -> (record list, string) result
+  ?since:float ->
+  ?until:float ->
+  ?last:int ->
+  string ->
+  (record list, string) result
 (** Parse every segment under [dir] in timestamp order, keeping records
-    with [since <= ts <= until].  Each line is schema-checked; a
-    malformed line fails the whole read with a message naming the file
-    and line number. *)
+    with [since <= ts <= until], and of those only the newest [last]
+    when [last > 0] (the default, 0, keeps all).  Each line is
+    schema-checked; a malformed line fails the whole read with a
+    message naming the file and line number. *)
 
 val samples : record list -> sample list
 (** Just the [Sample] records, in order. *)

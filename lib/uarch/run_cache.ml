@@ -1,4 +1,5 @@
 module Json = Levioso_telemetry.Json
+module Files = Levioso_telemetry.Files
 
 type t = { dir : string; stamp : string }
 
@@ -11,12 +12,6 @@ let code_stamp () = Lazy.force code_stamp_memo
 
 let config_key (config : Config.t) =
   Digest.to_hex (Digest.string (Marshal.to_string config []))
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
 
 (* --- sharded layout ----------------------------------------------------
 
@@ -80,24 +75,16 @@ let read_entry file =
 let find t ~config ~workload ~policy =
   read_entry (path t ~config ~workload ~policy)
 
-(* Every store writes a process-and-call-unique temp file and renames it
-   over the entry, so two writers racing on the same key each publish a
-   complete entry (last rename wins) and a concurrent reader only ever
-   opens a fully written file. *)
-let tmp_counter = Atomic.make 0
-
+(* Every store writes through [Files.write_atomic]'s unique temp file,
+   so two writers racing on the same key each publish a complete entry
+   (last rename wins) and a concurrent reader only ever opens a fully
+   written file. *)
 let store t ~config ~workload ~policy summary =
   let file = path t ~config ~workload ~policy in
-  mkdir_p (Filename.dirname file);
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_counter 1)
-  in
-  let oc = open_out_bin tmp in
-  Json.to_channel oc summary;
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp file
+  Files.mkdir_p (Filename.dirname file);
+  Files.write_atomic file (fun oc ->
+      Json.to_channel oc summary;
+      output_char oc '\n')
 
 (* --- hygiene ---------------------------------------------------------- *)
 

@@ -83,6 +83,43 @@ let test_bad_values () =
       [ "--jobs=-1" ];
     ]
 
+(* A value out of a converter's range is a parse error naming the flag;
+   an in-range one parses to itself. *)
+let test_value_converters () =
+  let run c default arg =
+    let buf = Buffer.create 64 in
+    let err = Format.formatter_of_buffer buf in
+    let term = Arg.(value & opt c default & info [ "xx" ]) in
+    let r =
+      Cmd.eval_value ~err ~help:quiet
+        ~argv:[| "t"; "--xx=" ^ arg |]
+        (Cmd.v (Cmd.info "t") term)
+    in
+    Format.pp_print_flush err ();
+    match r with
+    | Ok (`Ok v) -> Ok v
+    | Error `Parse -> Error (Buffer.contents buf)
+    | _ -> Alcotest.failf "--xx=%s: neither a value nor a parse error" arg
+  in
+  let names_flag msg =
+    let n = String.length msg in
+    let rec go i = i + 6 <= n && (String.sub msg i 6 = "'--xx'" || go (i + 1)) in
+    go 0
+  in
+  let rejected conv default arg =
+    match run conv default arg with
+    | Ok _ -> Alcotest.failf "--xx=%s accepted" arg
+    | Error msg ->
+      Alcotest.(check bool) ("--xx=" ^ arg ^ " names the flag") true
+        (names_flag msg)
+  in
+  Alcotest.(check (result int string)) "0 is non-negative" (Ok 0)
+    (run Cli.non_negative 1 "0");
+  List.iter (rejected Cli.non_negative 0) [ "-1"; "x" ];
+  Alcotest.(check (result (float 0.) string)) "0.25 is positive" (Ok 0.25)
+    (run Cli.positive_float 1. "0.25");
+  List.iter (rejected Cli.positive_float 1.) [ "0"; "-2"; "nan"; "inf"; "x" ]
+
 let test_overhead_table () =
   let table =
     Cli.overhead_table ~policies:[ "levioso"; "unsafe" ] ~workloads:[ "a"; "b" ]
@@ -105,5 +142,6 @@ let suite =
       Alcotest.test_case "defaults" `Quick test_defaults;
       Alcotest.test_case "flag values" `Quick test_values;
       Alcotest.test_case "bad values are parse errors" `Quick test_bad_values;
+      Alcotest.test_case "value converters" `Quick test_value_converters;
       Alcotest.test_case "overhead table" `Quick test_overhead_table;
     ] )

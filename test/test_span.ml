@@ -150,7 +150,7 @@ let test_access_record () =
     | _ -> false)
 
 let test_hist () =
-  let bounds = Span.Hist.bounds in
+  let bounds = Span.Latency.bounds in
   Alcotest.(check int) "25 shared bounds (1-2.5-5 per decade + 100s)" 25
     (Array.length bounds);
   let increasing = ref true in
@@ -158,40 +158,41 @@ let test_hist () =
     (fun i b -> if i > 0 && b <= bounds.(i - 1) then increasing := false)
     bounds;
   Alcotest.(check bool) "bounds strictly increasing" true !increasing;
-  let h = Span.Hist.create () in
-  Alcotest.(check int) "empty count" 0 (Span.Hist.count h);
-  Alcotest.(check (float 0.)) "empty percentile" 0.
-    (Span.Hist.percentile h 0.5);
-  List.iter (Span.Hist.observe h) [ 5e-7; 0.002; 0.002; 0.3; 1000.0 ];
-  Alcotest.(check int) "count" 5 (Span.Hist.count h);
-  Alcotest.(check (float 1e-9)) "sum" 1000.3040005 (Span.Hist.sum h);
-  let buckets = Span.Hist.buckets h in
-  Alcotest.(check int) "one bucket per bound" 25 (List.length buckets);
+  let h = Span.Latency.create () in
+  Alcotest.(check int) "empty count" 0 (Span.Latency.read h).seen;
+  List.iter (Span.Latency.observe h) [ 5e-7; 0.002; 0.002; 0.3; 1000.0 ];
+  let r = Span.Latency.read h in
+  Alcotest.(check int) "count" 5 r.seen;
+  Alcotest.(check (float 1e-9)) "sum" 1000.3040005 r.sum;
+  Alcotest.(check int) "one bucket per bound" 25 (List.length r.buckets);
   let rec monotone = function
     | (_, a) :: ((_, b) :: _ as rest) -> a <= b && monotone rest
     | _ -> true
   in
-  Alcotest.(check bool) "cumulative counts monotone" true (monotone buckets);
-  let _, last = List.nth buckets 24 in
+  Alcotest.(check bool) "cumulative counts monotone" true (monotone r.buckets);
+  let _, last = List.nth r.buckets 24 in
   Alcotest.(check int) "overflow (1000s) excluded from the last bound" 4 last;
-  Alcotest.(check (float 1e-12)) "p50 upper-bound estimate" 0.0025
-    (Span.Hist.percentile h 0.5)
+  Alcotest.(check (option (float 0.))) "p50 is exact" (Some 0.002)
+    (Span.Latency.nearest_rank (Lazy.force r.recent) 0.5)
 
 let test_window () =
-  let w = Span.Window.create 4 in
-  Alcotest.(check bool) "empty window has no percentile" true
-    (Span.Window.percentile w 0.5 = None);
-  List.iter (Span.Window.observe w) [ 4.; 1.; 3.; 2. ];
-  Alcotest.(check int) "count" 4 (Span.Window.count w);
-  Alcotest.(check (option (float 0.))) "exact p50" (Some 2.)
-    (Span.Window.percentile w 0.5);
-  Alcotest.(check (option (float 0.))) "p99 is the max" (Some 4.)
-    (Span.Window.percentile w 0.99);
-  List.iter (Span.Window.observe w) [ 10.; 10.; 10.; 10. ];
-  Alcotest.(check int) "seen is cumulative" 8 (Span.Window.seen w);
-  Alcotest.(check int) "held window capped at capacity" 4 (Span.Window.count w);
+  let w = Span.Latency.create ~window:4 () in
+  let pct q = Span.Latency.nearest_rank (Lazy.force (Span.Latency.read w).recent) q in
+  Alcotest.(check bool) "empty window has no percentile" true (pct 0.5 = None);
+  List.iter (Span.Latency.observe w) [ 4.; 1.; 3.; 2. ];
+  Alcotest.(check int) "held" 4
+    (Array.length (Lazy.force (Span.Latency.read w).recent));
+  Alcotest.(check (option (float 0.))) "exact p50" (Some 2.) (pct 0.5);
+  Alcotest.(check (option (float 0.))) "p99 is the max" (Some 4.) (pct 0.99);
+  List.iter (Span.Latency.observe w) [ 10.; 10.; 10.; 10. ];
+  let r = Span.Latency.read w in
+  Alcotest.(check int) "seen is cumulative" 8 r.seen;
+  Alcotest.(check int) "held window capped at capacity" 4
+    (Array.length (Lazy.force r.recent));
+  Alcotest.(check int) "the histogram keeps every observation" 8
+    (snd (List.nth r.buckets 24));
   Alcotest.(check (option (float 0.))) "old samples evicted" (Some 10.)
-    (Span.Window.percentile w 0.5)
+    (pct 0.5)
 
 let test_concurrent_finish () =
   let spans = Span.create () in

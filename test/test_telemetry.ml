@@ -392,6 +392,38 @@ let test_json_overflow_is_a_parse_error () =
       {|{"ipc": 0.45013515286707784, "n": [1, -2.5e10]}|};
     ]
 
+(* RFC 8259 strictness: a surrogate-pair escape is one code point, half
+   of a pair is an error; numbers have no leading zeros and no bare
+   trailing dot; an integer past [max_int] decodes as a float. *)
+let test_json_rfc8259 () =
+  let ok s expect =
+    match Json.of_string s with
+    | Ok v -> Alcotest.(check bool) (s ^ " decodes as expected") true (v = expect)
+    | Error msg -> Alcotest.failf "%s: %s" s msg
+  in
+  let rejected s =
+    match Json.of_string s with
+    | Ok _ -> Alcotest.failf "parsed %s" s
+    | Error _ -> ()
+  in
+  ok {|"\ud83d\ude00"|} (Json.String "\xF0\x9F\x98\x80");
+  ok {|"\u00e9\u20AC"|} (Json.String "\xC3\xA9\xE2\x82\xAC");
+  List.iter rejected
+    [
+      {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83d\u0041"|}; {|"\ud83dx"|};
+      {|"\u12g4"|}; {|"\u+123"|};
+    ];
+  List.iter rejected
+    [ "01"; "-01.5"; "1."; "00"; "-"; ".5"; "1e"; "1.e5"; "+1"; "-01" ];
+  ok "0" (Json.Int 0);
+  ok "-0.5" (Json.Float (-0.5));
+  ok "1.5E+3" (Json.Float 1500.);
+  ok (string_of_int max_int) (Json.Int max_int);
+  ok (string_of_int min_int) (Json.Int min_int);
+  ok "4611686018427387904" (Json.Float 4611686018427387904.);
+  ok "9223372036854775808" (Json.Float 9223372036854775808.);
+  ok "[-9223372036854775809]" (Json.List [ Json.Float (-9223372036854775809.) ])
+
 (* Every tree the sanitizing constructors can build survives a print ->
    parse round trip bit-exactly (generator restricted to exactly
    representable floats). *)
@@ -650,6 +682,7 @@ let suite =
         test_schema_tag_and_check;
       Alcotest.test_case "json overflow is a parse error" `Quick
         test_json_overflow_is_a_parse_error;
+      Alcotest.test_case "json RFC 8259 strictness" `Quick test_json_rfc8259;
       Alcotest.test_case "json non-finite policy" `Quick
         test_json_nonfinite_policy;
       Alcotest.test_case "json roundtrip property" `Quick

@@ -167,15 +167,24 @@ let test_tsdb_time_range () =
     ignore (Tsdb.append t [ ("v", float_of_int i) ])
   done;
   Tsdb.close t;
-  let count ?since ?until () =
-    match Tsdb.read_dir ?since ?until dir with
-    | Ok records -> List.length (Tsdb.samples records)
+  let read ?since ?until ?last () =
+    match Tsdb.read_dir ?since ?until ?last dir with
+    | Ok records -> List.map (fun s -> s.Tsdb.ts) (Tsdb.samples records)
     | Error msg -> Alcotest.fail msg
   in
+  let count ?since ?until () = List.length (read ?since ?until ()) in
   Alcotest.(check int) "no bounds" 10 (count ());
   Alcotest.(check int) "since is inclusive" 5 (count ~since:105. ());
   Alcotest.(check int) "until is inclusive" 3 (count ~until:102. ());
-  Alcotest.(check int) "both bounds" 2 (count ~since:104. ~until:105. ())
+  Alcotest.(check int) "both bounds" 2 (count ~since:104. ~until:105. ());
+  Alcotest.(check (list (float 0.))) "last keeps the newest" [ 108.; 109. ]
+    (read ~last:2 ());
+  Alcotest.(check (list (float 0.))) "last applies after the range"
+    [ 101.; 102. ]
+    (read ~until:102. ~last:2 ());
+  Alcotest.(check int) "last past the count keeps all" 10
+    (List.length (read ~last:50 ()));
+  Alcotest.(check int) "last 0 keeps all" 10 (List.length (read ~last:0 ()))
 
 let test_tsdb_rejects_garbage () =
   let dir = temp_dir "tsdb-bad" in
@@ -342,6 +351,47 @@ let test_flight_recorder () =
     Alcotest.(check string) "second post-mortem name" "postmortem-001.json"
       (Filename.basename path)
 
+(* Dumps from several threads at once (a SIGUSR1 dump in the sampler
+   and a deadlock dump in a client thread, say) each claim their own
+   postmortem-NNN.json slot: none overwrites another. *)
+let test_flight_concurrent_dumps () =
+  let fl = Flight.create () in
+  let dir = temp_dir "flight-race" in
+  let n = 8 in
+  let go = Atomic.make false in
+  let results = Array.make n (Error "not run") in
+  let dump i () =
+    while not (Atomic.get go) do
+      Thread.yield ()
+    done;
+    results.(i) <-
+      Flight.write fl ~dir ~reason:(Printf.sprintf "dump %d" i) ~ts:1.
+  in
+  let threads = List.init n (fun i -> Thread.create (dump i) ()) in
+  Atomic.set go true;
+  List.iter Thread.join threads;
+  let reasons =
+    Array.to_list
+      (Array.map
+         (function
+           | Error msg -> Alcotest.fail msg
+           | Ok path -> (
+             match
+               Json.of_string (In_channel.with_open_bin path In_channel.input_all)
+             with
+             | Ok doc -> (path, Json.(get to_string_exn) "reason" doc)
+             | Error msg -> Alcotest.failf "%s: %s" path msg))
+         results)
+  in
+  Alcotest.(check int) "one file per dump" n
+    (List.length (List.sort_uniq compare (List.map fst reasons)));
+  Alcotest.(check (list string))
+    "each file holds its own dump"
+    (List.init n (Printf.sprintf "dump %d"))
+    (List.map snd reasons);
+  Alcotest.(check int) "nothing else left in the directory" n
+    (Array.length (Sys.readdir dir))
+
 (* ---------- dashboard ---------- *)
 
 let test_dashboard_deterministic () =
@@ -421,6 +471,8 @@ let suite =
         test_alert_ms_fallback_and_absent;
       Alcotest.test_case "flight: bounded rings and post-mortem" `Quick
         test_flight_recorder;
+      Alcotest.test_case "flight: concurrent dumps take distinct slots" `Quick
+        test_flight_concurrent_dumps;
       Alcotest.test_case "dashboard: deterministic render" `Quick
         test_dashboard_deterministic;
     ] )
