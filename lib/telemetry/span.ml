@@ -197,12 +197,12 @@ module Latency = struct
     recent : float Ring.t;  (* its [pushed] is the observation count *)
   }
 
-  let create ?(window = 512) () =
+  let create () =
     {
       mu = Mutex.create ();
       counts = Array.make (Array.length bounds + 1) 0;
       sum = 0.;
-      recent = Ring.create (max 1 window);
+      recent = Ring.create 512;
     }
 
   let slot v =

@@ -128,9 +128,8 @@ module Latency : sig
   val bounds : float array
   (** The shared upper bounds, seconds, strictly increasing. *)
 
-  val create : ?window:int -> unit -> t
-  (** [window] (default 512, clamped to [>= 1]) is how many recent
-      observations the percentiles cover. *)
+  val create : unit -> t
+  (** The percentiles cover the last 512 observations. *)
 
   val observe : t -> float -> unit
 
@@ -142,7 +141,7 @@ module Latency : sig
         (** [(upper_bound, cumulative_count)] per bound — exactly the
             shape {!Monitor.set_histogram} renders ([+Inf] is [seen]) *)
     recent : float array Lazy.t;
-        (** the last [window] observations, ascending; sorted only when
+        (** the last 512 observations, ascending; sorted only when
             forced *)
   }
 

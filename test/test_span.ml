@@ -176,20 +176,24 @@ let test_hist () =
     (Span.Latency.nearest_rank (Lazy.force r.recent) 0.5)
 
 let test_window () =
-  let w = Span.Latency.create ~window:4 () in
-  let pct q = Span.Latency.nearest_rank (Lazy.force (Span.Latency.read w).recent) q in
+  let w = Span.Latency.create () in
+  let pct q =
+    Span.Latency.nearest_rank (Lazy.force (Span.Latency.read w).recent) q
+  in
   Alcotest.(check bool) "empty window has no percentile" true (pct 0.5 = None);
   List.iter (Span.Latency.observe w) [ 4.; 1.; 3.; 2. ];
   Alcotest.(check int) "held" 4
     (Array.length (Lazy.force (Span.Latency.read w).recent));
   Alcotest.(check (option (float 0.))) "exact p50" (Some 2.) (pct 0.5);
   Alcotest.(check (option (float 0.))) "p99 is the max" (Some 4.) (pct 0.99);
-  List.iter (Span.Latency.observe w) [ 10.; 10.; 10.; 10. ];
+  for _ = 1 to 512 do
+    Span.Latency.observe w 10.
+  done;
   let r = Span.Latency.read w in
-  Alcotest.(check int) "seen is cumulative" 8 r.seen;
-  Alcotest.(check int) "held window capped at capacity" 4
+  Alcotest.(check int) "seen is cumulative" 516 r.seen;
+  Alcotest.(check int) "held window capped at 512" 512
     (Array.length (Lazy.force r.recent));
-  Alcotest.(check int) "the histogram keeps every observation" 8
+  Alcotest.(check int) "the histogram keeps every observation" 516
     (snd (List.nth r.buckets 24));
   Alcotest.(check (option (float 0.))) "old samples evicted" (Some 10.)
     (pct 0.5)
