@@ -17,6 +17,7 @@ module Konata = Levioso_uarch.Konata
 module Summary = Levioso_uarch.Summary
 module Sim_stats = Levioso_uarch.Sim_stats
 module Registry = Levioso_core.Registry
+module Gadget = Levioso_attack.Gadget
 module Gen = Levioso_fuzz.Gen
 module Parallel = Levioso_util.Parallel
 
@@ -172,6 +173,49 @@ let test_window_filters () =
   match Timeline.create ~window:(5, 2) () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "inverted window should be rejected"
+
+(* --- taint marks from the flow tracer --------------------------------- *)
+
+(* The spectre-v1 gadget with the timeline attached and the flow tracer
+   feeding it, as [levioso_sim --timeline --leak-trace] runs it. *)
+let spectre_taint_trace policy =
+  let g = Gadget.bounds_check_bypass ~secret:42 () in
+  let tl = Konata.timeline g.Gadget.program in
+  let pipe =
+    Pipeline.create ~mem_init:g.Gadget.mem_init Config.default
+      ~policy:(Registry.find_exn policy) g.Gadget.program
+  in
+  Konata.attach tl pipe;
+  Pipeline.set_flow_tracer pipe
+    ~secret_ranges:[ (Gadget.oob_secret_addr, Gadget.oob_secret_addr) ]
+    (Konata.flow_feeder tl);
+  Pipeline.run pipe;
+  Timeline.to_konata_string tl
+
+(* Lines of [trace] per taint mark: the lane-1 [S]/[E] pair of each
+   segment, then the hover label naming it. *)
+let taint_marks trace =
+  let lines = String.split_on_char '\n' trace in
+  let count pred = List.length (List.filter pred lines) in
+  let stage code l = String.ends_with ~suffix:("\t1\t" ^ code) l in
+  let label cause l =
+    String.starts_with ~prefix:"L\t" l && contains ("\t1\t" ^ cause ^ " [") l
+  in
+  [
+    ("Ts", count (stage "Ts"));
+    ("Tn", count (stage "Tn"));
+    ("taint source", count (label "taint source"));
+    ("tainted transmit", count (label "tainted transmit"));
+  ]
+
+let test_taint_marks () =
+  let marks = Alcotest.(list (pair string int)) in
+  Alcotest.(check marks) "unsafe: one Ts and one Tn segment, labelled"
+    [ ("Ts", 2); ("Tn", 2); ("taint source", 1); ("tainted transmit", 1) ]
+    (taint_marks (spectre_taint_trace "unsafe"));
+  Alcotest.(check marks) "levioso: no taint marks"
+    [ ("Ts", 0); ("Tn", 0); ("taint source", 0); ("tainted transmit", 0) ]
+    (taint_marks (spectre_taint_trace "levioso"))
 
 (* --- interval well-formedness over fuzzed programs -------------------- *)
 
@@ -421,6 +465,8 @@ let suite =
       Alcotest.test_case "trace shows squash and stalls" `Quick
         test_trace_mentions_squash_and_stalls;
       Alcotest.test_case "window filters" `Quick test_window_filters;
+      Alcotest.test_case "taint marks under --leak-trace" `Quick
+        test_taint_marks;
       QCheck_alcotest.to_alcotest intervals_prop;
       Alcotest.test_case "timeline is a side channel" `Quick
         test_timeline_is_side_channel;
