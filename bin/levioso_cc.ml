@@ -16,6 +16,7 @@ module Config = Levioso_uarch.Config
 module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
 module Opt = Levioso_opt.Opt
+module Cli = Levioso_cli.Cli
 
 let read_file path =
   let ic = open_in path in
@@ -67,11 +68,17 @@ let run_arg = Arg.(value & flag & info [ "run" ] ~doc:"Execute instead of printi
 
 let policy_arg =
   let doc = "Defense policy for --run. Known: " ^ String.concat ", " Registry.names in
-  Arg.(value & opt string "unsafe" & info [ "p"; "policy" ] ~docv:"NAME" ~doc)
+  Arg.(value & opt Cli.policy "unsafe" & info [ "p"; "policy" ] ~docv:"NAME" ~doc)
 
 let watch_arg =
+  let words = Config.default.Config.mem_words in
+  let addr =
+    Cli.checked_int (fun a ->
+        if a >= 0 && a < words then Ok ()
+        else Error (Printf.sprintf "must be in [0, %d)" words))
+  in
   Arg.(
-    value & opt_all int []
+    value & opt_all addr []
     & info [ "watch" ] ~docv:"ADDR" ~doc:"Memory word to print after --run (repeatable).")
 
 let optimize_arg =

@@ -7,11 +7,12 @@ module Parser = Levioso_ir.Parser
 module Encoding = Levioso_ir.Encoding
 module Annotation = Levioso_core.Annotation
 module Workload = Levioso_workload.Workload
-module Suite = Levioso_workload.Suite
+module Catalog = Levioso_serve.Catalog
+module Cli = Levioso_cli.Cli
 
 let load_program workload file =
   match (workload, file) with
-  | Some name, None -> Ok (name, (Suite.find_exn name).Workload.program)
+  | Some w, None -> Ok (w.Workload.name, w.Workload.program)
   | None, Some path ->
     let ic = open_in path in
     let len = in_channel_length ic in
@@ -52,8 +53,14 @@ let main workload file stats_only =
 open Cmdliner
 
 let workload_arg =
-  let doc = "Suite workload to compile. Known: " ^ String.concat ", " Suite.names in
-  Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
+  let doc =
+    "Workload to compile. Known: "
+    ^ String.concat ", " (Catalog.workload_names ())
+  in
+  Arg.(
+    value
+    & opt (some Cli.workload) None
+    & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 let file_arg =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Assembly file.")

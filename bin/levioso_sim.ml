@@ -27,7 +27,6 @@ module Audit = Levioso_telemetry.Audit
 module Explain = Levioso_core.Explain
 module Workload = Levioso_workload.Workload
 module Parallel = Levioso_util.Parallel
-module Timeline = Levioso_telemetry.Timeline
 module Monitor = Levioso_telemetry.Monitor
 module Hostprof = Levioso_telemetry.Hostprof
 module Konata = Levioso_uarch.Konata
@@ -78,8 +77,7 @@ let run_one ?(trace = 0) ?sink ?audit ?timeline ?flow config workload policy =
           Trace.emit s { Trace.cycle; seq; pc; stage; args });
   (match timeline with
   | Some tl ->
-    Pipeline.set_stall_tracer pipe (fun ~cycle ~seq ~pc ~cause ->
-        Konata.feed_stall tl ~cycle ~seq ~pc ~cause)
+    Pipeline.set_stall_tracer pipe (Konata.feed_stall tl)
   | None -> ());
   (match flow with
   | Some (secret_ranges, cb) -> Pipeline.set_flow_tracer pipe ~secret_ranges cb
@@ -87,49 +85,37 @@ let run_one ?(trace = 0) ?sink ?audit ?timeline ?flow config workload policy =
   let (), run_span = Hostprof.measure (fun () -> Pipeline.run pipe) in
   (pipe, [ ("create", create_span); ("run", run_span) ])
 
-(* Rendered to a string so parallel runs can print cell reports in
-   deterministic workload x policy order after the pool drains. *)
-let verbose_report w p pipe =
+(* One cell's -v report, rendered to a string so parallel runs can print
+   cell reports in deterministic workload x policy order after the pool
+   drains.  A sampled cell puts its estimate rows in [head], an exact
+   cell its audit rows in [tail]. *)
+let verbose_report title ?(head = []) ?(tail = []) stats hierarchy stall =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "== %s / %s ==\n" w p);
+  Buffer.add_string buf (Printf.sprintf "== %s ==\n" title);
   List.iter
     (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Sim_stats.to_rows (Pipeline.stats pipe));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" k v))
-    (Cache.Hierarchy.stats (Pipeline.hierarchy pipe));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Stall.to_rows (Pipeline.stall_attribution pipe));
-  (match Pipeline.audit pipe with
-  | Some a ->
-    List.iter
-      (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-      (Audit.to_rows a)
-  | None -> ());
+    (head @ Sim_stats.to_rows stats
+    @ List.map
+        (fun (k, v) -> (k, string_of_int v))
+        (Cache.Hierarchy.stats hierarchy)
+    @ Stall.to_rows stall @ tail);
   Buffer.contents buf
 
-let sampled_verbose_report w p (r : Sampler.result) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "== %s / %s (sampled %s) ==\n" w p
-       (Sampler.spec_to_string r.Sampler.spec));
-  Buffer.add_string buf
-    (Printf.sprintf "  %-32s %d (+/- %.2f%%)\n" "estimated cycles"
-       r.Sampler.estimated_cycles r.Sampler.error_pct);
-  Buffer.add_string buf
-    (Printf.sprintf "  %-32s %d of %d (%d intervals)\n" "instrs in detail"
-       r.Sampler.detailed_instrs r.Sampler.total_instrs r.Sampler.intervals);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Sim_stats.to_rows r.Sampler.stats);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %d\n" k v))
-    (Cache.Hierarchy.stats r.Sampler.hierarchy);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (Stall.to_rows r.Sampler.stall);
-  Buffer.contents buf
+(* A structured event file (--trace-out, --audit-out): Chrome
+   trace_event JSON, or JSONL when the name ends in .jsonl.  It is
+   opened before the matrix runs, labelled with each cell's name, and
+   closed after it with a one-line note on stderr. *)
+type event_file = { path : string; oc : out_channel; sink : Trace.sink }
+
+let open_events ?every path =
+  let oc = open_out path in
+  let format = Trace.format_of_filename path in
+  { path; oc; sink = Trace.to_channel ?every ~format oc }
+
+let close_events ~quiet note f =
+  Trace.close f.sink;
+  close_out f.oc;
+  if not quiet then Printf.eprintf "%s to %s\n%!" (note f.sink) f.path
 
 let main workloads policies config verbose trace json trace_out trace_every
     jobs audit_flag audit_out timeline_out window leak_trace secret_ranges
@@ -145,7 +131,6 @@ let main workloads policies config verbose trace json trace_out trace_every
       List.iter print_endline (Catalog.policies ());
     `Ok ()
   end
-  else if trace_every < 1 then `Error (false, "--trace-every must be >= 1")
   else if
     sample_spec <> None
     && (trace > 0 || trace_out <> None || audit_flag || audit_out <> None
@@ -191,25 +176,10 @@ let main workloads policies config verbose trace json trace_out trace_every
           "--leak-trace needs at least one --secret-range A:B (only the \
            spectre-v1 workload has a built-in default)" )
     else begin
-    let trace_channel = Option.map open_out trace_out in
-    let sink =
-      Option.map
-        (fun oc ->
-          let format =
-            Trace.format_of_filename (Option.get trace_out)
-          in
-          Trace.to_channel ~every:trace_every ~format oc)
-        trace_channel
-    in
-    let audit_channel = Option.map open_out audit_out in
-    let audit_sink =
-      Option.map
-        (fun oc ->
-          Trace.to_channel
-            ~format:(Trace.format_of_filename (Option.get audit_out))
-            oc)
-        audit_channel
-    in
+    let trace_file = Option.map (open_events ~every:trace_every) trace_out in
+    let audit_file = Option.map open_events audit_out in
+    let sink = Option.map (fun f -> f.sink) trace_file in
+    let audit_sink = Option.map (fun f -> f.sink) audit_file in
     let audit_flag = audit_flag || audit_sink <> None in
     (* Tracing (and an audit event stream) funnels every cell's events
        into one channel in run order, so it pins the matrix to one
@@ -226,7 +196,7 @@ let main workloads policies config verbose trace json trace_out trace_every
     let timeline =
       Option.map
         (fun _ ->
-          Konata.timeline ?window
+          Konata.create ?window
             (List.hd workloads).Workload.program)
         timeline_out
     in
@@ -274,12 +244,9 @@ let main workloads policies config verbose trace json trace_out trace_every
       Option.iter
         (fun m -> Monitor.start m (w.Workload.name ^ "/" ^ p))
         monitor;
-      (match sink with
-      | Some s -> Trace.begin_process s ~name:(w.Workload.name ^ "/" ^ p)
-      | None -> ());
-      (match audit_sink with
-      | Some s -> Trace.begin_process s ~name:(w.Workload.name ^ "/" ^ p)
-      | None -> ());
+      List.iter
+        (fun s -> Trace.begin_process s ~name:(w.Workload.name ^ "/" ^ p))
+        (Option.to_list sink @ Option.to_list audit_sink);
       let audit =
         if audit_flag then begin
           let a = Explain.audit_for w.Workload.program in
@@ -301,7 +268,21 @@ let main workloads policies config verbose trace json trace_out trace_every
           ( r.Sampler.estimated_cycles,
             Summary.of_sampled ~workload:w.Workload.name ~policy:p ~host r,
             host,
-            fun () -> sampled_verbose_report w.Workload.name p r )
+            fun () ->
+              verbose_report
+                (Printf.sprintf "%s / %s (sampled %s)" w.Workload.name p
+                   (Sampler.spec_to_string r.Sampler.spec))
+                ~head:
+                  [
+                    ( "estimated cycles",
+                      Printf.sprintf "%d (+/- %.2f%%)"
+                        r.Sampler.estimated_cycles r.Sampler.error_pct );
+                    ( "instrs in detail",
+                      Printf.sprintf "%d of %d (%d intervals)"
+                        r.Sampler.detailed_instrs r.Sampler.total_instrs
+                        r.Sampler.intervals );
+                  ]
+                r.Sampler.stats r.Sampler.hierarchy r.Sampler.stall )
         | None ->
           let pipe, host =
             run_one ~trace ?sink ?audit ?timeline ?flow config w p
@@ -309,7 +290,14 @@ let main workloads policies config verbose trace json trace_out trace_every
           ( (Pipeline.stats pipe).Sim_stats.cycles,
             Summary.of_pipeline ~workload:w.Workload.name ~policy:p ~host pipe,
             host,
-            fun () -> verbose_report w.Workload.name p pipe )
+            fun () ->
+              verbose_report
+                (Printf.sprintf "%s / %s" w.Workload.name p)
+                ~tail:
+                  (Option.fold ~none:[] ~some:Audit.to_rows
+                     (Pipeline.audit pipe))
+                (Pipeline.stats pipe) (Pipeline.hierarchy pipe)
+                (Pipeline.stall_attribution pipe) )
       in
       Option.iter
         (fun m ->
@@ -340,22 +328,15 @@ let main workloads policies config verbose trace json trace_out trace_every
     List.iter
       (fun (_, _, verbose_text) -> Option.iter print_string verbose_text)
       results;
-    (match sink with
-    | Some s ->
-      Trace.close s;
-      Option.iter close_out trace_channel;
-      if not json then
-        Printf.eprintf "trace: wrote %d of %d events to %s\n%!"
-          (Trace.written s) (Trace.seen s) (Option.get trace_out)
-    | None -> ());
-    (match audit_sink with
-    | Some s ->
-      Trace.close s;
-      Option.iter close_out audit_channel;
-      if not json then
-        Printf.eprintf "audit: wrote %d restriction events to %s\n%!"
-          (Trace.written s) (Option.get audit_out)
-    | None -> ());
+    Option.iter
+      (close_events ~quiet:json (fun s ->
+           Printf.sprintf "trace: wrote %d of %d events" (Trace.written s)
+             (Trace.seen s)))
+      trace_file;
+    Option.iter
+      (close_events ~quiet:json (fun s ->
+           Printf.sprintf "audit: wrote %d restriction events" (Trace.written s)))
+      audit_file;
     (match (timeline, timeline_out) with
     | Some tl, Some path ->
       let meta =
@@ -365,11 +346,11 @@ let main workloads policies config verbose trace json trace_out trace_every
         ]
       in
       let oc = open_out_bin path in
-      Timeline.write_konata ~meta tl oc;
+      Konata.write ~meta tl oc;
       close_out oc;
       Printf.eprintf
         "timeline: wrote %d of %d instructions to %s (open in Konata)\n%!"
-        (Timeline.recorded tl) (Timeline.seen tl) path
+        (Konata.recorded tl) (Konata.seen tl) path
     | _ -> ());
     (match (flow_graph, leak_trace) with
     | Some g, Some path -> (
@@ -437,8 +418,11 @@ let trace_out_arg =
            file ends in .jsonl.")
 
 let trace_every_arg =
+  let positive =
+    Cli.checked_int (fun k -> if k >= 1 then Ok () else Error "must be >= 1")
+  in
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "trace-every" ] ~docv:"K"
         ~doc:"Sample the structured trace: keep every K-th event (default 1).")
 

@@ -28,8 +28,6 @@ let compute cfg =
     (Cfg.branch_pcs cfg);
   { cfg; block_deps }
 
-let of_block t b = t.block_deps.(b)
-
 let of_pc t pc = t.block_deps.(Cfg.block_of_pc t.cfg pc)
 
 let region_size t branch_pc =

@@ -11,9 +11,6 @@ type t
 
 val compute : Levioso_ir.Cfg.t -> t
 
-val of_block : t -> int -> Int_set.t
-(** Branch pcs controlling a block. *)
-
 val of_pc : t -> int -> Int_set.t
 (** Branch pcs controlling the instruction at a pc. *)
 

@@ -27,5 +27,3 @@ let ipostdom t b =
   | Some _ | None -> None
 
 let postdominates t a b = Domtree.dominates t.dom a b
-
-let virtual_exit t = t.exit_node

@@ -17,6 +17,3 @@ val ipostdom : t -> int -> int option
 val postdominates : t -> int -> int -> bool
 (** [postdominates t a b]: every path from [b] to program exit passes
     through [a] (reflexive). *)
-
-val virtual_exit : t -> int
-(** The id of the virtual exit node (= number of blocks). *)

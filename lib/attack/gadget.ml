@@ -22,7 +22,6 @@ let line_words = 8
 
 let probe_line_addr v = probe_base + (v * line_words)
 let oob_secret_addr = array1_base + victim_offset
-let reg_secret_addr = secret_addr
 
 (* Decoy transmit value used during training: encodes one line past the
    probed range, so training never preheats a probed line. *)

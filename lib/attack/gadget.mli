@@ -39,10 +39,6 @@ val oob_secret_addr : int
     out-of-bounds slot past the bounds-checked array) — the address to
     seed a flow tracer's secret range with. *)
 
-val reg_secret_addr : int
-(** Word address of {!register_secret}'s planted secret (loaded
-    architecturally at program start). *)
-
 val bounds_check_bypass :
   ?training_rounds:int -> ?timing:bool -> secret:int -> unit -> t
 (** Spectre-v1: out-of-bounds speculative read of a secret beyond a

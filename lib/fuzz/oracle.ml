@@ -241,6 +241,8 @@ let encodable_instr instr =
     Ir.Branch { cmp; a = Ir.Reg Ir.zero_reg; b = Ir.Imm n; target }
   | Ir.Branch _ | Ir.Jump _ | Ir.Halt -> instr
 
+(* Into the encoder's input domain: at most one non-zero immediate per
+   non-branch instruction, no constant-vs-constant branches. *)
 let encodable program = Array.map encodable_instr program
 
 let mirror = function

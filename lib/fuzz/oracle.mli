@@ -81,9 +81,3 @@ val input_of :
     source for the compiler-path oracle) — what {!Corpus} records when a
     seed is saved as a regression anchor rather than captured from a
     failure. *)
-
-val encodable : Levioso_ir.Ir.program -> Levioso_ir.Ir.program
-(** Rewrite a program into the encoder's input domain: at most one
-    non-zero immediate per non-branch instruction (later ones become
-    zero-register reads), no constant-vs-constant branches.  Exposed for
-    the round-trip tests. *)

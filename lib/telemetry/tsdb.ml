@@ -259,6 +259,10 @@ let read_dir ?(since = neg_infinity) ?(until = infinity) ?(last = 0) dir =
         let* tail = walk rest in
         Ok (records @ tail)
   in
+  let* () =
+    if Sys.file_exists dir && Sys.is_directory dir then Ok ()
+    else Error (Printf.sprintf "%s: no such directory" dir)
+  in
   let* all = walk (segment_files dir) in
   let kept =
     List.filter (fun r -> record_ts r >= since && record_ts r <= until) all

@@ -95,7 +95,9 @@ val read_dir :
     with [since <= ts <= until], and of those only the newest [last]
     when [last > 0] (the default, 0, keeps all).  Each line is
     schema-checked; a malformed line fails the whole read with a
-    message naming the file and line number. *)
+    message naming the file and line number.  A missing [dir] is an
+    [Error] naming it, unlike {!segment_files}, so a mistyped path never
+    reads as an empty history. *)
 
 val samples : record list -> sample list
 (** Just the [Sample] records, in order. *)

@@ -249,6 +249,9 @@ val arena_size : t -> int
     so policies may key per-instruction state by it. *)
 
 val is_transmitter : Levioso_ir.Ir.instr -> bool
+(** The instructions whose {e execution} leaks through the cache channel:
+    loads and flushes.  Stores are not transmitters here because they only
+    touch the cache at commit (non-speculatively). *)
 
 (** {1 Tracing}
 
@@ -303,9 +306,6 @@ val set_flow_tracer :
     @raise Invalid_argument on a range with [lo < 0] or [lo > hi]. *)
 
 val event_to_string : event -> string
-(** The instructions whose {e execution} leaks through the cache channel:
-    loads and flushes.  Stores are not transmitters here because they only
-    touch the cache at commit (non-speculatively). *)
 
 (** {1 Diagnostics} *)
 

@@ -1,12 +1,12 @@
 (* The observability layer: ring buffer, Konata timeline rendering
-   (golden-tested byte-for-byte), interval well-formedness over fuzzed
-   programs and every registered policy, the no-perturbation guarantee
-   (identical stats with tracers on or off, monitor on or off, -j 1 or
-   -j 2), the live monitor's files, and host self-profiling spans. *)
+   (golden-tested byte-for-byte) and its taint marks, interval
+   well-formedness over fuzzed programs and every registered policy,
+   the no-perturbation guarantee (identical stats with tracers on or
+   off, monitor on or off, -j 1 or -j 2), the live monitor's files, and
+   host self-profiling spans. *)
 
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
-module Timeline = Levioso_telemetry.Timeline
 module Ring = Levioso_telemetry.Ring
 module Monitor = Levioso_telemetry.Monitor
 module Hostprof = Levioso_telemetry.Hostprof
@@ -85,14 +85,14 @@ let golden_mem_init mem =
 
 let golden_trace policy =
   let program = Parser.parse_exn golden_src in
-  let tl = Konata.timeline program in
+  let tl = Konata.create program in
   let pipe =
     Pipeline.create ~mem_init:golden_mem_init small_config
       ~policy:(Registry.find_exn policy) program
   in
   Konata.attach tl pipe;
   Pipeline.run pipe;
-  Timeline.to_konata_string
+  Konata.to_string
     ~meta:[ ("workload", "golden-loop"); ("policy", policy) ]
     tl
 
@@ -102,7 +102,7 @@ let check_golden policy file =
     (String.length trace > 12 && String.sub trace 0 12 = "Kanata\t0004\n");
   Alcotest.(check bool) "schema-versioned comment" true
     (contains
-       (Printf.sprintf "#levioso-timeline\tv%d" Timeline.format_version)
+       (Printf.sprintf "#levioso-timeline\tv%d" Konata.format_version)
        trace);
   let golden = read_file file in
   if not (String.equal trace golden) then
@@ -147,8 +147,8 @@ let test_trace_mentions_squash_and_stalls () =
 
 let test_window_filters () =
   let program = Parser.parse_exn golden_src in
-  let all = Konata.timeline program in
-  let windowed = Konata.timeline ~window:(0, 2) program in
+  let all = Konata.create program in
+  let windowed = Konata.create ~window:(0, 2) program in
   let run tl =
     let pipe =
       Pipeline.create ~mem_init:golden_mem_init small_config
@@ -159,18 +159,18 @@ let test_window_filters () =
   in
   run all;
   run windowed;
-  Alcotest.(check int) "window sees every fetch" (Timeline.seen all)
-    (Timeline.seen windowed);
+  Alcotest.(check int) "window sees every fetch" (Konata.seen all)
+    (Konata.seen windowed);
   Alcotest.(check bool) "window records fewer instructions" true
-    (Timeline.recorded windowed < Timeline.recorded all);
+    (Konata.recorded windowed < Konata.recorded all);
   Alcotest.(check bool) "window records something" true
-    (Timeline.recorded windowed > 0);
+    (Konata.recorded windowed > 0);
   List.iter
     (fun iv ->
       Alcotest.(check bool) "fetched inside window" true
-        (iv.Timeline.iv_fetch >= 0 && iv.Timeline.iv_fetch <= 2))
-    (Timeline.intervals windowed);
-  match Timeline.create ~window:(5, 2) () with
+        (iv.Konata.iv_fetch >= 0 && iv.Konata.iv_fetch <= 2))
+    (Konata.intervals windowed);
+  match Konata.create ~window:(5, 2) program with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "inverted window should be rejected"
 
@@ -180,7 +180,7 @@ let test_window_filters () =
    feeding it, as [levioso_sim --timeline --leak-trace] runs it. *)
 let spectre_taint_trace policy =
   let g = Gadget.bounds_check_bypass ~secret:42 () in
-  let tl = Konata.timeline g.Gadget.program in
+  let tl = Konata.create g.Gadget.program in
   let pipe =
     Pipeline.create ~mem_init:g.Gadget.mem_init Config.default
       ~policy:(Registry.find_exn policy) g.Gadget.program
@@ -190,7 +190,7 @@ let spectre_taint_trace policy =
     ~secret_ranges:[ (Gadget.oob_secret_addr, Gadget.oob_secret_addr) ]
     (Konata.flow_feeder tl);
   Pipeline.run pipe;
-  Timeline.to_konata_string tl
+  Konata.to_string tl
 
 (* Lines of [trace] per taint mark: the lane-1 [S]/[E] pair of each
    segment, then the hover label naming it. *)
@@ -221,7 +221,7 @@ let test_taint_marks () =
 
 let check_intervals ~seed ~policy =
   let program = Gen.random_program seed in
-  let tl = Konata.timeline program in
+  let tl = Konata.create program in
   let pipe =
     Pipeline.create
       ~mem_init:(Gen.mem_init seed)
@@ -233,36 +233,36 @@ let check_intervals ~seed ~policy =
   Pipeline.run pipe;
   List.iter
     (fun iv ->
-      let seq = iv.Timeline.iv_seq in
+      let seq = iv.Konata.iv_seq in
       let ordered what a b =
         if a > b then
           QCheck.Test.fail_reportf
             "seed %d, policy %s, seq %d: %s out of order (%d > %d)" seed
             policy seq what a b
       in
-      (match iv.Timeline.iv_issue with
-      | Some i -> ordered "fetch/issue" (iv.Timeline.iv_fetch + 1) i
+      (match iv.Konata.iv_issue with
+      | Some i -> ordered "fetch/issue" (iv.Konata.iv_fetch + 1) i
       | None -> ());
-      (match (iv.Timeline.iv_issue, iv.Timeline.iv_complete) with
+      (match (iv.Konata.iv_issue, iv.Konata.iv_complete) with
       | Some i, Some c -> ordered "issue/complete" i c
       | None, Some _ ->
         QCheck.Test.fail_reportf
           "seed %d, policy %s, seq %d: completed without issuing" seed policy
           seq
       | _ -> ());
-      (match (iv.Timeline.iv_complete, iv.Timeline.iv_commit) with
+      (match (iv.Konata.iv_complete, iv.Konata.iv_commit) with
       | Some c, Some k -> ordered "complete/commit" c k
       | _ -> ());
-      (match (iv.Timeline.iv_squash, iv.Timeline.iv_commit) with
+      (match (iv.Konata.iv_squash, iv.Konata.iv_commit) with
       | Some _, Some _ ->
         QCheck.Test.fail_reportf
           "seed %d, policy %s, seq %d: squashed instruction committed" seed
           policy seq
       | _ -> ());
-      match iv.Timeline.iv_squash with
-      | Some s -> ordered "fetch/squash" (iv.Timeline.iv_fetch + 1) s
+      match iv.Konata.iv_squash with
+      | Some s -> ordered "fetch/squash" (iv.Konata.iv_fetch + 1) s
       | None -> ())
-    (Timeline.intervals tl);
+    (Konata.intervals tl);
   true
 
 let intervals_prop =
@@ -289,7 +289,7 @@ let run_golden ?observe () =
 
 let test_timeline_is_side_channel () =
   let plain = run_golden () in
-  let tl = Konata.timeline (Parser.parse_exn golden_src) in
+  let tl = Konata.create (Parser.parse_exn golden_src) in
   let observed = run_golden ~observe:tl () in
   Alcotest.(check string) "identical stats"
     (Json.to_string (Sim_stats.to_json (Pipeline.stats plain)))
@@ -303,7 +303,7 @@ let test_timeline_is_side_channel () =
     (Pipeline.regs observed);
   Alcotest.(check bool) "identical memory" true
     (Pipeline.mem plain = Pipeline.mem observed);
-  Alcotest.(check bool) "timeline saw the run" true (Timeline.recorded tl > 0)
+  Alcotest.(check bool) "timeline saw the run" true (Konata.recorded tl > 0)
 
 (* a monitor-instrumented parallel sweep is bit-identical to the serial
    one: the monitor only ever observes, and Parallel.map keeps input

@@ -202,6 +202,18 @@ let test_tsdb_rejects_garbage () =
     Alcotest.(check bool) "error names the segment" true
       (contains msg (Filename.basename seg))
 
+let test_tsdb_missing_dir () =
+  let dir = temp_dir "tsdb-missing" in
+  (match Tsdb.read_dir dir with
+  | Ok _ -> Alcotest.fail "a missing directory should fail the read"
+  | Error msg ->
+    Alcotest.(check bool) "error names the directory" true (contains msg dir));
+  (* the writer still creates it *)
+  let t = Tsdb.create ~dir () in
+  Tsdb.close t;
+  Alcotest.(check int) "created directory reads as empty" 0
+    (List.length (read_all dir))
+
 (* ---------- alert rules ---------- *)
 
 let test_alert_parse () =
@@ -464,6 +476,8 @@ let suite =
       Alcotest.test_case "tsdb: since/until reads" `Quick test_tsdb_time_range;
       Alcotest.test_case "tsdb: malformed line fails the read" `Quick
         test_tsdb_rejects_garbage;
+      Alcotest.test_case "tsdb: missing directory fails the read" `Quick
+        test_tsdb_missing_dir;
       Alcotest.test_case "alerts: grammar" `Quick test_alert_parse;
       Alcotest.test_case "alerts: sustained fire then resolve" `Quick
         test_alert_fire_resolve;
