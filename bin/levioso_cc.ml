@@ -18,18 +18,9 @@ module Sim_stats = Levioso_uarch.Sim_stats
 module Opt = Levioso_opt.Opt
 module Cli = Levioso_cli.Cli
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
-
 let main file run policy watches optimize =
-  match Compiler.compile (read_file file) with
-  | Error msg ->
-    prerr_endline ("levioso_cc: " ^ msg);
-    `Error (false, msg)
+  match Result.bind (Cli.read_input file) Compiler.compile with
+  | Error msg -> Cli.input_error ~prog:"levioso_cc" file msg
   | Ok raw ->
     let program = if optimize then Opt.optimize raw else raw in
     if optimize then
@@ -56,8 +47,7 @@ let main file run policy watches optimize =
       List.iter
         (fun addr -> Printf.printf "  mem[%d] = %d\n" addr (Pipeline.mem pipe).(addr))
         watches
-    end;
-    `Ok ()
+    end
 
 open Cmdliner
 
@@ -87,7 +77,6 @@ let optimize_arg =
 let cmd =
   let doc = "compile Lev programs for the Levioso simulator" in
   Cmd.v (Cmd.info "levioso_cc" ~doc)
-    Term.(
-      ret (const main $ file_arg $ run_arg $ policy_arg $ watch_arg $ optimize_arg))
+    Term.(const main $ file_arg $ run_arg $ policy_arg $ watch_arg $ optimize_arg)
 
 let () = exit (Cmd.eval cmd)

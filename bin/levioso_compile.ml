@@ -10,23 +10,21 @@ module Workload = Levioso_workload.Workload
 module Catalog = Levioso_serve.Catalog
 module Cli = Levioso_cli.Cli
 
+(* A missing or doubled input is a usage error (124); a file that does
+   not read or parse is a runtime failure (1). *)
 let load_program workload file =
   match (workload, file) with
   | Some w, None -> Ok (w.Workload.name, w.Workload.program)
-  | None, Some path ->
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    Result.map (fun p -> (path, p)) (Parser.parse text)
+  | None, Some path -> (
+    match Result.bind (Cli.read_input path) Parser.parse with
+    | Ok p -> Ok (path, p)
+    | Error msg -> Cli.input_error ~prog:"levioso_compile" path msg)
   | Some _, Some _ -> Error "pass either --workload or a file, not both"
   | None, None -> Error "pass --workload NAME or an assembly file"
 
 let main workload file stats_only =
   match load_program workload file with
-  | Error msg ->
-    prerr_endline ("levioso_compile: " ^ msg);
-    `Error (false, msg)
+  | Error msg -> `Error (false, msg)
   | Ok (name, program) ->
     let annotation = Annotation.analyze program in
     Printf.printf "; %s: %d instructions\n" name (Array.length program);

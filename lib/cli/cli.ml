@@ -204,3 +204,19 @@ let overhead_table ~policies ~workloads cycles =
          cycles
   in
   Report.table ~header ~rows:(List.mapi row workloads)
+
+let read_input path =
+  try
+    if Sys.is_directory path then Error "is a directory"
+    else Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg ->
+    (* an open failure reads "<path>: <reason>" *)
+    let prefix = path ^ ": " in
+    let n = String.length prefix in
+    Error
+      (if String.starts_with ~prefix msg then String.sub msg n (String.length msg - n)
+       else msg)
+
+let input_error ~prog path msg =
+  Printf.eprintf "%s: %s: %s\n%!" prog path msg;
+  exit 1

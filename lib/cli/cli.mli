@@ -71,3 +71,14 @@ val overhead_table :
     row per workload and one column per policy.  Each cell shows its
     overhead against the row's [unsafe] cell when the policy list has one
     and its cycles are positive. *)
+
+(** {1 Input files} *)
+
+val read_input : string -> (string, string) result
+(** The contents of the file at [path], or why it cannot be read ("is a
+    directory", "Permission denied", ...), without the path. *)
+
+val input_error : prog:string -> string -> string -> 'a
+(** [input_error ~prog path msg] prints the one line
+    [<prog>: <path>: <msg>] on stderr and exits 1: a program that does
+    not read or compile is a runtime failure, not a usage error (124). *)

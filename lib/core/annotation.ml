@@ -5,13 +5,14 @@ module Control_dep = Levioso_analysis.Control_dep
 module Branch_dep = Levioso_analysis.Branch_dep
 module Loops = Levioso_analysis.Loops
 
-type hint =
+type hint = Reconvergence.point =
   | Reconverges_at of int
   | No_reconvergence
 
 type t = {
   program : Ir.program;
   cfg : Cfg.t;
+  reconv : Reconvergence.t;
   hints : hint option array;  (* indexed by pc *)
 }
 
@@ -20,32 +21,13 @@ let analyze program =
   let reconv = Reconvergence.compute cfg in
   let hints = Array.make (Array.length program) None in
   List.iter
-    (fun pc ->
-      let hint =
-        match Reconvergence.point reconv pc with
-        | Reconvergence.Reconverges_at r -> Reconverges_at r
-        | Reconvergence.No_reconvergence -> No_reconvergence
-      in
-      hints.(pc) <- Some hint)
+    (fun pc -> hints.(pc) <- Some (Reconvergence.point reconv pc))
     (Reconvergence.branch_pcs reconv);
-  { program; cfg; hints }
+  { program; cfg; reconv; hints }
 
 let hint_for t pc = t.hints.(pc)
-
 let program t = t.program
-
-let coverage t =
-  let branches = ref 0 and proper = ref 0 in
-  Array.iter
-    (fun h ->
-      match h with
-      | Some (Reconverges_at _) ->
-        incr branches;
-        incr proper
-      | Some No_reconvergence -> incr branches
-      | None -> ())
-    t.hints;
-  if !branches = 0 then 1.0 else float_of_int !proper /. float_of_int !branches
+let coverage t = Reconvergence.coverage t.reconv
 
 let disassemble t =
   let annot pc =

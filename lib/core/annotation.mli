@@ -12,7 +12,7 @@
     (dependency sets themselves are tracked per dynamic branch instance in
     hardware — see {!Levioso_policy}). *)
 
-type hint =
+type hint = Levioso_analysis.Reconvergence.point =
   | Reconverges_at of int
       (** instructions fetched at or after this pc no longer depend on the
           branch's outcome for their existence *)

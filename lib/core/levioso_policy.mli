@@ -24,13 +24,9 @@
     ({!Levioso_uarch.Config.t}[.depset_budget]); on overflow the entry
     degrades soundly to "wait for all older branches".
 
-    Representation: one {!Levioso_uarch.Slot_mask} row per ROB arena
-    slot, a set bit naming the unresolved branch in that slot, plus a
-    per-slot overflow flag; the active set is one more row, with a
-    reconvergence pc per branch slot.  A resolving branch clears its
-    column in every younger row, so rows hold only unresolved branches
-    and the issue gate is an empty-row test; the budget is a popcount at
-    decode.  Nothing allocates per instruction.
+    Representation: a {!Levioso_secure.Depmatrix} row per ROB arena
+    slot, whose root set is the active-branch set, plus a reconvergence
+    pc per branch slot.  Nothing allocates per instruction.
 
     The [track_data] flag exists for the ablation figure: switching it off
     gates only on control dependence, which is cheaper but no longer covers

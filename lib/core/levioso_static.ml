@@ -37,12 +37,8 @@ let maker (config : Config.t) program pipe =
     match deps.(Pipeline.pc_of pipe seq) with
     | None -> Levioso_telemetry.Audit.Overflow
     | Some set ->
-      Levioso_telemetry.Audit.Branch_dep
-        (List.filter_map
-           (fun b ->
-             let bpc = Pipeline.pc_of pipe b in
-             if Int_set.mem bpc set then Some (b, bpc) else None)
-           (Pipeline.older_unresolved_branches pipe ~seq))
+      Levioso_secure.Baselines.explain_branches pipe ~seq
+        ~keep:(fun b -> Int_set.mem (Pipeline.pc_of pipe b) set)
   in
   {
     Pipeline.always_execute_policy with

@@ -1,12 +1,10 @@
 module Pipeline = Levioso_uarch.Pipeline
 module Audit = Levioso_telemetry.Audit
 
-(* Both baselines restrict purely because older branches are unresolved,
-   so their provenance is exactly that branch set. *)
-let explain_branches pipe ~seq =
+let explain_branches ?(keep = fun _ -> true) pipe ~seq =
   Audit.Branch_dep
-    (List.map
-       (fun s -> (s, Pipeline.pc_of pipe s))
+    (List.filter_map
+       (fun s -> if keep s then Some (s, Pipeline.pc_of pipe s) else None)
        (Pipeline.older_unresolved_branches pipe ~seq))
 
 let unsafe _config _program _pipe =

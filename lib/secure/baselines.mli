@@ -21,3 +21,9 @@ val unsafe : Levioso_uarch.Pipeline.policy_maker
 val fence : Levioso_uarch.Pipeline.policy_maker
 
 val delay : Levioso_uarch.Pipeline.policy_maker
+
+val explain_branches :
+  ?keep:(int -> bool) ->
+  Levioso_uarch.Pipeline.t -> seq:int -> Levioso_telemetry.Audit.reason
+(** Restriction provenance: the older unresolved branches that [keep]
+    accepts (default: all), oldest first. *)

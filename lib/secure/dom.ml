@@ -21,18 +21,12 @@ let maker _config _program pipe =
   let load_visibility ~seq =
     if speculative seq then Pipeline.Invisible else Pipeline.Normal
   in
-  (* A refused access is a speculative L1 miss; the speculation it hides
-     behind is the set of older unresolved branches. *)
-  let explain ~seq =
-    Levioso_telemetry.Audit.Branch_dep
-      (List.map
-         (fun s -> (s, Pipeline.pc_of pipe s))
-         (Pipeline.older_unresolved_branches pipe ~seq))
-  in
   {
     Pipeline.always_execute_policy with
     policy_name = "dom";
     may_execute;
     load_visibility;
-    explain;
+    (* a refused access is a speculative L1 miss, hidden behind the older
+       unresolved branches *)
+    explain = Baselines.explain_branches pipe;
   }

@@ -13,9 +13,10 @@ let maker _config _program pipe =
   in
   let may_execute ~seq =
     let quarantined = ref false in
-    for i = 0 to Pipeline.producer_count pipe seq - 1 do
+    for i = 0 to Pipeline.max_operands - 1 do
       if not !quarantined then
-        quarantined := producer_quarantined (Pipeline.producer pipe seq i)
+        let p = Pipeline.operand_producer pipe seq i in
+        quarantined := p >= 0 && producer_quarantined p
     done;
     not !quarantined
   in

@@ -55,7 +55,14 @@ let event_to_string = function
    with -1 (or the codes below) as sentinels, so a tracer-off cycle
    allocates nothing.  Per-cycle loops are [for]/[while] loops rather
    than local recursive functions: without flambda a local function that
-   captures state is a closure allocated on every call. *)
+   captures state is a closure allocated on every call.  The small
+   top-level helpers ([src_ready], [emit_seq], [charge_entry], [start],
+   [schedule_completion], the policy views) are inlined at their call
+   sites because this library builds with [-inline 200] (see its dune
+   file); keep them closed top-level functions without local closures,
+   or [ocamlopt] cannot inline them.  Policies read operands through
+   [operand_producer], which never raises, so a decode hook walks all
+   [max_operands] slots without counting producers first. *)
 
 (* entry.st *)
 let st_waiting = 0
@@ -295,27 +302,18 @@ let older_unresolved_branches t ~seq =
 
 let exists_older_unresolved_branch t ~seq = t.ub_len > 0 && t.ub.(0) < seq
 
-let producer_count t seq =
-  let e = entry_exn t seq in
-  let n = ref 0 in
-  for i = 0 to e.n_srcs - 1 do
-    if e.src_kind.(i) = 1 then incr n
-  done;
-  !n
+let max_operands = 3
 
-let producer t seq i =
-  let e = entry_exn t seq in
-  (* [k] walks the operands, [left] counts down the producers to skip *)
-  let k = ref 0 and left = ref i in
-  while !k < e.n_srcs && (e.src_kind.(!k) = 0 || !left > 0) do
-    if e.src_kind.(!k) = 1 then decr left;
-    incr k
-  done;
-  if !k >= e.n_srcs || i < 0 then
-    invalid_arg (Printf.sprintf "Pipeline.producer: index %d" i)
-  else e.src_val.(!k)
+(* Non-raising, so a policy can walk every operand slot of a decoding
+   instruction without first counting its producers. *)
+let operand_producer t seq i =
+  if seq >= t.head_seq && seq < t.tail_seq && i >= 0 then
+    let e = t.slots.(seq land t.slot_mask) in
+    if i < e.n_srcs && e.src_kind.(i) = 1 then e.src_val.(i) else -1
+  else -1
 
-let producers_of t seq = List.init (producer_count t seq) (producer t seq)
+let producers_of t seq =
+  List.filter (fun p -> p >= 0) (List.init max_operands (operand_producer t seq))
 
 let arena_size t = t.slot_mask + 1
 

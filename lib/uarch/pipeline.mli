@@ -227,21 +227,23 @@ val load_address : t -> int -> int
 val load_address_if_ready : t -> int -> int option
 (** {!load_address} with [None] for [-1]. *)
 
-val producer_count : t -> int -> int
-(** Number of in-flight producers of the instruction's register
-    operands, captured at rename time.  Producers that had already
-    committed at rename time are not counted; a register read twice
-    counts twice. *)
+val max_operands : int
+(** The most register or immediate operands an instruction has (3, a
+    store's base, offset and source). *)
 
-val producer : t -> int -> int -> int
-(** [producer t seq i] is the sequence number of the [i]-th producer
-    ([0 <= i < producer_count t seq]), in operand order.  The producer
-    may have committed since rename.
-    @raise Invalid_argument on an index out of range. *)
+val operand_producer : t -> int -> int -> int
+(** [operand_producer t seq i] is the sequence number of the in-flight
+    producer of the [i]-th operand of [seq], captured at rename time,
+    or [-1] when that operand was a literal (an immediate, or a register
+    whose producer had already committed), when [seq] has fewer than
+    [i + 1] operands or [i] is outside [[0, max_operands)], or when
+    [seq] is not in flight.  Never raises and never allocates: policies
+    walk [i] from [0] to [max_operands - 1].  The producer may have
+    committed since rename; a register read twice appears twice. *)
 
 val producers_of : t -> int -> int list
-(** All the producers, in operand order.  Allocates a list: for
-    explanation paths; per-cycle checks use {!producer}. *)
+(** The in-flight producers, in operand order.  Allocates a list: for
+    explanation paths; per-cycle checks use {!operand_producer}. *)
 
 val arena_size : t -> int
 (** Number of ROB arena slots: the smallest power of two [>= rob_size].

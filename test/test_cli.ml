@@ -136,6 +136,49 @@ let test_overhead_table () =
   Alcotest.(check bool) "failed baseline shows plain cycles" true
     (has "| 100 " && not (has "100 ("))
 
+(* levioso_cc and levioso_compile, run as programs: an input that does
+   not read or compile is one stderr line naming it and exit 1, apart
+   from a bad flag's 124. *)
+let test_input_errors () =
+  let dir = Filename.temp_dir "levioso_cli" "" in
+  let file name text =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let bad_lev = file "bad.lev" "x = ;\n" and bad_s = file "bad.s" "bogus r1\n" in
+  let err = Filename.concat dir "stderr" in
+  let run exe args =
+    let rc =
+      Sys.command
+        (Filename.quote_command ("../bin/" ^ exe) args ~stdout:Filename.null ~stderr:err)
+    in
+    (rc, In_channel.with_open_bin err In_channel.input_lines)
+  in
+  let fails exe input =
+    let where = exe ^ " " ^ input in
+    match run exe [ input ] with
+    | 1, [ line ] ->
+      Alcotest.(check bool)
+        (where ^ ": the line names the input") true
+        (String.starts_with ~prefix:(Filename.chop_suffix exe ".exe" ^ ": " ^ input ^ ": ")
+           line)
+    | rc, lines ->
+      Alcotest.failf "%s: exit %d with %d stderr lines: %s" where rc
+        (List.length lines) (String.concat " | " lines)
+  in
+  fails "levioso_cc.exe" bad_lev;
+  fails "levioso_cc.exe" dir;
+  fails "levioso_compile.exe" bad_s;
+  fails "levioso_compile.exe" dir;
+  let good_lev = file "good.lev" "fn main() {\n  store(64, 7);\n}\n" in
+  Alcotest.(check (pair int (list string))) "a good program exits 0" (0, [])
+    (run "levioso_cc.exe" [ good_lev; "--run" ]);
+  Alcotest.(check (pair int (list string))) "a good workload exits 0" (0, [])
+    (run "levioso_compile.exe" [ "-s"; "-w"; "stream" ]);
+  List.iter Sys.remove [ bad_lev; bad_s; good_lev; err ];
+  Sys.rmdir dir
+
 let suite =
   ( "cli",
     [
@@ -144,4 +187,5 @@ let suite =
       Alcotest.test_case "bad values are parse errors" `Quick test_bad_values;
       Alcotest.test_case "value converters" `Quick test_value_converters;
       Alcotest.test_case "overhead table" `Quick test_overhead_table;
+      Alcotest.test_case "input errors exit 1" `Quick test_input_errors;
     ] )

@@ -23,6 +23,7 @@ module Json = Levioso_telemetry.Json
 module Gen = Levioso_fuzz.Gen
 module Suite = Levioso_workload.Suite
 module Workload = Levioso_workload.Workload
+module Sampler = Levioso_uarch.Sampler
 
 let rob_sizes = [ 4; 37; 48; 96; 130 ]
 let budgets = [ 1; 2; 8 ]
@@ -161,6 +162,31 @@ let test_quick_kernels () =
           ~mem_init:w.Workload.mem_init w.Workload.program)
     Suite.all
 
+(* Lockstep through the sampled engine: every detailed interval after
+   the first [Pipeline.restart]s one pipeline, which makes a fresh policy
+   pair, so per-slot state a tracker failed to reset would show as a
+   disagreement in a later interval. *)
+let test_sampled_restarts () =
+  let w = Suite.find_exn "stream" in
+  let spec = { Sampler.interval = 400; warmup = 200; period = 4 } in
+  List.iter
+    (fun budget ->
+      let cfg = { Config.default with Config.depset_budget = budget } in
+      List.iter
+        (fun (name, reference, library) ->
+          let where = Printf.sprintf "sampled stream %s K=%d" name budget in
+          let made = ref 0 in
+          let policy cfg program pipe =
+            incr made;
+            lockstep ~where reference library cfg program pipe
+          in
+          let r = Sampler.run ~mem_init:w.Workload.mem_init spec cfg ~policy w.Workload.program in
+          if r.Sampler.intervals < 3 || !made < r.Sampler.intervals then
+            Alcotest.failf "%s: %d intervals, %d policies made" where
+              r.Sampler.intervals !made)
+        pairs)
+    budgets
+
 let suite =
   ( "differential",
     [
@@ -168,4 +194,6 @@ let suite =
         test_fuzz_programs;
       Alcotest.test_case "quick kernels vs reference trackers" `Quick
         test_quick_kernels;
+      Alcotest.test_case "sampled restarts vs reference trackers" `Quick
+        test_sampled_restarts;
     ] )

@@ -48,13 +48,26 @@ let test_producers_captured_at_rename () =
         add r4, r3, r3
         halt
       |}
-      (fun pipe ~seq -> producers := (seq, Pipeline.producers_of pipe seq) :: !producers)
+      (fun pipe ~seq ->
+        (* operand slots -1 .. max_operands: the ends are out of range *)
+        let slots =
+          List.init (Pipeline.max_operands + 2) (fun i -> Pipeline.operand_producer pipe seq (i - 1))
+        in
+        producers := (seq, (Pipeline.producers_of pipe seq, slots)) :: !producers;
+        Alcotest.(check int) "a seq not in flight has no producers" (-1)
+          (Pipeline.operand_producer pipe (seq + 1) 0))
   in
-  let find seq = List.assoc seq (List.rev !producers) in
+  let find seq = fst (List.assoc seq (List.rev !producers)) in
   Alcotest.(check (list int)) "movs have no producers" [] (find 0);
   Alcotest.(check (list int)) "add reads both movs" [ 0; 1 ] (List.sort compare (find 2));
   Alcotest.(check (list int)) "second add reads the first (dedup not required)"
-    [ 2 ] (List.sort_uniq compare (find 3))
+    [ 2 ] (List.sort_uniq compare (find 3));
+  Alcotest.(check (list int)) "operand_producer by operand slot, -1 elsewhere"
+    [ -1; 0; 1; -1; -1 ]
+    (snd (List.assoc 2 !producers));
+  Alcotest.(check (list int)) "a register read twice appears twice"
+    [ -1; 2; 2; -1; -1 ]
+    (snd (List.assoc 3 !producers))
 
 let test_unresolved_branch_tracking () =
   let observed = ref None in
