@@ -17,7 +17,6 @@
                                             # estimates (never cached,
                                             # excludes --audit)
      dune exec bench/main.exe -- --progress # live status line (stderr)
-     dune exec bench/main.exe -- --progress-file progress.json
      dune exec bench/main.exe -- --metrics metrics.prom  # OpenMetrics
      dune exec bench/main.exe -- --remote levioso.sock   # submit the whole
                                             # matrix to a levioso_serve
@@ -28,7 +27,8 @@
 
    -j, --audit, --sample and the monitor flags are the ones levioso_sim
    takes (Levioso_cli.Cli); a bad value of any flag is a usage error
-   (exit 124).
+   (exit 124), and an output file that cannot be written exits 1 with
+   one line naming it.
 
    Every (config, workload, policy) simulation the figures need is
    independent, so the matrix is computed up front on a domain pool
@@ -239,10 +239,7 @@ let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
     (fun () ->
       let results, stats =
         Serve_client.submit ~cache:!use_cache client cells
-          ~on_result:(fun _ (r : Serve_client.result_cell) ->
-            match !monitor with
-            | Some m -> Monitor.item_done m ~wall_s:r.Serve_client.wall_s ()
-            | None -> ())
+          ~on_result:(fun _ _ -> Option.iter Monitor.item_done !monitor)
           ~timings:(fun (tm : Serve_client.timings) ->
             (* stderr only: --json on stdout must stay byte-identical to
                a local run of the same matrix *)
@@ -312,10 +309,8 @@ let prefetch_matrix ids =
       (match !monitor with
       | Some m -> Monitor.start m (w.Workload.name ^ "/" ^ p)
       | None -> ());
-      let r = get_cell c w p in
-      match !monitor with
-      | Some m -> Monitor.item_done m ~wall_s:r.wall_s ()
-      | None -> ()
+      ignore (get_cell c w p);
+      Option.iter Monitor.item_done !monitor
     in
     if !jobs > 1 && List.length todo > 1 then
       Parallel.with_pool ~size:!jobs (fun pool -> Parallel.iter pool work todo)
@@ -751,7 +746,10 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
     | None when sample_ <> None && audit_ ->
       (* the two-tier engine has no per-event audit stream to record *)
       `Error (true, "--sample cannot be combined with --audit")
-    | None ->
+    | None -> (
+      (* an output file that cannot be written ends the run with one
+         line naming it and exit 1 *)
+      try
       quick := quick_;
       jobs := jobs_;
       use_cache := use_cache_;
@@ -800,6 +798,7 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
           file);
       write_bench_matrix ~total_wall_s:(Unix.gettimeofday () -. t_start);
       `Ok ()
+      with Sys_error msg -> Cli.runtime_error ~prog:"bench" msg)
 
 open Cmdliner
 

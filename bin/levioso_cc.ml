@@ -19,8 +19,11 @@ module Opt = Levioso_opt.Opt
 module Cli = Levioso_cli.Cli
 
 let main file run policy watches optimize =
-  match Result.bind (Cli.read_input file) Compiler.compile with
-  | Error msg -> Cli.input_error ~prog:"levioso_cc" file msg
+  let compile src =
+    Result.map_error (Printf.sprintf "%s: %s" file) (Compiler.compile src)
+  in
+  match Result.bind (Cli.read_input file) compile with
+  | Error msg -> Cli.runtime_error ~prog:"levioso_cc" msg
   | Ok raw ->
     let program = if optimize then Opt.optimize raw else raw in
     if optimize then
@@ -52,7 +55,7 @@ let main file run policy watches optimize =
 open Cmdliner
 
 let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Lev source file.")
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Lev source file.")
 
 let run_arg = Arg.(value & flag & info [ "run" ] ~doc:"Execute instead of printing.")
 

@@ -16,9 +16,12 @@ let load_program workload file =
   match (workload, file) with
   | Some w, None -> Ok (w.Workload.name, w.Workload.program)
   | None, Some path -> (
-    match Result.bind (Cli.read_input path) Parser.parse with
+    let parse src =
+      Result.map_error (Printf.sprintf "%s: %s" path) (Parser.parse src)
+    in
+    match Result.bind (Cli.read_input path) parse with
     | Ok p -> Ok (path, p)
-    | Error msg -> Cli.input_error ~prog:"levioso_compile" path msg)
+    | Error msg -> Cli.runtime_error ~prog:"levioso_compile" msg)
   | Some _, Some _ -> Error "pass either --workload or a file, not both"
   | None, None -> Error "pass --workload NAME or an assembly file"
 
@@ -61,7 +64,7 @@ let workload_arg =
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc)
 
 let file_arg =
-  Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Assembly file.")
+  Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Assembly file.")
 
 let stats_only_arg =
   Arg.(value & flag & info [ "s"; "stats-only" ] ~doc:"Skip the disassembly.")

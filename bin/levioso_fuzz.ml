@@ -175,8 +175,15 @@ let main seed iters time_budget jobs oracle_names corpus_dir no_persist
             on_progress;
           }
         in
-        let report = Campaign.run options in
-        Option.iter Monitor.close monitor;
+        let report =
+          (* an output file that cannot be written ends the campaign
+             with one line naming it and exit 1 *)
+          try
+            let report = Campaign.run options in
+            Option.iter Monitor.close monitor;
+            report
+          with Sys_error msg -> Cli.runtime_error ~prog:"levioso_fuzz" msg
+        in
         if json then Json.to_channel stdout (Campaign.to_json report)
         else Campaign.print stdout report;
         if report.Campaign.failures = [] then `Ok ()

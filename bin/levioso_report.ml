@@ -10,7 +10,7 @@
          Render a levioso_serve continuous-telemetry directory
          (--history-out segments) as a self-contained operational
          dashboard: queue depth, request/error rates, latency
-         percentiles, cache hit share, GC heap, alert transitions.
+         percentiles, cache hit share, GC heap.
 
      levioso_report MATRIX.json [-o report.html] [--leak-trace LEAK.json]
          Render the matrix as a self-contained HTML report (inline SVG,
@@ -123,7 +123,7 @@ let mode_dashboard dir out title =
   | Ok [] ->
     die "%s: no time-series segments (run the daemon with --history-out %s)"
       dir dir
-  | Ok records -> write_html out dir (Dashboard.render ~title records)
+  | Ok samples -> write_html out dir (Dashboard.render ~title samples)
   | Error msg -> die "%s" msg
 
 let main files diff baseline workload top_k as_json out title leak_trace

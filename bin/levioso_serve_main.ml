@@ -20,73 +20,54 @@ module Json = Levioso_telemetry.Json
 module Monitor = Levioso_telemetry.Monitor
 module Span = Levioso_telemetry.Span
 module Tsdb = Levioso_telemetry.Tsdb
-module Alerts = Levioso_telemetry.Alerts
 module Report = Levioso_util.Report
 module Protocol = Levioso_serve.Protocol
 module Client = Levioso_serve.Client
 module Server = Levioso_serve.Server
 module Cli = Levioso_cli.Cli
 
-(* A runtime failure — a busy socket for the daemon; no daemon on the
-   socket, a daemon-side error or a malformed reply for a client — exits
-   1, so a script can tell it from a bad flag, Cmdliner's 124. *)
-let runtime_error msg =
-  Printf.eprintf "levioso_serve: %s\n%!" msg;
-  exit 1
+(* A runtime failure — a busy socket or an unwritable output file for
+   the daemon; no daemon on the socket, a daemon-side error or a
+   malformed reply for a client — exits 1, so a script can tell it from
+   a bad flag, Cmdliner's 124. *)
+let runtime_error msg = Cli.runtime_error ~prog:"levioso_serve" msg
 
 (* ---------- serve ---------- *)
 
-let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
-    trace_out access_log_path history_out history_interval alerts_file quiet =
-  if alerts_file <> None && history_out = None then
-    `Error
-      ( false,
-        "--alerts needs --history-out (rules are evaluated against the \
-         recorded samples)" )
-  else begin
-    let history =
-      match history_out with
-      | None -> Ok None
-      | Some dir ->
-        Result.map
-          (fun alert_rules ->
-            Some
-              {
-                Server.history_dir = dir;
-                history_interval_s = history_interval;
-                alert_rules;
-              })
-          (match alerts_file with None -> Ok [] | Some f -> Alerts.load f)
-    in
-    match history with
-    | Error msg -> `Error (false, msg)
-    | Ok history ->
-    let cache =
-      if no_cache then None else Some (Run_cache.create ~dir:cache_dir ())
-    in
-    let monitor =
-      if metrics_file <> None || progress_file <> None then
-        Some
-          (Monitor.create ?json_path:progress_file ?metrics_path:metrics_file
-             ~label:"levioso_serve" ())
-      else None
-    in
-    let log =
-      if quiet then None
-      else
-        Some
-          (fun msg ->
-            Printf.eprintf "[levioso_serve %.3f] %s\n%!"
-              (Unix.gettimeofday ()) msg)
-    in
-    (* the collector also powers the access log's engine-stage columns,
-       so either flag turns it on *)
-    let spans =
-      if trace_out <> None || access_log_path <> None then
-        Some (Span.create ())
-      else None
-    in
-    let access_log = Option.map open_out access_log_path in
+let serve socket jobs queue_max cache_dir no_cache metrics_file trace_out
+    access_log_path history_out history_interval quiet =
+  let history =
+    Option.map
+      (fun dir ->
+        { Server.history_dir = dir; history_interval_s = history_interval })
+      history_out
+  in
+  let cache =
+    if no_cache then None else Some (Run_cache.create ~dir:cache_dir ())
+  in
+  let monitor =
+    Option.map
+      (fun metrics_path ->
+        Monitor.create ~metrics_path ~label:"levioso_serve" ())
+      metrics_file
+  in
+  let log =
+    if quiet then None
+    else
+      Some
+        (fun msg ->
+          Printf.eprintf "[levioso_serve %.3f] %s\n%!"
+            (Unix.gettimeofday ()) msg)
+  in
+  (* the collector also powers the access log's engine-stage columns,
+     so either flag turns it on *)
+  let spans =
+    if trace_out <> None || access_log_path <> None then Some (Span.create ())
+    else None
+  in
+  match Option.map open_out access_log_path with
+  | exception Sys_error msg -> runtime_error msg
+  | access_log -> (
     let close_access () =
       Option.iter (fun oc -> try close_out oc with Sys_error _ -> ()) access_log
     in
@@ -102,25 +83,24 @@ let serve socket jobs queue_max cache_dir no_cache metrics_file progress_file
           spans;
           access_log;
           history;
-        }
-    with
-    | () ->
-      (match (spans, trace_out) with
+        };
+      match (spans, trace_out) with
       | Some sp, Some path ->
         let oc = open_out path in
         Span.write_chrome oc (Span.drain sp);
         close_out oc
-      | _ -> ());
+      | _ -> ()
+    with
+    | () ->
       close_access ();
       `Ok ()
-    | exception Failure msg ->
+    | exception (Failure msg | Sys_error msg) ->
       close_access ();
       runtime_error msg
     | exception Unix.Unix_error (e, fn, arg) ->
       close_access ();
       runtime_error
-        (Printf.sprintf "%s: %s(%s): %s" socket fn arg (Unix.error_message e))
-  end
+        (Printf.sprintf "%s: %s(%s): %s" socket fn arg (Unix.error_message e)))
 
 (* ---------- client-side helpers ---------- *)
 
@@ -341,8 +321,7 @@ let history_default_fields =
     "total_p99_s"; "gc_heap_words";
   ]
 
-let render_history records fields =
-  let samples = Levioso_telemetry.Tsdb.samples records in
+let render_history samples fields =
   match samples with
   | [] -> print_endline "no samples in the requested range"
   | first :: _ ->
@@ -368,15 +347,7 @@ let render_history records fields =
                columns)
         samples
     in
-    print_string (Report.table ~header ~rows);
-    List.iter
-      (function
-        | Tsdb.Alert a ->
-          Printf.printf "%s t+%.1fs: %s\n"
-            (if a.Tsdb.firing then "alert FIRING " else "alert resolved")
-            (a.Tsdb.a_ts -. t0) a.Tsdb.rule
-        | Tsdb.Sample _ -> ())
-      records
+    print_string (Report.table ~header ~rows)
 
 let history_cmd socket dir since until last json fields =
   let fields =
@@ -387,23 +358,23 @@ let history_cmd socket dir since until last json fields =
         |> List.filter (fun s -> s <> ""))
       fields
   in
-  let render records =
-    if json then print_endline (Json.to_string (Protocol.history_doc records))
-    else render_history records fields
+  let render samples =
+    if json then print_endline (Json.to_string (Protocol.history_doc samples))
+    else render_history samples fields
   in
   match dir with
   | Some dir -> (
     (* offline: read the segments directly, no daemon required *)
     match Tsdb.read_dir ?since ?until ~last dir with
     | Error msg -> runtime_error msg
-    | Ok records -> `Ok (render records))
+    | Ok samples -> `Ok (render samples))
   | None ->
     with_client socket (fun c ->
         let doc = Client.history ?since ?until ~last c in
         if json then print_endline (Json.to_string doc)
         else
           match Protocol.history_records doc with
-          | Ok records -> render_history records fields
+          | Ok samples -> render_history samples fields
           | Error msg -> raise (Client.Server_error msg))
 
 (* ---------- cmdliner ---------- *)
@@ -461,13 +432,6 @@ let metrics_serve_arg =
           "Periodically write daemon gauges (queue depth, clients, cells \
            simulated/cached/merged) in OpenMetrics text format to $(docv).")
 
-let progress_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "progress-file" ] ~docv:"FILE"
-        ~doc:"Periodically write a machine-readable progress snapshot.")
-
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the event log.")
 
@@ -501,28 +465,13 @@ let history_out_arg =
            percentiles, histogram mass and GC counters every \
            --history-interval seconds into an append-only on-disk \
            time-series under $(docv) (query with `levioso_serve history`, \
-           render with `levioso_report --dashboard`).  Also arms the \
-           flight recorder: SIGUSR1, a deadlock diagnostic or an uncaught \
-           server error dumps recent samples and access records to a \
-           post-mortem JSON in $(docv).")
+           render with `levioso_report --dashboard`).")
 
 let history_interval_arg =
   Arg.(
     value & opt Cli.positive_float 5.0
     & info [ "history-interval" ] ~docv:"SECS"
         ~doc:"Seconds between history samples (default 5).")
-
-let alerts_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "alerts" ] ~docv:"FILE"
-        ~doc:
-          "Alert rules evaluated at every history sample, one per line: \
-           `metric OP threshold [for DURs]`, e.g. `total_p99_ms > 500 for \
-           30s` or `queue_depth >= 100`.  Transitions are logged, recorded \
-           in the time-series and exported as the levioso_alerts_firing \
-           gauge.  Requires --history-out.")
 
 let serve_cmd =
   let doc = "run the simulation daemon (blocks until a shutdown request)" in
@@ -532,14 +481,13 @@ let serve_cmd =
          (Cmd.Exit.info 1
             ~doc:
               "when the socket is served by a live daemon or cannot be \
-               bound."
+               bound, or an output file cannot be written."
          :: Cmd.Exit.defaults))
     Term.(
       ret
         (const serve $ socket_arg $ jobs_arg $ queue_max_arg $ cache_dir_arg
-       $ no_cache_arg $ metrics_serve_arg $ progress_file_arg $ trace_out_arg
-       $ access_log_arg $ history_out_arg $ history_interval_arg $ alerts_arg
-       $ quiet_arg))
+       $ no_cache_arg $ metrics_serve_arg $ trace_out_arg $ access_log_arg
+       $ history_out_arg $ history_interval_arg $ quiet_arg))
 
 let submit_no_cache_arg =
   Arg.(

@@ -176,6 +176,9 @@ let main workloads policies config verbose trace json trace_out trace_every
           "--leak-trace needs at least one --secret-range A:B (only the \
            spectre-v1 workload has a built-in default)" )
     else begin
+    (* an output file that cannot be written ends the run with one line
+       naming it and exit 1 *)
+    try
     let trace_file = Option.map (open_events ~every:trace_every) trace_out in
     let audit_file = Option.map open_events audit_out in
     let sink = Option.map (fun f -> f.sink) trace_file in
@@ -255,7 +258,7 @@ let main workloads policies config verbose trace json trace_out trace_every
         end
         else None
       in
-      let cycles, summary, host, render_verbose =
+      let cycles, summary, render_verbose =
         match sample_spec with
         | Some sp ->
           let maker = Registry.find_exn p in
@@ -267,7 +270,6 @@ let main workloads policies config verbose trace json trace_out trace_every
           let host = [ ("run", run_span) ] in
           ( r.Sampler.estimated_cycles,
             Summary.of_sampled ~workload:w.Workload.name ~policy:p ~host r,
-            host,
             fun () ->
               verbose_report
                 (Printf.sprintf "%s / %s (sampled %s)" w.Workload.name p
@@ -289,7 +291,6 @@ let main workloads policies config verbose trace json trace_out trace_every
           in
           ( (Pipeline.stats pipe).Sim_stats.cycles,
             Summary.of_pipeline ~workload:w.Workload.name ~policy:p ~host pipe,
-            host,
             fun () ->
               verbose_report
                 (Printf.sprintf "%s / %s" w.Workload.name p)
@@ -299,13 +300,7 @@ let main workloads policies config verbose trace json trace_out trace_every
                 (Pipeline.stats pipe) (Pipeline.hierarchy pipe)
                 (Pipeline.stall_attribution pipe) )
       in
-      Option.iter
-        (fun m ->
-          let wall_s =
-            List.fold_left (fun acc (_, s) -> acc +. s.Hostprof.wall_s) 0. host
-          in
-          Monitor.item_done m ~wall_s ())
-        monitor;
+      Option.iter Monitor.item_done monitor;
       let verbose_text =
         if verbose then begin
           let text = render_verbose () in
@@ -384,6 +379,7 @@ let main workloads policies config verbose trace json trace_out trace_every
            ~workloads:(List.map (fun w -> w.Workload.name) workloads)
            (List.map (fun (c, _, _) -> c) results));
     `Ok ()
+    with Sys_error msg -> Cli.runtime_error ~prog:"levioso_sim" msg
     end
   end
 

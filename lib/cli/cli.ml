@@ -158,33 +158,23 @@ let monitor =
              stderr is not a terminal.  Purely observational: results are \
              bit-identical with or without it.")
   in
-  let file arg_info = Arg.(value & opt (some string) None arg_info) in
-  let json_path =
-    file
-      Arg.(
-        info [ "progress-file" ] ~docv:"FILE"
-          ~doc:
-            "Periodically write a machine-readable progress snapshot to \
-             $(docv) (atomic rename, safe to tail/poll).")
-  in
   let metrics_path =
-    file
-      Arg.(
-        info [ "metrics" ] ~docv:"FILE"
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics" ] ~docv:"FILE"
           ~doc:
             "Periodically write progress gauges in OpenMetrics text format \
              to $(docv) (atomic rename, scrapable).")
   in
-  let make force_ansi json_path metrics_path ~label () =
-    if force_ansi || json_path <> None || metrics_path <> None then
+  let make force_ansi metrics_path ~label () =
+    if force_ansi || metrics_path <> None then
       (* the status line shows on a TTY and is suppressed when stderr is
          piped, unless --progress forces it *)
-      Some
-        (Monitor.create ~ansi:stderr ~force_ansi ?json_path ?metrics_path
-           ~label ())
+      Some (Monitor.create ~ansi:stderr ~force_ansi ?metrics_path ~label ())
     else None
   in
-  Term.(const make $ progress $ json_path $ metrics_path)
+  Term.(const make $ progress $ metrics_path)
 
 let overhead_table ~policies ~workloads cycles =
   let header = "workload" :: List.map (fun p -> p ^ " (cyc)") policies in
@@ -207,16 +197,10 @@ let overhead_table ~policies ~workloads cycles =
 
 let read_input path =
   try
-    if Sys.is_directory path then Error "is a directory"
+    if Sys.is_directory path then Error (path ^ ": is a directory")
     else Ok (In_channel.with_open_bin path In_channel.input_all)
-  with Sys_error msg ->
-    (* an open failure reads "<path>: <reason>" *)
-    let prefix = path ^ ": " in
-    let n = String.length prefix in
-    Error
-      (if String.starts_with ~prefix msg then String.sub msg n (String.length msg - n)
-       else msg)
+  with Sys_error msg -> (* "<path>: <reason>" *) Error msg
 
-let input_error ~prog path msg =
-  Printf.eprintf "%s: %s: %s\n%!" prog path msg;
+let runtime_error ~prog msg =
+  Printf.eprintf "%s: %s\n%!" prog msg;
   exit 1

@@ -57,10 +57,10 @@ val jobs : doc:string -> int Term.t
 
 val monitor :
   (label:string -> unit -> Levioso_telemetry.Monitor.t option) Term.t
-(** [--progress], [--progress-file FILE] and [--metrics FILE].  The
-    function builds the run's monitor, or [None] when none of the three
-    was given.  The status line is drawn on stderr when it is a
-    terminal; [--progress] forces it when stderr is piped. *)
+(** [--progress] and [--metrics FILE].  The function builds the run's
+    monitor, or [None] when neither was given.  The status line is
+    drawn on stderr when it is a terminal; [--progress] forces it when
+    stderr is piped. *)
 
 (** {1 Output} *)
 
@@ -72,13 +72,16 @@ val overhead_table :
     overhead against the row's [unsafe] cell when the policy list has one
     and its cycles are positive. *)
 
-(** {1 Input files} *)
+(** {1 Files and failures} *)
 
 val read_input : string -> (string, string) result
-(** The contents of the file at [path], or why it cannot be read ("is a
-    directory", "Permission denied", ...), without the path. *)
+(** The contents of the file at [path], or why it cannot be read,
+    naming the path: ["<path>: is a directory"],
+    ["<path>: No such file or directory"], ... *)
 
-val input_error : prog:string -> string -> string -> 'a
-(** [input_error ~prog path msg] prints the one line
-    [<prog>: <path>: <msg>] on stderr and exits 1: a program that does
-    not read or compile is a runtime failure, not a usage error (124). *)
+val runtime_error : prog:string -> string -> 'a
+(** [runtime_error ~prog msg] prints the one line [<prog>: <msg>] on
+    stderr and exits 1: a runtime failure, not a usage error (124).  A
+    file that does not read, compile or write is one; [msg] then names
+    the file first, ["<file>: <reason>"], the form of a {!read_input}
+    error and of the [Sys_error] that opening a file raises. *)

@@ -54,7 +54,7 @@ type response =
   | Stats_snapshot of Json.t
   | History_data of Json.t
       (** schema-tagged ["levioso-history"] document with a [records]
-          list of tsdb sample/alert objects *)
+          list of tsdb samples *)
   | Pong
   | Error of string
   | Bye
@@ -271,27 +271,21 @@ let response_of_json =
 
    The payload of a [History_data] response, also what `levioso_serve
    history --json` prints: a schema-tagged wrapper around verbatim tsdb
-   records, so the same document shape works whether the records came
+   samples, so the same document shape works whether the samples came
    over the wire or straight off disk. *)
 
-let history_doc records =
+let history_doc samples =
   Schema.tag
     [
       ("kind", Json.String "levioso-history");
-      ("count", Json.Int (List.length records));
-      ( "records",
-        Json.List
-          (List.map
-             (function
-               | Tsdb.Sample s -> Tsdb.sample_to_json s
-               | Tsdb.Alert a -> Tsdb.alert_to_json a)
-             records) );
+      ("count", Json.Int (List.length samples));
+      ("records", Json.List (List.map Tsdb.sample_to_json samples));
     ]
 
 let history_records j =
   Result.bind (Schema.check ~what:"history document" j) (fun () ->
       Json.decoded
-        Json.(get (each (fun r -> ok_exn (Tsdb.record_of_json r))) "records")
+        Json.(get (each (fun r -> ok_exn (Tsdb.sample_of_json r))) "records")
         j)
 
 (* --- framing ----------------------------------------------------------

@@ -90,8 +90,8 @@ type response =
   | Stats_snapshot of Levioso_telemetry.Json.t
   | History_data of Levioso_telemetry.Json.t
       (** answer to [History]: a schema-tagged ["levioso-history"]
-          document whose [records] list holds tsdb sample/alert objects
-          (parse each with {!Levioso_telemetry.Tsdb.record_of_json});
+          document whose [records] list holds tsdb samples (parse
+          each with {!Levioso_telemetry.Tsdb.sample_of_json});
           an [Error] response when the daemon runs without
           [--history-out] *)
   | Pong
@@ -107,14 +107,14 @@ val request_of_json : Levioso_telemetry.Json.t -> (request, string) result
 val response_to_json : response -> Levioso_telemetry.Json.t
 val response_of_json : Levioso_telemetry.Json.t -> (response, string) result
 
-val history_doc : Levioso_telemetry.Tsdb.record list -> Levioso_telemetry.Json.t
-(** Wrap tsdb records as the schema-tagged ["levioso-history"] document
+val history_doc : Levioso_telemetry.Tsdb.sample list -> Levioso_telemetry.Json.t
+(** Wrap tsdb samples as the schema-tagged ["levioso-history"] document
     carried by [History_data] (and printed by
     [levioso_serve history --json]). *)
 
 val history_records :
   Levioso_telemetry.Json.t ->
-  (Levioso_telemetry.Tsdb.record list, string) result
+  (Levioso_telemetry.Tsdb.sample list, string) result
 (** Inverse of {!history_doc}; schema-checks first. *)
 
 val write_frame : out_channel -> Levioso_telemetry.Json.t -> unit

@@ -4,16 +4,12 @@ module Monitor = Levioso_telemetry.Monitor
 module Span = Levioso_telemetry.Span
 module Latency = Span.Latency
 module Tsdb = Levioso_telemetry.Tsdb
-module Alerts = Levioso_telemetry.Alerts
-module Flight = Levioso_telemetry.Flight
 module Run_cache = Levioso_uarch.Run_cache
-module Pipeline = Levioso_uarch.Pipeline
 module Parallel = Levioso_util.Parallel
 
 type history_opts = {
   history_dir : string;
   history_interval_s : float;
-  alert_rules : Alerts.rule list;
 }
 
 type opts = {
@@ -37,17 +33,12 @@ let lat_stages = [ "queue"; "exec"; "serialize"; "total" ]
 
 (* Continuous-telemetry state, allocated only under --history-out.  A
    daemon without it constructs none of this: the sampler thread, its
-   clock reads and the flight-recorder rings simply do not exist, which
-   is the zero-effect guarantee. *)
+   and its clock reads simply do not exist, which is the zero-effect
+   guarantee. *)
 type hist = {
   h_dir : string;
   h_interval_s : float;
   tsdb : Tsdb.t;
-  halerts : Alerts.t;
-  flight : Flight.t;
-  (* reason for a requested post-mortem dump (SIGUSR1 handler writes,
-     sampler thread drains — a signal handler must not take locks) *)
-  dump_req : string option Atomic.t;
   h_stop : bool Atomic.t;
   (* previous tick's timestamp and fields, for rates *)
   mutable h_prev : (float * (string * float) list) option;
@@ -180,11 +171,9 @@ let stats_json t s =
 
    One sampler thread wakes every interval, reads the clock once,
    renders one snapshot into flat float fields and appends a tsdb
-   sample.  Field names deliberately match what the alert language and
-   the dashboard read: gauges go without their "serve_" prefix
-   (queue_depth, requests, ...), latency percentiles are
-   "<stage>_p50_s" etc. so a "total_p99_ms > 500" rule resolves via the
-   Alerts _ms fallback. *)
+   sample.  Field names are what the dashboard reads: gauges go without
+   their "serve_" prefix (queue_depth, requests, ...), latency
+   percentiles are "<stage>_p50_s" etc. *)
 
 let history_fields t s ~ts =
   let lat_fields =
@@ -205,7 +194,7 @@ let history_fields t s ~ts =
         ]
         (* full cumulative buckets for the end-to-end stage only: 4
            stages x ~25 buckets per sample would triple record size for
-           curves nobody alerts on *)
+           curves nobody charts *)
         @
         if stage = "total" then
           List.filter_map
@@ -244,47 +233,13 @@ let history_rates h ~ts fields =
 let sample_history t h =
   let ts = Tsdb.now h.tsdb in
   let fields = history_fields t (snapshot t) ~ts in
-  let fields = fields @ history_rates h ~ts fields in
-  let s = Tsdb.append ~ts h.tsdb fields in
-  Flight.add_sample h.flight s;
-  let lookup name = List.assoc_opt name s.Tsdb.fields in
-  let transitions = Alerts.eval h.halerts ~now:ts ~lookup in
-  List.iter
-    (fun { Alerts.rule; firing; value } ->
-      log t
-        (if firing then
-           Printf.sprintf "alert FIRING: %s (value %g)" rule.Alerts.name value
-         else Printf.sprintf "alert resolved: %s" rule.Alerts.name);
-      Tsdb.append_alert h.tsdb ~ts ~rule:rule.Alerts.name ~firing)
-    transitions;
-  Option.iter
-    (fun m ->
-      Monitor.set_gauge m ~help:"Alert rules currently firing." "alerts_firing"
-        (float_of_int (Alerts.firing h.halerts)))
-    t.opts.monitor
-
-(* Post-mortem dump: flight-recorder rings to disk.  Called from the
-   sampler thread (SIGUSR1 flag), a client thread (uncaught request
-   error) or the submit path (deadlock diagnostic); Flight and Tsdb are
-   mutex-guarded so any thread may dump. *)
-let postmortem t ~reason =
-  match t.history with
-  | None -> ()
-  | Some h -> (
-    match
-      Flight.write h.flight ~dir:h.h_dir ~reason ~ts:(Tsdb.now h.tsdb)
-    with
-    | Ok path -> log t (Printf.sprintf "post-mortem (%s) -> %s" reason path)
-    | Error e -> log t (Printf.sprintf "post-mortem (%s) failed: %s" reason e))
+  Tsdb.append ~ts h.tsdb (fields @ history_rates h ~ts fields)
 
 let sampler_loop t h =
   sample_history t h;
   let next = ref (Unix.gettimeofday () +. h.h_interval_s) in
   let slice = Float.min 0.05 (Float.max 0.005 (h.h_interval_s /. 4.)) in
   while not (Atomic.get h.h_stop) do
-    (match Atomic.exchange h.dump_req None with
-    | Some reason -> postmortem t ~reason
-    | None -> ());
     let now = Unix.gettimeofday () in
     if now >= !next then begin
       sample_history t h;
@@ -294,9 +249,6 @@ let sampler_loop t h =
     end;
     Thread.delay slice
   done;
-  (match Atomic.exchange h.dump_req None with
-  | Some reason -> postmortem t ~reason
-  | None -> ());
   (* final sample so even a short-lived daemon leaves >= 2 points *)
   sample_history t h
 
@@ -327,13 +279,12 @@ let exec t ~use_cache ?scope cell () =
     (match o.Engine.source with
     | "cache" -> Atomic.incr t.cached
     | _ -> Atomic.incr t.simulated);
-    Option.iter (fun m -> Monitor.item_done m ~wall_s:o.Engine.wall_s ())
-      t.opts.monitor;
+    Option.iter Monitor.item_done t.opts.monitor;
     o
   | exception e ->
     (* the monitor's per-domain "current item" must clear even when a
        cell raises, or the live view shows it as stuck forever *)
-    Option.iter (fun m -> Monitor.item_done m ()) t.opts.monitor;
+    Option.iter Monitor.item_done t.opts.monitor;
     raise e
 
 (* Schedule one cell, merging onto an identical in-flight computation
@@ -455,10 +406,9 @@ let handle_submit t oc ~id ~cache ~trace cells =
         (fun (_, r) v -> Latency.observe r v)
         t.lat
         [ queue_s; exec_s; serialize_s; total_s ];
-    if t.opts.access_log <> None || t.history <> None then begin
-      (* one record, two consumers: the JSONL access log and the flight
-         recorder's bounded ring.  All timestamps above were already
-         taken, so feeding the ring costs no extra clock reads. *)
+    match t.opts.access_log with
+    | None -> ()
+    | Some log_oc ->
       let record =
         Span.access_record ~ts:t_done ~trace ~request:id ~index
           ~workload:cell.Protocol.workload ~policy:cell.Protocol.policy
@@ -469,17 +419,10 @@ let handle_submit t oc ~id ~cache ~trace cells =
             @ [ ("serialize", serialize_s) ])
           ~total_s ()
       in
-      (match t.opts.access_log with
-      | None -> ()
-      | Some log_oc ->
-        Mutex.protect t.access_mu (fun () ->
-            output_string log_oc (Json.to_string ~minify:true record);
-            output_char log_oc '\n';
-            flush log_oc));
-      match t.history with
-      | Some h -> Flight.add_record h.flight record
-      | None -> ()
-    end
+      Mutex.protect t.access_mu (fun () ->
+          output_string log_oc (Json.to_string ~minify:true record);
+          output_char log_oc '\n';
+          flush log_oc)
   in
   (* Whatever interrupts the stream — a Failed future re-raised by
      await, a write to a vanished client — every fresh cell of the
@@ -531,16 +474,6 @@ let handle_submit t oc ~id ~cache ~trace cells =
               if fresh then unschedule t ~use_cache:cache cell fut;
               incr failed;
               Atomic.incr t.errors;
-              (* a deadlocked simulation is exactly the moment the
-                 flight recorder exists for: dump the recent rings
-                 before the diagnostic is reduced to one error string *)
-              (match e with
-              | Pipeline.Deadlock _ ->
-                postmortem t
-                  ~reason:
-                    (Printf.sprintf "deadlock: %s/%s" cell.Protocol.workload
-                       cell.Protocol.policy)
-              | _ -> ());
               let queue_s, exec_s = cell_times fut ~t_sched in
               emit ~index ~cell ~t_sched ~cspan ~source:"error" ~wall_s:0.
                 ~summary:Json.Null ~error:(Some (Printexc.to_string e))
@@ -613,10 +546,10 @@ let handle_request t oc req =
       | Error e ->
         Atomic.incr t.errors;
         Protocol.(write_frame oc (response_to_json (Error e)))
-      | Ok records ->
+      | Ok samples ->
         Protocol.(
           write_frame oc
-            (response_to_json (History_data (Protocol.history_doc records))))))
+            (response_to_json (History_data (Protocol.history_doc samples))))))
 
 let handle_client t conn fd =
   let ic = Unix.in_channel_of_descr fd in
@@ -658,14 +591,6 @@ let handle_client t conn fd =
                  and keep serving (Invalid_argument from a stopped pool,
                  Sys_error from a vanished cache directory, ...) *)
               Atomic.incr t.errors;
-              (* dump the flight recorder for genuine daemon faults; a
-                 client that vanished mid-write (EPIPE & friends) is
-                 the client's problem, not a post-mortem *)
-              (match e with
-              | Sys_error _ | End_of_file | Unix.Unix_error _ -> ()
-              | _ ->
-                postmortem t
-                  ~reason:("server-error: " ^ Printexc.to_string e));
               Protocol.(
                 write_frame oc
                   (response_to_json (Error (Printexc.to_string e))))));
@@ -715,9 +640,6 @@ let run ?(on_ready = fun () -> ()) opts =
           h_dir = ho.history_dir;
           h_interval_s = Float.max 0.01 ho.history_interval_s;
           tsdb = Tsdb.create ~dir:ho.history_dir ();
-          halerts = Alerts.create ho.alert_rules;
-          flight = Flight.create ();
-          dump_req = Atomic.make None;
           h_stop = Atomic.make false;
           h_prev = None;
         })
@@ -745,24 +667,12 @@ let run ?(on_ready = fun () -> ()) opts =
       history;
     }
   in
-  (* publish before the sampler starts, so the daemon's gauges always
-     precede the sampler's alerts_firing in the monitor's exposition *)
   publish_gauges t;
   let sampler =
     Option.map
       (fun h ->
-        (* SIGUSR1 = operator-requested post-mortem.  The handler only
-           flips an atomic flag; the sampler thread does the dump. *)
-        (try
-           Sys.set_signal Sys.sigusr1
-             (Sys.Signal_handle
-                (fun _ -> Atomic.set h.dump_req (Some "sigusr1")))
-         with Invalid_argument _ | Sys_error _ -> ());
         log t
-          (Printf.sprintf "history -> %s (every %gs%s)" h.h_dir h.h_interval_s
-             (match List.length (Alerts.rules h.halerts) with
-             | 0 -> ""
-             | n -> Printf.sprintf ", %d alert rules" n));
+          (Printf.sprintf "history -> %s (every %gs)" h.h_dir h.h_interval_s);
         Thread.create (fun () -> sampler_loop t h) ())
       history
   in

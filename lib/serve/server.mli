@@ -15,27 +15,18 @@
     bit-identical to a serial in-process run of the same matrix. *)
 
 type history_opts = {
-  history_dir : string;
-      (** tsdb segment directory, created as needed; also receives
-          [postmortem-NNN.json] flight-recorder dumps *)
+  history_dir : string;  (** tsdb segment directory, created as needed *)
   history_interval_s : float;  (** sampling period (clamped to >= 10ms) *)
-  alert_rules : Levioso_telemetry.Alerts.rule list;
-      (** evaluated against every sample; transitions are logged,
-          recorded in the time-series and exported as the
-          [levioso_alerts_firing] monitor gauge *)
 }
 (** Continuous telemetry ([--history-out]): a sampler thread appends
     the daemon's full observable state (queue/throughput gauges, each
     latency stage's recent-window percentiles, histogram mass and
     end-to-end buckets, the {!Levioso_telemetry.Monitor.gc_counters},
     derived per-second rates) to an on-disk
-    {!Levioso_telemetry.Tsdb} at a fixed interval, feeds a bounded
-    flight-recorder ring, and evaluates alert rules.  The sample, the
+    {!Levioso_telemetry.Tsdb} at a fixed interval.  The sample, the
     [stats] frame and the monitor's gauges and histograms are each
     rendered from one snapshot of that state, read once per
-    rendering.  A post-mortem
-    dump of the rings is written on SIGUSR1, on a deadlock diagnostic
-    from a simulated cell, and on an uncaught server error. *)
+    rendering. *)
 
 type opts = {
   socket_path : string;  (** created on start, unlinked on stop *)
@@ -64,7 +55,7 @@ type opts = {
           when [spans] is also set.  The caller owns the channel. *)
   history : history_opts option;
       (** continuous telemetry; [None] = off: no sampler thread, no
-          tsdb, no flight recorder, zero history clock reads, and the
+          tsdb, zero history clock reads, and the
           [history] request answers with an error.  Results are
           bit-identical either way — sampling is observational. *)
 }

@@ -11,7 +11,20 @@ let write_atomic path write =
     Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
       (Atomic.fetch_and_add tmp_counter 1)
   in
-  let oc = open_out_bin tmp in
+  let oc =
+    try open_out_bin tmp
+    with Sys_error msg ->
+      (* report the file the caller asked for, not the temp file *)
+      let prefix = tmp ^ ": " in
+      let n = String.length prefix in
+      raise
+        (Sys_error
+           (path ^ ": "
+           ^
+           if String.starts_with ~prefix msg then
+             String.sub msg n (String.length msg - n)
+           else msg))
+  in
   match write oc with
   | () ->
     close_out oc;

@@ -82,7 +82,7 @@ let legend b ?(one_line = false) items =
 
 type cell = string
 
-let td ?cls text = tag "td" (class_attr cls) (esc text)
+let td text = tag "td" [] (esc text)
 
 let table b header rows =
   let row cells = line b (tag "tr" [] (String.concat "" cells)) in

@@ -60,7 +60,7 @@ val legend_css : string
 
 type cell
 
-val td : ?cls:string -> string -> cell
+val td : string -> cell
 
 val table : Buffer.t -> string list -> cell list list -> unit
 (** [table b header rows]: a row of header cells, then the rows. *)

@@ -227,10 +227,16 @@ let parse_number c =
     if Float.is_finite f then Float f
     else error c ("number out of range " ^ text)
 
-let rec parse_value c =
+let max_depth = 512
+
+(* [depth] counts the arrays and objects around the value, so nesting
+   costs stack and time only up to [max_depth]. *)
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> error c "unexpected end of input"
+  | Some ('[' | '{') when depth >= max_depth ->
+    error c (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some 'n' -> expect_keyword c "null" Null
   | Some 't' -> expect_keyword c "true" (Bool true)
   | Some 'f' -> expect_keyword c "false" (Bool false)
@@ -244,7 +250,7 @@ let rec parse_value c =
     end
     else
       let rec items acc =
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -269,7 +275,7 @@ let rec parse_value c =
         let k = parse_string_body c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         (k, v)
       in
       let rec fields acc =
@@ -290,7 +296,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { src = s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
     skip_ws c;
     if c.pos <> String.length s then Error "trailing input after JSON value"

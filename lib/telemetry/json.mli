@@ -36,7 +36,13 @@ val of_string : string -> (t, string) result
     (all of JSON except unicode escapes beyond \uXXXX for BMP points).
     Numbers with a fraction or exponent parse as [Float], others as
     [Int].  A number that overflows to ±infinity (say [1e999]) is an
-    error, so every parsed tree prints again. *)
+    error, so every parsed tree prints again.  Arrays and objects
+    nested deeper than {!max_depth} are an error naming the offset of
+    the first one too deep, so no input costs more than linear time. *)
+
+val max_depth : int
+(** 512: the deepest nesting of arrays and objects {!of_string}
+    accepts. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on parse errors. *)

@@ -1,7 +1,6 @@
 type t = {
   label : string;
   ansi : out_channel option;
-  json_path : string option;
   metrics_path : string option;
   min_interval : float;
   mu : Mutex.t;
@@ -9,10 +8,7 @@ type t = {
   mutable total : int option;
   mutable done_ : int;
   mutable failures : int option;
-  mutable current : (int * string * float) list;  (* domain id, what, since *)
-  mutable wall_sum : float;
-  mutable wall_max : float;
-  mutable wall_n : int;
+  mutable current : (int * string) list;  (* domain id, what *)
   mutable gauges : (string * (string * float)) list;  (* name -> help, value *)
   (* name -> help, ((upper_bound, cumulative_count) list, sum, count) *)
   mutable hists : (string * (string * ((float * int) list * float * int))) list;
@@ -23,13 +19,12 @@ type t = {
 (* The in-place ANSI status line is for humans at a terminal: when the
    channel is piped or redirected (CI logs, `2> file`), the \r\027[2K
    rewrites turn into noise, so drop it unless the caller forces it
-   (an explicit --progress flag). The JSON/OpenMetrics snapshots are
-   unaffected. *)
+   (an explicit --progress flag). The OpenMetrics file is unaffected. *)
 let wants_ansi ~force oc =
   force
   || (try Unix.isatty (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> false)
 
-let create ?ansi ?(force_ansi = false) ?json_path ?metrics_path
+let create ?ansi ?(force_ansi = false) ?metrics_path
     ?(min_interval = 0.5) ?total ~label () =
   let ansi =
     match ansi with
@@ -39,7 +34,6 @@ let create ?ansi ?(force_ansi = false) ?json_path ?metrics_path
   {
     label;
     ansi;
-    json_path;
     metrics_path;
     min_interval;
     mu = Mutex.create ();
@@ -48,9 +42,6 @@ let create ?ansi ?(force_ansi = false) ?json_path ?metrics_path
     done_ = 0;
     failures = None;
     current = [];
-    wall_sum = 0.;
-    wall_max = 0.;
-    wall_n = 0;
     gauges = [];
     hists = [];
     last_render = neg_infinity;
@@ -91,64 +82,6 @@ let gc_counters () =
 let process_metrics elapsed =
   ("uptime_seconds", "Wall clock seconds since this process's monitor started.", elapsed)
   :: List.filter (fun (n, _, _) -> n <> "gc_promoted_words") (gc_counters ())
-
-let snapshot_json_locked t now =
-  let elapsed = now -. t.started in
-  let current =
-    List.sort compare t.current
-    |> List.map (fun (d, what, since) ->
-           Json.Obj
-             [
-               ("domain", Json.Int d);
-               ("what", Json.String what);
-               ("for_s", Json.float (now -. since));
-             ])
-  in
-  Schema.tag
-    ([
-      ("monitor", Json.String "levioso-progress/v1");
-      ("label", Json.String t.label);
-      ("done", Json.Int t.done_);
-      ("total", match t.total with Some n -> Json.Int n | None -> Json.Null);
-      ( "failures",
-        match t.failures with Some n -> Json.Int n | None -> Json.Null );
-      ("elapsed_s", Json.float elapsed);
-      ( "rate_per_s",
-        if elapsed > 0. then Json.float (float_of_int t.done_ /. elapsed)
-        else Json.Null );
-      ("eta_s", match eta_s t elapsed with Some e -> Json.float e | None -> Json.Null);
-      ( "cell_wall",
-        Json.Obj
-          [
-            ( "mean_s",
-              if t.wall_n > 0 then
-                Json.float (t.wall_sum /. float_of_int t.wall_n)
-              else Json.Null );
-            ("max_s", if t.wall_n > 0 then Json.float t.wall_max else Json.Null);
-            ("count", Json.Int t.wall_n);
-          ] );
-      ("current", Json.List current);
-      ( "gauges",
-        Json.Obj (List.map (fun (n, (_, v)) -> (n, Json.float v)) t.gauges) );
-      ( "process",
-        Json.Obj
-          (List.map (fun (n, _, v) -> (n, Json.float v)) (process_metrics elapsed)) );
-    ]
-    @
-    match t.hists with
-    | [] -> []
-    | hists ->
-      [
-        ( "histograms",
-          Json.Obj
-            (List.map
-               (fun (n, (_, (_, sum, count))) ->
-                 ( n,
-                   Json.Obj
-                     [ ("count", Json.Int count); ("sum_s", Json.float sum) ]
-                 ))
-               hists) );
-      ])
 
 let om_escape s =
   let buf = Buffer.create (String.length s) in
@@ -202,8 +135,7 @@ let openmetrics_locked t now =
     (fun (name, help, v) ->
       gauge ("levioso_" ^ name) help (Printf.sprintf "%g" v))
     (process_metrics elapsed);
-  (* insertion order, matching the JSON snapshot, so diffs between the
-     two views line up and the ordering is stable across updates *)
+  (* insertion order, so the ordering is stable across updates *)
   List.iter
     (fun (name, (help, v)) ->
       gauge ("levioso_" ^ name) help (Printf.sprintf "%g" v))
@@ -238,7 +170,7 @@ let status_line_locked t now =
     | [] -> ""
     | l ->
         " | "
-        ^ String.concat " " (List.map (fun (_, what, _) -> what) l)
+        ^ String.concat " " (List.map snd l)
   in
   let line =
     Printf.sprintf "%s: %s elapsed %.1fs%s%s%s" t.label frac elapsed eta fails
@@ -250,11 +182,6 @@ let render_locked ?(final = false) t =
   let now = Unix.gettimeofday () in
   if final || now -. t.last_render >= t.min_interval then (
     t.last_render <- now;
-    (match t.json_path with
-    | Some p ->
-      Files.write_atomic p (fun oc ->
-          output_string oc (Json.to_string (snapshot_json_locked t now) ^ "\n"))
-    | None -> ());
     (match t.metrics_path with
     | Some p ->
       Files.write_atomic p (fun oc ->
@@ -312,21 +239,14 @@ let set_histogram t ?(help = "Application latency histogram.") name ~buckets
 let start t what =
   locked t (fun () ->
       let d = domain_id () in
-      let now = Unix.gettimeofday () in
-      t.current <- (d, what, now) :: List.filter (fun (d', _, _) -> d' <> d) t.current;
+      t.current <- (d, what) :: List.filter (fun (d', _) -> d' <> d) t.current;
       render_locked t)
 
-let item_done t ?wall_s () =
+let item_done t =
   locked t (fun () ->
       let d = domain_id () in
-      t.current <- List.filter (fun (d', _, _) -> d' <> d) t.current;
+      t.current <- List.filter (fun (d', _) -> d' <> d) t.current;
       t.done_ <- t.done_ + 1;
-      (match wall_s with
-      | Some w ->
-          t.wall_sum <- t.wall_sum +. w;
-          t.wall_max <- Float.max t.wall_max w;
-          t.wall_n <- t.wall_n + 1
-      | None -> ());
       render_locked t)
 
 let progress t ?failures ~done_ () =
@@ -334,9 +254,6 @@ let progress t ?failures ~done_ () =
       t.done_ <- done_;
       (match failures with Some f -> t.failures <- Some f | None -> ());
       render_locked t)
-
-let snapshot_json t =
-  locked t (fun () -> snapshot_json_locked t (Unix.gettimeofday ()))
 
 let openmetrics t =
   locked t (fun () -> openmetrics_locked t (Unix.gettimeofday ()))

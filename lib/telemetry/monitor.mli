@@ -6,10 +6,8 @@
 
     - an in-place ANSI status line (done/total, percent, elapsed, ETA,
       the workload×policy each domain is currently simulating), and
-    - atomic machine-readable snapshots: a [progress.json] file
-      (schema-tagged) and/or an OpenMetrics text file suitable for
-      scraping — both written via temp-file + rename so a tailing
-      reader never sees a torn write.
+    - an OpenMetrics text file suitable for scraping, written via
+      temp-file + rename so a tailing reader never sees a torn write.
 
     The monitor is strictly a side channel: it never touches simulation
     state, so results are bit-identical with it on or off, and it is
@@ -21,7 +19,6 @@ type t
 val create :
   ?ansi:out_channel ->
   ?force_ansi:bool ->
-  ?json_path:string ->
   ?metrics_path:string ->
   ?min_interval:float ->
   ?total:int ->
@@ -34,7 +31,7 @@ val create :
 
     The [ansi] status line is auto-suppressed when the channel is not a
     terminal ([Unix.isatty]) — piping or redirecting stderr keeps logs
-    clean without losing the [json_path]/[metrics_path] snapshots.
+    clean without losing the [metrics_path] snapshot.
     [force_ansi] (an explicit [--progress] flag) overrides the
     detection and keeps the line even when piped. *)
 
@@ -47,10 +44,9 @@ val inc_total : t -> int -> unit
 
 val set_gauge : t -> ?help:string -> string -> float -> unit
 (** Publish an application gauge (e.g. the daemon's work-queue depth).
-    Gauges appear in the JSON snapshot under ["gauges"] and in the
-    OpenMetrics text as [levioso_<name>]; setting an existing name
-    updates it in place, keeping first-insertion order (the rendered
-    metric ordering is stable across updates).  [name] is sanitized to
+    Gauges appear in the OpenMetrics text as [levioso_<name>]; setting
+    an existing name updates it in place, keeping first-insertion order
+    (the rendered metric ordering is stable across updates).  [name] is sanitized to
     the OpenMetrics charset ([a-zA-Z0-9_:]; anything else becomes
     ['_']), and the HELP line is escaped, so caller-supplied strings
     can never corrupt the exposition format. *)
@@ -69,8 +65,7 @@ val set_histogram :
     series plus the implied [+Inf] bucket, [<name>_sum] and
     [<name>_count].  Same
     sanitization, update-in-place and ordering rules as
-    {!set_gauge}; the JSON snapshot carries a compact
-    [histograms.<name> = {count, sum_s}] echo. *)
+    {!set_gauge}. *)
 
 val gc_counters : unit -> (string * string * float) list
 (** The one GC counter list, [(name, help, value)] from
@@ -82,28 +77,22 @@ val start : t -> string -> unit
 (** [start t what] notes that the calling domain began working on
     [what] (e.g. ["matmul/levioso"]). *)
 
-val item_done : t -> ?wall_s:float -> unit -> unit
+val item_done : t -> unit
 (** The calling domain finished its current item; increments the done
-    counter and feeds the per-cell wall-clock aggregate. *)
+    counter. *)
 
 val progress : t -> ?failures:int -> done_:int -> unit -> unit
 (** Absolute progress update (fuzz campaigns report executed-iteration
     counts after each chunk rather than per-item start/finish). *)
 
-val snapshot_json : t -> Json.t
-(** The current snapshot, as written to [json_path].  Includes a
-    [process] object with process-level self-metrics (uptime, GC
-    heap/top-heap words, minor/major collection counts, minor words
-    allocated) so any monitored CLI reports its own health. *)
-
 val openmetrics : t -> string
 (** The current snapshot in OpenMetrics text format (ends with
     [# EOF]).  Alongside the progress and application gauges it exports
-    the same process self-metrics as {!snapshot_json}
+    process self-metrics, so any monitored CLI reports its own health
     ([levioso_uptime_seconds], [levioso_gc_heap_words],
     [levioso_gc_top_heap_words], [levioso_gc_minor_collections],
     [levioso_gc_major_collections], [levioso_gc_minor_words]). *)
 
 val close : t -> unit
-(** Forces a final snapshot (files + status line, which gets a
+(** Forces a final snapshot (metrics file + status line, which gets a
     terminating newline).  Idempotent. *)

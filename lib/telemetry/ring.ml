@@ -5,7 +5,6 @@ let create cap =
   { cap; slots = Array.make cap None; pushes = 0 }
 
 let capacity r = r.cap
-let length r = min r.pushes r.cap
 let pushed r = r.pushes
 
 let push r x =
@@ -13,9 +12,5 @@ let push r x =
   r.pushes <- r.pushes + 1
 
 let to_list r =
-  let n = length r in
+  let n = min r.pushes r.cap in
   List.init n (fun i -> Option.get r.slots.((r.pushes - n + i) mod r.cap))
-
-let clear r =
-  Array.fill r.slots 0 r.cap None;
-  r.pushes <- 0

@@ -1,7 +1,6 @@
 (** A fixed-capacity ring buffer: the last [capacity] values pushed,
-    oldest first.  Backs the flight recorder's sample and record rings
-    ({!Flight}), the audit layer's raw-event window ({!Audit}) and the
-    recent observations of the serve latency recorders
+    oldest first.  Backs the audit layer's raw-event window ({!Audit})
+    and the recent observations of the serve latency recorders
     ({!Span.Latency}).  Each caller decides what
     an out-of-range capacity means before calling {!create}.
 
@@ -16,9 +15,6 @@ val create : int -> 'a t
 
 val capacity : 'a t -> int
 
-val length : 'a t -> int
-(** Number of elements currently held ([<= capacity]). *)
-
 val pushed : 'a t -> int
 (** Total number of pushes ever, including overwritten ones. *)
 
@@ -26,6 +22,4 @@ val push : 'a t -> 'a -> unit
 (** Appends, overwriting the oldest element when full. *)
 
 val to_list : 'a t -> 'a list
-(** Oldest first. *)
-
-val clear : 'a t -> unit
+(** Oldest first; at most [capacity] elements. *)

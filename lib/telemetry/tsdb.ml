@@ -11,11 +11,8 @@
 type clock = unit -> float
 
 type sample = { ts : float; fields : (string * float) list }
-type alert = { a_ts : float; rule : string; firing : bool }
-type record = Sample of sample | Alert of alert
 
 let sample_kind = "levioso-tsdb-sample"
-let alert_kind = "levioso-tsdb-alert"
 
 let sample_to_json s =
   Schema.tag
@@ -25,42 +22,23 @@ let sample_to_json s =
       ("fields", Json.Obj (List.map (fun (k, v) -> (k, Json.float v)) s.fields));
     ]
 
-let alert_to_json a =
-  Schema.tag
-    [
-      ("kind", Json.String alert_kind);
-      ("ts", Json.float a.a_ts);
-      ("rule", Json.String a.rule);
-      ("state", Json.String (if a.firing then "firing" else "resolved"));
-    ]
-
-let record_of j =
-  let str k = Json.(get to_string_exn) k j in
+let sample_of j =
   (* a sample keeps its numeric fields and skips the rest *)
   let numeric k = function
     | Json.Float f -> Some (k, f)
     | Json.Int i -> Some (k, float_of_int i)
     | _ -> None
   in
-  let kind = str "kind" in
+  let kind = Json.(get to_string_exn) "kind" j in
+  if kind <> sample_kind then
+    invalid_arg (Printf.sprintf "tsdb record: unknown kind %S" kind);
   let ts = Json.(get to_float_exn) "ts" j in
-  if kind = sample_kind then
-    let fields = Json.(get (fields numeric)) "fields" j in
-    Sample { ts; fields = List.filter_map Fun.id fields }
-  else if kind = alert_kind then
-    let rule = str "rule" in
-    match str "state" with
-    | "firing" -> Alert { a_ts = ts; rule; firing = true }
-    | "resolved" -> Alert { a_ts = ts; rule; firing = false }
-    | s -> invalid_arg (Printf.sprintf "tsdb alert: unknown state %S" s)
-  else invalid_arg (Printf.sprintf "tsdb record: unknown kind %S" kind)
+  let fields = Json.(get (fields numeric)) "fields" j in
+  { ts; fields = List.filter_map Fun.id fields }
 
-let record_of_json j =
+let sample_of_json j =
   Result.bind (Schema.check ~what:"tsdb record" j) (fun () ->
-      Json.decoded record_of j)
-
-let record_ts = function Sample s -> s.ts | Alert a -> a.a_ts
-let samples records = List.filter_map (function Sample s -> Some s | Alert _ -> None) records
+      Json.decoded sample_of j)
 
 (* ---------- segment naming ---------- *)
 
@@ -211,15 +189,9 @@ let write_line t json =
 let append ?ts t fields =
   let ts = match ts with Some ts -> ts | None -> t.clock () in
   let fields = List.filter (fun (_, v) -> Float.is_finite v) fields in
-  let s = { ts; fields } in
   Mutex.protect t.mu (fun () ->
       t.last_ts <- ts;
-      write_line t (sample_to_json s));
-  s
-
-let append_alert t ~ts ~rule ~firing =
-  Mutex.protect t.mu (fun () ->
-      write_line t (alert_to_json { a_ts = ts; rule; firing }))
+      write_line t (sample_to_json { ts; fields }))
 
 let close t =
   Mutex.protect t.mu (fun () ->
@@ -246,7 +218,7 @@ let read_dir ?(since = neg_infinity) ?(until = infinity) ?(last = 0) dir =
               match Json.of_string line with
               | Error e -> Error (Printf.sprintf "%s: %s" where e)
               | Ok j -> (
-                  match record_of_json j with
+                  match sample_of_json j with
                   | Error e -> Error (Printf.sprintf "%s: %s" where e)
                   | Ok r -> loop (lineno + 1) (r :: acc)))
         in
@@ -255,9 +227,9 @@ let read_dir ?(since = neg_infinity) ?(until = infinity) ?(last = 0) dir =
   let rec walk = function
     | [] -> Ok []
     | path :: rest ->
-        let* records = read_file path in
+        let* samples = read_file path in
         let* tail = walk rest in
-        Ok (records @ tail)
+        Ok (samples @ tail)
   in
   let* () =
     if Sys.file_exists dir && Sys.is_directory dir then Ok ()
@@ -265,7 +237,7 @@ let read_dir ?(since = neg_infinity) ?(until = infinity) ?(last = 0) dir =
   in
   let* all = walk (segment_files dir) in
   let kept =
-    List.filter (fun r -> record_ts r >= since && record_ts r <= until) all
+    List.filter (fun s -> s.ts >= since && s.ts <= until) all
   in
   let drop = List.length kept - last in
   Ok (if last > 0 && drop > 0 then List.filteri (fun i _ -> i >= drop) kept

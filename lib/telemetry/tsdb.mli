@@ -8,15 +8,15 @@
 
     - {b Durable and bounded.}  Samples land in numbered segment files
       ([seg-00000000.jsonl], …) under one directory.  The active segment
-      is flushed after every record, so a reader (or a post-mortem) sees
-      every completed line; rotation closes the active segment and opens
+      is flushed after every record, so a reader sees every completed
+      line; rotation closes the active segment and opens
       the next, and retention unlinks whole rotated segments — never
       partial files — once the store exceeds a byte or age budget.
-    - {b Self-describing.}  One record per line, minified JSON, tagged
-      with [schema_version] and a [kind] ("levioso-tsdb-sample" or
-      "levioso-tsdb-alert") so any consumer can validate before
-      trusting layout.  Field values are bare floats; non-finite values
-      are dropped at append time rather than smuggled through as null.
+    - {b Self-describing.}  One sample per line, minified JSON, tagged
+      with [schema_version] and the [kind] "levioso-tsdb-sample" so any
+      consumer can validate before trusting layout.  Field values are
+      bare floats; non-finite values are dropped at append time rather
+      than smuggled through as null.
     - {b Deterministic when it matters.}  The clock is injectable.
       With a fixed clock the byte content of every segment is a pure
       function of the appended data, so tests can compare whole files.
@@ -32,14 +32,6 @@ type sample = {
   fields : (string * float) list;
       (** metric name -> value, insertion order preserved *)
 }
-
-type alert = {
-  a_ts : float;
-  rule : string;  (** canonical rule text, e.g. ["total_p99_ms > 500 for 30s"] *)
-  firing : bool;  (** [true] = transition to firing, [false] = resolved *)
-}
-
-type record = Sample of sample | Alert of alert
 
 (** {1 Writing} *)
 
@@ -63,17 +55,12 @@ val create :
 val now : t -> float
 (** Read the store's clock (counts as a clock read). *)
 
-val append : ?ts:float -> t -> (string * float) list -> sample
-(** Append one sample; returns it so the caller can reuse the
-    timestamp (alert evaluation, rate deltas).  Without [?ts] the
-    stamp costs exactly one clock read; callers that already read the
-    clock (via {!now}, for rate computation) pass it explicitly and
-    [append] reads nothing.  Non-finite field values are dropped.  May
-    rotate the active segment and delete expired ones. *)
-
-val append_alert : t -> ts:float -> rule:string -> firing:bool -> unit
-(** Record an alert transition.  Takes the timestamp explicitly (alert
-    evaluation always follows an {!append}) so it costs no clock read. *)
+val append : ?ts:float -> t -> (string * float) list -> unit
+(** Append one sample.  Without [?ts] the stamp costs exactly one clock
+    read; callers that already read the clock (via {!now}, for rate
+    computation) pass it explicitly and [append] reads nothing.
+    Non-finite field values are dropped.  May rotate the active segment
+    and delete expired ones. *)
 
 val close : t -> unit
 (** Flush and close the active segment.  The [t] must not be used
@@ -90,8 +77,8 @@ val read_dir :
   ?until:float ->
   ?last:int ->
   string ->
-  (record list, string) result
-(** Parse every segment under [dir] in timestamp order, keeping records
+  (sample list, string) result
+(** Parse every segment under [dir] in timestamp order, keeping samples
     with [since <= ts <= until], and of those only the newest [last]
     when [last > 0] (the default, 0, keeps all).  Each line is
     schema-checked; a malformed line fails the whole read with a
@@ -99,13 +86,10 @@ val read_dir :
     [Error] naming it, unlike {!segment_files}, so a mistyped path never
     reads as an empty history. *)
 
-val samples : record list -> sample list
-(** Just the [Sample] records, in order. *)
-
-(** {1 Serialization} (exposed for the flight recorder and tests) *)
+(** {1 Serialization} (exposed for the [history] frame and tests) *)
 
 val sample_to_json : sample -> Json.t
-val alert_to_json : alert -> Json.t
 
-val record_of_json : Json.t -> (record, string) result
-(** Inverse of the two printers; schema-checks first. *)
+val sample_of_json : Json.t -> (sample, string) result
+(** Inverse of {!sample_to_json}; schema-checks first.  Any other
+    [kind] is an [Error]. *)

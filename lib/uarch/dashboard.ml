@@ -114,14 +114,9 @@ let fmt_rate v = fp "%.2f/s" v
 let fmt_share v = fp "%.1f%%" (100. *. v)
 let fmt_mwords v = fp "%.2f Mw" v
 
-let render ?(title = "Levioso serve dashboard") records =
+let render ?(title = "Levioso serve dashboard") samples =
   let samples =
-    List.sort
-      (fun (a : Tsdb.sample) b -> compare a.Tsdb.ts b.Tsdb.ts)
-      (Tsdb.samples records)
-  in
-  let alerts =
-    List.filter_map (function Tsdb.Alert a -> Some a | Tsdb.Sample _ -> None) records
+    List.sort (fun (a : Tsdb.sample) b -> compare a.Tsdb.ts b.Tsdb.ts) samples
   in
   match samples with
   | [] -> Error "dashboard: history contains no samples"
@@ -134,8 +129,7 @@ let render ?(title = "Levioso serve dashboard") records =
     Ok
       (Html.page ~title ~css (fun b ->
            Html.para b
-             (fp "%d samples over %.1fs · %d alert transitions"
-                (List.length samples) span (List.length alerts));
+             (fp "%d samples over %.1fs" (List.length samples) span);
 
            area_panel b ~title:"Queue depth" ~color:"#4e79a7" ~fmt:fmt_count
              ~desc:
@@ -172,22 +166,6 @@ let render ?(title = "Levioso serve dashboard") records =
            area_panel b ~title:"GC heap" ~color:"#b07aa1" ~fmt:fmt_mwords
              ~desc:"Major heap size in millions of words."
              (scaled 1e-6 (series "gc_heap_words"));
-
-           Html.heading b 2 "Alerts";
-           if alerts = [] then
-             Html.para b ~cls:"nodata" "No alert transitions recorded."
-           else
-             Html.table b [ "rule"; "at"; "state" ]
-               (List.map
-                  (fun (a : Tsdb.alert) ->
-                    let state = if a.Tsdb.firing then "firing" else "resolved" in
-                    [
-                      Html.td a.Tsdb.rule;
-                      Html.td (fp "t+%.1fs" (a.Tsdb.a_ts -. t0));
-                      Html.td ~cls:state
-                        (if a.Tsdb.firing then "FIRING" else state);
-                    ])
-                  alerts);
 
            Html.heading b 2 "Latest sample";
            Html.para b

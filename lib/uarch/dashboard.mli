@@ -1,5 +1,5 @@
 (** Self-contained HTML dashboard over a continuous-telemetry history
-    ({!Levioso_telemetry.Tsdb} records, as recorded by
+    ({!Levioso_telemetry.Tsdb} samples, as recorded by
     [levioso_serve serve --history-out] and rendered by
     [levioso_report --dashboard DIR]).
 
@@ -9,9 +9,8 @@
 
 val render :
   ?title:string ->
-  Levioso_telemetry.Tsdb.record list ->
+  Levioso_telemetry.Tsdb.sample list ->
   (string, string) result
 (** Render panels for queue depth, request/error rates, latency
-    percentiles, cache hit share and GC heap, plus alert transitions
-    and the newest sample's full field table.  [Error] when the records
-    contain no samples. *)
+    percentiles, cache hit share and GC heap, plus the newest sample's
+    full field table.  [Error] when there are no samples. *)

@@ -136,8 +136,9 @@ let test_overhead_table () =
   Alcotest.(check bool) "failed baseline shows plain cycles" true
     (has "| 100 " && not (has "100 ("))
 
-(* levioso_cc and levioso_compile, run as programs: an input that does
-   not read or compile is one stderr line naming it and exit 1, apart
+(* levioso_cc, levioso_compile and levioso_sim, run as programs: an
+   input that does not read or compile, and an output file that cannot
+   be written, is one stderr line naming the file and exit 1, apart
    from a bad flag's 124. *)
 let test_input_errors () =
   let dir = Filename.temp_dir "levioso_cli" "" in
@@ -155,22 +156,33 @@ let test_input_errors () =
     in
     (rc, In_channel.with_open_bin err In_channel.input_lines)
   in
-  let fails exe input =
-    let where = exe ^ " " ^ input in
-    match run exe [ input ] with
+  (* [exe] run with [args] (default: just [file]) fails on [file] *)
+  let fails ?args exe file =
+    let args = Option.value args ~default:[ file ] in
+    let where = String.concat " " (exe :: args) in
+    match run exe args with
     | 1, [ line ] ->
       Alcotest.(check bool)
-        (where ^ ": the line names the input") true
-        (String.starts_with ~prefix:(Filename.chop_suffix exe ".exe" ^ ": " ^ input ^ ": ")
+        (where ^ ": the line names the file") true
+        (String.starts_with ~prefix:(Filename.chop_suffix exe ".exe" ^ ": " ^ file ^ ": ")
            line)
     | rc, lines ->
       Alcotest.failf "%s: exit %d with %d stderr lines: %s" where rc
         (List.length lines) (String.concat " | " lines)
   in
+  let missing = Filename.concat dir "missing" in
   fails "levioso_cc.exe" bad_lev;
   fails "levioso_cc.exe" dir;
+  fails "levioso_cc.exe" missing;
   fails "levioso_compile.exe" bad_s;
   fails "levioso_compile.exe" dir;
+  fails "levioso_compile.exe" missing;
+  let unwritable = Filename.concat missing "out" in
+  List.iter
+    (fun flag ->
+      fails "levioso_sim.exe" unwritable
+        ~args:[ "-w"; "stream"; "-p"; "unsafe"; "-j"; "1"; flag; unwritable ])
+    [ "--trace-out"; "--metrics" ];
   let good_lev = file "good.lev" "fn main() {\n  store(64, 7);\n}\n" in
   Alcotest.(check (pair int (list string))) "a good program exits 0" (0, [])
     (run "levioso_cc.exe" [ good_lev; "--run" ]);

@@ -231,29 +231,22 @@ let config_row =
     }
 
 let sample = { Tsdb.ts = 1.5; fields = [ ("queue_depth", 2.) ] }
-let alert = { Tsdb.a_ts = 2.5; rule = "queue_depth > 1"; firing = true }
 
-let tsdb_rows =
-  let row ?(opaque = []) name doc =
-    Row
-      {
-        name = "Tsdb.record_of_json " ^ name;
-        doc;
-        decode = Tsdb.record_of_json;
-        optional = [];
-        any = [];
-        opaque;
-      }
-  in
-  [
-    (* a sample keeps its numeric fields and skips the rest *)
-    row ~opaque:[ "fields" ] "sample" (Tsdb.sample_to_json sample);
-    row "alert" (Tsdb.alert_to_json alert);
-  ]
+let tsdb_row =
+  Row
+    {
+      name = "Tsdb.sample_of_json";
+      doc = Tsdb.sample_to_json sample;
+      decode = Tsdb.sample_of_json;
+      optional = [];
+      any = [];
+      (* a sample keeps its numeric fields and skips the rest *)
+      opaque = [ "fields" ];
+    }
 
 let history_row =
   let doc =
-    match Protocol.history_doc [ Tsdb.Sample sample; Tsdb.Alert alert ] with
+    match Protocol.history_doc [ sample ] with
     | Json.Obj kvs ->
       (* [kind] and [count] describe the document; the reader needs only
          the records *)
@@ -429,7 +422,7 @@ let leak_row =
 
 let rows =
   request_rows @ response_rows
-  @ [ config_row ] @ tsdb_rows @ [ history_row; sim_stats_row ] @ run_rows
+  @ [ config_row; tsdb_row; history_row; sim_stats_row ] @ run_rows
   @ [ leak_row ]
 
 let test_rejection_table () =

@@ -264,7 +264,7 @@ let monitor_output ~force =
       ~label:"unit" ()
   in
   Monitor.start m "w/p";
-  Monitor.item_done m ();
+  Monitor.item_done m;
   Monitor.close m;
   close_out oc;
   let body = read_file path in

@@ -11,7 +11,6 @@ module Sampler = Levioso_uarch.Sampler
 module Summary = Levioso_uarch.Summary
 module Json = Levioso_telemetry.Json
 module Tsdb = Levioso_telemetry.Tsdb
-module Alerts = Levioso_telemetry.Alerts
 module Monitor = Levioso_telemetry.Monitor
 module Protocol = Levioso_serve.Protocol
 module Catalog = Levioso_serve.Catalog
@@ -570,20 +569,15 @@ let test_bounded_queue_backpressure () =
 
 (* Continuous telemetry end-to-end: a daemon run with history enabled
    returns bit-identical results, records monotone samples carrying the
-   expected operational fields, fires the configured alert once traffic
-   arrives, answers the history request (with last-N truncation), and
-   leaves on-disk segments a cold reader can parse after shutdown. *)
+   expected operational fields, answers the history request (with
+   last-N truncation), and leaves on-disk segments a cold reader can
+   parse after shutdown.  The history request is the one surface that
+   tells a client what a running daemon has sampled without knowing its
+   --history-out directory; this test reads it to answer that. *)
 let test_history_daemon () =
   let dir = Filename.temp_file "lev-history" "" in
   Sys.remove dir;
-  let alert_rules =
-    match Alerts.parse "requests > 0\n" with
-    | Ok rules -> rules
-    | Error msg -> Alcotest.fail msg
-  in
-  let history =
-    { Server.history_dir = dir; history_interval_s = 0.05; alert_rules }
-  in
+  let history = { Server.history_dir = dir; history_interval_s = 0.05 } in
   with_server ~history (fun socket ->
       let c = Client.connect socket in
       let results, stats = Client.submit c matrix_cells in
@@ -593,12 +587,11 @@ let test_history_daemon () =
         (local_summaries matrix_cells) (summaries results);
       (* let the sampler tick a few times past the submission *)
       Thread.delay 0.2;
-      let records =
+      let samples =
         match Protocol.history_records (Client.history c) with
-        | Ok records -> records
+        | Ok samples -> samples
         | Error msg -> Alcotest.fail msg
       in
-      let samples = Tsdb.samples records in
       Alcotest.(check bool) "at least one sample" true (samples <> []);
       let rec monotone = function
         | (a : Tsdb.sample) :: (b :: _ as rest) ->
@@ -615,18 +608,10 @@ let test_history_daemon () =
       (match List.assoc_opt "requests" last.Tsdb.fields with
       | Some v -> Alcotest.(check bool) "requests counted" true (v >= 1.)
       | None -> Alcotest.fail "requests field missing");
-      let firing =
-        List.exists
-          (function
-            | Tsdb.Alert a -> a.Tsdb.rule = "requests > 0" && a.Tsdb.firing
-            | Tsdb.Sample _ -> false)
-          records
-      in
-      Alcotest.(check bool) "requests > 0 alert fired" true firing;
       Alcotest.(check int) "last-N truncation" 1
         (List.length
            (match Protocol.history_records (Client.history ~last:1 c) with
-           | Ok records -> records
+           | Ok samples -> samples
            | Error msg -> Alcotest.fail msg));
       Client.shutdown c;
       Client.close c;
@@ -638,9 +623,9 @@ let test_history_daemon () =
      sample the shutdown path appends *)
   match Tsdb.read_dir dir with
   | Error msg -> Alcotest.fail msg
-  | Ok records ->
+  | Ok samples ->
     Alcotest.(check bool) "cold read sees at least two samples" true
-      (List.length (Tsdb.samples records) >= 2)
+      (List.length samples >= 2)
 
 (* The daemon's three metric surfaces, pinned by shape: the stats
    frame's key paths (with each value's JSON kind), the last tsdb
@@ -653,9 +638,7 @@ let test_metric_surfaces_pinned () =
   Sys.remove dir;
   let metrics = Filename.temp_file "lev-surfaces" ".prom" in
   let monitor = Monitor.create ~metrics_path:metrics ~label:"levioso_serve" () in
-  let history =
-    { Server.history_dir = dir; history_interval_s = 0.05; alert_rules = [] }
-  in
+  let history = { Server.history_dir = dir; history_interval_s = 0.05 } in
   let cells = [ cell (); cell ~policy:"levioso" () ] in
   let stats =
     with_server ~monitor ~history (fun socket ->
@@ -700,7 +683,7 @@ let test_metric_surfaces_pinned () =
     (paths "" stats);
   let samples =
     match Tsdb.read_dir dir with
-    | Ok records -> Tsdb.samples records
+    | Ok samples -> samples
     | Error msg -> Alcotest.fail msg
   in
   let last = List.nth samples (List.length samples - 1) in
@@ -768,7 +751,6 @@ let test_metric_surfaces_pinned () =
         @ [ "+Inf" ])
     @ [ name ^ "_sum" ^ job ^ " _"; name ^ "_count" ^ job ^ " _" ]
   in
-  let alerts = gauge "alerts_firing" "Alert rules currently firing." in
   Alcotest.(check (list string))
     "OpenMetrics lines"
     (gauge "progress_done" "Items completed."
@@ -791,19 +773,7 @@ let test_metric_surfaces_pinned () =
     @ gauge "serve_errors" "Cells and frames that failed since daemon start."
     @ List.concat_map histogram stages
     @ [ "# EOF" ])
-    (List.filter (fun l -> not (List.mem l alerts)) masked);
-  (* the sampler thread sets this gauge while the daemon publishes its
-     own at start-up, so its place among the gauges is not pinned *)
-  let rec from = function
-    | [] -> []
-    | l :: _ as rest when l = List.hd alerts ->
-      List.filteri (fun i _ -> i < List.length alerts) rest
-    | _ :: rest -> from rest
-  in
-  Alcotest.(check (list string)) "alerts_firing gauge lines" alerts
-    (from masked);
-  Alcotest.(check int) "alerts_firing gauge once" (List.length alerts)
-    (List.length (List.filter (fun l -> List.mem l alerts) masked));
+    masked;
   let n = float_of_int (List.length cells) in
   let field name =
     match List.assoc_opt name last.Tsdb.fields with

@@ -392,6 +392,41 @@ let test_json_overflow_is_a_parse_error () =
       {|{"ipc": 0.45013515286707784, "n": [1, -2.5e10]}|};
     ]
 
+(* Nesting is capped at [Json.max_depth] arrays and objects: the cap
+   itself parses, one more is an error naming the offset of the first
+   bracket too deep, and a 1 MB run of '[' stops there instead of
+   recursing through all of it. *)
+let test_json_nesting_cap () =
+  let arrays n = String.make n '[' ^ String.make n ']' in
+  let objects n =
+    String.concat "" (List.init n (fun _ -> {|{"a":|}))
+    ^ "1" ^ String.make n '}'
+  in
+  List.iter
+    (fun (what, doc) ->
+      match Json.of_string doc with
+      | Ok v ->
+        Alcotest.(check bool) (what ^ ": round-trips") true
+          (Json.of_string (Json.to_string ~minify:true v) = Ok v)
+      | Error msg -> Alcotest.failf "%s at the cap: %s" what msg)
+    [ ("arrays", arrays Json.max_depth); ("objects", objects Json.max_depth) ];
+  let rejects what doc ~offset =
+    match Json.of_string doc with
+    | Ok _ -> Alcotest.failf "%s past the cap parsed" what
+    | Error msg ->
+      Alcotest.(check string) what
+        (Printf.sprintf "nesting deeper than %d at offset %d" Json.max_depth
+           offset)
+        msg
+  in
+  rejects "arrays" (arrays (Json.max_depth + 1)) ~offset:Json.max_depth;
+  rejects "objects" (objects (Json.max_depth + 1))
+    ~offset:(5 * Json.max_depth);
+  let t0 = Sys.time () in
+  rejects "1 MB of '['" (String.make (1 lsl 20) '[') ~offset:Json.max_depth;
+  Alcotest.(check bool) "1 MB of '[' rejected in under 0.1 s" true
+    (Sys.time () -. t0 < 0.1)
+
 (* RFC 8259 strictness: a surrogate-pair escape is one code point, half
    of a pair is an error; numbers have no leading zeros and no bare
    trailing dot; an integer past [max_int] decodes as a float. *)
@@ -532,13 +567,6 @@ let test_monitor_histogram_exposition () =
   Alcotest.(check bool) "sum and count series" true
     (contains text "levioso_lat_seconds_sum{job=\"t\"} 0.025"
     && contains text "levioso_lat_seconds_count{job=\"t\"} 6");
-  (* JSON snapshot carries the compact echo *)
-  let j = Monitor.snapshot_json m in
-  (match Option.bind (Json.member "histograms" j) (Json.member "lat_seconds") with
-  | Some h ->
-    Alcotest.(check bool) "json echo has count" true
-      (Json.member "count" h = Some (Json.Int 6))
-  | None -> Alcotest.fail "histogram missing from the JSON snapshot");
   Monitor.close m
 
 let test_monitor_process_metrics () =
@@ -553,22 +581,29 @@ let test_monitor_process_metrics () =
       "levioso_gc_top_heap_words"; "levioso_gc_minor_collections";
       "levioso_gc_major_collections"; "levioso_gc_minor_words";
     ];
-  let j = Monitor.snapshot_json m in
-  (match Json.member "process" j with
-  | Some (Json.Obj fields) ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name fields with
-        | Some (Json.Float v) ->
-          Alcotest.(check bool) (name ^ " non-negative") true (v >= 0.)
-        | _ -> Alcotest.fail (name ^ " missing from the process object"))
-      [ "uptime_seconds"; "gc_heap_words"; "gc_minor_collections" ];
-    (* the major heap of a live process is never empty *)
-    (match List.assoc_opt "gc_heap_words" fields with
-    | Some (Json.Float v) ->
-      Alcotest.(check bool) "heap words positive" true (v > 0.)
-    | _ -> ())
-  | _ -> Alcotest.fail "snapshot has no process object");
+  (* each sample line reads "<name>{job="t"} <value>" *)
+  let value name =
+    let prefix = name ^ "{job=\"t\"} " in
+    match
+      List.find_opt
+        (String.starts_with ~prefix)
+        (String.split_on_char '\n' text)
+    with
+    | Some l ->
+      let n = String.length prefix in
+      float_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "%s has no sample line" name
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " non-negative") true (value name >= 0.))
+    [
+      "levioso_uptime_seconds"; "levioso_gc_heap_words";
+      "levioso_gc_minor_collections";
+    ];
+  (* the major heap of a live process is never empty *)
+  Alcotest.(check bool) "heap words positive" true
+    (value "levioso_gc_heap_words" > 0.);
   Monitor.close m
 
 (* --- schema sweep over every artifact family -------------------------- *)
@@ -580,10 +615,8 @@ let test_monitor_process_metrics () =
    field-shape crash deeper in. *)
 let test_schema_check_sweep () =
   let module Tsdb = Levioso_telemetry.Tsdb in
-  let module Flight = Levioso_telemetry.Flight in
   let module Span = Levioso_telemetry.Span in
   let module Protocol = Levioso_serve.Protocol in
-  let monitor = Monitor.create ~label:"t" () in
   let artifacts =
     [
       ("run summary", Summary.runs []);
@@ -593,7 +626,6 @@ let test_schema_check_sweep () =
             ("schema", Json.String "levioso-bench-matrix/v1");
             ("matrix", Json.List []);
           ] );
-      ("progress snapshot", Monitor.snapshot_json monitor);
       ("chrome trace", Span.to_chrome []);
       ( "access record",
         Span.access_record ~ts:1. ~trace:"tr" ~request:"submit" ~index:0
@@ -601,13 +633,9 @@ let test_schema_check_sweep () =
           ~stages:[ ("queue", 0.001) ]
           ~total_s:0.002 () );
       ("tsdb sample", Tsdb.sample_to_json { Tsdb.ts = 1.; fields = [ ("a", 1.) ] });
-      ( "tsdb alert",
-        Tsdb.alert_to_json { Tsdb.a_ts = 1.; rule = "a > 0"; firing = true } );
-      ("post-mortem", Flight.dump (Flight.create ()) ~reason:"test" ~ts:1.);
       ("history", Protocol.history_doc []);
     ]
   in
-  Monitor.close monitor;
   let with_version j v =
     match j with
     | Json.Obj fields ->
@@ -683,6 +711,7 @@ let suite =
       Alcotest.test_case "json overflow is a parse error" `Quick
         test_json_overflow_is_a_parse_error;
       Alcotest.test_case "json RFC 8259 strictness" `Quick test_json_rfc8259;
+      Alcotest.test_case "json nesting cap" `Quick test_json_nesting_cap;
       Alcotest.test_case "json non-finite policy" `Quick
         test_json_nonfinite_policy;
       Alcotest.test_case "json roundtrip property" `Quick
