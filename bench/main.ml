@@ -31,12 +31,13 @@
    one line naming it.
 
    Every (config, workload, policy) simulation the figures need is
-   independent, so the matrix is computed up front on a domain pool
-   (-j N, default all cores) and memoized; figures then only read the
-   memo.  Results are deterministic: -j N output is bit-identical to
-   -j 1.  Each cell runs through Levioso_serve.Engine.run_cell, the
-   daemon's own cell runner, so a local cell and a --remote one are the
-   same bits by construction.  Plain cells are also persisted under
+   independent, so the matrix is computed once, up front, on a domain
+   pool (-j N, default all cores); figures then only read it, and a
+   figure reading a cell that was not computed is an error.  Results
+   are deterministic: -j N output is bit-identical to -j 1.  Each cell
+   runs through Levioso_serve.Engine.run_cell, the daemon's own cell
+   runner, so a local cell and a --remote one are the same bits by
+   construction.  Plain cells are also persisted under
    bench/.cache keyed by config digest + workload + policy + a digest of
    this executable, so a warm re-run (e.g. --only fig3 after a full run)
    replays from disk instead of re-simulating; any rebuild or config
@@ -123,10 +124,11 @@ type cell_result = {
          byte-compared across -j N *)
 }
 
+(* Filled once, by [prefetch_matrix], before any figure runs; the
+   figures only read it. *)
 let matrix : (Config.t * string * string, cell_result) Hashtbl.t =
   Hashtbl.create 256
 
-let matrix_mutex = Mutex.create ()
 let disk : Run_cache.t option ref = ref None
 
 let protocol_cell config (w : Workload.t) policy =
@@ -145,14 +147,17 @@ let stats_of ~what summary =
   | Ok stats -> stats
   | Error msg -> failwith (what ^ ": " ^ msg)
 
-(* The store is offered for every cell; Engine.cacheable keeps audited
-   and sampled cells out of it.  Each cell gets a private audit
-   recorder inside run_cell, so -j N stays bit-identical. *)
-let compute_cell config w policy =
+(* One local cell, on a pool worker.  The store is offered for every
+   cell; Engine.cacheable keeps audited and sampled cells out of it.
+   Each cell gets a private audit recorder inside run_cell, so -j N
+   stays bit-identical. *)
+let compute_cell ((config, w, policy) : Config.t * Workload.t * string) =
+  Option.iter (fun m -> Monitor.start m (w.Workload.name ^ "/" ^ policy)) !monitor;
   let o, span =
     Hostprof.measure (fun () ->
         Engine.run_cell ?cache:!disk (protocol_cell config w policy))
   in
+  Option.iter Monitor.item_done !monitor;
   {
     stats = stats_of ~what:"bench" o.Engine.summary;
     summary = o.Engine.summary;
@@ -161,21 +166,26 @@ let compute_cell config w policy =
     host = Hostprof.phases_to_json [ ("cell", span) ];
   }
 
-(* Memoized, thread-safe access: the simulation itself runs outside the
-   lock (the prefetch pass deduplicates keys, so no cell is computed
-   twice), and figures running after the prefetch hit the memo. *)
+(* The experiment running now, named by a failed lookup. *)
+let experiment = ref ""
+
+(* A config by the Table 1 rows where it differs from the default. *)
+let config_name config =
+  let dflt = Config.to_rows Config.default in
+  match List.filter (fun r -> not (List.mem r dflt)) (Config.to_rows config) with
+  | [] -> "default"
+  | rows -> String.concat ", " (List.map (fun (k, v) -> k ^ " " ^ v) rows)
+
+(* Strict: a cell the figure reads but [cells_of] did not list is a bug
+   in [cells_of], reported as such rather than simulated here. *)
 let get_cell config (w : Workload.t) policy =
-  let key = (config, w.Workload.name, policy) in
-  match Mutex.protect matrix_mutex (fun () -> Hashtbl.find_opt matrix key) with
+  match Hashtbl.find_opt matrix (config, w.Workload.name, policy) with
   | Some c -> c
   | None ->
-    let c = compute_cell config w policy in
-    Mutex.protect matrix_mutex (fun () ->
-        match Hashtbl.find_opt matrix key with
-        | Some first -> first
-        | None ->
-          Hashtbl.replace matrix key c;
-          c)
+    Cli.runtime_error ~prog:"bench"
+      (Printf.sprintf
+         "%s reads the cell (config %s, %s, %s), which cells_of %S leaves out"
+         !experiment (config_name config) w.Workload.name policy !experiment)
 
 let cell w policy = get_cell Config.default w policy
 let run_stats config w policy = (get_cell config w policy).stats
@@ -184,9 +194,9 @@ let norm_time w policy =
   let base = (cell w "unsafe").stats.Sim_stats.cycles in
   float_of_int (cell w policy).stats.Sim_stats.cycles /. float_of_int base
 
-(* Exactly the cells each experiment reads — the parallel prefetch must
-   neither miss one (it would serialize into the figure) nor invent one
-   (the --json export would differ between -j 1 and -j N). *)
+(* Exactly the cells each experiment reads: [get_cell] fails on one it
+   misses, and one it invents would make the --json export differ from
+   the experiments that ran. *)
 let cells_of id =
   let ws = workloads () in
   let cross configs ws ps =
@@ -227,19 +237,22 @@ let cells_of id =
   | "audit" -> if !audit then dflt paper_schemes else []
   | _ -> []
 
-(* One batched submission for the whole matrix; the daemon streams the
-   results back in submission order and the memo is filled from them, so
-   figures afterwards never simulate locally. *)
+(* One batched submission for the whole todo list; the daemon streams
+   the results back in submission order.  A cell the daemon failed on
+   is reported and simulated here instead, so one bad cell does not
+   abort the run. *)
 let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
   let cells = List.map (fun (c, w, p) -> protocol_cell c w p) todo in
-  let todo_arr = Array.of_list todo in
   let client = Serve_client.connect socket in
   Fun.protect
     ~finally:(fun () -> Serve_client.close client)
     (fun () ->
       let results, stats =
         Serve_client.submit ~cache:!use_cache client cells
-          ~on_result:(fun _ _ -> Option.iter Monitor.item_done !monitor)
+          ~on_result:(fun _ r ->
+            (* a failed cell is counted done by its local run *)
+            if r.Serve_client.error = None then
+              Option.iter Monitor.item_done !monitor)
           ~timings:(fun (tm : Serve_client.timings) ->
             (* stderr only: --json on stdout must stay byte-identical to
                a local run of the same matrix *)
@@ -260,62 +273,51 @@ let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
            local simulation for them)\n\
            %!"
           stats.Serve_protocol.failed (List.length cells);
-      Array.iteri
-        (fun i (r : Serve_client.result_cell) ->
-          let config, (w : Workload.t), p = todo_arr.(i) in
-          (* a failed cell is reported and left out of the memo: the
-             figure pass simulates it locally like any other miss, so
-             one bad cell no longer aborts the whole bench run *)
+      List.mapi
+        (fun i ((_, (w : Workload.t), p) as key, (r : Serve_client.result_cell)) ->
           match r.Serve_client.error with
           | Some msg ->
             Printf.eprintf "--remote: cell %d (%s/%s) failed: %s\n%!" i
-              w.Workload.name p msg
+              w.Workload.name p msg;
+            compute_cell key
           | None ->
-          let summary = r.Serve_client.summary in
-          let stats = stats_of ~what:"--remote" summary in
-          Hashtbl.replace matrix
-            (config, w.Workload.name, p)
+            let summary = r.Serve_client.summary in
             {
-              stats;
+              stats = stats_of ~what:"--remote" summary;
               summary;
               wall_s = r.Serve_client.wall_s;
               source = "remote-" ^ r.Serve_client.source;
-              (* host self-profiling is local by definition; remote cells
-                 have no host phases *)
+              (* host self-profiling is local by definition; remote
+                 cells have no host phases *)
               host = Json.Obj [];
             })
-        results)
+        (List.combine todo (Array.to_list results)))
 
+(* Fill the matrix once: de-duplicate the cells the selected experiments
+   read, compute them (on the domain pool, or through the daemon), then
+   store them serially. *)
 let prefetch_matrix ids =
   let seen = Hashtbl.create 256 in
   let todo =
     List.filter
       (fun ((c, w, p) : Config.t * Workload.t * string) ->
         let key = (c, w.Workload.name, p) in
-        if Hashtbl.mem seen key || Hashtbl.mem matrix key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
+        (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
       (List.concat_map cells_of ids)
   in
-  (match !monitor with
-  | Some m -> Monitor.set_total m (List.length todo)
-  | None -> ());
-  (match !remote with
-  | Some socket -> remote_fetch socket todo
-  | None ->
-    let work ((c, w, p) : Config.t * Workload.t * string) =
-      (match !monitor with
-      | Some m -> Monitor.start m (w.Workload.name ^ "/" ^ p)
-      | None -> ());
-      ignore (get_cell c w p);
-      Option.iter Monitor.item_done !monitor
-    in
-    if !jobs > 1 && List.length todo > 1 then
-      Parallel.with_pool ~size:!jobs (fun pool -> Parallel.iter pool work todo)
-    else List.iter work todo);
-  match !monitor with Some m -> Monitor.close m | None -> ()
+  Option.iter (fun m -> Monitor.set_total m (List.length todo)) !monitor;
+  let results =
+    match !remote with
+    | Some socket -> remote_fetch socket todo
+    | None ->
+      Parallel.with_pool ~size:!jobs (fun pool ->
+          Parallel.map pool compute_cell todo)
+  in
+  List.iter2
+    (fun ((c, w, p) : Config.t * Workload.t * string) r ->
+      Hashtbl.replace matrix (c, w.Workload.name, p) r)
+    todo results;
+  Option.iter Monitor.close !monitor
 
 (* ------------------------------------------------------------------ *)
 (* experiments                                                         *)
@@ -748,8 +750,9 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
       `Error (true, "--sample cannot be combined with --audit")
     | None -> (
       (* an output file that cannot be written ends the run with one
-         line naming it and exit 1 *)
+         line naming it and exit 1, before any cell runs *)
       try
+      let json_out = Option.map (fun file -> (file, open_out file)) json_out in
       quick := quick_;
       jobs := jobs_;
       use_cache := use_cache_;
@@ -762,11 +765,8 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
         disk := Some (Run_cache.create ~dir:cache_dir ());
       monitor := make_monitor ~label:"bench" ();
       let t_start = Unix.gettimeofday () in
-      let selected id = only = [] || List.mem id only in
       let ids =
-        List.filter_map
-          (fun (id, _) -> if selected id then Some id else None)
-          experiments
+        List.filter (fun id -> only = [] || List.mem id only) (List.map fst experiments)
       in
       (* Fill the matrix — on the domain pool, or via one batched daemon
          submission with --remote — before any figure prints; the figures
@@ -775,27 +775,30 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
        with Serve_client.Server_error msg ->
          prerr_endline ("--remote: " ^ msg);
          exit 1);
-      List.iter (fun (id, f) -> if selected id then f ()) experiments;
+      List.iter
+        (fun id ->
+          experiment := id;
+          List.assoc id experiments ())
+        ids;
       (* every default-config cell, with its stall breakdown, through the
          same serializer levioso_sim --json uses *)
-      (match json_out with
-      | None -> ()
-      | Some file ->
-        let cells =
-          Hashtbl.fold
-            (fun (config, w, p) c acc ->
-              if config = Config.default then ((w, p), c.summary) :: acc
-              else acc)
-            matrix []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.map snd
-        in
-        let oc = open_out file in
-        Json.to_channel oc (Summary.runs cells);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "\nwrote %d run summaries to %s\n" (List.length cells)
-          file);
+      Option.iter
+        (fun (file, oc) ->
+          let cells =
+            Hashtbl.fold
+              (fun (config, w, p) c acc ->
+                if config = Config.default then ((w, p), c.summary) :: acc
+                else acc)
+              matrix []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+            |> List.map snd
+          in
+          Json.to_channel oc (Summary.runs cells);
+          output_char oc '\n';
+          close_out oc;
+          Printf.printf "\nwrote %d run summaries to %s\n" (List.length cells)
+            file)
+        json_out;
       write_bench_matrix ~total_wall_s:(Unix.gettimeofday () -. t_start);
       `Ok ()
       with Sys_error msg -> Cli.runtime_error ~prog:"bench" msg)
@@ -810,7 +813,8 @@ let cmd =
   let quick = flag "quick" "Run every figure on every other suite workload." in
   let only =
     Arg.(
-      value & opt_all string []
+      value
+      & opt_all (enum (List.map (fun (id, _) -> (id, id)) experiments)) []
       & info [ "only" ] ~docv:"ID"
           ~doc:"Run only experiment $(docv) (repeatable; see --list).")
   in

@@ -31,6 +31,9 @@ let list_oracles () =
   `Ok ()
 
 let replay_corpus ~config ~json dir =
+  (* a missing corpus is a bad input; an empty one replays nothing *)
+  (try ignore (Sys.readdir dir)
+   with Sys_error msg -> Cli.runtime_error ~prog:"levioso_fuzz" msg);
   let files = Corpus.files dir in
   if files = [] then begin
     Printf.eprintf "no .levir files under %s\n" dir;

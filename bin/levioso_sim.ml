@@ -9,31 +9,31 @@
      levioso_sim -w stream -p levioso --trace-out t.json  # Perfetto trace
      levioso_sim -j 8                     # cells on 8 domains
 
-   Every (workload, policy) cell owns all of its mutable state, so the
-   matrix runs on a domain pool (-j, default all cores) with output
-   bit-identical to a serial run.  Tracing interleaves events from one
-   cell at a time, so -j is forced to 1 when --trace/--trace-out is
-   given. *)
+   Every (workload, policy) cell runs through Levioso_serve.Engine.run_cell,
+   the cell runner bench and the levioso_serve daemon use, so --json is
+   the same bytes as `levioso_serve submit --json`, and -v renders the
+   cell's summary (Summary.verbose).  Tracers hook into the cell's
+   pipeline through run_cell's observer.  Every cell owns all of its
+   mutable state, so the matrix runs on a domain pool (-j, default all
+   cores) with output bit-identical to a serial run.  Tracing
+   interleaves events from one cell at a time, so -j is forced to 1
+   when --trace/--trace-out is given. *)
 
 module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
-module Cache = Levioso_uarch.Cache
 module Summary = Levioso_uarch.Summary
-module Registry = Levioso_core.Registry
 module Json = Levioso_telemetry.Json
 module Trace = Levioso_telemetry.Trace
-module Stall = Levioso_telemetry.Stall
 module Audit = Levioso_telemetry.Audit
-module Explain = Levioso_core.Explain
 module Workload = Levioso_workload.Workload
 module Parallel = Levioso_util.Parallel
 module Monitor = Levioso_telemetry.Monitor
-module Hostprof = Levioso_telemetry.Hostprof
 module Konata = Levioso_uarch.Konata
-module Sampler = Levioso_uarch.Sampler
 module Flowtrace = Levioso_telemetry.Flowtrace
 module Gadget = Levioso_attack.Gadget
 module Catalog = Levioso_serve.Catalog
+module Protocol = Levioso_serve.Protocol
+module Engine = Levioso_serve.Engine
 module Cli = Levioso_cli.Cli
 
 let trace_event_of = function
@@ -50,56 +50,6 @@ let trace_event_of = function
     )
   | Pipeline.Squashed { boundary; count } ->
     ("squash", boundary, -1, [ ("count", Json.Int count) ])
-
-let run_one ?(trace = 0) ?sink ?audit ?timeline ?flow config workload policy =
-  let maker = Registry.find_exn policy in
-  let pipe, create_span =
-    Hostprof.measure (fun () ->
-        Pipeline.create ~mem_init:workload.Workload.mem_init ?audit config
-          ~policy:maker workload.Workload.program)
-  in
-  let text_remaining = ref trace in
-  (* [set_tracer] holds a single callback, so text tracing, the
-     structured sink and the timeline multiplex inside one closure. *)
-  if trace > 0 || sink <> None || timeline <> None then
-    Pipeline.set_tracer pipe (fun ~cycle event ->
-        if !text_remaining > 0 then begin
-          decr text_remaining;
-          Printf.printf "[%6d] %s\n" cycle (Pipeline.event_to_string event)
-        end;
-        (match timeline with
-        | Some tl -> Konata.feed tl ~cycle event
-        | None -> ());
-        match sink with
-        | None -> ()
-        | Some s ->
-          let stage, seq, pc, args = trace_event_of event in
-          Trace.emit s { Trace.cycle; seq; pc; stage; args });
-  (match timeline with
-  | Some tl ->
-    Pipeline.set_stall_tracer pipe (Konata.feed_stall tl)
-  | None -> ());
-  (match flow with
-  | Some (secret_ranges, cb) -> Pipeline.set_flow_tracer pipe ~secret_ranges cb
-  | None -> ());
-  let (), run_span = Hostprof.measure (fun () -> Pipeline.run pipe) in
-  (pipe, [ ("create", create_span); ("run", run_span) ])
-
-(* One cell's -v report, rendered to a string so parallel runs can print
-   cell reports in deterministic workload x policy order after the pool
-   drains.  A sampled cell puts its estimate rows in [head], an exact
-   cell its audit rows in [tail]. *)
-let verbose_report title ?(head = []) ?(tail = []) stats hierarchy stall =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "== %s ==\n" title);
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-32s %s\n" k v))
-    (head @ Sim_stats.to_rows stats
-    @ List.map
-        (fun (k, v) -> (k, string_of_int v))
-        (Cache.Hierarchy.stats hierarchy)
-    @ Stall.to_rows stall @ tail);
-  Buffer.contents buf
 
 (* A structured event file (--trace-out, --audit-out): Chrome
    trace_event JSON, or JSONL when the name ends in .jsonl.  It is
@@ -131,37 +81,7 @@ let main workloads policies config verbose trace json trace_out trace_every
       List.iter print_endline (Catalog.policies ());
     `Ok ()
   end
-  else if
-    sample_spec <> None
-    && (trace > 0 || trace_out <> None || audit_flag || audit_out <> None
-       || timeline_out <> None || leak_trace <> None)
-  then
-    `Error
-      ( false,
-        "--sample runs the two-tier engine, which does not preserve the \
-         per-event streams: drop --trace/--trace-out/--audit/--audit-out/\
-         --timeline/--leak-trace or use --sample off" )
-  else if
-    timeline_out <> None
-    && (List.length workloads <> 1 || List.length policies <> 1)
-  then
-    `Error
-      ( false,
-        "--timeline records a single cell: pick exactly one workload (-w) \
-         and one policy (-p)" )
-  else if timeline_out = None && window <> None then
-    `Error (false, "--timeline-window needs --timeline")
-  else if
-    leak_trace <> None
-    && (List.length workloads <> 1 || List.length policies <> 1)
-  then
-    `Error
-      ( false,
-        "--leak-trace records a single cell: pick exactly one workload (-w) \
-         and one policy (-p)" )
-  else if leak_trace = None && secret_ranges <> [] then
-    `Error (false, "--secret-range needs --leak-trace")
-  else begin
+  else
     let secret_ranges =
       (* the stock gadget's secret slot is the natural default *)
       if
@@ -170,17 +90,51 @@ let main workloads policies config verbose trace json trace_out trace_every
       then [ (Gadget.oob_secret_addr, Gadget.oob_secret_addr) ]
       else secret_ranges
     in
-    if leak_trace <> None && secret_ranges = [] then
-      `Error
-        ( false,
-          "--leak-trace needs at least one --secret-range A:B (only the \
-           spectre-v1 workload has a built-in default)" )
-    else begin
+    (* the first flag combination that cannot run, if any *)
+    let refusal =
+      List.find_opt fst
+        [
+          ( sample_spec <> None
+            && (trace > 0 || trace_out <> None || audit_flag || audit_out <> None
+               || timeline_out <> None || leak_trace <> None),
+            "--sample runs the two-tier engine, which does not preserve the \
+             per-event streams: drop --trace/--trace-out/--audit/--audit-out/\
+             --timeline/--leak-trace or use --sample off" );
+          (timeline_out = None && window <> None, "--timeline-window needs --timeline");
+          ( (timeline_out <> None || leak_trace <> None)
+            && (List.length workloads <> 1 || List.length policies <> 1),
+            Printf.sprintf
+              "%s records a single cell: pick exactly one workload (-w) and \
+               one policy (-p)"
+              (if timeline_out <> None then "--timeline" else "--leak-trace") );
+          (leak_trace = None && secret_ranges <> [], "--secret-range needs --leak-trace");
+          ( leak_trace <> None && secret_ranges = [],
+            "--leak-trace needs at least one --secret-range A:B (only the \
+             spectre-v1 workload has a built-in default)" );
+        ]
+    in
+    match refusal with
+    | Some (_, msg) -> `Error (false, msg)
+    | None -> (
     (* an output file that cannot be written ends the run with one line
-       naming it and exit 1 *)
+       naming it and exit 1; every output opens before the first cell
+       runs, so that line comes before any simulation *)
     try
     let trace_file = Option.map (open_events ~every:trace_every) trace_out in
     let audit_file = Option.map open_events audit_out in
+    (* --timeline and --leak-trace record a single cell: one Konata
+       builder, one leak graph *)
+    let timeline =
+      Option.map
+        (fun path ->
+          ( path,
+            open_out_bin path,
+            Konata.create ?window (List.hd workloads).Workload.program ))
+        timeline_out
+    in
+    let leak =
+      Option.map (fun path -> (path, open_out path, Flowtrace.create ())) leak_trace
+    in
     let sink = Option.map (fun f -> f.sink) trace_file in
     let audit_sink = Option.map (fun f -> f.sink) audit_file in
     let audit_flag = audit_flag || audit_sink <> None in
@@ -195,21 +149,11 @@ let main workloads policies config verbose trace json trace_out trace_every
     let cells =
       List.concat_map (fun w -> List.map (fun p -> (w, p)) policies) workloads
     in
-    (* Single cell when --timeline is given, so one builder suffices. *)
-    let timeline =
-      Option.map
-        (fun _ ->
-          Konata.create ?window
-            (List.hd workloads).Workload.program)
-        timeline_out
-    in
-    (* Leak tracing is single-cell too: one graph, and (for .jsonl
-       output) the raw event stream written as it happens. *)
-    let flow_graph = Option.map (fun _ -> Flowtrace.create ()) leak_trace in
+    (* A .jsonl leak trace is the raw event stream, written as it
+       happens. *)
     let flow_jsonl =
-      match leak_trace with
-      | Some path when Filename.check_suffix path ".jsonl" ->
-        let oc = open_out path in
+      match leak with
+      | Some (path, oc, _) when Filename.check_suffix path ".jsonl" ->
         output_string oc
           (Json.to_string ~minify:true
              (Levioso_telemetry.Schema.tag
@@ -221,108 +165,80 @@ let main workloads policies config verbose trace json trace_out trace_every
     (* With --timeline as well, tainted instructions get highlighted
        source/transmit marks in the Konata view. *)
     let flow_to_timeline =
-      match (timeline, flow_graph) with
-      | Some tl, Some _ -> Some (Konata.flow_feeder tl)
+      match (timeline, leak) with
+      | Some (_, _, tl), Some _ -> Some (Konata.flow_feeder tl)
       | _ -> None
     in
     let flow =
       Option.map
-        (fun g ->
-          ( secret_ranges,
-            fun ~cycle ev ->
-              Flowtrace.feed g ~cycle ev;
-              Option.iter (fun f -> f ~cycle ev) flow_to_timeline;
-              match flow_jsonl with
-              | Some oc ->
-                output_string oc
-                  (Json.to_string ~minify:true
-                     (Flowtrace.event_to_json ~cycle ev)
-                  ^ "\n")
-              | None -> () ))
-        flow_graph
+        (fun (_, _, g) ~cycle ev ->
+          Flowtrace.feed g ~cycle ev;
+          Option.iter (fun f -> f ~cycle ev) flow_to_timeline;
+          match flow_jsonl with
+          | Some oc ->
+            output_string oc
+              (Json.to_string ~minify:true (Flowtrace.event_to_json ~cycle ev)
+              ^ "\n")
+          | None -> ())
+        leak
+    in
+    (* Everything that watches a cell's events hooks into its pipeline
+       here, between Engine.run_cell's create and run.  [set_tracer]
+       holds a single callback, so text tracing, the structured sink and
+       the timeline multiplex inside one closure. *)
+    let observe name pipe =
+      List.iter
+        (fun s -> Trace.begin_process s ~name)
+        (Option.to_list sink @ Option.to_list audit_sink);
+      Option.iter
+        (fun s -> Option.iter (fun a -> Audit.attach_sink a s) (Pipeline.audit pipe))
+        audit_sink;
+      let text_remaining = ref trace in
+      if trace > 0 || sink <> None || timeline <> None then
+        Pipeline.set_tracer pipe (fun ~cycle event ->
+            if !text_remaining > 0 then begin
+              decr text_remaining;
+              Printf.printf "[%6d] %s\n" cycle (Pipeline.event_to_string event)
+            end;
+            Option.iter (fun (_, _, tl) -> Konata.feed tl ~cycle event) timeline;
+            match sink with
+            | None -> ()
+            | Some s ->
+              let stage, seq, pc, args = trace_event_of event in
+              Trace.emit s { Trace.cycle; seq; pc; stage; args });
+      Option.iter
+        (fun (_, _, tl) -> Pipeline.set_stall_tracer pipe (Konata.feed_stall tl))
+        timeline;
+      Option.iter (Pipeline.set_flow_tracer pipe ~secret_ranges) flow
     in
     let monitor = monitor ~label:"levioso_sim" () in
     Option.iter (fun m -> Monitor.set_total m (List.length cells)) monitor;
     let run_cell ((w : Workload.t), p) =
-      Option.iter
-        (fun m -> Monitor.start m (w.Workload.name ^ "/" ^ p))
-        monitor;
-      List.iter
-        (fun s -> Trace.begin_process s ~name:(w.Workload.name ^ "/" ^ p))
-        (Option.to_list sink @ Option.to_list audit_sink);
-      let audit =
-        if audit_flag then begin
-          let a = Explain.audit_for w.Workload.program in
-          Option.iter (fun s -> Audit.attach_sink a s) audit_sink;
-          Some a
-        end
-        else None
-      in
-      let cycles, summary, render_verbose =
-        match sample_spec with
-        | Some sp ->
-          let maker = Registry.find_exn p in
-          let r, run_span =
-            Hostprof.measure (fun () ->
-                Sampler.run ~mem_init:w.Workload.mem_init sp config
-                  ~policy:maker w.Workload.program)
-          in
-          let host = [ ("run", run_span) ] in
-          ( r.Sampler.estimated_cycles,
-            Summary.of_sampled ~workload:w.Workload.name ~policy:p ~host r,
-            fun () ->
-              verbose_report
-                (Printf.sprintf "%s / %s (sampled %s)" w.Workload.name p
-                   (Sampler.spec_to_string r.Sampler.spec))
-                ~head:
-                  [
-                    ( "estimated cycles",
-                      Printf.sprintf "%d (+/- %.2f%%)"
-                        r.Sampler.estimated_cycles r.Sampler.error_pct );
-                    ( "instrs in detail",
-                      Printf.sprintf "%d of %d (%d intervals)"
-                        r.Sampler.detailed_instrs r.Sampler.total_instrs
-                        r.Sampler.intervals );
-                  ]
-                r.Sampler.stats r.Sampler.hierarchy r.Sampler.stall )
-        | None ->
-          let pipe, host =
-            run_one ~trace ?sink ?audit ?timeline ?flow config w p
-          in
-          ( (Pipeline.stats pipe).Sim_stats.cycles,
-            Summary.of_pipeline ~workload:w.Workload.name ~policy:p ~host pipe,
-            fun () ->
-              verbose_report
-                (Printf.sprintf "%s / %s" w.Workload.name p)
-                ~tail:
-                  (Option.fold ~none:[] ~some:Audit.to_rows
-                     (Pipeline.audit pipe))
-                (Pipeline.stats pipe) (Pipeline.hierarchy pipe)
-                (Pipeline.stall_attribution pipe) )
+      let name = w.Workload.name ^ "/" ^ p in
+      Option.iter (fun m -> Monitor.start m name) monitor;
+      let summary =
+        (Engine.run_cell ~observe:(observe name)
+           {
+             Protocol.config;
+             workload = w.Workload.name;
+             policy = p;
+             audit = audit_flag;
+             sample = sample_spec;
+           })
+          .Engine.summary
       in
       Option.iter Monitor.item_done monitor;
-      let verbose_text =
-        if verbose then begin
-          let text = render_verbose () in
-          (* serial runs keep the report interleaved with the cell's
-             trace output, exactly as before *)
-          if jobs = 1 then begin
-            print_string text;
-            None
-          end
-          else Some text
-        end
-        else None
-      in
-      (cycles, summary, verbose_text)
+      (* serial runs keep the report interleaved with the cell's trace
+         output; parallel ones print every report once the pool drains *)
+      if verbose && jobs = 1 then print_string (Summary.verbose summary);
+      summary
     in
-    let results = Parallel.with_pool ~size:jobs (fun pool ->
-        Parallel.map pool run_cell cells)
+    let summaries =
+      Parallel.with_pool ~size:jobs (fun pool -> Parallel.map pool run_cell cells)
     in
     Option.iter Monitor.close monitor;
-    List.iter
-      (fun (_, _, verbose_text) -> Option.iter print_string verbose_text)
-      results;
+    if verbose && jobs > 1 then
+      List.iter (fun s -> print_string (Summary.verbose s)) summaries;
     Option.iter
       (close_events ~quiet:json (fun s ->
            Printf.sprintf "trace: wrote %d of %d events" (Trace.written s)
@@ -332,56 +248,48 @@ let main workloads policies config verbose trace json trace_out trace_every
       (close_events ~quiet:json (fun s ->
            Printf.sprintf "audit: wrote %d restriction events" (Trace.written s)))
       audit_file;
-    (match (timeline, timeline_out) with
-    | Some tl, Some path ->
-      let meta =
-        [
-          ("workload", (List.hd workloads).Workload.name);
-          ("policy", List.hd policies);
-        ]
-      in
-      let oc = open_out_bin path in
-      Konata.write ~meta tl oc;
-      close_out oc;
-      Printf.eprintf
-        "timeline: wrote %d of %d instructions to %s (open in Konata)\n%!"
-        (Konata.recorded tl) (Konata.seen tl) path
-    | _ -> ());
-    (match (flow_graph, leak_trace) with
-    | Some g, Some path -> (
-      match flow_jsonl with
-      | Some oc ->
-        close_out oc;
-        if not json then
-          Printf.eprintf "leak-trace: wrote event stream to %s\n%!" path
-      | None ->
-        let content =
-          if Filename.check_suffix path ".json" then
-            Json.to_string (Flowtrace.to_json g) ^ "\n"
-          else Flowtrace.render g
+    Option.iter
+      (fun (path, oc, tl) ->
+        let meta =
+          [
+            ("workload", (List.hd workloads).Workload.name);
+            ("policy", List.hd policies);
+          ]
         in
-        let oc = open_out path in
-        output_string oc content;
+        Konata.write ~meta tl oc;
+        close_out oc;
+        Printf.eprintf
+          "timeline: wrote %d of %d instructions to %s (open in Konata)\n%!"
+          (Konata.recorded tl) (Konata.seen tl) path)
+      timeline;
+    Option.iter
+      (fun (path, oc, g) ->
+        if flow_jsonl = None then
+          output_string oc
+            (if Filename.check_suffix path ".json" then
+               Json.to_string (Flowtrace.to_json g) ^ "\n"
+             else Flowtrace.render g);
         close_out oc;
         if not json then
-          Printf.eprintf "leak-trace: wrote %s to %s\n%!"
-            (if Flowtrace.is_empty g then
-               "empty leak graph (no tainted transmits)"
-             else "leak graph")
-            path)
-    | _ -> ());
-    if json then
-      print_endline
-        (Json.to_string (Summary.runs (List.map (fun (_, s, _) -> s) results)))
+          if flow_jsonl <> None then
+            Printf.eprintf "leak-trace: wrote event stream to %s\n%!" path
+          else
+            Printf.eprintf "leak-trace: wrote %s to %s\n%!"
+              (if Flowtrace.is_empty g then
+                 "empty leak graph (no tainted transmits)"
+               else "leak graph")
+              path)
+      leak;
+    if json then print_endline (Json.to_string (Summary.runs summaries))
     else
       print_endline
         (Cli.overhead_table ~policies
            ~workloads:(List.map (fun w -> w.Workload.name) workloads)
-           (List.map (fun (c, _, _) -> c) results));
+           (List.map
+              (fun s -> (Json.ok_exn (Summary.stats s)).Sim_stats.cycles)
+              summaries));
     `Ok ()
-    with Sys_error msg -> Cli.runtime_error ~prog:"levioso_sim" msg
-    end
-  end
+    with Sys_error msg -> Cli.runtime_error ~prog:"levioso_sim" msg)
 
 open Cmdliner
 

@@ -69,7 +69,7 @@ let staged scope name ?(attrs = fun _ -> []) stages f =
       record [ ("error", Printexc.to_string e) ];
       raise e)
 
-let run_cell ?cache ?scope (c : Protocol.cell) =
+let run_cell ?cache ?scope ?observe (c : Protocol.cell) =
   let w = Catalog.find_workload_exn c.Protocol.workload in
   let policy = Registry.find_exn c.Protocol.policy in
   let config = c.Protocol.config in
@@ -132,6 +132,7 @@ let run_cell ?cache ?scope (c : Protocol.cell) =
               Pipeline.create ~mem_init:w.Workload.mem_init ?audit config
                 ~policy w.Workload.program
             in
+            Option.iter (fun f -> f pipe) observe;
             Pipeline.run pipe;
             Summary.of_pipeline ~workload ~policy:c.Protocol.policy pipe)
     in

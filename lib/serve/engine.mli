@@ -1,10 +1,11 @@
-(** Execution of one wire-protocol cell.  The daemon runs every cell
-    through {!run_cell}, and so does bench: its local cells call it
-    directly, its [--remote] cells reach it through the daemon.  A plain
-    cell runs [Pipeline.create] → [Pipeline.run] → [Summary.of_pipeline],
-    a sampled one [Sampler.run] → [Summary.of_sampled], with no host
-    section, so a summary is the same bits whichever process computed
-    it. *)
+(** Execution of one wire-protocol cell: the one in-process cell
+    runner.  The daemon runs every cell through {!run_cell}, and so do
+    bench and [levioso_sim]: bench's local cells and every
+    [levioso_sim] cell call it directly, bench's [--remote] cells reach
+    it through the daemon.  A plain cell runs [Pipeline.create] →
+    [Pipeline.run] → [Summary.of_pipeline], a sampled one [Sampler.run]
+    → [Summary.of_sampled], so a summary is the same bits whichever
+    process computed it. *)
 
 type scope = {
   spans : Levioso_telemetry.Span.t;
@@ -35,12 +36,21 @@ val cacheable : Protocol.cell -> bool
     pass their store for every cell and let it decide. *)
 
 val run_cell :
-  ?cache:Levioso_uarch.Run_cache.t -> ?scope:scope -> Protocol.cell -> outcome
+  ?cache:Levioso_uarch.Run_cache.t ->
+  ?scope:scope ->
+  ?observe:(Levioso_uarch.Pipeline.t -> unit) ->
+  Protocol.cell ->
+  outcome
 (** Replay from the store when possible (the entry must decode through
     [Summary.stats]), otherwise simulate and store.  With a [scope], emits
     [cache_probe]/[replay]/[simulate] child spans (hit/miss and
     workload/policy attributes) and fills [stages]; the summary bits
     are identical either way.
+
+    [observe] gets a simulated exact cell's pipeline between
+    [Pipeline.create] and [Pipeline.run], to install tracers or an
+    audit sink.  It is ignored on a sampled cell, which has no
+    per-event stream, and on a replayed one.
 
     @raise Invalid_argument on unknown workload/policy names; call
     {!validate_cell} first. *)

@@ -226,15 +226,3 @@ let to_json ?(top_k = 10) t =
                  ])
              (top_pcs t ~k:top_k)) );
     ]
-
-let to_rows t =
-  [
-    ("audit events", string_of_int (total_events t));
-    ("audit restricted cycles", string_of_int t.n_cycles);
-    ( "audit necessary cycles",
-      Printf.sprintf "%d (%d events)" t.nec_cycles t.nec_events );
-    ( "audit unnecessary cycles",
-      Printf.sprintf "%d (%d events)" (unnecessary_cycles t)
-        (unnecessary_events t) );
-    ("audit unnecessary share", Printf.sprintf "%.1f%%" (100.0 *. unnecessary_share t));
-  ]

@@ -35,12 +35,6 @@ type reason =
           to conservative gating *)
   | Unspecified  (** the policy offered no explanation *)
 
-val reason_kind : reason -> string
-(** ["branch_dep" | "taint" | "overflow" | "unspecified"]. *)
-
-val reason_kinds : string list
-(** All four kinds, fixed order (JSON key order). *)
-
 type outcome =
   | Issued  (** the episode ended with the instruction issuing *)
   | Squashed  (** the instruction was squashed while restricted *)
@@ -115,8 +109,5 @@ val to_json : ?top_k:int -> t -> Json.t
     necessary: {events, cycles}, unnecessary: {events, cycles},
     unnecessary_share, by_reason: {...}, top_pcs: [...]}];
     [top_k] defaults to 10.  Deterministic. *)
-
-val to_rows : t -> (string * string) list
-(** Text rendering for verbose reports. *)
 
 val event_to_json : event -> Json.t

@@ -34,9 +34,6 @@ type event =
   | Committed of { id : int }
   | Squashed of { id : int }
 
-val kind_to_string : kind -> string
-val dep_to_string : dep -> string
-
 val event_to_json : cycle:int -> event -> Json.t
 (** One JSONL record: the event plus the cycle it happened on. *)
 

@@ -1,8 +1,8 @@
 (** Host self-profiling: wall clock + allocator behavior per phase.
 
     Wraps a computation with [Unix.gettimeofday] and reads this domain's
-    [Gc.counters] between two forced minor collections, so every JSON
-    summary and bench-matrix cell can carry a [host] section.  On one
+    [Gc.counters] between two forced minor collections, so every
+    bench-matrix cell can carry a [host] section.  On one
     domain the word counts of a deterministic computation are exact and
     repeatable, which is what tier-1's allocation pin
     ([test/golden_alloc_quick.txt]) relies on.  The words [measure]
@@ -10,8 +10,7 @@
     [measure ignore] reads 0 words and 0 collections.
     Wall clock is not repeatable, which is why [host] sections
     are kept out of the byte-compared simulation artifacts and only
-    attached to timing-oriented ones ([BENCH_matrix.json] cells,
-    [levioso_sim --json] runs). *)
+    attached to the timing-oriented [BENCH_matrix.json] cells. *)
 
 type span = {
   wall_s : float;
@@ -37,8 +36,6 @@ val alloc_words : span -> float
 (** Words allocated: minor + major - promoted, so promotions are not
     double-counted. *)
 
-val to_json : span -> Json.t
-
 val phases_to_json : (string * span) list -> Json.t
 (** [{"phases": {name: span, ...}, "total": span}] — the [host]
-    section attached to summaries and bench cells. *)
+    section attached to bench cells. *)

@@ -138,8 +138,3 @@ let to_json ?(top_k = 10) t =
 
 let top_k = top_pcs
 
-let to_rows t =
-  List.map
-    (fun (c, n) -> ("stall " ^ cause_to_string c, string_of_int n))
-    (by_cause t)
-  @ [ ("stall total", string_of_int (total t)) ]

@@ -78,4 +78,3 @@ val to_json : ?top_k:int -> t -> Json.t
 (** [{total, by_cause: {...}, top_pcs: [{pc, total, causes}]}];
     [top_k] defaults to 10. *)
 
-val to_rows : t -> (string * string) list

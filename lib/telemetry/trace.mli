@@ -22,10 +22,6 @@ type event = {
   args : (string * Json.t) list;  (** extra event-specific payload *)
 }
 
-val event_to_json : event -> Json.t
-(** Flat object: cycle/seq/pc/stage then [args] fields (seq and pc are
-    omitted when negative). *)
-
 (** {1 Chrome trace_event records}
 
     The two record shapes both Chrome writers emit (this module's sink

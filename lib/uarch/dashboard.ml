@@ -12,8 +12,7 @@ let css =
    {text-align:left}svg.chart{margin:.5em 0}svg text.label{font-size:11px;\
    fill:#444}svg text.axis{font-size:10px;fill:#777}"
   ^ Html.legend_css
-  ^ ".firing{color:#e15759;font-weight:bold}.resolved{color:#59a14f}\
-     p.nodata{color:#777;font-style:italic}"
+  ^ "p.nodata{color:#777;font-style:italic}"
 
 (* chart geometry shared by every panel *)
 let plot_w = 560

@@ -89,23 +89,6 @@ let record_wrong_path_transmit t ~branch_pc ~pc =
     t.wrong_path_transmit_count <- t.wrong_path_transmit_count + 1
   end
 
-let to_rows t =
-  [
-    ("cycles", string_of_int t.cycles);
-    ("committed", string_of_int t.committed);
-    ("IPC", Printf.sprintf "%.3f" (ipc t));
-    ("loads / stores", Printf.sprintf "%d / %d" t.committed_loads t.committed_stores);
-    ("branches", string_of_int t.committed_branches);
-    ("mispredicts (MPKI)", Printf.sprintf "%d (%.2f)" t.mispredicts (mpki t));
-    ("fetched / squashed", Printf.sprintf "%d / %d" t.fetched t.squashed);
-    ("policy stall entry-cycles", string_of_int t.policy_stall_cycles);
-    ("transmitter stall entry-cycles", string_of_int t.transmit_stall_cycles);
-    ( "restricted committed (xmit)",
-      Printf.sprintf "%d (%d)" t.restricted_committed t.restricted_transmitters );
-    ("wrong-path executed loads", string_of_int t.wrong_path_executed_loads);
-    ("max ROB occupancy", string_of_int t.max_rob_occupancy);
-  ]
-
 let to_json t =
   let module J = Levioso_telemetry.Json in
   J.Obj

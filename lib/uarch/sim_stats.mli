@@ -47,8 +47,6 @@ val mpki : t -> float
 val record_wrong_path_transmit : t -> branch_pc:int -> pc:int -> unit
 (** Appends to [wrong_path_transmits], keeping at most 50_000 events. *)
 
-val to_rows : t -> (string * string) list
-
 val to_json : t -> Levioso_telemetry.Json.t
 (** Every counter plus derived [ipc]/[mpki], as a flat object.
     [wrong_path_transmits] serializes as its count, not the pair list. *)

@@ -2,63 +2,41 @@ module Json = Levioso_telemetry.Json
 module Stall = Levioso_telemetry.Stall
 module Audit = Levioso_telemetry.Audit
 module Schema = Levioso_telemetry.Schema
-module Hostprof = Levioso_telemetry.Hostprof
 
-let of_pipeline ?workload ?policy ?host ?(top_k = 10) pipe =
+(* The one body both builders share: labels, counters, the cache block
+   and the stall block, then the builder's own sections. *)
+let summary ?workload ?policy ~top_k stats hierarchy stall extra =
   let label key v =
     match v with
     | Some s -> [ (key, Json.String s) ]
     | None -> []
   in
-  let audit =
-    match Pipeline.audit pipe with
-    | None -> []
-    | Some a -> [ ("audit", Audit.to_json ~top_k a) ]
-  in
-  let host =
-    match host with
-    | None -> []
-    | Some phases -> [ ("host", Hostprof.phases_to_json phases) ]
-  in
   Json.Obj
     (Schema.field :: label "workload" workload
     @ label "policy" policy
     @ [
-        ("stats", Sim_stats.to_json (Pipeline.stats pipe));
+        ("stats", Sim_stats.to_json stats);
         ( "cache",
           Json.Obj
             (List.map
                (fun (k, v) -> (k, Json.Int v))
-               (Cache.Hierarchy.stats (Pipeline.hierarchy pipe))) );
-        ("stalls", Stall.to_json ~top_k (Pipeline.stall_attribution pipe));
+               (Cache.Hierarchy.stats hierarchy)) );
+        ("stalls", Stall.to_json ~top_k stall);
       ]
-    @ audit @ host)
+    @ extra)
 
-let of_sampled ?workload ?policy ?host ?(top_k = 10) (r : Sampler.result) =
-  let label key v =
-    match v with
-    | Some s -> [ (key, Json.String s) ]
+let of_pipeline ?workload ?policy ?(top_k = 10) pipe =
+  summary ?workload ?policy ~top_k (Pipeline.stats pipe)
+    (Pipeline.hierarchy pipe)
+    (Pipeline.stall_attribution pipe)
+    (match Pipeline.audit pipe with
     | None -> []
-  in
-  let host =
-    match host with
-    | None -> []
-    | Some phases -> [ ("host", Hostprof.phases_to_json phases) ]
-  in
-  Json.Obj
-    (Schema.field :: label "workload" workload
-    @ label "policy" policy
-    @ [
-        ("stats", Sim_stats.to_json r.Sampler.stats);
-        ( "cache",
-          Json.Obj
-            (List.map
-               (fun (k, v) -> (k, Json.Int v))
-               (Cache.Hierarchy.stats r.Sampler.hierarchy)) );
-        ("stalls", Stall.to_json ~top_k r.Sampler.stall);
-        ("sampled", Sampler.to_json r);
-      ]
-    @ host)
+    | Some a -> [ ("audit", Audit.to_json ~top_k a) ])
+
+let of_sampled ?workload ?policy ?(top_k = 10) (r : Sampler.result) =
+  summary ?workload ?policy ~top_k r.Sampler.stats r.Sampler.hierarchy
+    r.Sampler.stall
+    [ ("sampled", Sampler.to_json r) ]
 
 let runs summaries = Schema.tag [ ("runs", Json.List summaries) ]
 
@@ -174,6 +152,75 @@ let read_runs doc =
         in
         rows "matrix" default_config run_of_cell
       | _ -> Error "neither a \"runs\" document nor a bench trajectory")
+
+(* The -v report: one "key value" row per counter, read from the
+   document alone, so the text is the same whoever computed it. *)
+let verbose doc =
+  let str k = Json.(get to_string_exn) k doc in
+  let num j k = string_of_int (int k j) in
+  let dec j digits k = Printf.sprintf "%.*f" digits (Json.(get to_float_exn) k j) in
+  let counters prefix =
+    Json.fields (fun k v -> (prefix ^ k, string_of_int (Json.to_int_exn v)))
+  in
+  let cell = str "workload" ^ " / " ^ str "policy" in
+  let title, head =
+    match Json.member "sampled" doc with
+    | None -> (cell, [])
+    | Some sm ->
+      let spec = List.map (num sm) [ "interval"; "warmup"; "period" ] in
+      ( cell ^ " (sampled " ^ String.concat ":" spec ^ ")",
+        [
+          ( "estimated cycles",
+            num sm "estimated_cycles" ^ " (+/- " ^ dec sm 2 "error_pct" ^ "%)" );
+          ( "instrs in detail",
+            num sm "detailed_instrs" ^ " of " ^ num sm "total_instrs" ^ " ("
+            ^ num sm "intervals" ^ " intervals)" );
+        ] )
+  in
+  let st = Json.member_exn "stats" doc and stalls = Json.member_exn "stalls" doc in
+  let n = num st in
+  let audit =
+    match Json.member "audit" doc with
+    | None -> []
+    | Some a ->
+      let part k =
+        let p = Json.member_exn k a in
+        num p "cycles" ^ " (" ^ num p "events" ^ " events)"
+      in
+      [
+        ("audit events", num a "events");
+        ("audit restricted cycles", num a "cycles");
+        ("audit necessary cycles", part "necessary");
+        ("audit unnecessary cycles", part "unnecessary");
+        ( "audit unnecessary share",
+          Printf.sprintf "%.1f%%" (100.0 *. Json.(get to_float_exn) "unnecessary_share" a) );
+      ]
+  in
+  let rows =
+    head
+    @ [
+        ("cycles", n "cycles");
+        ("committed", n "committed");
+        ("IPC", dec st 3 "ipc");
+        ("loads / stores", n "committed_loads" ^ " / " ^ n "committed_stores");
+        ("branches", n "committed_branches");
+        ("mispredicts (MPKI)", n "mispredicts" ^ " (" ^ dec st 2 "mpki" ^ ")");
+        ("fetched / squashed", n "fetched" ^ " / " ^ n "squashed");
+        ("policy stall entry-cycles", n "policy_stall_cycles");
+        ("transmitter stall entry-cycles", n "transmit_stall_cycles");
+        ( "restricted committed (xmit)",
+          n "restricted_committed" ^ " (" ^ n "restricted_transmitters" ^ ")" );
+        ("wrong-path executed loads", n "wrong_path_executed_loads");
+        ("max ROB occupancy", n "max_rob_occupancy");
+      ]
+    @ Json.get (counters "") "cache" doc
+    @ Json.get (counters "stall ") "by_cause" stalls
+    @ [ ("stall total", num stalls "total") ]
+    @ audit
+  in
+  String.concat ""
+    (Printf.sprintf "== %s ==\n" title
+    :: List.map (fun (k, v) -> Printf.sprintf "  %-32s %s\n" k v) rows)
 
 type leak_node = {
   id : int;

@@ -10,10 +10,8 @@
      "stalls": {total, by_cause: {policy_gate, operand_wait, lsq_order,
                 rob_full, exec_port}, top_pcs: […]},
      "audit": {…},          (only when the run was audited)
-     "sampled": {estimated_cycles, …}
+     "sampled": {estimated_cycles, …}}
                             (only for a two-tier sampled run)
-     "host": {phases: {…}, total: {wall_s, minor_words, …}}}
-                            (only when host profiling was requested)
     v}
 
     It is also the only module that reads that layout back, and the
@@ -28,7 +26,6 @@
 val of_pipeline :
   ?workload:string ->
   ?policy:string ->
-  ?host:(string * Levioso_telemetry.Hostprof.span) list ->
   ?top_k:int ->
   Pipeline.t ->
   Levioso_telemetry.Json.t
@@ -36,16 +33,11 @@ val of_pipeline :
     given; [top_k] (default 10) bounds the costliest-PC lists in the
     stall and audit breakdowns.  When the pipeline was created with an
     audit recorder, an ["audit"] section
-    ([Levioso_telemetry.Audit.to_json]) is appended.  [host] attaches a
-    host self-profiling section (named phases measured with
-    [Levioso_telemetry.Hostprof.measure]); note the section carries wall
-    clock, so summaries meant to be byte-compared across runs should
-    omit it. *)
+    ([Levioso_telemetry.Audit.to_json]) is appended. *)
 
 val of_sampled :
   ?workload:string ->
   ?policy:string ->
-  ?host:(string * Levioso_telemetry.Hostprof.span) list ->
   ?top_k:int ->
   Sampler.result ->
   Levioso_telemetry.Json.t
@@ -105,6 +97,13 @@ val read_runs : Levioso_telemetry.Json.t -> (run list, string) result
     policy) labels.  [Error] on a stale [schema_version], a value that
     is neither shape, or the first run that does not decode (named by
     its index). *)
+
+val verbose : Levioso_telemetry.Json.t -> string
+(** The [levioso_sim -v] report of one labelled summary: a title, then
+    one [key value] row per counter of its [sampled], [stats], [cache],
+    [stalls] and [audit] blocks.  It reads the document alone, so a
+    summary from a store or the daemon renders like a local one.
+    @raise Invalid_argument on a document missing one of those fields. *)
 
 (** {1 Leak graph} *)
 

@@ -136,10 +136,22 @@ let test_overhead_table () =
   Alcotest.(check bool) "failed baseline shows plain cycles" true
     (has "| 100 " && not (has "100 ("))
 
-(* levioso_cc, levioso_compile and levioso_sim, run as programs: an
-   input that does not read or compile, and an output file that cannot
-   be written, is one stderr line naming the file and exit 1, apart
-   from a bad flag's 124. *)
+(* Run a built program ([dir/exe], relative to the test directory):
+   its exit code, stdout and stderr lines. *)
+let run_program ~tmp exe args =
+  let out = Filename.concat tmp "stdout" and err = Filename.concat tmp "stderr" in
+  let rc =
+    Sys.command (Filename.quote_command ("../" ^ exe) args ~stdout:out ~stderr:err)
+  in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let stdout = read out and stderr = read err in
+  List.iter Sys.remove [ out; err ];
+  (rc, stdout, List.filter (( <> ) "") (String.split_on_char '\n' stderr))
+
+(* levioso_cc, levioso_compile, levioso_sim, bench and levioso_fuzz, run
+   as programs: an input that does not read or compile, and an output
+   file that cannot be written, is one stderr line naming the file, no
+   stdout and exit 1, before any simulation; a bad flag is 124. *)
 let test_input_errors () =
   let dir = Filename.temp_dir "levioso_cli" "" in
   let file name text =
@@ -148,47 +160,127 @@ let test_input_errors () =
     path
   in
   let bad_lev = file "bad.lev" "x = ;\n" and bad_s = file "bad.s" "bogus r1\n" in
-  let err = Filename.concat dir "stderr" in
   let run exe args =
-    let rc =
-      Sys.command
-        (Filename.quote_command ("../bin/" ^ exe) args ~stdout:Filename.null ~stderr:err)
-    in
-    (rc, In_channel.with_open_bin err In_channel.input_lines)
+    let rc, _, err = run_program ~tmp:dir ("bin/" ^ exe) args in
+    (rc, err)
   in
   (* [exe] run with [args] (default: just [file]) fails on [file] *)
   let fails ?args exe file =
     let args = Option.value args ~default:[ file ] in
     let where = String.concat " " (exe :: args) in
-    match run exe args with
-    | 1, [ line ] ->
+    let prog =
+      match Filename.basename (Filename.chop_suffix exe ".exe") with
+      | "main" -> "bench"
+      | p -> p
+    in
+    match run_program ~tmp:dir exe args with
+    | 1, out, [ line ] ->
+      Alcotest.(check string) (where ^ ": no stdout") "" out;
       Alcotest.(check bool)
         (where ^ ": the line names the file") true
-        (String.starts_with ~prefix:(Filename.chop_suffix exe ".exe" ^ ": " ^ file ^ ": ")
-           line)
-    | rc, lines ->
+        (String.starts_with ~prefix:(prog ^ ": " ^ file ^ ": ") line)
+    | rc, _, lines ->
       Alcotest.failf "%s: exit %d with %d stderr lines: %s" where rc
         (List.length lines) (String.concat " | " lines)
   in
   let missing = Filename.concat dir "missing" in
-  fails "levioso_cc.exe" bad_lev;
-  fails "levioso_cc.exe" dir;
-  fails "levioso_cc.exe" missing;
-  fails "levioso_compile.exe" bad_s;
-  fails "levioso_compile.exe" dir;
-  fails "levioso_compile.exe" missing;
+  fails "bin/levioso_cc.exe" bad_lev;
+  fails "bin/levioso_cc.exe" dir;
+  fails "bin/levioso_cc.exe" missing;
+  fails "bin/levioso_compile.exe" bad_s;
+  fails "bin/levioso_compile.exe" dir;
+  fails "bin/levioso_compile.exe" missing;
+  fails "bin/levioso_fuzz.exe" missing ~args:[ "--replay"; missing ];
   let unwritable = Filename.concat missing "out" in
   List.iter
     (fun flag ->
-      fails "levioso_sim.exe" unwritable
+      fails "bin/levioso_sim.exe" unwritable
         ~args:[ "-w"; "stream"; "-p"; "unsafe"; "-j"; "1"; flag; unwritable ])
     [ "--trace-out"; "--metrics" ];
+  (* outputs written after the run are opened before it *)
+  let out name = Filename.concat missing name in
+  fails "bin/levioso_sim.exe" (out "t.kanata")
+    ~args:
+      [ "-w"; "stream"; "-p"; "levioso"; "-v"; "-j"; "1"; "--timeline"; out "t.kanata" ];
+  List.iter
+    (fun name ->
+      fails "bin/levioso_sim.exe" (out name)
+        ~args:
+          [ "-w"; "spectre-v1"; "-p"; "unsafe"; "-v"; "-j"; "1"; "--leak-trace"; out name ])
+    [ "l.txt"; "l.json" ];
+  fails "bench/main.exe" (out "b.json")
+    ~args:
+      [ "--quick"; "--only"; "fig3"; "--no-cache"; "-j"; "1"; "--json"; out "b.json" ];
+  (match run_program ~tmp:dir "bench/main.exe" [ "--only"; "nosuch" ] with
+  | 124, "", first :: _ ->
+    Alcotest.(check bool) "bench --only nosuch names the id" true
+      (String.starts_with ~prefix:"bench: option '--only': invalid value 'nosuch'"
+         first)
+  | rc, _, _ -> Alcotest.failf "bench --only nosuch: exit %d, not 124" rc);
+  let empty = Filename.concat dir "empty" in
+  Sys.mkdir empty 0o755;
+  Alcotest.(check (pair int (list string)))
+    "an empty corpus replays nothing" (0, [ "no .levir files under " ^ empty ])
+    (run "levioso_fuzz.exe" [ "--replay"; empty ]);
+  Sys.rmdir empty;
   let good_lev = file "good.lev" "fn main() {\n  store(64, 7);\n}\n" in
   Alcotest.(check (pair int (list string))) "a good program exits 0" (0, [])
     (run "levioso_cc.exe" [ good_lev; "--run" ]);
   Alcotest.(check (pair int (list string))) "a good workload exits 0" (0, [])
     (run "levioso_compile.exe" [ "-s"; "-w"; "stream" ]);
-  List.iter Sys.remove [ bad_lev; bad_s; good_lev; err ];
+  List.iter Sys.remove [ bad_lev; bad_s; good_lev ];
+  Sys.rmdir dir
+
+(* Every levioso_sim cell runs through Engine.run_cell, so its --json is
+   the same bytes on every run and equals the engine's own summaries. *)
+let test_sim_json_one_path () =
+  let dir = Filename.temp_dir "levioso_cli" "" in
+  let args = [ "-w"; "stream"; "-p"; "unsafe"; "-p"; "levioso"; "--json" ] in
+  let json () =
+    match run_program ~tmp:dir "bin/levioso_sim.exe" args with
+    | 0, out, [] -> out
+    | rc, _, err ->
+      Alcotest.failf "levioso_sim --json: exit %d: %s" rc (String.concat " | " err)
+  in
+  let first = json () in
+  Alcotest.(check string) "two runs, one byte string" first (json ());
+  let engine =
+    List.map
+      (fun policy ->
+        (Levioso_serve.Engine.run_cell
+           {
+             Levioso_serve.Protocol.config = Config.default;
+             workload = "stream";
+             policy;
+             audit = false;
+             sample = None;
+           })
+          .Levioso_serve.Engine.summary)
+      [ "unsafe"; "levioso" ]
+  in
+  Alcotest.(check string) "Summary.runs of Engine.run_cell"
+    (Levioso_telemetry.Json.to_string (Levioso_uarch.Summary.runs engine) ^ "\n")
+    first;
+  Sys.rmdir dir
+
+(* The -v report of an audited exact cell and of a sampled one, pinned
+   byte for byte (the report is rendered from the cell's summary). *)
+let test_verbose_pinned () =
+  let dir = Filename.temp_dir "levioso_cli" "" in
+  List.iter
+    (fun (golden, extra) ->
+      let args = [ "-w"; "stream"; "-p"; "levioso"; "-v"; "-j"; "1" ] @ extra in
+      match run_program ~tmp:dir "bin/levioso_sim.exe" args with
+      | 0, out, [] ->
+        Alcotest.(check string) golden
+          (In_channel.with_open_bin golden In_channel.input_all)
+          out
+      | rc, _, err ->
+        Alcotest.failf "%s: exit %d: %s" golden rc (String.concat " | " err))
+    [
+      ("golden_verbose_audit.txt", [ "--audit" ]);
+      ("golden_verbose_sampled.txt", [ "--sample"; "1000:500:4" ]);
+    ];
   Sys.rmdir dir
 
 let suite =
@@ -200,4 +292,7 @@ let suite =
       Alcotest.test_case "value converters" `Quick test_value_converters;
       Alcotest.test_case "overhead table" `Quick test_overhead_table;
       Alcotest.test_case "input errors exit 1" `Quick test_input_errors;
+      Alcotest.test_case "levioso_sim --json is one path" `Quick
+        test_sim_json_one_path;
+      Alcotest.test_case "levioso_sim -v text pinned" `Quick test_verbose_pinned;
     ] )

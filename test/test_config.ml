@@ -125,10 +125,6 @@ let test_wrong_path_transmit_cap () =
   Alcotest.(check int) "capped" 50_000 (List.length s.Sim_stats.wrong_path_transmits);
   Alcotest.(check int) "dropped counted" 10_000 s.Sim_stats.wrong_path_transmits_dropped
 
-let test_stats_rows () =
-  let s = Sim_stats.create () in
-  Alcotest.(check bool) "rows render" true (List.length (Sim_stats.to_rows s) >= 10)
-
 let suite =
   ( "config",
     [
@@ -141,5 +137,4 @@ let suite =
       Alcotest.test_case "predictor names" `Quick test_predictor_names;
       Alcotest.test_case "stats derivations" `Quick test_stats_derivations;
       Alcotest.test_case "transmit record cap" `Quick test_wrong_path_transmit_cap;
-      Alcotest.test_case "stats rows" `Quick test_stats_rows;
     ] )
