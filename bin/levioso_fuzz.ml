@@ -86,7 +86,12 @@ let replay_corpus ~config ~json dir =
             |> List.iter (fun l -> Printf.printf "     | %s\n" l)
           | None -> ())
         results;
-    if bad = [] then `Ok () else `Error (false, "corpus replay disagreed")
+    if bad = [] then `Ok ()
+    else
+      (* a failed run, like a bad input, exits 1; 124 is for bad flags *)
+      Cli.runtime_error ~prog:"levioso_fuzz"
+        (Printf.sprintf "%s: %d of %d corpus entries disagreed" dir (List.length bad)
+           (List.length results))
   end
 
 let record_anchors ~config ~dir specs =
@@ -191,10 +196,9 @@ let main seed iters time_budget jobs oracle_names corpus_dir no_persist
         else Campaign.print stdout report;
         if report.Campaign.failures = [] then `Ok ()
         else
-          `Error
-            ( false,
-              Printf.sprintf "%d oracle failure(s)"
-                (List.length report.Campaign.failures) )
+          Cli.runtime_error ~prog:"levioso_fuzz"
+            (Printf.sprintf "%d oracle failure(s)"
+               (List.length report.Campaign.failures))
       end)
 
 open Cmdliner

@@ -91,4 +91,5 @@ let maker ?annotation ?(track_data = true) () (config : Config.t) program pipe =
     on_squash;
     may_execute;
     explain;
+    recheck = Pipeline.On_resolve;
   }

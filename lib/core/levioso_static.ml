@@ -45,4 +45,5 @@ let maker (config : Config.t) program pipe =
     policy_name = "levioso-static";
     may_execute;
     explain;
+    recheck = Pipeline.On_resolve;
   }

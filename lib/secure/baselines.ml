@@ -8,7 +8,11 @@ let explain_branches ?(keep = fun _ -> true) pipe ~seq =
        (Pipeline.older_unresolved_branches pipe ~seq))
 
 let unsafe _config _program _pipe =
-  { Pipeline.always_execute_policy with policy_name = "unsafe" }
+  {
+    Pipeline.always_execute_policy with
+    policy_name = "unsafe";
+    recheck = Pipeline.On_resolve;
+  }
 
 let fence _config _program pipe =
   {
@@ -17,6 +21,7 @@ let fence _config _program pipe =
     may_execute =
       (fun ~seq -> not (Pipeline.exists_older_unresolved_branch pipe ~seq));
     explain = (fun ~seq -> explain_branches pipe ~seq);
+    recheck = Pipeline.On_resolve;
   }
 
 let delay _config _program pipe =
@@ -28,4 +33,5 @@ let delay _config _program pipe =
         (not (Pipeline.is_transmitter (Pipeline.instr_of pipe seq)))
         || not (Pipeline.exists_older_unresolved_branch pipe ~seq));
     explain = (fun ~seq -> explain_branches pipe ~seq);
+    recheck = Pipeline.On_resolve;
   }

@@ -29,4 +29,6 @@ let maker _config _program pipe =
     (* a refused access is a speculative L1 miss, hidden behind the older
        unresolved branches *)
     explain = Baselines.explain_branches pipe;
+    (* L1 contents change within an issue stage, as older loads fill *)
+    recheck = Pipeline.Every_cycle;
   }

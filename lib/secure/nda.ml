@@ -34,4 +34,7 @@ let maker _config _program pipe =
     policy_name = "nda";
     may_execute;
     explain;
+    (* a producer leaves quarantine when its older branches resolve or
+       it commits *)
+    recheck = Pipeline.On_resolve_or_commit;
   }

@@ -73,4 +73,6 @@ let maker (config : Config.t) _program pipe =
     on_commit;
     may_execute;
     explain;
+    (* a root binds when its older branches resolve or it commits *)
+    recheck = Pipeline.On_resolve_or_commit;
   }

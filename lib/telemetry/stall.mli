@@ -21,9 +21,11 @@
       charged to the fetch PC.
 
     The pipeline charges [Operand_wait] in bulk with {!charge_n}, once
-    per waiting episode, and settles the episodes still open whenever
-    its table is read; every other cause is charged cycle by cycle.
-    The totals are the same either way. *)
+    per waiting episode, and so are the [Policy_gate] and [Lsq_order]
+    cycles of an instruction it parked until the event its refusal or
+    its blocking store waits for; it settles the episodes still open
+    whenever its table is read.  Every other charge is made cycle by
+    cycle.  The totals are the same either way. *)
 
 type cause =
   | Policy_gate

@@ -7,6 +7,11 @@ type load_visibility =
   | Normal
   | Invisible
 
+type recheck =
+  | Every_cycle
+  | On_resolve
+  | On_resolve_or_commit
+
 type policy = {
   policy_name : string;
   on_decode : seq:int -> unit;
@@ -16,6 +21,7 @@ type policy = {
   may_execute : seq:int -> bool;
   load_visibility : seq:int -> load_visibility;
   explain : seq:int -> Audit.reason;
+  recheck : recheck;
 }
 
 let always_execute_policy =
@@ -28,6 +34,7 @@ let always_execute_policy =
     may_execute = (fun ~seq:_ -> true);
     load_visibility = (fun ~seq:_ -> Normal);
     explain = (fun ~seq:_ -> Audit.Unspecified);
+    recheck = Every_cycle;
   }
 
 type event =
@@ -69,6 +76,12 @@ let st_waiting = 0
 let st_inflight = 1
 let st_done = 2
 
+(* entry.held: what a waiting entry outside the ready queue waits for,
+   and so the cause its cycles are charged to in bulk *)
+let held_operand = 0  (* a source operand: Operand_wait *)
+let held_policy = 1  (* a lift of the policy's refusal: Policy_gate *)
+let held_store = 2  (* an older store's address: Lsq_order *)
+
 (* One open restriction episode (audit enabled only): captured at the
    first policy refusal, closed — one audit event — when the entry
    issues or is squashed. *)
@@ -103,10 +116,14 @@ type entry = {
   mutable started : bool;
   mutable is_miss : bool;  (* holds an MSHR while in flight *)
   mutable policy_stalled : bool;
-  (* Waiting entries are either in the ready queue ([queued]) or still
-     waiting on an operand, in which case [wait_from] is the first
-     issue-stage cycle not yet charged to [Operand_wait]. *)
+  (* Waiting entries are either in the ready queue ([queued]) or held
+     out of it until an event ([held]): an operand's completion, a lift
+     of the policy's refusal, or the issue of the store [blocker].  For
+     a held entry [wait_from] is the first issue-stage cycle not yet
+     charged to the held cause. *)
   mutable queued : bool;
+  mutable held : int;
+  mutable blocker : int;
   mutable wait_from : int;
   mutable gate : gate option;  (* open audit episode, audit enabled only *)
   (* flow tracing (enabled only): the entry's leak-graph node id (-1 =
@@ -193,14 +210,28 @@ type t = {
   (* Wakeup-driven issue.  [wake] row [p] holds the arena slots of the
      consumers that were waiting on the producer in slot [p] when they
      dispatched; the row is walked and cleared when that producer
-     completes.  Bits left by squashes and slot reuse are harmless: every
-     candidate is re-validated before it is queued.  [ready] holds the
-     seqs of the waiting, operand-ready entries, ascending, so issue
+     completes.  A store produces no register, so the row of a store's
+     slot holds instead the loads parked on it (see [parked]), walked
+     when it issues.  Bits left by squashes and slot reuse are harmless:
+     every candidate is re-validated before it is queued.  [ready] holds
+     the seqs of the waiting, operand-ready entries, ascending, so issue
      visits nothing else. *)
   wake : Slot_mask.t;
   ready : int array;
   mutable ready_len : int;
   mutable last_issue_cyc : int;  (* the last cycle that ran [issue] *)
+  (* Parked refusals.  Unless the policy rechecks every cycle, an entry
+     it refuses leaves [ready] for [parked] (ascending seqs), and all of
+     them return at the next issue stage after an event that can lift a
+     refusal ([lift]): a branch resolution (which any squash follows),
+     or a commit for [On_resolve_or_commit].  An approved load blocked
+     by an older store's unknown address leaves [ready] too, for that
+     store's [wake] row.  [order_blocker] is the store that the last
+     refused load was blocked by, -1 for a busy MSHR. *)
+  parked : int array;
+  mutable parked_len : int;
+  mutable lift : bool;
+  mutable order_blocker : int;
   (* In-flight stores, ascending, in a ring over [sq_head, sq_tail)
      indexed [land slot_mask]: memory disambiguation walks only these. *)
   sq : int array;
@@ -320,7 +351,6 @@ let arena_size t = t.slot_mask + 1
 let regs t = t.regs
 let mem t = t.memory
 let cycle t = t.cyc
-let stats t = t.stats
 let audit t = t.audit
 let hierarchy t = t.hierarchy
 let predictor t = t.predictor
@@ -437,35 +467,63 @@ let charge_entry t e cause =
   | Some f -> f ~cycle:t.cyc ~seq:e.seq ~pc:e.pc ~cause
   | None -> ()
 
-(* Operand waits are charged in bulk: readiness changes only in
-   [complete], which runs before [issue], so an entry not ready at
-   dispatch is charged [Operand_wait] in every issue stage from the
-   cycle after dispatch up to the one before it wakes.  [charge_wait]
-   settles the cycles [e.wait_from, upto) in one call; the stall tracer
-   still gets one callback per cycle, in ascending order.  The head
-   diagnostic is kept per cycle by [issue]. *)
+(* [n] cycles of policy refusal for [e]: the legacy counters and the
+   open audit episode, if any. *)
+let count_refusals t e n =
+  let s = t.stats in
+  s.Sim_stats.policy_stall_cycles <- s.Sim_stats.policy_stall_cycles + n;
+  if is_transmitter e.instr then
+    s.Sim_stats.transmit_stall_cycles <- s.Sim_stats.transmit_stall_cycles + n;
+  match e.gate with
+  | Some g -> g.g_cycles <- g.g_cycles + n
+  | None -> ()
+
+let held_cause h =
+  if h = held_operand then Stall.Operand_wait
+  else if h = held_policy then Stall.Policy_gate
+  else Stall.Lsq_order
+
+(* Held entries are charged in bulk.  The answer an entry is held on
+   changes only at the event it waits for: readiness in [complete],
+   which runs before [issue]; a refusal only at a lift; a store's
+   address only when the store issues.  So a held entry is charged its
+   held cause in every issue stage from the cycle after it was held up
+   to the one before its event, except the cycles [issue] charges a
+   parked refusal live.  [charge_wait] settles the cycles
+   [e.wait_from, upto) in one call; the stall tracer still gets one
+   callback per cycle, in ascending order.  The head diagnostic is kept
+   per cycle by [issue]. *)
 let charge_wait t e upto =
   let n = upto - e.wait_from in
   if n > 0 then begin
-    Stall.charge_n t.stall ~cause:Stall.Operand_wait ~pc:e.pc n;
+    let cause = held_cause e.held in
+    Stall.charge_n t.stall ~cause ~pc:e.pc n;
+    if e.held = held_policy then count_refusals t e n;
     (match t.stall_tracer with
     | Some f ->
       for c = e.wait_from to upto - 1 do
-        f ~cycle:c ~seq:e.seq ~pc:e.pc ~cause:Stall.Operand_wait
+        f ~cycle:c ~seq:e.seq ~pc:e.pc ~cause
       done
     | None -> ());
     e.wait_from <- upto
   end
 
-(* Settle every pending wait through the last issue stage, so a read
+(* Settle every held entry through the last issue stage, so a read
    sees exactly what per-cycle charging would have recorded.  Reading
    twice, or reading and running on, charges nothing twice. *)
-let stall_attribution t =
+let settle t =
   for seq = t.head_seq to t.tail_seq - 1 do
     let e = t.slots.(seq land t.slot_mask) in
     if e.st = st_waiting && not e.queued then charge_wait t e (t.last_issue_cyc + 1)
-  done;
+  done
+
+let stall_attribution t =
+  settle t;
   t.stall
+
+let stats t =
+  settle t;
+  t.stats
 
 let mask_addr t addr = addr land t.mem_mask
 
@@ -634,10 +692,10 @@ let flow_issue t e ~forward_seq ~touched_cache =
    explanation and classify necessity against the older unresolved
    branches standing at this moment — an instruction restricted while
    none of them is a true static branch dependency of its PC was
-   restricted unnecessarily. *)
-let audit_gate t a e seq =
+   restricted unnecessarily.  [count_refusals] counts its cycles. *)
+let audit_open t a e seq =
   match e.gate with
-  | Some g -> g.g_cycles <- g.g_cycles + 1
+  | Some _ -> ()
   | None ->
     let branch_pcs =
       List.map (fun s -> (entry_exn t s).pc) (older_unresolved_branches t ~seq)
@@ -647,7 +705,7 @@ let audit_gate t a e seq =
         {
           g_reason = t.policy.explain ~seq;
           g_necessary = Audit.necessary a ~pc:e.pc ~branch_pcs;
-          g_cycles = 1;
+          g_cycles = 0;
         }
 
 let audit_close t a e outcome =
@@ -717,7 +775,10 @@ let register_wakeup t e =
     end
   done;
   e.queued <- not !waiting;
-  if !waiting then e.wait_from <- t.cyc + 1
+  if !waiting then begin
+    e.held <- held_operand;
+    e.wait_from <- t.cyc + 1
+  end
   else begin
     t.ready.(t.ready_len) <- e.seq;
     t.ready_len <- t.ready_len + 1
@@ -831,10 +892,10 @@ let squash t ~boundary =
   emit_squashed t boundary (t.tail_seq - boundary - 1);
   for seq = t.tail_seq - 1 downto boundary + 1 do
     let e = t.slots.(seq land t.slot_mask) in
+    if e.st = st_waiting && not e.queued then charge_wait t e t.cyc;
     (match t.audit with
     | Some a -> audit_close t a e Audit.Squashed
     | None -> ());
-    if e.st = st_waiting && not e.queued then charge_wait t e t.cyc;
     (* undo this entry's rename; youngest first, so each register ends
        at the mapping it had when the boundary branch dispatched *)
     let d = def_reg e.instr in
@@ -867,6 +928,9 @@ let squash t ~boundary =
   done;
   while t.ready_len > 0 && t.ready.(t.ready_len - 1) > boundary do
     t.ready_len <- t.ready_len - 1
+  done;
+  while t.parked_len > 0 && t.parked.(t.parked_len - 1) > boundary do
+    t.parked_len <- t.parked_len - 1
   done;
   while t.sq_tail > t.sq_head && t.sq.((t.sq_tail - 1) land t.slot_mask) > boundary do
     t.sq_tail <- t.sq_tail - 1
@@ -921,15 +985,16 @@ let ready_insert t seq =
   t.ready_len <- t.ready_len + 1
 
 (* Producer [p] completed: visit only its wake row, lowest slot first,
-   and queue each candidate that is still a waiting, unqueued, in-flight
-   entry whose operands are now all ready. *)
+   and queue each candidate that is still an in-flight entry waiting on
+   an operand whose operands are now all ready. *)
 let wake_consumers t p =
   let row = p land t.slot_mask in
   let b = ref (Slot_mask.pop_min t.wake row) in
   while !b >= 0 do
     let c = t.slots.(!b) in
     if
-      in_flight t c.seq && c.st = st_waiting && (not c.queued) && operands_ready t c
+      in_flight t c.seq && c.st = st_waiting && (not c.queued)
+      && c.held = held_operand && operands_ready t c
     then begin
       charge_wait t c t.cyc;
       c.queued <- true;
@@ -940,6 +1005,7 @@ let wake_consumers t p =
 
 let resolve_branch t e =
   e.resolved <- true;
+  t.lift <- true;
   ub_remove t e.seq;
   let mispredicted = e.taken <> e.pred_taken in
   emit_resolved t e.seq e.pc ~taken:e.taken ~mispredicted;
@@ -1006,9 +1072,10 @@ let latency_of_alu t op =
 
 (* Conservative memory disambiguation: a load may issue only when every
    older in-flight store has a known address (i.e. has issued).  Result
-   coding: -2 blocked (unknown older store address), -1 ready with no
-   matching store, otherwise the youngest matching store's seq.  Walks
-   the store queue, oldest first, up to the load. *)
+   coding: -1 ready with no matching store, a seq [>= 0] the youngest
+   matching store's, and [-2 - s] blocked by [s], the oldest older
+   store whose address is unknown.  Walks the store queue, oldest
+   first, up to the load. *)
 let older_stores_scan t load_seq load_addr =
   let i = ref t.sq_head and youngest = ref (-1) in
   while !i < t.sq_tail do
@@ -1016,7 +1083,7 @@ let older_stores_scan t load_seq load_addr =
     let e = t.slots.(s land t.slot_mask) in
     if s >= load_seq then i := t.sq_tail
     else if not e.addr_known then begin
-      youngest := -2;
+      youngest := -2 - s;
       i := t.sq_tail
     end
     else begin
@@ -1066,7 +1133,10 @@ let try_issue t e =
   | Ir.Load _ ->
     let addr = mask_addr t (src_value t e 0 + src_value t e 1) in
     let store_seq = older_stores_scan t e.seq addr in
-    if store_seq = -2 then false
+    if store_seq < -1 then begin
+      t.order_blocker <- -2 - store_seq;
+      false
+    end
     else if store_seq >= 0 then begin
       e.addr <- addr;
       e.addr_known <- true;
@@ -1081,7 +1151,10 @@ let try_issue t e =
       let misses_l1 =
         Cache.Hierarchy.probe t.hierarchy addr <> Cache.Hierarchy.L1
       in
-      if misses_l1 && t.outstanding_misses >= t.cfg.Config.mshrs then false
+      if misses_l1 && t.outstanding_misses >= t.cfg.Config.mshrs then begin
+        t.order_blocker <- -1;
+        false
+      end
       else begin
         e.addr <- addr;
         e.addr_known <- true;
@@ -1118,7 +1191,7 @@ let load_order_blocked t e =
   | Ir.Load _ ->
     let addr = mask_addr t (src_value t e 0 + src_value t e 1) in
     let store_seq = older_stores_scan t e.seq addr in
-    if store_seq = -2 then true
+    if store_seq < -1 then true
     else if store_seq >= 0 then false
     else
       Cache.Hierarchy.probe t.hierarchy addr <> Cache.Hierarchy.L1
@@ -1127,17 +1200,94 @@ let load_order_blocked t e =
   | Ir.Halt ->
     false
 
+(* A refusal lifted: every parked refusal is settled through the last
+   cycle and merged back into [ready], both ascending, from the back. *)
+let lift_refusals t =
+  t.lift <- false;
+  let n = t.parked_len in
+  if n > 0 then begin
+    for k = 0 to n - 1 do
+      let e = t.slots.(t.parked.(k) land t.slot_mask) in
+      charge_wait t e t.cyc;
+      e.queued <- true
+    done;
+    let i = ref (t.ready_len - 1) and j = ref (n - 1) in
+    for w = t.ready_len + n - 1 downto 0 do
+      if !j >= 0 && (!i < 0 || t.parked.(!j) > t.ready.(!i)) then begin
+        t.ready.(w) <- t.parked.(!j);
+        decr j
+      end
+      else begin
+        t.ready.(w) <- t.ready.(!i);
+        decr i
+      end
+    done;
+    t.ready_len <- t.ready_len + n;
+    t.parked_len <- 0
+  end
+
+(* Hold [e] out of [ready] on [held] from the next cycle on; the issue
+   loop drops it from the queue. *)
+let hold t e held =
+  e.queued <- false;
+  e.held <- held;
+  e.wait_from <- t.cyc + 1
+
+let park_refusal t e =
+  hold t e held_policy;
+  let i = ref t.parked_len in
+  while !i > 0 && t.parked.(!i - 1) > e.seq do
+    t.parked.(!i) <- t.parked.(!i - 1);
+    decr i
+  done;
+  t.parked.(!i) <- e.seq;
+  t.parked_len <- t.parked_len + 1
+
+let park_on_store t e s =
+  hold t e held_store;
+  e.blocker <- s;
+  Slot_mask.add t.wake (s land t.slot_mask) (e.seq land t.slot_mask)
+
+(* Store [s] issued: the loads it held join [ready] behind the issue
+   cursor (they are younger), so this issue stage still visits them. *)
+let wake_loads t s =
+  let row = s.seq land t.slot_mask in
+  let b = ref (Slot_mask.pop_min t.wake row) in
+  while !b >= 0 do
+    let c = t.slots.(!b) in
+    if
+      in_flight t c.seq && c.st = st_waiting && (not c.queued)
+      && c.held = held_store && c.blocker = s.seq
+    then begin
+      charge_wait t c t.cyc;
+      c.queued <- true;
+      ready_insert t c.seq
+    end;
+    b := Slot_mask.pop_min t.wake row
+  done
+
 let issue t =
   (* Only the ready queue is visited, oldest first, so each operand-ready
      waiting entry is charged to exactly one stall cause unless it
-     issues; entries still waiting on an operand are charged in bulk
-     (see [charge_wait]).  Issue decisions (and the legacy policy-stall
-     counters) are confined to [budget > 0]: the policy is never
-     consulted for entries beyond the budget. *)
+     issues; held entries are charged in bulk (see [charge_wait]).
+     Issue decisions (and the legacy policy-stall counters) are confined
+     to [budget > 0]: the policy is never consulted for entries beyond
+     the budget.  Unless the policy rechecks every cycle, a refused
+     entry and an approved load blocked by a store are held until their
+     event: a refusal persists until a lift, and an approval never
+     reverts. *)
+  if t.lift then lift_refusals t;
+  let parks =
+    match t.policy.recheck with
+    | Every_cycle -> false
+    | On_resolve | On_resolve_or_commit -> true
+  in
   let budget = ref t.cfg.Config.issue_width in
+  let spent_at = ref max_int in
   let kept = ref 0 in
-  for i = 0 to t.ready_len - 1 do
-    let seq = t.ready.(i) in
+  let i = ref 0 in
+  while !i < t.ready_len do
+    let seq = t.ready.(!i) in
     let e = t.slots.(seq land t.slot_mask) in
     if !budget > 0 then begin
       if t.policy.may_execute ~seq then
@@ -1145,37 +1295,55 @@ let issue t =
           (match t.audit with
           | Some a -> audit_close t a e Audit.Issued
           | None -> ());
-          decr budget
+          decr budget;
+          if !budget = 0 then spent_at := seq;
+          match e.instr with
+          | Ir.Store _ -> wake_loads t e
+          | Ir.Alu _ | Ir.Load _ | Ir.Branch _ | Ir.Jump _ | Ir.Flush _
+          | Ir.Rdcycle _ | Ir.Halt ->
+            ()
         end
-        else charge_entry t e Stall.Lsq_order
+        else begin
+          charge_entry t e Stall.Lsq_order;
+          if parks && t.order_blocker >= 0 then park_on_store t e t.order_blocker
+        end
       else begin
         e.policy_stalled <- true;
-        t.stats.Sim_stats.policy_stall_cycles <-
-          t.stats.Sim_stats.policy_stall_cycles + 1;
-        if is_transmitter e.instr then
-          t.stats.Sim_stats.transmit_stall_cycles <-
-            t.stats.Sim_stats.transmit_stall_cycles + 1;
+        (match t.audit with
+        | Some a -> audit_open t a e seq
+        | None -> ());
+        count_refusals t e 1;
         charge_entry t e Stall.Policy_gate;
-        match t.audit with
-        | Some a -> audit_gate t a e seq
-        | None -> ()
+        if parks then park_refusal t e
       end
     end
     else if load_order_blocked t e then charge_entry t e Stall.Lsq_order
     else charge_entry t e Stall.Exec_port;
-    (* issued entries leave the queue *)
-    if e.st = st_waiting then begin
+    (* issued and held entries leave the queue *)
+    if e.st <> st_waiting then e.queued <- false;
+    if e.queued then begin
       t.ready.(!kept) <- seq;
       incr kept
-    end
-    else e.queued <- false
+    end;
+    incr i
   done;
   t.ready_len <- !kept;
   if t.head_seq < t.tail_seq then begin
     let h = t.slots.(t.head_seq land t.slot_mask) in
     if h.st = st_waiting && not h.queued then
-      t.head_stall_cause <- Stall.cause_index Stall.Operand_wait
+      t.head_stall_cause <- Stall.cause_index (held_cause h.held)
   end;
+  (* The width ran out: the issue loop would have reached the parked
+     refusals younger than the last issue without asking the policy. *)
+  let k = ref (t.parked_len - 1) in
+  while !k >= 0 && t.parked.(!k) > !spent_at do
+    let e = t.slots.(t.parked.(!k) land t.slot_mask) in
+    charge_wait t e t.cyc;
+    charge_entry t e
+      (if load_order_blocked t e then Stall.Lsq_order else Stall.Exec_port);
+    e.wait_from <- t.cyc + 1;
+    decr k
+  done;
   t.last_issue_cyc <- t.cyc
 
 (* --- commit --------------------------------------------------------- *)
@@ -1235,7 +1403,11 @@ let commit t =
   do
     commit_one t t.slots.(t.head_seq land t.slot_mask);
     decr budget
-  done
+  done;
+  if !budget < t.cfg.Config.commit_width then
+    match t.policy.recheck with
+    | On_resolve_or_commit -> t.lift <- true
+    | Every_cycle | On_resolve -> ()
 
 (* --- top level ------------------------------------------------------ *)
 
@@ -1278,7 +1450,8 @@ let run_loop ~max_cycles ~deadlock_window ~stop t =
                 else Some (Stall.cause_of_index t.head_stall_cause));
              dl_recent_events = recent_events t;
            })
-  done
+  done;
+  settle t
 
 let run ?(max_cycles = 100_000_000) ?(deadlock_window = 100_000) t =
   run_loop ~max_cycles ~deadlock_window ~stop:(fun () -> false) t
@@ -1357,6 +1530,8 @@ let restart t ~regs ~pc =
   done;
   t.ready_len <- 0;
   t.last_issue_cyc <- -1;
+  t.parked_len <- 0;
+  t.lift <- false;
   t.sq_head <- 0;
   t.sq_tail <- 0;
   (match t.flow with
@@ -1441,6 +1616,8 @@ let create ?(mem_init = fun _ -> ()) ?audit ?memory ?hierarchy
               is_miss = false;
               policy_stalled = false;
               queued = false;
+              held = held_operand;
+              blocker = -1;
               wait_from = 0;
               gate = None;
               fi_id = -1;
@@ -1473,6 +1650,10 @@ let create ?(mem_init = fun _ -> ()) ?audit ?memory ?hierarchy
       ready = Array.make rob 0;
       ready_len = 0;
       last_issue_cyc = -1;
+      parked = Array.make rob 0;
+      parked_len = 0;
+      lift = false;
+      order_blocker = -1;
       sq = Array.make arena 0;
       sq_head = 0;
       sq_tail = 0;

@@ -10,7 +10,9 @@
       single-cycle squash recovery;
     - a unified ROB/issue window: any operand-ready instruction may begin
       execution, subject to the active {e policy}'s [may_execute] gate —
-      this gate is where every defense in the paper plugs in;
+      this gate is where every defense in the paper plugs in — which is
+      asked again only when the policy's [recheck] says its answer can
+      have changed;
     - a conservative LSQ: loads wait until all older store addresses are
       known, with store-to-load forwarding (no memory-dependence
       speculation, hence no Spectre-v4 surface);
@@ -27,9 +29,11 @@ type t
 
     A policy is a record of callbacks invoked by the pipeline.  Policies
     identify in-flight instructions by their {e sequence number} (unique,
-    monotonically increasing).  [may_execute] is consulted each cycle for
-    every operand-ready instruction before it is allowed to begin
-    execution. *)
+    monotonically increasing).  [may_execute] is consulted for an
+    operand-ready instruction before it is allowed to begin execution:
+    in every issue stage that reaches it within the issue width, or,
+    after a refusal, only once an event named by the policy's [recheck]
+    has happened. *)
 
 type load_visibility =
   | Normal  (** the access updates cache state (fills, LRU) as usual *)
@@ -37,6 +41,29 @@ type load_visibility =
       (** the access is served at its current latency without mutating any
           cache state — no fill, no LRU update.  This is how delay-on-miss
           serves speculative L1 hits: correct data, no footprint. *)
+
+type recheck =
+  | Every_cycle
+      (** ask again in every issue stage: the answer may change at any
+          time, even within one issue stage (a policy that reads cache
+          contents, which loads issued earlier in the same stage
+          change) *)
+  | On_resolve
+      (** a refusal can lift only when a branch resolves (a squash
+          follows only a resolution) *)
+  | On_resolve_or_commit
+      (** a refusal can lift only when a branch resolves or an
+          instruction commits *)
+(** When a [may_execute] refusal can turn into an approval.  Unless it
+    is [Every_cycle], the pipeline relies on two invariants of the
+    policy: a refusal holds until the next such event (events are
+    applied at the next issue stage, which follows that cycle's commit
+    and branch resolution), and an approval never reverts.  It then
+    parks a refused instruction until the event, and an approved load
+    blocked by an older store until that store issues, without asking
+    again; the results are the same as under [Every_cycle], and only
+    the number of [may_execute] calls drops.  A policy for which the
+    invariants do not hold must use [Every_cycle]. *)
 
 type policy = {
   policy_name : string;
@@ -54,6 +81,10 @@ type policy = {
           restriction episode, at the first refusal) only when auditing
           is enabled, so it may allocate.  Policies with no better
           answer inherit [Unspecified] from {!always_execute_policy}. *)
+  recheck : recheck;
+      (** when a refusal can lift; {!always_execute_policy} has
+          [Every_cycle], so a policy that does not set it is asked in
+          every issue stage *)
 }
 
 type policy_maker = Config.t -> Levioso_ir.Ir.program -> t -> policy
@@ -145,7 +176,14 @@ val halted : t -> bool
 val regs : t -> int array
 val mem : t -> int array
 val cycle : t -> int
+
 val stats : t -> Sim_stats.t
+(** The run's counters, after settling the parked refusals' pending
+    cycles into [policy_stall_cycles] and [transmit_stall_cycles] the
+    way {!stall_attribution} settles its table; {!run} and
+    {!run_until_committed} settle on return too, so a record held
+    across them is current after each. *)
+
 val hierarchy : t -> Cache.Hierarchy.h
 val predictor : t -> Predictor.t
 val config : t -> Config.t
@@ -169,12 +207,18 @@ val stall_attribution : t -> Levioso_telemetry.Stall.t
 
     [Operand_wait] cycles are charged in bulk, not per cycle: when the
     instruction wakes, when it is squashed, or when this function is
-    called.  A call first settles every pending wait through the last
+    called.  So are the [Policy_gate] cycles of a parked refusal and
+    the [Lsq_order] cycles of a load parked on an older store (see
+    {!recheck}): when the refusal lifts or the store issues, when the
+    instruction is squashed (before its audit episode closes), or on a
+    read; an issue stage whose width ran out charges a parked refusal
+    younger than its last issue live, like any instruction beyond the
+    width.  A call first settles every pending charge through the last
     cycle that ran an issue stage, so the table it returns is exactly
     the per-cycle one at any cycle boundary.  Calling it again, or
     calling it and running on, counts nothing twice.  Read the table
     through this function after running: a table held across
-    {!step}s lacks the waits still pending at the time of the read. *)
+    {!step}s lacks the charges still pending at the time of the read. *)
 
 val audit : t -> Levioso_telemetry.Audit.t option
 (** The restriction-provenance recorder passed to {!create}, if any. *)
@@ -280,14 +324,17 @@ val set_stall_tracer :
     is what timeline rendering uses to label gated instructions.  Zero
     cost when not installed.
 
-    Callback order: [Policy_gate], [Lsq_order] and [Exec_port] arrive
-    during the cycle they are charged in.  [Operand_wait] callbacks are
-    deferred to the flush that charges them (see {!stall_attribution}),
-    so they arrive late, with [cycle] naming the cycle charged, not the
-    current one.  For any one instruction all callbacks still arrive in
-    ascending cycle order, and all of them have arrived by the time it
-    issues or is squashed; across instructions the order is not
-    cycle order. *)
+    Callback order: [Exec_port], and the first [Policy_gate] or
+    [Lsq_order] of a refusal or a blocked load, arrive during the cycle
+    they are charged in.  [Operand_wait] callbacks, and the
+    [Policy_gate] and [Lsq_order] callbacks of a parked instruction,
+    are deferred to the settlement that charges them (see
+    {!stall_attribution}), so they arrive late, with [cycle] naming the
+    cycle charged, not the current one.  For any one instruction all
+    callbacks still arrive in ascending cycle order, and all of them
+    have arrived by the time it issues or is squashed, or the table or
+    the counters are read; across instructions the order is not cycle
+    order. *)
 
 val set_flow_tracer :
   t ->

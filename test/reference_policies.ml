@@ -121,6 +121,7 @@ module Levioso = struct
       may_execute;
       load_visibility = (fun ~seq:_ -> Pipeline.Normal);
       explain;
+      recheck = Pipeline.Every_cycle;
     }
 end
 
@@ -226,5 +227,6 @@ module Stt = struct
       may_execute;
       load_visibility = (fun ~seq:_ -> Pipeline.Normal);
       explain;
+      recheck = Pipeline.Every_cycle;
     }
 end

@@ -223,6 +223,28 @@ let test_input_errors () =
     "an empty corpus replays nothing" (0, [ "no .levir files under " ^ empty ])
     (run "levioso_fuzz.exe" [ "--replay"; empty ]);
   Sys.rmdir empty;
+  (* a replayed entry whose recorded verdict no longer holds is a failed
+     run, not a bad flag: exit 1 and one stderr line naming the corpus *)
+  let flipped = Filename.concat dir "flipped" in
+  Sys.mkdir flipped 0o755;
+  let entry = Filename.concat flipped "arch-diff-seed1001.levir" in
+  In_channel.with_open_bin "../fuzz/corpus/arch-diff-seed1001.levir" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.map (fun l -> if l = "; verdict: pass" then "; verdict: fail" else l)
+  |> String.concat "\n"
+  |> fun text -> Out_channel.with_open_bin entry (fun oc -> output_string oc text);
+  (match run_program ~tmp:dir "bin/levioso_fuzz.exe" [ "--replay"; flipped ] with
+  | 1, out, [ line ] ->
+    Alcotest.(check string) "a flipped entry: the line names the corpus"
+      ("levioso_fuzz: " ^ flipped ^ ": 1 of 1 corpus entries disagreed")
+      line;
+    Alcotest.(check bool) "a flipped entry: stdout names the entry" true
+      (String.starts_with ~prefix:("FAIL " ^ entry ^ ": ") out)
+  | rc, _, lines ->
+    Alcotest.failf "levioso_fuzz --replay of a flipped entry: exit %d: %s" rc
+      (String.concat " | " lines));
+  Sys.remove entry;
+  Sys.rmdir flipped;
   let good_lev = file "good.lev" "fn main() {\n  store(64, 7);\n}\n" in
   Alcotest.(check (pair int (list string))) "a good program exits 0" (0, [])
     (run "levioso_cc.exe" [ good_lev; "--run" ]);

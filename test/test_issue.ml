@@ -1,7 +1,8 @@
 (* The issue stage is wakeup-driven and charges operand waits in bulk,
-   so the stall table is only complete after a flush.  These tests pin
-   its contents to values recorded before that change and check that
-   reading it is idempotent at any cycle.  The quick pass also pins each
+   and so the refusals and store-blocked loads it parks, so the stall
+   table is only complete after a flush.  These tests pin its contents
+   to values recorded before those changes, check that reading it is
+   idempotent at any cycle, and that parking changes no result.  The quick pass also pins each
    cell's cache counters and, per policy, what its cells allocate
    (golden_alloc_quick.txt); [Engine.run_cell] must report the pinned
    cycles too.  Together with bench/history/baseline-quick.json these
@@ -13,6 +14,7 @@ module Cache = Levioso_uarch.Cache
 module Sampler = Levioso_uarch.Sampler
 module Sim_stats = Levioso_uarch.Sim_stats
 module Stall = Levioso_telemetry.Stall
+module Audit = Levioso_telemetry.Audit
 module Hostprof = Levioso_telemetry.Hostprof
 module Json = Levioso_telemetry.Json
 module Registry = Levioso_core.Registry
@@ -313,6 +315,93 @@ let test_tracer_matches_table () =
         Stall.all_causes)
     [ ("pchase", "levioso"); ("stream", "fence"); ("compact", "dom") ]
 
+(* The same policy record, asked in every issue stage: the pipeline
+   then parks nothing. *)
+let every_cycle maker cfg program pipe =
+  { (maker cfg program pipe) with Pipeline.recheck = Pipeline.Every_cycle }
+
+(* One audited run of at most [cycles] cycles: its summary with the full
+   per-PC stall table, and per seq the count and a rolling hash of its
+   stall-tracer callbacks in arrival order (seqs are reused after
+   squashes, so a seq's list runs across its instances). *)
+let traced_run ~cycles workload policy maker =
+  let w = Catalog.find_workload_exn workload in
+  let audit = Audit.create () in
+  let pipe =
+    Pipeline.create ~mem_init:w.Workload.mem_init ~audit Config.default ~policy:maker
+      w.Workload.program
+  in
+  let count = ref (Array.make 4096 0) and hash = ref (Array.make 4096 0) in
+  Pipeline.set_stall_tracer pipe (fun ~cycle ~seq ~pc:_ ~cause ->
+      if seq >= Array.length !count then begin
+        let grow a = Array.append a (Array.make (Array.length a) 0) in
+        count := grow !count;
+        hash := grow !hash
+      end;
+      !count.(seq) <- !count.(seq) + 1;
+      !hash.(seq) <- (!hash.(seq) * 31) + (cycle * 8) + Stall.cause_index cause);
+  while (not (Pipeline.halted pipe)) && Pipeline.cycle pipe < cycles do
+    Pipeline.step pipe
+  done;
+  (* the summary's read settles what is pending, callbacks included *)
+  let summary = Json.to_string (Summary.of_pipeline ~workload ~policy ~top_k:max_int pipe) in
+  let n = Pipeline.next_seq pipe in
+  (summary, Array.sub !count 0 n, Array.sub !hash 0 n)
+
+(* Parking is exact: every policy parks what it refuses, and loads
+   blocked by a store, exactly when asking again could not have changed
+   the answer, so overriding it to be asked every cycle changes no
+   number, no stall charge and no audit episode.  Each cell runs its
+   first 60k cycles (the shortest runs 104k), long past warm-up, which
+   keeps the test cheap; the summary is read mid-run, where parked
+   charges are still pending. *)
+let test_parking_exact () =
+  List.iter
+    (fun workload ->
+      List.iter
+        (fun policy ->
+          let maker = Registry.find_exn policy in
+          let where = workload ^ "/" ^ policy in
+          let run = traced_run ~cycles:60_000 workload policy in
+          let summary, count, hash = run maker in
+          let summary', count', hash' = run (every_cycle maker) in
+          Alcotest.(check string) (where ^ " summary") summary' summary;
+          Alcotest.(check (array int)) (where ^ " callbacks per seq") count' count;
+          Alcotest.(check bool) (where ^ " callback order per seq") true (hash = hash'))
+        Registry.names)
+    [ "histogram"; "graph"; "stream" ];
+  let w = Catalog.find_workload_exn "stream-xl" in
+  let spec = { Sampler.interval = 5000; warmup = 2000; period = 20 } in
+  let sampled maker =
+    Json.to_string
+      (Summary.of_sampled ~top_k:max_int
+         (Sampler.run ~mem_init:w.Workload.mem_init spec Config.default ~policy:maker
+            w.Workload.program))
+  in
+  let maker = Registry.find_exn "levioso" in
+  Alcotest.(check string) "stream-xl/levioso sampled" (sampled (every_cycle maker))
+    (sampled maker)
+
+(* Reading the counters settles parked refusals the way reading the
+   table does: after every cycle they agree on the policy-gate total. *)
+let test_parked_stats_settle () =
+  let w = Catalog.find_workload_exn "stream" in
+  List.iter
+    (fun policy ->
+      let pipe =
+        Pipeline.create ~mem_init:w.Workload.mem_init Config.default
+          ~policy:(Registry.find_exn policy) w.Workload.program
+      in
+      while not (Pipeline.halted pipe) do
+        Pipeline.step pipe;
+        let gated = (Pipeline.stats pipe).Sim_stats.policy_stall_cycles in
+        let charged = Stall.count (Pipeline.stall_attribution pipe) Stall.Policy_gate in
+        if gated <> charged then
+          Alcotest.failf "stream/%s cycle %d: policy_stall_cycles %d, policy_gate %d"
+            policy (Pipeline.cycle pipe) gated charged
+      done)
+    [ "fence"; "stt" ]
+
 (* Draining a wake row: lowest set bit first, across word boundaries,
    leaving the row empty. *)
 let test_pop_min () =
@@ -354,6 +443,10 @@ let suite =
         test_sampled_cache_counters;
       Alcotest.test_case "stall tracer matches the table" `Quick
         test_tracer_matches_table;
+      Alcotest.test_case "parked refusals: same results as every-cycle" `Quick
+        test_parking_exact;
+      Alcotest.test_case "parked refusals: stats settle like the table" `Quick
+        test_parked_stats_settle;
       Alcotest.test_case "wake rows drain lowest bit first" `Quick test_pop_min;
       Alcotest.test_case "pop_min finds every bit position" `Quick
         test_pop_min_each_position;

@@ -222,11 +222,12 @@ let test_flush_makes_reload_slow () =
   Alcotest.(check bool) "reload after flush is slow" true
     ((Pipeline.regs pipe).(5) >= small_config.Config.memory_latency)
 
-let test_deadlock_detection () =
+let deadlock_detection recheck =
   let gate_everything _cfg _program _pipe =
     { Pipeline.always_execute_policy with
       policy_name = "gate-everything";
-      may_execute = (fun ~seq:_ -> false)
+      may_execute = (fun ~seq:_ -> false);
+      recheck
     }
   in
   let program = Parser.parse_exn "add r1, r1, #1\nhalt" in
@@ -259,6 +260,11 @@ let test_deadlock_detection () =
       (contains "policy_gate" msg);
     Alcotest.(check bool) "message names the policy" true
       (contains "gate-everything" msg)
+
+(* Asked every cycle or parked after its first refusal, the gated head
+   is named the same way. *)
+let test_deadlock_detection () =
+  List.iter deadlock_detection [ Pipeline.Every_cycle; Pipeline.On_resolve ]
 
 let test_tiny_rob () =
   let config = { small_config with Config.rob_size = 4 } in
