@@ -15,13 +15,17 @@
      levioso_report MATRIX.json [-o report.html] [--leak-trace LEAK.json]
          Render the matrix as a self-contained HTML report (inline SVG,
          no external resources).  LEAK.json is decoded by
-         Summary.leak_of_json: a malformed one exits 2 naming the file.
+         Summary.leak_of_json: a malformed one exits 1 naming the file.
 
    MATRIX.json is a runs document (levioso_sim --json, bench --json) or
    a BENCH_matrix.json trajectory (its default-config cells, cycles
    only); both modes read it through Summary.read_runs, so a sampled
-   run counts its estimated cycles, and input that does not decode
-   exits 2 naming the file.
+   run counts its estimated cycles.
+
+   An input that does not read or decode, a --dashboard directory with
+   no segments and an output that cannot be written exit 1 with one
+   stderr line naming the path; a missing or extra file argument is a
+   usage error and exits 124.
 
    Performance regressions are not this tool's business: tier-1 pins
    every quick cell's cycles and each policy's allocation exactly, and
@@ -35,18 +39,17 @@ module Summary = Levioso_uarch.Summary
 module Html_report = Levioso_uarch.Html_report
 module Dashboard = Levioso_uarch.Dashboard
 module Diff_report = Levioso_uarch.Diff_report
+module Cli = Levioso_cli.Cli
 
-let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("levioso_report: " ^ msg); exit 2) fmt
+let die fmt = Printf.ksprintf (Cli.runtime_error ~prog:"levioso_report") fmt
 
 let read_json path =
-  match open_in_bin path with
-  | exception Sys_error msg -> die "%s" msg
-  | ic ->
-    let body = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    (match Json.of_string body with
-    | Ok j -> j
-    | Error msg -> die "%s: %s" path msg)
+  let parse body =
+    Result.map_error (Printf.sprintf "%s: %s" path) (Json.of_string body)
+  in
+  match Result.bind (Cli.read_input path) parse with
+  | Ok j -> j
+  | Error msg -> die "%s" msg
 
 let read_runs path j =
   match Summary.read_runs j with
@@ -97,11 +100,12 @@ let mode_diff policy baseline workload top_k as_json path =
       diffs;
   0
 
-(* Write a rendered page to [out], or exit 2 with [what]'s error. *)
+(* Write a rendered page to [out], or exit 1 with [what]'s error. *)
 let write_html out what = function
   | Error msg -> die "%s: %s" what msg
   | Ok html ->
-    Out_channel.with_open_bin out (fun oc -> output_string oc html);
+    (try Out_channel.with_open_bin out (fun oc -> output_string oc html)
+     with Sys_error msg -> die "%s" msg);
     Printf.printf "wrote %s (%d bytes)\n" out (String.length html);
     0
 
@@ -130,16 +134,16 @@ let main files diff baseline workload top_k as_json out title leak_trace
     dashboard =
   match (diff, dashboard, files) with
   | Some policy, _, [ path ] ->
-    mode_diff policy baseline workload top_k as_json path
-  | Some _, _, _ -> die "--diff needs exactly one matrix file"
+    `Ok (mode_diff policy baseline workload top_k as_json path)
+  | Some _, _, _ -> `Error (false, "--diff needs exactly one matrix file")
   | None, Some dir, [] ->
     let title =
       if title = "Levioso report" then "Levioso serve dashboard" else title
     in
-    mode_dashboard dir out title
-  | None, Some _, _ -> die "--dashboard takes no positional files"
-  | None, None, [ path ] -> mode_render path out title leak_trace
-  | None, None, _ -> die "expected one matrix file (try --help)"
+    `Ok (mode_dashboard dir out title)
+  | None, Some _, _ -> `Error (false, "--dashboard takes no positional files")
+  | None, None, [ path ] -> `Ok (mode_render path out title leak_trace)
+  | None, None, _ -> `Error (false, "expected one matrix file")
 
 open Cmdliner
 
@@ -211,8 +215,9 @@ let cmd =
   let info = Cmd.info "levioso_report" ~doc in
   Cmd.v info
     Term.(
-      const main $ files_arg $ diff_arg $ baseline_arg $ workload_arg
-      $ top_k_arg $ json_arg $ out_arg $ title_arg $ leak_trace_arg
-      $ dashboard_arg)
+      ret
+        (const main $ files_arg $ diff_arg $ baseline_arg $ workload_arg
+        $ top_k_arg $ json_arg $ out_arg $ title_arg $ leak_trace_arg
+        $ dashboard_arg))
 
 let () = exit (Cmd.eval' cmd)

@@ -35,8 +35,9 @@ val reset : t -> unit
 (** {1 Snapshots}
 
     Full microarchitectural state capture (tags + LRU order) for
-    checkpointed simulation: a snapshot of a warmed cache seeds the
-    detailed tier of the two-tier engine. *)
+    checkpointed simulation: restored into a cache, a snapshot of a
+    warmed one lets a detailed pipeline resume from the captured
+    state. *)
 
 type snapshot
 

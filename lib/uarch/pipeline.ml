@@ -1462,18 +1462,11 @@ let run_until_committed ?(max_cycles = 100_000_000) ?(deadlock_window = 100_000)
     ~stop:(fun () -> t.stats.Sim_stats.committed >= target)
     t
 
-let check_start what t ~regs ~pc =
+let check_start t ~regs ~pc =
   if Array.length regs <> Ir.num_regs then
-    invalid_arg (Printf.sprintf "Pipeline.%s: bad register file size" what);
+    invalid_arg "Pipeline.restart: bad register file size";
   if pc < 0 || pc >= Array.length t.program then
-    invalid_arg (Printf.sprintf "Pipeline.%s: pc %d out of range" what pc)
-
-let warm_start t ~regs ~pc =
-  if t.cyc <> 0 || t.tail_seq <> 0 then
-    invalid_arg "Pipeline.warm_start: pipeline has already run";
-  check_start "warm_start" t ~regs ~pc;
-  Array.blit regs 0 t.regs 0 Ir.num_regs;
-  t.fetch_pc <- pc
+    invalid_arg (Printf.sprintf "Pipeline.restart: pc %d out of range" pc)
 
 (* Smallest power of two strictly greater than the largest latency any
    instruction can be scheduled with (all latencies come from the config,
@@ -1501,16 +1494,16 @@ let pow2_at_least n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1
 
-(* Every dynamic field back to what [create] + [warm_start] leave, in
-   place, then a fresh policy from the stored maker.  The ROB
-   arena, [value_buf] and the queue bodies keep stale contents, as they
-   do from one instruction to the next: dispatch rewrites a slot before
-   anything reads it, a value is buffered at completion before any
-   consumer reads it, and the queues are read only below their lengths.
-   The adopted memory, hierarchy and predictor, the installed observers
-   and the flow tracer's node numbering carry over. *)
+(* Every dynamic field back to what [create] leaves, in place, starting
+   from [regs] and [pc], then a fresh policy from the stored maker.  The
+   ROB arena, [value_buf] and the queue bodies keep stale contents, as
+   they do from one instruction to the next: dispatch rewrites a slot
+   before anything reads it, a value is buffered at completion before
+   any consumer reads it, and the queues are read only below their
+   lengths.  The adopted memory, hierarchy and predictor, the installed
+   observers and the flow tracer's node numbering carry over. *)
 let restart t ~regs ~pc =
-  check_start "restart" t ~regs ~pc;
+  check_start t ~regs ~pc;
   Array.fill t.rename 0 (Array.length t.rename) (-1);
   Array.blit regs 0 t.regs 0 Ir.num_regs;
   t.head_seq <- 0;

@@ -128,9 +128,8 @@ val create :
     {!mem} returns it to callers that read it after the run, often with
     a second pipeline alive in the same domain (the fuzz oracles'
     observations, the attack harness, [Levioso_api]'s emulator check,
-    tests comparing two runs' memories), and [Checkpoint.to_pipeline]
-    hands out pipelines that must not alias one another.  A reused
-    buffer would make those pipelines share one image. *)
+    tests comparing two runs' memories).  A reused buffer would make
+    those pipelines share one image. *)
 
 val step : t -> unit
 (** Advance one cycle. *)
@@ -148,15 +147,11 @@ val run_until_committed : ?max_cycles:int -> ?deadlock_window:int -> t -> int ->
     may commit past [n]; callers account with actual
     [Sim_stats.committed] deltas.  Same exceptions as {!run}. *)
 
-val warm_start : t -> regs:int array -> pc:int -> unit
-(** Seed architectural state before the first cycle: copy [regs] into
-    the register file and point fetch at [pc].  For resuming from a
-    checkpoint; @raise Invalid_argument once the pipeline has run. *)
-
 val restart : t -> regs:int array -> pc:int -> unit
 (** Reuse a pipeline for a new run from [regs] and [pc]: the same as a
     fresh {!create} adopting this pipeline's memory, hierarchy and
-    predictor, followed by {!warm_start}, without allocating the window.
+    predictor, with [regs] as its register file and fetch starting at
+    [pc], without allocating the window.
     Every dynamic field is reset in place — window, counters and cycle,
     completion wheel, wake rows, ready, store and branch queues, rename
     table, event ring — and {!stats} and
@@ -191,8 +186,8 @@ val config : t -> Config.t
 val arch_pc : t -> int
 (** The architectural PC: the next-to-commit instruction's PC, or the
     fetch PC when the window is empty (an empty window has no unresolved
-    branches, so fetch is on the correct path).  This is where a
-    checkpoint handoff resumes the fast tier. *)
+    branches, so fetch is on the correct path).  This is where the
+    sampled engine's handoff resumes the fast tier. *)
 
 val stall_attribution : t -> Levioso_telemetry.Stall.t
 (** Per-cycle, per-static-PC stall attribution.  Every cycle, each

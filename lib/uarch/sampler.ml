@@ -45,37 +45,6 @@ type result = {
   spec : spec;
 }
 
-(* Functional update on an all-mutable record is still a copy. *)
-let stats_copy (s : Sim_stats.t) = { s with Sim_stats.cycles = s.Sim_stats.cycles }
-
-(* a - b, fieldwise; the wrong-path pair list is not meaningfully
-   subtractable and comes back empty (its count is). *)
-let stats_delta (a : Sim_stats.t) (b : Sim_stats.t) =
-  {
-    Sim_stats.cycles = a.Sim_stats.cycles - b.Sim_stats.cycles;
-    committed = a.committed - b.committed;
-    committed_loads = a.committed_loads - b.committed_loads;
-    committed_stores = a.committed_stores - b.committed_stores;
-    committed_branches = a.committed_branches - b.committed_branches;
-    committed_transmitters = a.committed_transmitters - b.committed_transmitters;
-    fetched = a.fetched - b.fetched;
-    squashed = a.squashed - b.squashed;
-    mispredicts = a.mispredicts - b.mispredicts;
-    policy_stall_cycles = a.policy_stall_cycles - b.policy_stall_cycles;
-    transmit_stall_cycles = a.transmit_stall_cycles - b.transmit_stall_cycles;
-    restricted_committed = a.restricted_committed - b.restricted_committed;
-    restricted_transmitters =
-      a.restricted_transmitters - b.restricted_transmitters;
-    wrong_path_executed_loads =
-      a.wrong_path_executed_loads - b.wrong_path_executed_loads;
-    wrong_path_transmits = [];
-    wrong_path_transmit_count =
-      a.wrong_path_transmit_count - b.wrong_path_transmit_count;
-    wrong_path_transmits_dropped =
-      a.wrong_path_transmits_dropped - b.wrong_path_transmits_dropped;
-    max_rob_occupancy = a.max_rob_occupancy;
-  }
-
 (* Functional warming: mirror exactly the microarchitectural state
    mutations the detailed pipeline performs on the committed path — cache
    fills on loads (plus the next-line prefetcher), write-allocate at
@@ -130,31 +99,24 @@ let run ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
   let detailed_instrs = ref 0 in
   let detailed_cycles = ref 0 in
   let period_instrs = spec.period * spec.interval in
-  (* One interval pipeline per run, restarted at each later interval. *)
-  let pipe = ref None in
+  (* One interval pipeline per run.  The first interval starts where
+     the emulator does, at pc 0 with zeroed registers, which is a fresh
+     pipeline's own state; every later one, past instruction 0,
+     restarts it. *)
+  let pipe = Pipeline.create ~memory ~hierarchy ~predictor cfg ~policy program in
   while not emu.Emulator.halted do
     if emu.Emulator.retired > fuel then raise Emulator.Out_of_fuel;
     (* Detailed interval at the head of each period: adopt the warmed
        memory/cache/predictor in place, warm the pipeline structures for
        [warmup] instructions (discarded), measure [interval]
        instructions, then hand the architectural state back. *)
-    let pipe =
-      match !pipe with
-      | Some p ->
-        Pipeline.restart p ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
-        p
-      | None ->
-        let p = Pipeline.create ~memory ~hierarchy ~predictor cfg ~policy program in
-        Pipeline.warm_start p ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
-        pipe := Some p;
-        p
-    in
+    if emu.Emulator.retired > 0 then
+      Pipeline.restart pipe ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
     let st = Pipeline.stats pipe in
     if spec.warmup > 0 then Pipeline.run_until_committed pipe spec.warmup;
-    let before = stats_copy st in
-    Pipeline.run_until_committed pipe
-      (before.Sim_stats.committed + spec.interval);
-    let d = stats_delta st before in
+    let cycles0 = st.Sim_stats.cycles and committed0 = st.Sim_stats.committed in
+    Pipeline.run_until_committed pipe (committed0 + spec.interval);
+    let committed = st.Sim_stats.committed - committed0 in
     (* Pool stats and stall attribution over the same span — the whole
        detailed portion, warmup included — so the summary's stall
        breakdown keeps its sum/policy_gate invariants against the stats
@@ -162,8 +124,8 @@ let run ?(mem_init = fun (_ : int array) -> ()) ?(fuel = 1_000_000_000)
        deltas. *)
     Sim_stats.accumulate pooled st;
     Stall.accumulate stall (Pipeline.stall_attribution pipe);
-    if d.Sim_stats.committed > 0 then
-      samples := (d.Sim_stats.cycles, d.Sim_stats.committed) :: !samples;
+    if committed > 0 then
+      samples := (st.Sim_stats.cycles - cycles0, committed) :: !samples;
     detailed_instrs := !detailed_instrs + st.Sim_stats.committed;
     detailed_cycles := !detailed_cycles + st.Sim_stats.cycles;
     (* Architectural handoff: committed registers, next-to-commit PC.

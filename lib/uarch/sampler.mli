@@ -4,12 +4,16 @@
     {!Levioso_ir.Emulator.run_steps} while keeping the long-lived
     microarchitectural state — cache hierarchy and branch predictor —
     functionally warm through the emulator's observation hooks.  At the
-    head of every sampling period the detailed tier takes over: a
-    {!Pipeline} {e adopting} the shared memory, hierarchy and predictor
-    in place (created for the first interval, {!Pipeline.restart}ed for
-    every later one) runs [warmup] instructions to fill the
+    head of every sampling period the detailed tier takes over: one
+    {!Pipeline} per run, {e adopting} the shared memory, hierarchy and
+    predictor in place, runs [warmup] instructions to fill the
     short-lived structures (ROB, LSQ, in-flight misses), then measures
-    [interval] instructions in full cycle-level detail.  Total cycles are
+    [interval] instructions in full cycle-level detail.  The run creates
+    that pipeline once: the first interval starts at instruction 0 with
+    zeroed registers, which is a fresh pipeline's state, and every later
+    interval {!Pipeline.restart}s it from the emulator's registers and
+    PC.  An interval is measured by its [cycles] and [committed]
+    counters alone.  Total cycles are
     extrapolated from the instruction-weighted CPI of the measured
     intervals, with a 95%-confidence error bound from their dispersion.
 
@@ -71,8 +75,7 @@ val warming_hooks :
 (** The fast tier's functional-warming observation hooks: cache fills on
     loads (plus the next-line prefetcher mirror), write-allocate at
     stores, flushes, and committed-path predictor training.  Exposed so
-    checkpoint users (and tests) can warm exactly the way the sampled
-    engine does. *)
+    tests can warm exactly the way the sampled engine does. *)
 
 val run :
   ?mem_init:(int array -> unit) ->

@@ -148,10 +148,11 @@ let run_program ~tmp exe args =
   List.iter Sys.remove [ out; err ];
   (rc, stdout, List.filter (( <> ) "") (String.split_on_char '\n' stderr))
 
-(* levioso_cc, levioso_compile, levioso_sim, bench and levioso_fuzz, run
-   as programs: an input that does not read or compile, and an output
-   file that cannot be written, is one stderr line naming the file, no
-   stdout and exit 1, before any simulation; a bad flag is 124. *)
+(* levioso_cc, levioso_compile, levioso_sim, bench, levioso_fuzz and
+   levioso_report, run as programs: an input that does not read or
+   compile, and an output file that cannot be written, is one stderr line
+   naming the file, no stdout and exit 1, before any simulation; a bad
+   flag or a missing argument is 124. *)
 let test_input_errors () =
   let dir = Filename.temp_dir "levioso_cli" "" in
   let file name text =
@@ -191,6 +192,16 @@ let test_input_errors () =
   fails "bin/levioso_compile.exe" dir;
   fails "bin/levioso_compile.exe" missing;
   fails "bin/levioso_fuzz.exe" missing ~args:[ "--replay"; missing ];
+  let bad_json = file "bad.json" "{\n" in
+  fails "bin/levioso_report.exe" bad_json;
+  fails "bin/levioso_report.exe" dir;
+  fails "bin/levioso_report.exe" missing;
+  fails "bin/levioso_report.exe" missing ~args:[ "--dashboard"; missing ];
+  (match run_program ~tmp:dir "bin/levioso_report.exe" [] with
+  | 124, "", first :: _ ->
+    Alcotest.(check string) "levioso_report without a file: the usage error"
+      "levioso_report: expected one matrix file" first
+  | rc, _, _ -> Alcotest.failf "levioso_report without a file: exit %d, not 124" rc);
   let unwritable = Filename.concat missing "out" in
   List.iter
     (fun flag ->
@@ -208,6 +219,8 @@ let test_input_errors () =
         ~args:
           [ "-w"; "spectre-v1"; "-p"; "unsafe"; "-v"; "-j"; "1"; "--leak-trace"; out name ])
     [ "l.txt"; "l.json" ];
+  fails "bin/levioso_report.exe" (out "r.html")
+    ~args:[ "golden_matrix.json"; "-o"; out "r.html" ];
   fails "bench/main.exe" (out "b.json")
     ~args:
       [ "--quick"; "--only"; "fig3"; "--no-cache"; "-j"; "1"; "--json"; out "b.json" ];
@@ -250,7 +263,7 @@ let test_input_errors () =
     (run "levioso_cc.exe" [ good_lev; "--run" ]);
   Alcotest.(check (pair int (list string))) "a good workload exits 0" (0, [])
     (run "levioso_compile.exe" [ "-s"; "-w"; "stream" ]);
-  List.iter Sys.remove [ bad_lev; bad_s; good_lev ];
+  List.iter Sys.remove [ bad_lev; bad_s; bad_json; good_lev ];
   Sys.rmdir dir
 
 (* Every levioso_sim cell runs through Engine.run_cell, so its --json is

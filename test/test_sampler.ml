@@ -1,5 +1,6 @@
 (* The two-tier engine: emulator batch stepping (decode-once fast path),
-   checkpoint fidelity, and the sampled cycle estimate's accuracy. *)
+   the fidelity of a detailed resume from the fast tier's state, and the
+   sampled cycle estimate's accuracy. *)
 
 module Emulator = Levioso_ir.Emulator
 module Parser = Levioso_ir.Parser
@@ -9,7 +10,6 @@ module Sim_stats = Levioso_uarch.Sim_stats
 module Cache = Levioso_uarch.Cache
 module Predictor = Levioso_uarch.Predictor
 module Sampler = Levioso_uarch.Sampler
-module Checkpoint = Levioso_uarch.Checkpoint
 module Registry = Levioso_core.Registry
 module Workload = Levioso_workload.Workload
 module Suite = Levioso_workload.Suite
@@ -134,6 +134,40 @@ let test_run_steps_zero_alloc () =
 
 (* --- checkpoint fidelity --------------------------------------------- *)
 
+(* A checkpoint of the fast tier: copies of its architectural state and
+   of the warmed hierarchy and predictor. *)
+type checkpoint = {
+  regs : int array;
+  pc : int;
+  mem : int array;
+  cache : Cache.Hierarchy.hsnapshot;
+  pred : Predictor.state;
+}
+
+let capture (emu : Emulator.state) ~hierarchy ~predictor =
+  {
+    regs = Array.copy emu.Emulator.regs;
+    pc = emu.Emulator.pc;
+    mem = Array.copy emu.Emulator.mem;
+    cache = Cache.Hierarchy.snapshot hierarchy;
+    pred = Predictor.save_state predictor;
+  }
+
+(* The sampler's handoff on a fresh pipeline: adopt a copy of the
+   checkpoint's memory and a hierarchy and predictor restored from it,
+   then restart at its registers and PC. *)
+let resume ck cfg ~policy program =
+  let hierarchy = Cache.Hierarchy.create cfg in
+  let predictor = Predictor.create cfg in
+  Cache.Hierarchy.restore hierarchy ck.cache;
+  Predictor.restore_state predictor ck.pred;
+  let pipe =
+    Pipeline.create ~memory:(Array.copy ck.mem) ~hierarchy ~predictor cfg
+      ~policy program
+  in
+  Pipeline.restart pipe ~regs:ck.regs ~pc:ck.pc;
+  pipe
+
 (* Fast-forward a random program to its midpoint with functional warming,
    checkpoint, then resume the detailed pipeline to completion — twice,
    independently.  The two resumes must be bit-identical (a resume must
@@ -165,19 +199,16 @@ let prop_checkpoint_fidelity policy =
         QCheck.Test.fail_reportf "seed %d: fast tier halted after %d < %d"
           seed executed k
       else begin
-        let ck = Checkpoint.capture emu ~hierarchy ~predictor in
-        let resume () =
-          let pipe =
-            Checkpoint.to_pipeline ck cfg ~policy:(Registry.find_exn policy)
-              program
-          in
+        let ck = capture emu ~hierarchy ~predictor in
+        let run_resumed () =
+          let pipe = resume ck cfg ~policy:(Registry.find_exn policy) program in
           Pipeline.run pipe;
           ( Pipeline.stats pipe,
             Array.copy (Pipeline.regs pipe),
             Array.copy (Pipeline.mem pipe) )
         in
-        let s1, r1, m1 = resume () in
-        let s2, r2, m2 = resume () in
+        let s1, r1, m1 = run_resumed () in
+        let s2, r2, m2 = run_resumed () in
         if not (s1 = s2 && r1 = r2 && m1 = m2) then
           QCheck.Test.fail_reportf
             "seed %d: two resumes from one checkpoint diverged" seed
@@ -193,31 +224,6 @@ let prop_checkpoint_fidelity policy =
             seed k s1.Sim_stats.committed oracle.Emulator.retired
         else true
       end)
-
-(* Rolling an emulator back to a checkpoint must reproduce the exact
-   forward state, even after the live machine ran on. *)
-let test_restore_emulator_rolls_back () =
-  let seed = 7 in
-  let program = Gen.random_program seed in
-  let memory = Array.make 4096 0 in
-  Gen.mem_init seed memory;
-  let emu = Emulator.create ~memory program in
-  let cfg = Gen.default_config in
-  let hierarchy = Cache.Hierarchy.create cfg in
-  let predictor = Predictor.create cfg in
-  ignore (Emulator.run_steps emu 50 : int);
-  let ck = Checkpoint.capture emu ~hierarchy ~predictor in
-  let mark =
-    (emu.Emulator.pc, emu.Emulator.retired, Array.copy emu.Emulator.regs,
-     Array.copy emu.Emulator.mem)
-  in
-  Emulator.run emu;
-  Checkpoint.restore_emulator ck emu;
-  let pc, retired, regs, mem = mark in
-  Alcotest.(check int) "pc restored" pc emu.Emulator.pc;
-  Alcotest.(check int) "retired restored" retired emu.Emulator.retired;
-  Alcotest.(check bool) "regs restored" true (regs = emu.Emulator.regs);
-  Alcotest.(check bool) "memory restored" true (mem = emu.Emulator.mem)
 
 (* --- sampled estimate accuracy --------------------------------------- *)
 
@@ -280,7 +286,7 @@ let mid_run_checkpoint workload ~retired =
   let predictor = Predictor.create cfg in
   let hooks = Sampler.warming_hooks cfg hierarchy predictor in
   ignore (Emulator.run_steps ~hooks emu retired : int);
-  (w.Workload.program, Checkpoint.capture emu ~hierarchy ~predictor)
+  (w.Workload.program, capture emu ~hierarchy ~predictor)
 
 (* Stats, stall table, registers, memory and the run's cache-counter
    deltas after [n] more commits. *)
@@ -297,8 +303,8 @@ let observe_commits program pipe n =
 
 (* A pipeline that already ran — window half full, queues and wake rows
    dirty — restarted from a checkpoint must behave exactly like a fresh
-   [create] + [warm_start] from it. *)
-let test_restart_matches_create () =
+   pipeline restarted from it. *)
+let test_restart_matches_fresh () =
   let n = 3000 in
   List.iter
     (fun workload ->
@@ -312,20 +318,15 @@ let test_restart_matches_create () =
             maker cfg prog pipe
           in
           let fresh =
-            observe_commits program
-              (Checkpoint.to_pipeline ck Config.default ~policy:maker program)
-              n
+            observe_commits program (resume ck Config.default ~policy:maker program) n
           in
-          let pipe =
-            Checkpoint.to_pipeline ck Config.default ~policy:counted program
-          in
+          let pipe = resume ck Config.default ~policy:counted program in
           Pipeline.run_until_committed pipe 1234;
           (* back to the checkpoint's memory, caches and predictor, in place *)
-          let emu = Emulator.create ~memory:(Pipeline.mem pipe) program in
-          Checkpoint.restore_emulator ck emu;
-          Checkpoint.restore_uarch ck ~hierarchy:(Pipeline.hierarchy pipe)
-            ~predictor:(Pipeline.predictor pipe);
-          Pipeline.restart pipe ~regs:emu.Emulator.regs ~pc:emu.Emulator.pc;
+          Array.blit ck.mem 0 (Pipeline.mem pipe) 0 (Array.length ck.mem);
+          Cache.Hierarchy.restore (Pipeline.hierarchy pipe) ck.cache;
+          Predictor.restore_state (Pipeline.predictor pipe) ck.pred;
+          Pipeline.restart pipe ~regs:ck.regs ~pc:ck.pc;
           let restarted = observe_commits program pipe n in
           let label = Printf.sprintf "%s/%s" workload policy in
           let s1, t1, r1, m1, c1 = fresh and s2, t2, r2, m2, c2 = restarted in
@@ -334,9 +335,42 @@ let test_restart_matches_create () =
           Alcotest.(check bool) (label ^ " registers") true (r1 = r2);
           Alcotest.(check bool) (label ^ " memory") true (m1 = m2);
           Alcotest.(check (list (pair string int))) (label ^ " cache counters") c1 c2;
-          Alcotest.(check int) (label ^ " one maker call per start") 2 !makes)
+          (* create, restart, restart *)
+          Alcotest.(check int) (label ^ " one maker call per start") 3 !makes)
         Registry.names)
     [ "stream"; "compact" ]
+
+(* A sampled run that never leaves its first interval is the exact run:
+   the interval pipeline, as created, starts where a fresh one does. *)
+let test_first_interval_is_exact () =
+  let sp = { Sampler.interval = 1_000_000; warmup = 0; period = 2 } in
+  List.iter
+    (fun workload ->
+      let w = Levioso_workload.Levsuite.find_exn workload in
+      let table stall =
+        Json.to_string ~minify:true (Stall.to_json ~top_k:max_int stall)
+      in
+      List.iter
+        (fun policy ->
+          let policy_maker = Registry.find_exn policy in
+          let exact =
+            Pipeline.create ~mem_init:w.Workload.mem_init Config.default
+              ~policy:policy_maker w.Workload.program
+          in
+          Pipeline.run exact;
+          let r =
+            Sampler.run ~mem_init:w.Workload.mem_init sp Config.default
+              ~policy:policy_maker w.Workload.program
+          in
+          let stats = Pipeline.stats exact in
+          let label = Printf.sprintf "%s/%s" workload policy in
+          Alcotest.(check int) (label ^ " estimated cycles")
+            stats.Sim_stats.cycles r.Sampler.estimated_cycles;
+          Alcotest.(check bool) (label ^ " stats") true (stats = r.Sampler.stats);
+          Alcotest.(check string) (label ^ " stall table")
+            (table (Pipeline.stall_attribution exact)) (table r.Sampler.stall))
+        Registry.names)
+    [ "lev-primes"; "lev-crc" ]
 
 let test_restart_rejects_bad_start () =
   let w = Suite.find_exn "stream" in
@@ -442,11 +476,11 @@ let suite =
       Alcotest.test_case "run_steps hooks" `Quick test_run_steps_hooks;
       Alcotest.test_case "run_steps zero alloc" `Quick
         test_run_steps_zero_alloc;
-      Alcotest.test_case "restore_emulator rolls back" `Quick
-        test_restore_emulator_rolls_back;
       Alcotest.test_case "sampled error bound" `Slow test_sampled_error_bound;
-      Alcotest.test_case "restart = create + warm_start (9 policies x 2)" `Quick
-        test_restart_matches_create;
+      Alcotest.test_case "restart = fresh restart (9 policies x 2)" `Quick
+        test_restart_matches_fresh;
+      Alcotest.test_case "first interval = exact run (9 policies x 2)" `Quick
+        test_first_interval_is_exact;
       Alcotest.test_case "restart rejects a bad start" `Quick
         test_restart_rejects_bad_start;
       Alcotest.test_case "image reuse: 1 domain and a 2-domain pool" `Quick
