@@ -1,14 +1,14 @@
 (* levioso_cc: the Lev compiler driver.
 
    Compiles a .lev source file to the simulator's IR, optionally runs the
-   Levioso annotation pass, and can execute the result under any defense:
+   Levioso annotation pass, and can execute the result on the detailed
+   pipeline under any defense:
 
      levioso_cc prog.lev                 # annotated disassembly to stdout
-     levioso_cc prog.lev --run           # execute (emulator), dump mem[64]
+     levioso_cc prog.lev --run           # simulate (unsafe), dump mem[64]
      levioso_cc prog.lev --run -p levioso --watch 64 --watch 65 *)
 
 module Ir = Levioso_ir.Ir
-module Emulator = Levioso_ir.Emulator
 module Compiler = Levioso_lang.Compiler
 module Annotation = Levioso_core.Annotation
 module Registry = Levioso_core.Registry
@@ -79,7 +79,9 @@ let optimize_arg =
 
 let cmd =
   let doc = "compile Lev programs for the Levioso simulator" in
-  Cmd.v (Cmd.info "levioso_cc" ~doc)
+  Cmd.v
+    (Cmd.info "levioso_cc" ~doc
+       ~exits:(Cli.exits ~doc:"when the source does not read or compile."))
     Term.(const main $ file_arg $ run_arg $ policy_arg $ watch_arg $ optimize_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -71,7 +71,9 @@ let stats_only_arg =
 
 let cmd =
   let doc = "run the Levioso reconvergence-annotation pass" in
-  Cmd.v (Cmd.info "levioso_compile" ~doc)
+  Cmd.v
+    (Cmd.info "levioso_compile" ~doc
+       ~exits:(Cli.exits ~doc:"when the source does not read or compile."))
     Term.(ret (const main $ workload_arg $ file_arg $ stats_only_arg))
 
 let () = exit (Cmd.eval cmd)

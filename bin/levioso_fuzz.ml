@@ -297,7 +297,15 @@ let list_arg =
 
 let cmd =
   let doc = "fuzz the simulator: differential and security oracles" in
-  let info = Cmd.info "levioso_fuzz" ~doc in
+  let info =
+    Cmd.info "levioso_fuzz" ~doc
+      ~exits:
+        (Cli.exits
+           ~doc:
+             "when an oracle fails, a replayed corpus entry disagrees, the \
+              --replay directory is missing, or an output file cannot be \
+              written.")
+  in
   Cmd.v info
     Term.(
       ret

@@ -212,7 +212,14 @@ let dashboard_arg =
 
 let cmd =
   let doc = "render and compare Levioso evaluation results" in
-  let info = Cmd.info "levioso_report" ~doc in
+  let info =
+    Cmd.info "levioso_report" ~doc
+      ~exits:
+        (Cli.exits
+           ~doc:
+             "when an input does not read or decode, the --dashboard \
+              directory is missing, or the output cannot be written.")
+  in
   Cmd.v info
     Term.(
       ret

@@ -385,8 +385,7 @@ let runtime_failure =
   "on a runtime failure: no daemon answers on the socket, the daemon \
    reports an error, or its reply is malformed"
 
-let client_exits =
-  Cmd.Exit.info 1 ~doc:(runtime_failure ^ ".") :: Cmd.Exit.defaults
+let client_exits = Cli.exits ~doc:(runtime_failure ^ ".")
 
 let socket_arg =
   Arg.(
@@ -478,11 +477,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc
        ~exits:
-         (Cmd.Exit.info 1
+         (Cli.exits
             ~doc:
               "when the socket is served by a live daemon or cannot be \
-               bound, or an output file cannot be written."
-         :: Cmd.Exit.defaults))
+               bound, or an output file cannot be written."))
     Term.(
       ret
         (const serve $ socket_arg $ jobs_arg $ queue_max_arg $ cache_dir_arg
@@ -507,11 +505,10 @@ let json_arg =
 let submit_cmd =
   let doc = "submit a workload x policy matrix and stream the results" in
   let exits =
-    Cmd.Exit.info 1
+    Cli.exits
       ~doc:
         ("when any cell failed (each is listed on stderr), or "
         ^ runtime_failure ^ ".")
-    :: Cmd.Exit.defaults
   in
   Cmd.v
     (Cmd.info "submit" ~doc ~exits)

@@ -411,7 +411,10 @@ let jobs_arg =
 
 let cmd =
   let doc = "simulate workloads under secure-speculation defenses" in
-  let info = Cmd.info "levioso_sim" ~doc in
+  let info =
+    Cmd.info "levioso_sim" ~doc
+      ~exits:(Cli.exits ~doc:"when an output file cannot be written.")
+  in
   Cmd.v info
     Term.(
       ret

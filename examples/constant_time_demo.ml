@@ -29,21 +29,11 @@ let () =
               Harness.run ~policy (Gadget.register_secret ~secret ()))
             secrets
         in
-        let recovered =
-          List.length
-            (List.filter
-               (function
-                 | Harness.Recovered _ -> true
-                 | Harness.Wrong_guess _ | Harness.No_signal -> false)
-               verdicts)
-        in
+        let recovered = List.length (List.filter Harness.leaked verdicts) in
         let detail =
           String.concat " "
             (List.map2
-               (fun s v ->
-                 match v with
-                 | Harness.Recovered _ -> string_of_int s
-                 | Harness.Wrong_guess _ | Harness.No_signal -> "-")
+               (fun s v -> if Harness.leaked v then string_of_int s else "-")
                secrets verdicts)
         in
         [

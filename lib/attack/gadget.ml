@@ -1,8 +1,10 @@
 module Ir = Levioso_ir.Ir
 module Builder = Levioso_ir.Builder
+module Registry = Levioso_core.Registry
 
 type t = {
   name : string;
+  secret_class : Registry.secret_class;
   program : Ir.program;
   mem_init : int array -> unit;
   secret : int;
@@ -111,6 +113,7 @@ let bounds_check_bypass ?(training_rounds = 40) ?(timing = false) ~secret () =
   Builder.halt b;
   {
     name = "bounds-check-bypass";
+    secret_class = Registry.Speculative_load;
     program = Builder.build b;
     mem_init =
       (fun mem ->
@@ -120,13 +123,19 @@ let bounds_check_bypass ?(training_rounds = 40) ?(timing = false) ~secret () =
     secret;
   }
 
-(* Non-speculative-secret gadget.  The secret is loaded architecturally at
-   program start and sits in a register (as in constant-time code); the
+(* Non-speculative-secret gadgets.  The secret is loaded architecturally
+   at program start and sits in a register (as in constant-time code); the
    benign rounds execute the guarded path with a decoy transmit value; the
-   attack round switches the transmit register to the secret (harmless
-   architecturally — the guard now steers away) and lets the trained
-   predictor run the transmit on the wrong path. *)
-let register_secret ?(training_rounds = 40) ?(timing = false) ~secret () =
+   attack round arms the secret (harmless architecturally — the guard now
+   steers away) and lets the trained predictor run the guarded path on the
+   wrong path.  In the in-region shape the guarded path is the transmit
+   itself.  In the reconverged shape it only writes [w = secret & mask]
+   ([mask] is 0 while training, every value bit in the attack round), over
+   a decoy [w] set before the guard, and the transmit of [w] follows the
+   guard's reconvergence point: nothing but a data dependence on the
+   branch ties it to the misprediction. *)
+let register_gadget ~past_reconvergence ?(training_rounds = 40)
+    ?(timing = false) ~secret () =
   assert (secret >= 0 && secret < probe_values);
   let b = Builder.create () in
   let t = Builder.fresh_reg b in
@@ -138,27 +147,48 @@ let register_secret ?(training_rounds = 40) ?(timing = false) ~secret () =
   let guard_ptr = Builder.fresh_reg b in
   let secret_reg = Builder.fresh_reg b in
   let junk = Builder.fresh_reg b in
+  (* the in-region shape needs no mask; allocating one anyway would
+     renumber its timing probe's registers *)
+  let mask = if past_reconvergence then Builder.fresh_reg b else junk in
   (* the secret is read long before any speculation and simply kept in a
      register — no taint survives its commit *)
   Builder.load b secret_reg (Ir.Imm secret_addr) (Ir.Imm 0);
   Builder.for_down b ~counter:t ~from:(Ir.Imm (training_rounds + 1)) (fun () ->
-      Builder.mov b trans (Ir.Imm (decoy * line_words));
+      if past_reconvergence then begin
+        Builder.mov b trans (Ir.Imm decoy);
+        Builder.mov b mask (Ir.Imm 0)
+      end
+      else Builder.mov b trans (Ir.Imm (decoy * line_words));
       Builder.mov b x (Ir.Imm 0);
       Builder.if_then b
         ~cond:(Ir.Eq, Ir.Reg t, Ir.Imm 0)
         (fun () ->
-          Builder.alu b Ir.Shl trans (Ir.Reg secret_reg) (Ir.Imm 3);
+          if past_reconvergence then
+            Builder.mov b mask (Ir.Imm (probe_values - 1))
+          else Builder.alu b Ir.Shl trans (Ir.Reg secret_reg) (Ir.Imm 3);
           Builder.mov b x (Ir.Imm 1_000_000);
           emit_flushes b ~scratch1:s1 ~scratch2:s2);
       (* the victim *)
       emit_guard_load b ~guard_ptr ~size;
       Builder.if_then b
         ~cond:(Ir.Lt, Ir.Reg x, Ir.Reg size)
-        (fun () -> Builder.load b junk (Ir.Reg trans) (Ir.Imm probe_base)));
+        (fun () ->
+          if past_reconvergence then
+            Builder.alu b Ir.And trans (Ir.Reg secret_reg) (Ir.Reg mask)
+          else Builder.load b junk (Ir.Reg trans) (Ir.Imm probe_base));
+      if past_reconvergence then begin
+        Builder.alu b Ir.Shl trans (Ir.Reg trans) (Ir.Imm 3);
+        Builder.load b junk (Ir.Reg trans) (Ir.Imm probe_base)
+      end);
   if timing then emit_timing_probe b ~after:(Ir.Reg size);
   Builder.halt b;
   {
-    name = "register-secret";
+    name =
+      (if past_reconvergence then "register-secret-reconverged"
+       else "register-secret");
+    secret_class =
+      (if past_reconvergence then Registry.Register_past_reconvergence
+       else Registry.Register_in_region);
     program = Builder.build b;
     mem_init =
       (fun mem ->
@@ -167,3 +197,15 @@ let register_secret ?(training_rounds = 40) ?(timing = false) ~secret () =
         mem.(secret_addr) <- secret);
     secret;
   }
+
+let register_secret = register_gadget ~past_reconvergence:false
+let register_secret_reconverged = register_gadget ~past_reconvergence:true
+
+type maker = ?training_rounds:int -> ?timing:bool -> secret:int -> unit -> t
+
+let roster : (string * maker) list =
+  [
+    ("v1", bounds_check_bypass);
+    ("reg-secret", register_secret);
+    ("reg-reconverged", register_secret_reconverged);
+  ]

@@ -13,6 +13,10 @@ let verdict_to_string = function
   | Wrong_guess v -> Printf.sprintf "wrong guess (%d)" v
   | No_signal -> "no signal"
 
+let leaked = function
+  | Recovered _ -> true
+  | Wrong_guess _ | No_signal -> false
+
 let simulate ?(config = Config.default) ~policy (gadget : Gadget.t) =
   let pipe =
     Pipeline.create ~mem_init:gadget.Gadget.mem_init config
@@ -56,16 +60,3 @@ let run_timed ?config ~policy gadget =
     done;
     judge gadget !hot
   end
-
-let default_secrets = [ 5; 13; 27; 42; 60 ]
-
-let accuracy ?config ?(secrets = default_secrets) ~policy make =
-  let recovered =
-    List.filter
-      (fun secret ->
-        match run ?config ~policy (make ~secret ()) with
-        | Recovered _ -> true
-        | Wrong_guess _ | No_signal -> false)
-      secrets
-  in
-  float_of_int (List.length recovered) /. float_of_int (List.length secrets)

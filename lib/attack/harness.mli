@@ -20,6 +20,9 @@ type verdict =
 
 val verdict_to_string : verdict -> string
 
+val leaked : verdict -> bool
+(** [Recovered]: the attacker read the secret. *)
+
 val run :
   ?config:Levioso_uarch.Config.t -> policy:string -> Gadget.t -> verdict
 (** Simulate the gadget under the named defense and probe the cache. *)
@@ -28,13 +31,3 @@ val run_timed :
   ?config:Levioso_uarch.Config.t -> policy:string -> Gadget.t -> verdict
 (** Same, but the verdict comes from the gadget's own rdcycle
     measurements.  The gadget must have been built with [~timing:true]. *)
-
-val accuracy :
-  ?config:Levioso_uarch.Config.t ->
-  ?secrets:int list ->
-  policy:string ->
-  (secret:int -> unit -> Gadget.t) ->
-  float
-(** Fraction of secrets correctly recovered over a set of trials
-    (default secrets: [5; 13; 27; 42; 60]).  1.0 = the defense is broken,
-    0.0 = it held every time. *)

@@ -201,6 +201,8 @@ let read_input path =
     else Ok (In_channel.with_open_bin path In_channel.input_all)
   with Sys_error msg -> (* "<path>: <reason>" *) Error msg
 
+let exits ~doc = Cmd.Exit.info 1 ~doc :: Cmd.Exit.defaults
+
 let runtime_error ~prog msg =
   Printf.eprintf "%s: %s\n%!" prog msg;
   exit 1

@@ -79,6 +79,11 @@ val read_input : string -> (string, string) result
     naming the path: ["<path>: is a directory"],
     ["<path>: No such file or directory"], ... *)
 
+val exits : doc:string -> Cmd.Exit.info list
+(** The exit statuses a command documents in its [--help]: 1 with [doc]
+    (when the command fails at run time), then Cmdliner's defaults (0,
+    123, 124, 125).  Every binary declares its statuses through this. *)
+
 val runtime_error : prog:string -> string -> 'a
 (** [runtime_error ~prog msg] prints the one line [<prog>: <msg>] on
     stderr and exits 1: a runtime failure, not a usage error (124).  A

@@ -328,12 +328,6 @@ let roundtrip_binary =
 (* noninterference                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let ni_policies =
-  [
-    "fence"; "delay"; "dom"; "stt"; "nda"; "levioso"; "levioso-ctrl";
-    "levioso-static";
-  ]
-
 (* The oracle is only sound on programs whose architectural execution is
    secret-independent.  Generated cases are by construction; shrunk
    candidates must be re-checked or the shrinker would happily produce
@@ -466,7 +460,10 @@ let noninterference =
           | Error msg ->
             failure program (Printf.sprintf "policy %s: %s" policy msg))
       in
-      loop ni_policies
+      (* Generated secrets are only ever read speculatively, so the
+         policies held to the property are those that stop speculatively
+         loaded secrets in the Registry's threat-model table. *)
+      loop (Registry.stopping Registry.Speculative_load)
   in
   {
     name = "noninterference";

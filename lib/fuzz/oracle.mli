@@ -18,7 +18,8 @@
       compiler's reconvergence hints ride through the branch words intact.
     - {b noninterference}: the two-run security oracle — a program whose
       architectural execution provably never reads the planted secrets is
-      run twice with different secrets under each comprehensive policy;
+      run twice with different secrets under every policy that stops
+      speculatively loaded secrets ({!Levioso_core.Registry.stops});
       the attacker view (cycles, retired count, registers, public memory,
       cache probe trace) must be bit-identical.  The same pair run under
       [unsafe] is expected to diverge, which validates the oracle's power
@@ -70,10 +71,6 @@ val all : t list
 val names : string list
 
 val find : string -> t option
-
-val ni_policies : string list
-(** The policies the noninterference oracle holds to the two-run
-    property. *)
 
 val input_of :
   t -> seed:int -> Levioso_ir.Ir.program * string option

@@ -13,7 +13,8 @@ type scope = {
   parent : int;  (** the cell span's id — stage spans nest under it *)
 }
 (** Where to hang this cell's stage spans.  Omitted = tracing off: no
-    clock reads, no allocation, the exact PR 8 execution path. *)
+    stage spans and none of their clock reads ([wall_s] is measured
+    either way). *)
 
 type outcome = {
   summary : Levioso_telemetry.Json.t;

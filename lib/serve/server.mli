@@ -45,8 +45,9 @@ type opts = {
       (** request-level tracing: with a collector, every submission
           opens a [submit] root span with one [cell] child per cell and
           engine-stage grandchildren; the caller drains and exports
-          after {!run} returns.  [None] = tracing off: no clock reads
-          on the execution path.  Either way the simulation results are
+          after {!run} returns.  [None] = tracing off: no spans and
+          none of their clock reads (the latency recorders still time
+          every cell).  Either way the simulation results are
           bit-identical — collection is observational. *)
   access_log : out_channel option;
       (** one minified schema-tagged JSONL record per served cell

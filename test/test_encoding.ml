@@ -168,12 +168,13 @@ let test_all_workloads_encode () =
 
 let test_gadgets_encode () =
   List.iter
-    (fun (g : Gadget.t) ->
-      ignore (check_roundtrip g.Gadget.name g.Gadget.program))
-    [
-      Gadget.bounds_check_bypass ~secret:5 ();
-      Gadget.register_secret ~timing:true ~secret:5 ();
-    ]
+    (fun (_, (make : Gadget.maker)) ->
+      List.iter
+        (fun timing ->
+          let g = make ~timing ~secret:5 () in
+          ignore (check_roundtrip g.Gadget.name g.Gadget.program))
+        [ false; true ])
+    Gadget.roster
 
 let test_decoded_program_runs_identically () =
   let w = Suite.find_exn "sort" in

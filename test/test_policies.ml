@@ -126,7 +126,7 @@ let test_comprehensive_policies_block_wrong_path () =
         (policy ^ ": no cache witness")
         true
         (line = Cache.Hierarchy.Memory))
-    [ "fence"; "delay"; "dom"; "levioso"; "levioso-ctrl"; "levioso-static" ]
+    (Registry.stopping Registry.Register_in_region)
 
 (* STT *does* block the classic sandbox gadget, where the transmitted value
    was itself loaded speculatively under the mispredicted branch. *)
