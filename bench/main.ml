@@ -25,10 +25,12 @@
      dune exec bench/main.exe -- --cache-prune 30  # delete stale store
                                             # entries, run nothing
 
-   -j, --audit, --sample and the monitor flags are the ones levioso_sim
-   takes (Levioso_cli.Cli); a bad value of any flag is a usage error
-   (exit 124), and an output file that cannot be written exits 1 with
-   one line naming it.
+   -j, --audit, --sample, --remote and the monitor flags are the ones
+   levioso_sim takes (Levioso_cli.Cli), and the matrix runs through the
+   same Cli.run_matrix, here or on the daemon; a bad value of any flag
+   is a usage error (exit 124), and an output file that cannot be
+   written, or a daemon that cannot be reached, exits 1 with one line
+   naming it.
 
    Every (config, workload, policy) simulation the figures need is
    independent, so the matrix is computed once, up front, on a domain
@@ -57,9 +59,7 @@ module Gadget = Levioso_attack.Gadget
 module Harness = Levioso_attack.Harness
 module Report = Levioso_util.Report
 module Stats = Levioso_util.Stats
-module Parallel = Levioso_util.Parallel
 module Run_cache = Levioso_uarch.Run_cache
-module Monitor = Levioso_telemetry.Monitor
 module Hostprof = Levioso_telemetry.Hostprof
 module Sampler = Levioso_uarch.Sampler
 module Serve_protocol = Levioso_serve.Protocol
@@ -79,11 +79,6 @@ let sample : Sampler.spec option ref = ref None
    cell through the same Engine.run_cell a local cell uses, so figures
    and --json output are bit-identical either way. *)
 let remote : string option ref = ref None
-
-(* Live heartbeat for the matrix prefetch.  Strictly observational: the
-   monitor never touches cell computation, so --json output stays
-   bit-identical with it on or off (and across -j N). *)
-let monitor : Monitor.t option ref = ref None
 
 let workloads () =
   if !quick then List.filteri (fun i _ -> i mod 2 = 0) Suite.all else Suite.all
@@ -151,13 +146,8 @@ let stats_of ~what summary =
    cell; Engine.cacheable keeps audited and sampled cells out of it.
    Each cell gets a private audit recorder inside run_cell, so -j N
    stays bit-identical. *)
-let compute_cell ((config, w, policy) : Config.t * Workload.t * string) =
-  Option.iter (fun m -> Monitor.start m (w.Workload.name ^ "/" ^ policy)) !monitor;
-  let o, span =
-    Hostprof.measure (fun () ->
-        Engine.run_cell ?cache:!disk (protocol_cell config w policy))
-  in
-  Option.iter Monitor.item_done !monitor;
+let compute_cell cell =
+  let o, span = Hostprof.measure (fun () -> Engine.run_cell ?cache:!disk cell) in
   {
     stats = stats_of ~what:"bench" o.Engine.summary;
     summary = o.Engine.summary;
@@ -201,7 +191,8 @@ let cells_of id =
   let ws = workloads () in
   let cross configs ws ps =
     List.concat_map
-      (fun c -> List.concat_map (fun w -> List.map (fun p -> (c, w, p)) ps) ws)
+      (fun c ->
+        List.concat_map (fun w -> List.map (fun p -> protocol_cell c w p) ps) ws)
       configs
   in
   let dflt ps = cross [ Config.default ] ws ps in
@@ -237,87 +228,37 @@ let cells_of id =
   | "audit" -> if !audit then dflt paper_schemes else []
   | _ -> []
 
-(* One batched submission for the whole todo list; the daemon streams
-   the results back in submission order.  A cell the daemon failed on
-   is reported and simulated here instead, so one bad cell does not
-   abort the run. *)
-let remote_fetch socket (todo : (Config.t * Workload.t * string) list) =
-  let cells = List.map (fun (c, w, p) -> protocol_cell c w p) todo in
-  let client = Serve_client.connect socket in
-  Fun.protect
-    ~finally:(fun () -> Serve_client.close client)
-    (fun () ->
-      let results, stats =
-        Serve_client.submit ~cache:!use_cache client cells
-          ~on_result:(fun _ r ->
-            (* a failed cell is counted done by its local run *)
-            if r.Serve_client.error = None then
-              Option.iter Monitor.item_done !monitor)
-          ~timings:(fun (tm : Serve_client.timings) ->
-            (* stderr only: --json on stdout must stay byte-identical to
-               a local run of the same matrix *)
-            Printf.eprintf
-              "--remote: trace %s — ack %.1fms, first result %s, drain \
-               %.2fs, total %.2fs\n\
-               %!"
-              tm.Serve_client.trace
-              (tm.Serve_client.ack_s *. 1e3)
-              (match tm.Serve_client.first_result_s with
-              | Some s -> Printf.sprintf "%.2fs" s
-              | None -> "-")
-              tm.Serve_client.drain_s tm.Serve_client.total_s)
-      in
-      if stats.Serve_protocol.failed > 0 then
-        Printf.eprintf
-          "--remote: %d of %d cells failed daemon-side (falling back to \
-           local simulation for them)\n\
-           %!"
-          stats.Serve_protocol.failed (List.length cells);
-      List.mapi
-        (fun i ((_, (w : Workload.t), p) as key, (r : Serve_client.result_cell)) ->
-          match r.Serve_client.error with
-          | Some msg ->
-            Printf.eprintf "--remote: cell %d (%s/%s) failed: %s\n%!" i
-              w.Workload.name p msg;
-            compute_cell key
-          | None ->
-            let summary = r.Serve_client.summary in
-            {
-              stats = stats_of ~what:"--remote" summary;
-              summary;
-              wall_s = r.Serve_client.wall_s;
-              source = "remote-" ^ r.Serve_client.source;
-              (* host self-profiling is local by definition; remote
-                 cells have no host phases *)
-              host = Json.Obj [];
-            })
-        (List.combine todo (Array.to_list results)))
+(* A cell the daemon computed.  Host self-profiling is local by
+   definition: remote cells have no host phases. *)
+let of_remote (r : Serve_client.result_cell) =
+  let summary = r.Serve_client.summary in
+  {
+    stats = stats_of ~what:"--remote" summary;
+    summary;
+    wall_s = r.Serve_client.wall_s;
+    source = "remote-" ^ r.Serve_client.source;
+    host = Json.Obj [];
+  }
 
 (* Fill the matrix once: de-duplicate the cells the selected experiments
    read, compute them (on the domain pool, or through the daemon), then
-   store them serially. *)
-let prefetch_matrix ids =
+   store them serially.  The monitor is strictly observational, so
+   --json output stays bit-identical with it on or off. *)
+let prefetch_matrix ~monitor ids =
   let seen = Hashtbl.create 256 in
   let todo =
     List.filter
-      (fun ((c, w, p) : Config.t * Workload.t * string) ->
-        let key = (c, w.Workload.name, p) in
-        (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+      (fun cell -> (not (Hashtbl.mem seen cell)) && (Hashtbl.add seen cell (); true))
       (List.concat_map cells_of ids)
   in
-  Option.iter (fun m -> Monitor.set_total m (List.length todo)) !monitor;
   let results =
-    match !remote with
-    | Some socket -> remote_fetch socket todo
-    | None ->
-      Parallel.with_pool ~size:!jobs (fun pool ->
-          Parallel.map pool compute_cell todo)
+    Cli.run_matrix ~prog:"bench" ?remote:!remote ~cache:!use_cache ?monitor
+      ~jobs:!jobs ~local:compute_cell ~of_remote todo
   in
   List.iter2
-    (fun ((c, w, p) : Config.t * Workload.t * string) r ->
-      Hashtbl.replace matrix (c, w.Workload.name, p) r)
-    todo results;
-  Option.iter Monitor.close !monitor
+    (fun (c : Serve_protocol.cell) r ->
+      Hashtbl.replace matrix (c.config, c.workload, c.policy) r)
+    todo results
 
 (* ------------------------------------------------------------------ *)
 (* experiments                                                         *)
@@ -767,7 +708,6 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
          by --no-cache); a local store would never be consulted. *)
       if use_cache_ && remote_ = None then
         disk := Some (Run_cache.create ~dir:cache_dir ());
-      monitor := make_monitor ~label:"bench" ();
       let t_start = Unix.gettimeofday () in
       let ids =
         List.filter (fun id -> only = [] || List.mem id only) (List.map fst experiments)
@@ -775,10 +715,7 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
       (* Fill the matrix — on the domain pool, or via one batched daemon
          submission with --remote — before any figure prints; the figures
          then read memoized cells in deterministic order. *)
-      (try prefetch_matrix ids
-       with Serve_client.Server_error msg ->
-         prerr_endline ("--remote: " ^ msg);
-         exit 1);
+      prefetch_matrix ~monitor:(make_monitor ~label:"bench" ()) ids;
       List.iter
         (fun id ->
           experiment := id;
@@ -858,11 +795,6 @@ let cmd =
             "Delete store entries older than $(docv) days, then exit \
              without running anything.")
   in
-  let remote =
-    some "remote" "SOCKET"
-      "Submit the whole matrix to the levioso_serve daemon at $(docv) \
-       instead of simulating it here."
-  in
   let list = flag "list" "Print the experiment ids and exit." in
   Cmd.v
     (Cmd.info "bench" ~doc:"regenerate the evaluation's tables and figures"
@@ -874,6 +806,6 @@ let cmd =
     Term.(
       ret
         (const main $ quick $ only $ json_out $ jobs $ cache $ cache_dir
-       $ Cli.audit $ Cli.sample $ cache_prune $ remote $ Cli.monitor $ list))
+       $ Cli.audit $ Cli.sample $ cache_prune $ Cli.remote $ Cli.monitor $ list))
 
 let () = exit (Cmd.eval cmd)

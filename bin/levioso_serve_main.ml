@@ -3,12 +3,14 @@
    A long-lived daemon owns one domain pool and one sharded result
    store; clients submit batched (workload x policy x config) matrices
    over a Unix-domain socket and stream results back in submission
-   order, bit-identical to a local serial run.
+   order, bit-identical to a local serial run.  `levioso_sim --remote`
+   and `bench --remote` are the matrix clients; this binary runs the
+   daemon and its operational commands.
 
    Examples:
      levioso_serve serve --socket /tmp/lev.sock -j 8 &
      levioso_serve list --socket /tmp/lev.sock
-     levioso_serve submit --socket /tmp/lev.sock -w stream -p levioso --json
+     levioso_sim --remote /tmp/lev.sock -w stream -p levioso --json
      levioso_serve stress --socket /tmp/lev.sock --cells 200
      levioso_serve shutdown --socket /tmp/lev.sock *)
 
@@ -112,31 +114,6 @@ let with_client socket f =
     | v -> `Ok v
     | exception Client.Server_error msg -> runtime_error msg)
 
-(* -1 marks a failed cell, whose result carries no summary *)
-let cycles_of (r : Client.result_cell) =
-  match Levioso_uarch.Summary.stats r.Client.summary with
-  | Ok stats -> stats.Levioso_uarch.Sim_stats.cycles
-  | Error _ -> -1
-
-let print_batch_stats (stats : Protocol.done_stats) =
-  Printf.eprintf "serve: %d simulated, %d cached%s in %.2fs\n%!"
-    stats.Protocol.simulated stats.Protocol.cached
-    (if stats.Protocol.failed > 0 then
-       Printf.sprintf ", %d FAILED" stats.Protocol.failed
-     else "")
-    stats.Protocol.wall_s
-
-let print_cell_errors cells (results : Client.result_cell array) =
-  Array.iteri
-    (fun i (r : Client.result_cell) ->
-      match r.Client.error with
-      | Some msg ->
-        let cell = List.nth cells i in
-        Printf.eprintf "serve: cell %d (%s/%s) failed: %s\n%!" i
-          cell.Protocol.workload cell.Protocol.policy msg
-      | None -> ())
-    results
-
 (* ---------- human-readable stats rendering (stats / top) ---------- *)
 
 let fmt_dur s =
@@ -191,40 +168,6 @@ let render_stats socket j =
   match Json.decoded render j with
   | Ok text -> text
   | Error msg -> raise (Client.Server_error ("malformed stats frame: " ^ msg))
-
-(* ---------- submit ---------- *)
-
-let submit socket workloads policies config audit sample no_cache json quiet =
-  let cells =
-    List.concat_map
-      (fun (w : Workload.t) ->
-        List.map
-          (fun p ->
-            {
-              Protocol.config;
-              workload = w.Workload.name;
-              policy = p;
-              audit;
-              sample;
-            })
-          policies)
-      workloads
-  in
-  let failed =
-    with_client socket (fun c ->
-        let results, stats = Client.submit ~cache:(not no_cache) c cells in
-        if not quiet then print_batch_stats stats;
-        print_cell_errors cells results;
-        if json then print_endline (Json.to_string (Client.runs results))
-        else
-          print_endline
-            (Cli.overhead_table ~policies
-               ~workloads:(List.map (fun w -> w.Workload.name) workloads)
-               (Array.to_list (Array.map cycles_of results)));
-        stats.Protocol.failed)
-  in
-  (* the failed cells are listed on stderr above *)
-  match failed with `Ok 0 -> `Ok () | `Ok _ -> exit 1
 
 (* ---------- stress ---------- *)
 
@@ -487,36 +430,6 @@ let serve_cmd =
        $ no_cache_arg $ metrics_serve_arg $ trace_out_arg $ access_log_arg
        $ history_out_arg $ history_interval_arg $ quiet_arg))
 
-let submit_no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Bypass the daemon's result store for this batch.")
-
-let json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "Emit the summaries as JSON — the same artifact a local \
-           levioso_sim --json run of the matrix produces.  Failed cells \
-           are reported on stderr and left out.")
-
-let submit_cmd =
-  let doc = "submit a workload x policy matrix and stream the results" in
-  let exits =
-    Cli.exits
-      ~doc:
-        ("when any cell failed (each is listed on stderr), or "
-        ^ runtime_failure ^ ".")
-  in
-  Cmd.v
-    (Cmd.info "submit" ~doc ~exits)
-    Term.(
-      ret
-        (const submit $ socket_arg $ Cli.workloads $ Cli.policies $ Cli.config
-       $ Cli.audit $ Cli.sample $ submit_no_cache_arg $ json_arg $ quiet_arg))
-
 let cells_arg =
   let in_range n =
     if n >= 1 && n <= Client.max_sweep then Ok ()
@@ -691,7 +604,6 @@ let cmd =
     (Cmd.info "levioso_serve" ~doc)
     [
       serve_cmd;
-      submit_cmd;
       stress_cmd;
       list_sub;
       ping_sub;

@@ -8,16 +8,17 @@
      levioso_sim -w stream -p unsafe -p levioso --json    # machine-readable
      levioso_sim -w stream -p levioso --trace-out t.json  # Perfetto trace
      levioso_sim -j 8                     # cells on 8 domains
+     levioso_sim --remote lev.sock -w stream --json  # on a levioso_serve daemon
 
    Every (workload, policy) cell runs through Levioso_serve.Engine.run_cell,
-   the cell runner bench and the levioso_serve daemon use, so --json is
-   the same bytes as `levioso_serve submit --json`, and -v renders the
-   cell's summary (Summary.verbose).  Tracers hook into the cell's
-   pipeline through run_cell's observer.  Every cell owns all of its
-   mutable state, so the matrix runs on a domain pool (-j, default all
-   cores) with output bit-identical to a serial run.  Tracing
-   interleaves events from one cell at a time, so -j is forced to 1
-   when --trace/--trace-out is given. *)
+   the cell runner bench and the levioso_serve daemon use, and -v renders
+   the cell's summary (Summary.verbose), so --remote prints the same
+   bytes as a local run.  Tracers hook into the cell's pipeline through
+   run_cell's observer, which is why they need a local run.  Every cell
+   owns all of its mutable state, so the matrix runs on a domain pool
+   (-j, default all cores) with output bit-identical to a serial run.
+   Tracing interleaves events from one cell at a time, so -j is forced
+   to 1 when --trace/--trace-out is given. *)
 
 module Pipeline = Levioso_uarch.Pipeline
 module Sim_stats = Levioso_uarch.Sim_stats
@@ -26,14 +27,13 @@ module Json = Levioso_telemetry.Json
 module Trace = Levioso_telemetry.Trace
 module Audit = Levioso_telemetry.Audit
 module Workload = Levioso_workload.Workload
-module Parallel = Levioso_util.Parallel
-module Monitor = Levioso_telemetry.Monitor
 module Konata = Levioso_uarch.Konata
 module Flowtrace = Levioso_telemetry.Flowtrace
 module Gadget = Levioso_attack.Gadget
 module Catalog = Levioso_serve.Catalog
 module Protocol = Levioso_serve.Protocol
 module Engine = Levioso_serve.Engine
+module Client = Levioso_serve.Client
 module Cli = Levioso_cli.Cli
 
 let trace_event_of = function
@@ -69,7 +69,7 @@ let close_events ~quiet note f =
 
 let main workloads policies config verbose trace json trace_out trace_every
     jobs audit_flag audit_out timeline_out window leak_trace secret_ranges
-    monitor sample_spec list_workloads list_policies =
+    monitor sample_spec remote list_workloads list_policies =
   if list_workloads || list_policies then begin
     (* the same roster the levioso_serve wire protocol's `list` request
        advertises — one name set across every surface *)
@@ -100,6 +100,12 @@ let main workloads policies config verbose trace json trace_out trace_every
             "--sample runs the two-tier engine, which does not preserve the \
              per-event streams: drop --trace/--trace-out/--audit/--audit-out/\
              --timeline/--leak-trace or use --sample off" );
+          ( remote <> None
+            && (trace > 0 || trace_out <> None || audit_out <> None
+               || timeline_out <> None || leak_trace <> None),
+            "--remote runs every cell on the daemon, where no local pipeline \
+             can be traced: drop --trace/--trace-out/--audit-out/--timeline/\
+             --leak-trace or --remote" );
           (timeline_out = None && window <> None, "--timeline-window needs --timeline");
           ( (timeline_out <> None || leak_trace <> None)
             && (List.length workloads <> 1 || List.length policies <> 1),
@@ -146,9 +152,11 @@ let main workloads policies config verbose trace json trace_out trace_every
       then 1
       else jobs
     in
-    let cells =
-      List.concat_map (fun w -> List.map (fun p -> (w, p)) policies) workloads
+    let cell (w : Workload.t) policy =
+      let workload = w.Workload.name in
+      { Protocol.config; workload; policy; audit = audit_flag; sample = sample_spec }
     in
+    let cells = List.concat_map (fun w -> List.map (cell w) policies) workloads in
     (* A .jsonl leak trace is the raw event stream, written as it
        happens. *)
     let flow_jsonl =
@@ -211,33 +219,24 @@ let main workloads policies config verbose trace json trace_out trace_every
         timeline;
       Option.iter (Pipeline.set_flow_tracer pipe ~secret_ranges) flow
     in
-    let monitor = monitor ~label:"levioso_sim" () in
-    Option.iter (fun m -> Monitor.set_total m (List.length cells)) monitor;
-    let run_cell ((w : Workload.t), p) =
-      let name = w.Workload.name ^ "/" ^ p in
-      Option.iter (fun m -> Monitor.start m name) monitor;
-      let summary =
-        (Engine.run_cell ~observe:(observe name)
-           {
-             Protocol.config;
-             workload = w.Workload.name;
-             policy = p;
-             audit = audit_flag;
-             sample = sample_spec;
-           })
-          .Engine.summary
-      in
-      Option.iter Monitor.item_done monitor;
-      (* serial runs keep the report interleaved with the cell's trace
-         output; parallel ones print every report once the pool drains *)
-      if verbose && jobs = 1 then print_string (Summary.verbose summary);
+    (* serial runs keep the report interleaved with the cell's trace
+       output; parallel and remote ones print every report once the
+       matrix is done *)
+    let interleave = verbose && jobs = 1 && remote = None in
+    let run_cell (cell : Protocol.cell) =
+      let name = cell.Protocol.workload ^ "/" ^ cell.Protocol.policy in
+      let summary = (Engine.run_cell ~observe:(observe name) cell).Engine.summary in
+      if interleave then print_string (Summary.verbose summary);
       summary
     in
     let summaries =
-      Parallel.with_pool ~size:jobs (fun pool -> Parallel.map pool run_cell cells)
+      Cli.run_matrix ~prog:"levioso_sim" ?remote
+        ?monitor:(monitor ~label:"levioso_sim" ())
+        ~jobs ~local:run_cell
+        ~of_remote:(fun r -> r.Client.summary)
+        cells
     in
-    Option.iter Monitor.close monitor;
-    if verbose && jobs > 1 then
+    if verbose && not interleave then
       List.iter (fun s -> print_string (Summary.verbose s)) summaries;
     Option.iter
       (close_events ~quiet:json (fun s ->
@@ -413,7 +412,11 @@ let cmd =
   let doc = "simulate workloads under secure-speculation defenses" in
   let info =
     Cmd.info "levioso_sim" ~doc
-      ~exits:(Cli.exits ~doc:"when an output file cannot be written.")
+      ~exits:
+        (Cli.exits
+           ~doc:
+             "when an output file cannot be written or the --remote daemon \
+              cannot be reached or fails.")
   in
   Cmd.v info
     Term.(
@@ -422,6 +425,6 @@ let cmd =
        $ trace_arg $ json_arg $ trace_out_arg $ trace_every_arg $ jobs_arg
        $ Cli.audit $ audit_out_arg $ timeline_arg $ timeline_window_arg
        $ leak_trace_arg $ secret_range_arg $ Cli.monitor $ Cli.sample
-       $ list_workloads_arg $ list_policies_arg))
+       $ Cli.remote $ list_workloads_arg $ list_policies_arg))
 
 let () = exit (Cmd.eval cmd)

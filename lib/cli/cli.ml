@@ -8,6 +8,8 @@ module Parallel = Levioso_util.Parallel
 module Report = Levioso_util.Report
 module Stats = Levioso_util.Stats
 module Catalog = Levioso_serve.Catalog
+module Protocol = Levioso_serve.Protocol
+module Client = Levioso_serve.Client
 open Cmdliner
 
 let unknown what name known =
@@ -176,6 +178,88 @@ let monitor =
   in
   Term.(const make $ progress $ metrics_path)
 
+let remote =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "remote" ] ~docv:"SOCKET"
+        ~doc:
+          "Run the matrix on the levioso_serve daemon listening at \
+           $(docv) instead of in this process; the results are the same \
+           bytes.  A cell the daemon fails runs here.")
+
+let read_input path =
+  try
+    if Sys.is_directory path then Error (path ^ ": is a directory")
+    else Ok (In_channel.with_open_bin path In_channel.input_all)
+  with Sys_error msg -> (* "<path>: <reason>" *) Error msg
+
+let exits ~doc = Cmd.Exit.info 1 ~doc :: Cmd.Exit.defaults
+
+let runtime_error ~prog msg =
+  Printf.eprintf "%s: %s\n%!" prog msg;
+  exit 1
+
+(* One batch on the daemon.  Timings and failed cells go to stderr only:
+   stdout must stay the bytes a local run prints. *)
+let on_daemon ~prog ~cache ~local ~of_remote ~item_done socket cells =
+  let client =
+    try Client.connect socket
+    with Client.Server_error msg -> runtime_error ~prog msg
+  in
+  let timings (tm : Client.timings) =
+    Printf.eprintf
+      "--remote: trace %s — ack %.1fms, first result %s, drain %.2fs, \
+       total %.2fs\n\
+       %!"
+      tm.Client.trace (tm.Client.ack_s *. 1e3)
+      (match tm.Client.first_result_s with
+      | Some s -> Printf.sprintf "%.2fs" s
+      | None -> "-")
+      tm.Client.drain_s tm.Client.total_s
+  in
+  (* a failed cell is counted done by its local run *)
+  let on_result _ (r : Client.result_cell) =
+    if r.Client.error = None then item_done ()
+  in
+  let results =
+    match Client.submit ~cache ~on_result ~timings client cells with
+    | results, _ ->
+      Client.close client;
+      Array.to_list results
+    | exception Client.Server_error msg -> runtime_error ~prog (socket ^ ": " ^ msg)
+  in
+  List.mapi
+    (fun i ((cell : Protocol.cell), (r : Client.result_cell)) ->
+      match r.Client.error with
+      | None -> of_remote r
+      | Some msg ->
+        Printf.eprintf "--remote: cell %d (%s/%s) failed: %s; running it here\n%!"
+          i cell.Protocol.workload cell.Protocol.policy msg;
+        local cell)
+    (List.combine cells results)
+
+let run_matrix ~prog ?remote ?(cache = true) ?monitor ~jobs ~local ~of_remote
+    cells =
+  Option.iter (fun m -> Monitor.set_total m (List.length cells)) monitor;
+  let item_done () = Option.iter Monitor.item_done monitor in
+  let local (cell : Protocol.cell) =
+    Option.iter
+      (fun m -> Monitor.start m (cell.Protocol.workload ^ "/" ^ cell.Protocol.policy))
+      monitor;
+    let r = local cell in
+    item_done ();
+    r
+  in
+  let results =
+    match remote with
+    | Some socket -> on_daemon ~prog ~cache ~local ~of_remote ~item_done socket cells
+    | None ->
+      Parallel.with_pool ~size:jobs (fun pool -> Parallel.map pool local cells)
+  in
+  Option.iter Monitor.close monitor;
+  results
+
 let overhead_table ~policies ~workloads cycles =
   let header = "workload" :: List.map (fun p -> p ^ " (cyc)") policies in
   let n = List.length policies in
@@ -194,15 +278,3 @@ let overhead_table ~policies ~workloads cycles =
          cycles
   in
   Report.table ~header ~rows:(List.mapi row workloads)
-
-let read_input path =
-  try
-    if Sys.is_directory path then Error (path ^ ": is a directory")
-    else Ok (In_channel.with_open_bin path In_channel.input_all)
-  with Sys_error msg -> (* "<path>: <reason>" *) Error msg
-
-let exits ~doc = Cmd.Exit.info 1 ~doc :: Cmd.Exit.defaults
-
-let runtime_error ~prog msg =
-  Printf.eprintf "%s: %s\n%!" prog msg;
-  exit 1

@@ -1,13 +1,16 @@
-(** The command-line flags every matrix front end shares.
+(** The command-line layer every front end shares.
 
-    [levioso_sim], [bench], [levioso_serve submit] and [levioso_fuzz] all
-    take a workload × policy matrix, a core configuration, sampling, a
-    domain count and the live-monitor flags.  Each of those flags is
-    declared here once, so its name, documentation and checking are the
-    same everywhere.  A bad value is a usage error naming the flag
-    (Cmdliner's exit 124, e.g. [option '-w': unknown workload "nosuch"
-    (known: ...)]) at parse time, never an exception in the middle of a
-    run. *)
+    [levioso_sim], [bench] and [levioso_fuzz] take a workload × policy
+    matrix, a core configuration, sampling, a domain count and the
+    live-monitor flags; [levioso_sim] and [bench] also run their matrix
+    here or, with [--remote], on a [levioso_serve] daemon.  Each of those
+    flags is declared here once, so its name, documentation and checking
+    are the same everywhere.  A bad value is a usage error naming the
+    flag (Cmdliner's exit 124, e.g. [option '-w': unknown workload
+    "nosuch" (known: ...)]) at parse time, never an exception in the
+    middle of a run.  {!run_matrix} is the one way a matrix runs,
+    locally or on the daemon, and {!runtime_error} the one way a
+    command fails at run time. *)
 
 open Cmdliner
 
@@ -61,6 +64,34 @@ val monitor :
     monitor, or [None] when neither was given.  The status line is
     drawn on stderr when it is a terminal; [--progress] forces it when
     stderr is piped. *)
+
+val remote : string option Term.t
+(** [--remote SOCKET]: run the matrix on the [levioso_serve] daemon
+    listening at [SOCKET] instead of in this process. *)
+
+(** {1 Running a matrix} *)
+
+val run_matrix :
+  prog:string ->
+  ?remote:string ->
+  ?cache:bool ->
+  ?monitor:Levioso_telemetry.Monitor.t ->
+  jobs:int ->
+  local:(Levioso_serve.Protocol.cell -> 'a) ->
+  of_remote:(Levioso_serve.Client.result_cell -> 'a) ->
+  Levioso_serve.Protocol.cell list ->
+  'a list
+(** [run_matrix ~prog ~jobs ~local ~of_remote cells] runs [cells] and
+    returns their results in the same order.  Without [remote], [local]
+    runs every cell on a pool of [jobs] domains.  With [remote], the
+    cells go to the daemon at that socket as one batch ([cache], default
+    [true], lets it use its result store): one stderr line reports the
+    batch's timings, [of_remote] turns each streamed result into the
+    caller's, and each cell the daemon failed gets one stderr line and
+    then runs here through [local].  A daemon that cannot be reached,
+    reports an error or breaks the exchange ends the run through
+    {!runtime_error}, with a message naming the socket first.
+    [monitor] counts every cell and is closed once they all ran. *)
 
 (** {1 Output} *)
 

@@ -36,7 +36,7 @@ val coverage : t -> float
 (** Fraction of branches with a proper reconvergence point. *)
 
 val disassemble : t -> string
-(** Program listing with hint comments — what [levioso_compile] prints. *)
+(** Program listing with hint comments — what [levioso_cc] prints. *)
 
 val stats : t -> (string * string) list
 (** Compiler statistics for the evaluation table: static instructions,

@@ -31,7 +31,7 @@ let connect socket_path =
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise
        (Server_error
-          (Printf.sprintf "cannot connect to %s: %s" socket_path
+          (Printf.sprintf "%s: cannot connect: %s" socket_path
              (Unix.error_message e))));
   let c =
     {
@@ -167,12 +167,6 @@ let submit ?(cache = true) ?trace ?on_result ?timings c cells =
       results
   in
   (filled, stats)
-
-let runs results =
-  Levioso_uarch.Summary.runs
-    (List.filter_map
-       (fun r -> if r.error = None then Some r.summary else None)
-       (Array.to_list results))
 
 let max_sweep = Config.largest.rob_size - 63
 

@@ -1,5 +1,7 @@
 (** Blocking client for the {!Protocol} exchange — the library behind
-    [levioso_serve submit], [bench --remote] and the serve tests.
+    the [levioso_serve] client commands, [Levioso_cli.Cli.run_matrix]
+    (the [--remote] path of [levioso_sim] and [bench]) and the serve
+    tests.
 
     One [t] is one connection; it is not thread-safe (use one connection
     per thread — the daemon multiplexes across connections, not within
@@ -13,7 +15,8 @@ type t
 
 val connect : string -> t
 (** Connect to a daemon socket and consume its [hello] frame.
-    @raise Server_error on refusal or protocol-generation mismatch. *)
+    @raise Server_error on refusal (["<socket>: cannot connect:
+    <reason>"]) or protocol-generation mismatch. *)
 
 val close : t -> unit
 
@@ -60,7 +63,7 @@ type timings = {
   total_s : float;  (** request written → [done] *)
 }
 (** Client-side latency breakdown of one submission, measured around
-    the wire calls — [bench --remote]'s per-batch report. *)
+    the wire calls — the [--remote] timing line. *)
 
 val submit :
   ?cache:bool ->
@@ -80,11 +83,6 @@ val submit :
     (minted via {!Levioso_telemetry.Span.mint_trace} when omitted);
     [timings] receives the client-side latency breakdown once the
     [done] frame lands. *)
-
-val runs : result_cell array -> Levioso_telemetry.Json.t
-(** A batch's summaries as one {!Levioso_uarch.Summary.runs} document,
-    failed cells left out: their [Null] summaries would make the whole
-    document unreadable to [levioso_report]. *)
 
 val max_sweep : int
 (** The most cells {!sweep} builds: one per ROB size from 64 to

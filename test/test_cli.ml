@@ -148,11 +148,11 @@ let run_program ~tmp exe args =
   List.iter Sys.remove [ out; err ];
   (rc, stdout, List.filter (( <> ) "") (String.split_on_char '\n' stderr))
 
-(* levioso_cc, levioso_compile, levioso_sim, bench, levioso_fuzz and
-   levioso_report, run as programs: an input that does not read or
-   compile, and an output file that cannot be written, is one stderr line
-   naming the file, no stdout and exit 1, before any simulation; a bad
-   flag or a missing argument is 124. *)
+(* levioso_cc, levioso_sim, bench, levioso_fuzz and levioso_report, run
+   as programs: an input that does not read or compile, an output file
+   that cannot be written and a --remote daemon that cannot be reached
+   is one stderr line naming the file or socket, no stdout and exit 1,
+   before any simulation; a bad flag or a missing argument is 124. *)
 let test_input_errors () =
   let dir = Filename.temp_dir "levioso_cli" "" in
   let file name text =
@@ -186,11 +186,9 @@ let test_input_errors () =
   in
   let missing = Filename.concat dir "missing" in
   fails "bin/levioso_cc.exe" bad_lev;
+  fails "bin/levioso_cc.exe" bad_s;
   fails "bin/levioso_cc.exe" dir;
   fails "bin/levioso_cc.exe" missing;
-  fails "bin/levioso_compile.exe" bad_s;
-  fails "bin/levioso_compile.exe" dir;
-  fails "bin/levioso_compile.exe" missing;
   fails "bin/levioso_fuzz.exe" missing ~args:[ "--replay"; missing ];
   let bad_json = file "bad.json" "{\n" in
   fails "bin/levioso_report.exe" bad_json;
@@ -206,8 +204,8 @@ let test_input_errors () =
   List.iter
     (fun flag ->
       fails "bin/levioso_sim.exe" unwritable
-        ~args:[ "-w"; "stream"; "-p"; "unsafe"; "-j"; "1"; flag; unwritable ])
-    [ "--trace-out"; "--metrics" ];
+        ~args:[ "-w"; "spectre-v1"; "-p"; "unsafe"; "-j"; "1"; flag; unwritable ])
+    [ "--trace-out"; "--audit-out"; "--timeline"; "--leak-trace"; "--metrics" ];
   (* outputs written after the run are opened before it *)
   let out name = Filename.concat missing name in
   fails "bin/levioso_sim.exe" (out "t.kanata")
@@ -221,9 +219,16 @@ let test_input_errors () =
     [ "l.txt"; "l.json" ];
   fails "bin/levioso_report.exe" (out "r.html")
     ~args:[ "golden_matrix.json"; "-o"; out "r.html" ];
-  fails "bench/main.exe" (out "b.json")
-    ~args:
-      [ "--quick"; "--only"; "fig3"; "--no-cache"; "-j"; "1"; "--json"; out "b.json" ];
+  List.iter
+    (fun flag ->
+      fails "bench/main.exe" (out "b.json")
+        ~args:
+          [ "--quick"; "--only"; "fig3"; "--no-cache"; "-j"; "1"; flag; out "b.json" ])
+    [ "--json"; "--metrics" ];
+  (* a daemon that cannot be reached names its socket *)
+  let dead = "/nonexistent.sock" in
+  fails "bench/main.exe" dead ~args:[ "--quick"; "--only"; "fig3"; "--remote"; dead ];
+  fails "bin/levioso_sim.exe" dead ~args:[ "-w"; "stream"; "--remote"; dead ];
   (match run_program ~tmp:dir "bench/main.exe" [ "--only"; "nosuch" ] with
   | 124, "", first :: _ ->
     Alcotest.(check bool) "bench --only nosuch names the id" true
@@ -262,7 +267,7 @@ let test_input_errors () =
   Alcotest.(check (pair int (list string))) "a good program exits 0" (0, [])
     (run "levioso_cc.exe" [ good_lev; "--run" ]);
   Alcotest.(check (pair int (list string))) "a good workload exits 0" (0, [])
-    (run "levioso_compile.exe" [ "-s"; "-w"; "stream" ]);
+    (run "levioso_cc.exe" [ "-s"; "-w"; "stream" ]);
   List.iter Sys.remove [ bad_lev; bad_s; bad_json; good_lev ];
   Sys.rmdir dir
 

@@ -381,16 +381,6 @@ let test_server_end_to_end () =
         bad_results.(0).Client.source;
       Alcotest.(check bool) "invalid cell carries an error" true
         (bad_results.(0).Client.error <> None);
-      (* the runs document of a partly failed batch leaves the failed
-         cell out, so the rest still decodes for reports *)
-      let mixed, _ = Client.submit c [ cell (); cell ~workload:"no-such" () ] in
-      (match Summary.read_runs (Client.runs mixed) with
-      | Ok runs ->
-        Alcotest.(check (list (pair string string)))
-          "runs document keeps the good cell"
-          [ ("stream", "unsafe") ]
-          (List.map (fun (r : Summary.run) -> (r.workload, r.policy)) runs)
-      | Error msg -> Alcotest.fail msg);
       Client.ping c;
       Client.shutdown c;
       Client.close c;
@@ -907,6 +897,80 @@ let test_stress_sweep_bound () =
       | _ -> Alcotest.failf "a sweep of %d cells was built" n)
     [ 0; Client.max_sweep + 1 ]
 
+(* levioso_sim --remote runs its matrix through the daemon and prints
+   the bytes of the local run: plain, audited and sampled cells, as the
+   --json document and as the -v report.  Its stderr is the one timing
+   line, so no cell fell back to a local run.  The flags that trace a
+   local pipeline refuse --remote. *)
+let test_sim_remote_one_path () =
+  let dir = Filename.temp_dir "levioso_serve" "" in
+  let sim args =
+    match Test_cli.run_program ~tmp:dir "bin/levioso_sim.exe" args with
+    | 0, out, err -> (out, err)
+    | rc, _, err ->
+      Alcotest.failf "levioso_sim %s: exit %d: %s" (String.concat " " args) rc
+        (String.concat " | " err)
+  in
+  with_server (fun socket ->
+      List.iter
+        (fun extra ->
+          List.iter
+            (fun mode ->
+              let args =
+                [ "-w"; "stream"; "-p"; "unsafe"; "-p"; "levioso"; mode ] @ extra
+              in
+              let what = String.concat " " (mode :: extra) in
+              let local, local_err = sim args in
+              let remote, remote_err = sim ("--remote" :: socket :: args) in
+              Alcotest.(check (list string)) (what ^ ": local stderr") [] local_err;
+              Alcotest.(check string) (what ^ ": same bytes") local remote;
+              match remote_err with
+              | [ line ] when String.starts_with ~prefix:"--remote: trace " line -> ()
+              | lines ->
+                Alcotest.failf "%s: remote stderr: %s" what (String.concat " | " lines))
+            [ "--json"; "-v" ])
+        [ []; [ "--audit" ]; [ "--sample"; "1000:500:4" ] ]);
+  (* the per-event streams need a local pipeline: a usage error *)
+  List.iter
+    (fun flag ->
+      let args =
+        [ "--remote"; "/nonexistent.sock"; "-w"; "spectre-v1"; "-p"; "unsafe" ] @ flag
+      in
+      match Test_cli.run_program ~tmp:dir "bin/levioso_sim.exe" args with
+      | 124, "", first :: _
+        when String.starts_with ~prefix:"levioso_sim: --remote runs every cell" first
+        -> ()
+      | rc, _, err ->
+        Alcotest.failf "levioso_sim %s: exit %d: %s" (String.concat " " args) rc
+          (String.concat " | " err))
+    [
+      [ "--trace"; "3" ];
+      [ "--trace-out"; "t.json" ];
+      [ "--audit-out"; "a.json" ];
+      [ "--timeline"; "t.kanata" ];
+      [ "--leak-trace"; "l.txt" ];
+    ];
+  Sys.rmdir dir
+
+(* The --remote path runs a cell the daemon failed (here a ROB the
+   daemon's validation refuses) through the caller's local function, in
+   its place in the matrix. *)
+let test_run_matrix_fallback () =
+  with_server (fun socket ->
+      let huge = cell ~config:{ Config.default with Config.rob_size = 100_000 } () in
+      let ran_here = ref [] in
+      let results =
+        Levioso_cli.Cli.run_matrix ~prog:"test" ~remote:socket ~jobs:1
+          ~local:(fun c ->
+            ran_here := c :: !ran_here;
+            "here")
+          ~of_remote:(fun r -> r.Client.source)
+          [ cell (); huge; cell ~policy:"levioso" () ]
+      in
+      Alcotest.(check (list string)) "results in matrix order"
+        [ "sim"; "here"; "sim" ] results;
+      Alcotest.(check bool) "only the failed cell ran here" true (!ran_here = [ huge ]))
+
 let suite =
   ( "serve",
     [
@@ -947,4 +1011,8 @@ let suite =
         test_frame_cap;
       Alcotest.test_case "stress: the largest sweep fits one frame" `Quick
         test_stress_sweep_bound;
+      Alcotest.test_case "levioso_sim --remote is one path" `Quick
+        test_sim_remote_one_path;
+      Alcotest.test_case "Cli.run_matrix: a failed cell runs here" `Quick
+        test_run_matrix_fallback;
     ] )
