@@ -61,12 +61,7 @@ let serve socket jobs queue_max cache_dir no_cache metrics_file trace_out
           Printf.eprintf "[levioso_serve %.3f] %s\n%!"
             (Unix.gettimeofday ()) msg)
   in
-  (* the collector also powers the access log's engine-stage columns,
-     so either flag turns it on *)
-  let spans =
-    if trace_out <> None || access_log_path <> None then Some (Span.create ())
-    else None
-  in
+  let spans = Option.map (fun _ -> Span.create ()) trace_out in
   match Option.map open_out access_log_path with
   | exception Sys_error msg -> runtime_error msg
   | access_log -> (

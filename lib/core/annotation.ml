@@ -26,7 +26,6 @@ let analyze program =
   { program; cfg; reconv; hints }
 
 let hint_for t pc = t.hints.(pc)
-let program t = t.program
 let coverage t = Reconvergence.coverage t.reconv
 
 let disassemble t =

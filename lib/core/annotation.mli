@@ -30,8 +30,6 @@ val hint_for : t -> int -> hint option
 (** [hint_for t pc] is the hint attached to the branch at [pc]; [None] for
     non-branch pcs. *)
 
-val program : t -> Levioso_ir.Ir.program
-
 val coverage : t -> float
 (** Fraction of branches with a proper reconvergence point. *)
 

@@ -13,15 +13,9 @@
     wait there.  Anything else is pure over-restriction: the cycles a
     dependency-aware defense (Levioso) gets back. *)
 
-val classifier :
-  Levioso_ir.Ir.program -> pc:int -> branch_pc:int -> bool
-(** [classifier program ~pc ~branch_pc] is true when the instruction at
-    [pc] is (control- or data-) dependent on the branch at [branch_pc]
-    per [Branch_dep.compute].  The analysis runs once, at partial
-    application time — apply to the program first and reuse the
-    closure. *)
-
 val audit_for :
   ?capacity:int -> Levioso_ir.Ir.program -> Levioso_telemetry.Audit.t
-(** An audit recorder whose necessity oracle is [classifier program].
+(** An audit recorder whose necessity oracle says whether the
+    instruction at [pc] is (control- or data-) dependent on the branch
+    at [branch_pc] per [Branch_dep.compute], run once per program.
     [capacity] bounds the event ring as in [Audit.create]. *)

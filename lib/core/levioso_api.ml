@@ -1,6 +1,5 @@
 module Pipeline = Levioso_uarch.Pipeline
 module Config = Levioso_uarch.Config
-module Sim_stats = Levioso_uarch.Sim_stats
 module Emulator = Levioso_ir.Emulator
 
 let simulate ?(config = Config.default) ?mem_init ~policy program =
@@ -34,11 +33,3 @@ let check_against_emulator ?(config = Config.default) ?(mem_init = fun _ -> ())
   match !mismatch with
   | None -> Ok ()
   | Some msg -> Error (Printf.sprintf "%s diverged from emulator: %s" policy msg)
-
-let overhead ?(config = Config.default) ?mem_init ~policy program =
-  let run name =
-    let pipe = simulate ~config ?mem_init ~policy:name program in
-    float_of_int (Pipeline.stats pipe).Sim_stats.cycles
-  in
-  let base = run "unsafe" in
-  if base = 0.0 then 1.0 else run policy /. base

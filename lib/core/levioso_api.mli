@@ -5,7 +5,6 @@
 
 module Pipeline = Levioso_uarch.Pipeline
 module Config = Levioso_uarch.Config
-module Sim_stats = Levioso_uarch.Sim_stats
 
 val simulate :
   ?config:Config.t ->
@@ -28,12 +27,3 @@ val check_against_emulator :
     registers and memory.  Defenses must never change architectural
     results — this is the oracle-equivalence check used throughout the
     test-suite. *)
-
-val overhead :
-  ?config:Config.t ->
-  ?mem_init:(int array -> unit) ->
-  policy:string ->
-  Levioso_ir.Ir.program ->
-  float
-(** Normalized execution time of [policy] relative to the unsafe baseline
-    (1.0 = no overhead) for one program. *)

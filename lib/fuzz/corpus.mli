@@ -30,9 +30,6 @@ type entry = {
 val default_dir : string
 (** ["fuzz/corpus"], relative to the repository root. *)
 
-val path_for : dir:string -> entry -> string
-(** Deterministic file name: [<dir>/<oracle>-seed<seed>.levir]. *)
-
 val save : dir:string -> entry -> string
 (** Write (creating [dir] if needed) and return the path. *)
 

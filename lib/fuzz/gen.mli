@@ -24,21 +24,12 @@
 
 (** {1 Shared layout} *)
 
-val data_base : int
-(** Start of the random-data window {!mem_init} fills (word address). *)
-
-val data_size : int
-(** Words in the random-data window. *)
-
 val default_config : Levioso_uarch.Config.t
 (** The configuration fuzz oracles simulate under: 4096 memory words, a
     48-entry window and a bimodal predictor (small enough to be fast,
     big enough to speculate deeply). *)
 
 (** {1 Unconstrained programs} *)
-
-val random_operand : Levioso_util.Rng.t -> Levioso_ir.Ir.operand
-(** A register r1–r10 or a small immediate. *)
 
 val random_program : int -> Levioso_ir.Ir.program
 (** [random_program seed] — deterministic in [seed]. *)
@@ -58,12 +49,9 @@ type ni_case = {
           attacker-observable cache locations *)
   mem_init : secrets:int array -> int array -> unit;
       (** initialize public memory (seed-derived, secret-independent) and
-          plant [secrets] (length [num_secrets], values in
-          [\[0, ni_probe_lines)]) into the secret slots *)
+          plant [secrets] (length [num_secrets], values in [\[0, 32)],
+          one per probe line) into the secret slots *)
 }
-
-val ni_probe_lines : int
-(** Probe lines per gadget; secret values index into them. *)
 
 val ni_case : int -> ni_case
 (** [ni_case seed] — deterministic in [seed].  Built for

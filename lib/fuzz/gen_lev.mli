@@ -22,15 +22,9 @@ val data_base : int
 val out_base : int
 (** Stores write into [\[out_base, out_base + 64)]. *)
 
-val random_ast : int -> Levioso_lang.Ast.program
-(** [random_ast seed] — deterministic in [seed]. *)
-
-val to_source : Levioso_lang.Ast.program -> string
-(** Concrete syntax that lexes, parses and resolves back to an
-    equivalent program. *)
-
 val random_source : int -> string
-(** [to_source (random_ast seed)]. *)
+(** A random Lev program in concrete syntax, deterministic in [seed]; it
+    lexes, parses and resolves. *)
 
 val init_mem : int -> int array -> unit
 (** Seed-derived contents for the data window. *)

@@ -245,14 +245,6 @@ let encodable_instr instr =
    non-branch instruction, no constant-vs-constant branches. *)
 let encodable program = Array.map encodable_instr program
 
-let mirror = function
-  | Ir.Eq -> Ir.Eq
-  | Ir.Ne -> Ir.Ne
-  | Ir.Lt -> Ir.Gt
-  | Ir.Le -> Ir.Ge
-  | Ir.Gt -> Ir.Lt
-  | Ir.Ge -> Ir.Le
-
 (* decode output vs. the encodable-normalized input: exact match, or the
    encoder's documented mirroring of a constant-on-the-left branch *)
 let instr_equiv expected got =
@@ -261,7 +253,7 @@ let instr_equiv expected got =
   match (expected, got) with
   | ( Ir.Branch { cmp; a = Ir.Imm n; b = Ir.Reg r; target },
       Ir.Branch { cmp = cmp'; a = Ir.Reg r'; b = b'; target = target' } ) ->
-    cmp' = mirror cmp && r' = r && target' = target
+    cmp' = Encoding.mirror cmp && r' = r && target' = target
     && (b' = Ir.Imm n || (n = 0 && b' = Ir.Reg Ir.zero_reg))
   | _ -> false
 

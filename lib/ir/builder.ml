@@ -38,8 +38,6 @@ let place t name =
   if Hashtbl.mem t.labels name then failwith ("Builder.place: duplicate label " ^ name);
   Hashtbl.add t.labels name t.count
 
-let here t = t.count
-
 let push t p =
   t.code <- p :: t.code;
   t.count <- t.count + 1

@@ -20,9 +20,6 @@ val fresh_label : t -> string
 val place : t -> string -> unit
 (** Bind a label to the current position.  A label may be placed once. *)
 
-val here : t -> int
-(** Current instruction count (the pc the next emitted instruction gets). *)
-
 (** {1 Raw emission} *)
 
 val alu : t -> Ir.alu_op -> Ir.reg -> Ir.operand -> Ir.operand -> unit

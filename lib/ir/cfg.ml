@@ -100,13 +100,3 @@ let branch_pcs t =
 
 let instr_pcs b = List.init (b.last - b.first + 1) (fun i -> b.first + i)
 
-let to_string t =
-  let buf = Buffer.create 256 in
-  Array.iter
-    (fun b ->
-      Buffer.add_string buf
-        (Printf.sprintf "B%d [%d..%d] -> [%s] <- [%s]\n" b.id b.first b.last
-           (String.concat ";" (List.map string_of_int b.succs))
-           (String.concat ";" (List.map string_of_int b.preds))))
-    t.blocks;
-  Buffer.contents buf

@@ -40,5 +40,3 @@ val branch_pcs : t -> int list
 val instr_pcs : block -> int list
 (** The pcs contained in a block, ascending. *)
 
-val to_string : t -> string
-(** Debug rendering: one line per block with ranges and edges. *)

@@ -35,9 +35,6 @@ val create : ?mem_words:int -> ?memory:int array -> Ir.program -> state
 exception Out_of_fuel
 (** Raised by {!run} when the step budget is exhausted. *)
 
-val mask_addr : state -> int -> int
-(** Addresses wrap modulo the memory size (no faults). *)
-
 val step : state -> unit
 (** Execute one instruction.  No-op once [halted]. *)
 

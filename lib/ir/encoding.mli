@@ -26,6 +26,10 @@
     exists to validate the hardware story (the hint really fits in the
     branch word) and to measure static code size. *)
 
+val mirror : Ir.cmp -> Ir.cmp
+(** The comparison that holds with its operands swapped ([Lt] ↔ [Gt],
+    [Le] ↔ [Ge]): how a constant-on-the-left branch is encoded. *)
+
 type error = {
   pc : int;
   reason : string;

@@ -4,13 +4,11 @@
     policy registry — backing [levioso_sim --list-workloads/-policies]
     and the wire protocol's [list] request. *)
 
-val workloads : unit -> Levioso_workload.Workload.t list
-(** Every resolvable workload, in listing order. *)
-
 val workload_names : unit -> string list
 
 val listing : unit -> (string * string) list
-(** [(name, description)] pairs of {!workloads}. *)
+(** [(name, description)] of every resolvable workload, in listing
+    order. *)
 
 val find_workload : string -> Levioso_workload.Workload.t option
 

@@ -6,16 +6,13 @@ module Run_cache = Levioso_uarch.Run_cache
 module Registry = Levioso_core.Registry
 module Explain = Levioso_core.Explain
 module Json = Levioso_telemetry.Json
-module Span = Levioso_telemetry.Span
 module Workload = Levioso_workload.Workload
-
-type scope = { spans : Span.t; trace : string; parent : int }
 
 type outcome = {
   summary : Json.t;
   source : string;
   wall_s : float;
-  stages : (string * float) list;
+  stages : (string * float * float) list;
 }
 
 let validate_cell (c : Protocol.cell) =
@@ -46,30 +43,15 @@ let cacheable (c : Protocol.cell) =
    schema and its stats block decodes. *)
 let replayable summary = Result.is_ok (Summary.stats summary)
 
-(* Stage timing is Option-gated on [scope]: with tracing off no clock
-   is read and no span allocated, so the untraced path is exactly the
-   PR 8 one.  Summaries themselves never depend on [scope] — tracing is
-   bit-effect-free on results either way.  [attrs] sees the stage's
-   result so a probe can tag itself hit/miss. *)
-let staged scope name ?(attrs = fun _ -> []) stages f =
-  match scope with
-  | None -> f ()
-  | Some { spans; trace; parent } ->
-    let sp = Span.start spans ~trace ~parent name in
-    let t0 = Span.now spans in
-    let record more_attrs =
-      stages := (name, Span.now spans -. t0) :: !stages;
-      Span.finish spans ~attrs:more_attrs sp
-    in
-    (match f () with
-    | v ->
-      record (attrs v);
-      v
-    | exception e ->
-      record [ ("error", Printexc.to_string e) ];
-      raise e)
+(* Run one stage and prepend its [(name, start_s, stop_s)] to [stages].
+   A raising stage records nothing; the exception fails the cell. *)
+let timed stages name f =
+  let start_s = Unix.gettimeofday () in
+  let v = f () in
+  stages := (name, start_s, Unix.gettimeofday ()) :: !stages;
+  v
 
-let run_cell ?cache ?scope ?observe (c : Protocol.cell) =
+let run_cell ?cache ?observe (c : Protocol.cell) =
   let w = Catalog.find_workload_exn c.Protocol.workload in
   let policy = Registry.find_exn c.Protocol.policy in
   let config = c.Protocol.config in
@@ -80,23 +62,14 @@ let run_cell ?cache ?scope ?observe (c : Protocol.cell) =
     match cache with
     | Some store when cacheable c -> (
       let found =
-        staged scope "cache_probe"
-          ~attrs:(fun r ->
-            [ ("hit", if r = None then "false" else "true") ])
-          stages
-          (fun () ->
+        timed stages "cache_probe" (fun () ->
             Run_cache.find store ~config ~workload ~policy:c.Protocol.policy)
       in
       match found with
       | Some summary ->
-        let ok =
-          staged scope "replay"
-            ~attrs:(fun ok ->
-              [ ("replayable", if ok then "true" else "false") ])
-            stages
-            (fun () -> replayable summary)
-        in
-        if ok then Some summary else None
+        if timed stages "replay" (fun () -> replayable summary) then
+          Some summary
+        else None
       | None -> None)
     | _ -> None
   in
@@ -110,11 +83,7 @@ let run_cell ?cache ?scope ?observe (c : Protocol.cell) =
     }
   | None ->
     let summary =
-      staged scope "simulate"
-        ~attrs:(fun _ ->
-          [ ("workload", workload); ("policy", c.Protocol.policy) ])
-        stages
-        (fun () ->
+      timed stages "simulate" (fun () ->
           match c.Protocol.sample with
           | Some sp ->
             let r =

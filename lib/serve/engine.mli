@@ -5,25 +5,20 @@
     it through the daemon.  A plain cell runs [Pipeline.create] →
     [Pipeline.run] → [Summary.of_pipeline], a sampled one [Sampler.run]
     → [Summary.of_sampled], so a summary is the same bits whichever
-    process computed it. *)
+    process computed it.
 
-type scope = {
-  spans : Levioso_telemetry.Span.t;
-  trace : string;  (** request trace id the cell belongs to *)
-  parent : int;  (** the cell span's id — stage spans nest under it *)
-}
-(** Where to hang this cell's stage spans.  Omitted = tracing off: no
-    stage spans and none of their clock reads ([wall_s] is measured
-    either way). *)
+    The engine knows nothing of tracing: it times each stage it runs
+    and returns the instants in [outcome.stages].  The daemon turns
+    that one record into its stage spans and access-log columns. *)
 
 type outcome = {
   summary : Levioso_telemetry.Json.t;
   source : string;  (** ["sim"] or ["cache"] *)
   wall_s : float;
-  stages : (string * float) list;
-      (** per-stage durations in execution order (["cache_probe"],
-          ["replay"], ["simulate"]) — non-empty only when a [scope] was
-          passed; feeds the daemon's access log *)
+  stages : (string * float * float) list;
+      (** [(stage, start_s, stop_s)] per stage run, in execution order
+          (["cache_probe"], ["replay"], ["simulate"]), absolute
+          [Unix.gettimeofday] seconds *)
 }
 
 val validate_cell : Protocol.cell -> (unit, string) result
@@ -38,15 +33,12 @@ val cacheable : Protocol.cell -> bool
 
 val run_cell :
   ?cache:Levioso_uarch.Run_cache.t ->
-  ?scope:scope ->
   ?observe:(Levioso_uarch.Pipeline.t -> unit) ->
   Protocol.cell ->
   outcome
 (** Replay from the store when possible (the entry must decode through
-    [Summary.stats]), otherwise simulate and store.  With a [scope], emits
-    [cache_probe]/[replay]/[simulate] child spans (hit/miss and
-    workload/policy attributes) and fills [stages]; the summary bits
-    are identical either way.
+    [Summary.stats]), otherwise simulate and store.  A stage that
+    raises records nothing: the exception fails the whole cell.
 
     [observe] gets a simulated exact cell's pipeline between
     [Pipeline.create] and [Pipeline.run], to install tracers or an

@@ -268,13 +268,13 @@ let cell_key ~use_cache (c : Protocol.cell) =
       | Some sp -> Levioso_uarch.Sampler.spec_to_string sp);
     ]
 
-let exec t ~use_cache ?scope cell () =
+let exec t ~use_cache cell () =
   Option.iter
     (fun m ->
       Monitor.start m (cell.Protocol.workload ^ "/" ^ cell.Protocol.policy))
     t.opts.monitor;
   let cache = if use_cache then t.opts.cache else None in
-  match Engine.run_cell ?cache ?scope cell with
+  match Engine.run_cell ?cache cell with
   | o ->
     (match o.Engine.source with
     | "cache" -> Atomic.incr t.cached
@@ -293,7 +293,7 @@ let exec t ~use_cache ?scope cell () =
    result (cells are deterministic).  The lock is never held across
    [Parallel.async] — a bounded pool blocks there, and a worker
    finishing a task must not need the lock we hold (deadlock). *)
-let schedule t ~use_cache ?scope cell =
+let schedule t ~use_cache cell =
   let key = cell_key ~use_cache cell in
   match
     Mutex.protect t.inflight_mu (fun () -> Hashtbl.find_opt t.inflight key)
@@ -302,7 +302,7 @@ let schedule t ~use_cache ?scope cell =
     Atomic.incr t.merged;
     (fut, false)
   | None ->
-    let fut = Parallel.async t.pool (exec t ~use_cache ?scope cell) in
+    let fut = Parallel.async t.pool (exec t ~use_cache cell) in
     Mutex.protect t.inflight_mu (fun () ->
         if not (Hashtbl.mem t.inflight key) then Hashtbl.add t.inflight key fut);
     (fut, true)
@@ -331,21 +331,28 @@ let cell_times fut ~t_sched =
     in
     (queue_s, exec_s)
 
+(* A stage span's attributes, read back from the outcome: a probe that
+   hit is followed by a replay stage, and a replay that decoded made the
+   cell a cache hit. *)
+let stage_attrs (cell : Protocol.cell) ~source stages = function
+  | "cache_probe" ->
+    let hit = List.exists (fun (name, _, _) -> name = "replay") stages in
+    [ ("hit", string_of_bool hit) ]
+  | "replay" -> [ ("replayable", string_of_bool (source = "cache")) ]
+  | "simulate" ->
+    [ ("workload", cell.Protocol.workload); ("policy", cell.Protocol.policy) ]
+  | _ -> []
+
 let handle_submit t oc ~id ~cache ~trace cells =
   let n = List.length cells in
   Protocol.(write_frame oc (response_to_json (Ack { id; cells = n })));
   let trace = match trace with Some tr -> tr | None -> Span.mint_trace () in
-  let req_span =
-    Option.map
-      (fun spans ->
-        let sp = Span.start spans ~trace "submit" in
-        Span.add_attr sp "request" id;
-        Span.add_attr sp "cells" (string_of_int n);
-        sp)
-      t.opts.spans
-  in
-  let req_parent = match req_span with Some sp -> Span.id sp | None -> -1 in
   let t0 = Unix.gettimeofday () in
+  (* the submit span is recorded last, under an id its cells can name *)
+  let req_id = Option.fold ~none:(-1) ~some:Span.fresh_id t.opts.spans in
+  let record spans ~id ~parent name start_s stop_s attrs =
+    Span.add spans { Span.trace; id; parent; name; start_s; stop_s; attrs }
+  in
   (* Enqueue everything up front (a bounded queue blocks right here —
      that is the backpressure), then stream results in submission order
      as they complete.  Validation is per cell: an invalid cell becomes
@@ -361,29 +368,22 @@ let handle_submit t oc ~id ~cache ~trace cells =
           in
           (cell, `Invalid (msg, Unix.gettimeofday ()))
         | Ok () ->
-          let cspan, scope =
-            match t.opts.spans with
-            | None -> (None, None)
-            | Some spans ->
-              let sp = Span.start spans ~trace ~parent:req_parent "cell" in
-              Span.add_attr sp "workload" cell.Protocol.workload;
-              Span.add_attr sp "policy" cell.Protocol.policy;
-              (Some sp, Some { Engine.spans; trace; parent = Span.id sp })
-          in
           let t_sched = Unix.gettimeofday () in
-          let fut, fresh = schedule t ~use_cache:cache ?scope cell in
+          let fut, fresh = schedule t ~use_cache:cache cell in
           if fresh then
             Option.iter (fun m -> Monitor.inc_total m 1) t.opts.monitor;
           publish_gauges t;
-          (cell, `Scheduled (fut, fresh, t_sched, cspan)))
+          (cell, `Scheduled (fut, fresh, t_sched)))
       cells
   in
   let simulated = ref 0 and cached = ref 0 and failed = ref 0 in
-  (* The single exit point per cell: stream the result frame, close the
-     cell span, feed the latency windows and append the access record —
-     so every accounting surface agrees on what was served. *)
-  let emit ~index ~cell ~t_sched ~cspan ~source ~wall_s ~summary ~error
-      ~queue_s ~exec_s ~engine_stages ~merged =
+  (* The single exit point per cell: stream the result frame, record the
+     cell's spans, feed the latency windows and append the access record,
+     all from the same instants — so every accounting surface agrees on
+     what was served.  The cell span covers [total_s]; a merged cell's
+     engine stages belong to the cell that started the computation. *)
+  let emit ~index ~cell ~t_sched ~source ~wall_s ~summary ~error ~queue_s
+      ~exec_s ~engine_stages ~merged =
     let t_ser = Unix.gettimeofday () in
     Protocol.(
       write_frame oc
@@ -391,15 +391,26 @@ let handle_submit t oc ~id ~cache ~trace cells =
     let t_done = Unix.gettimeofday () in
     let serialize_s = t_done -. t_ser in
     let total_s = Float.max 0. (t_done -. t_sched) in
-    (match (t.opts.spans, cspan) with
-    | Some spans, Some sp ->
-      Span.finish spans
-        ~attrs:
-          ([ ("index", string_of_int index); ("source", source) ]
+    Option.iter
+      (fun spans ->
+        let cell_id = Span.fresh_id spans in
+        record spans ~id:cell_id ~parent:req_id "cell" t_sched t_done
+          ([
+             ("workload", cell.Protocol.workload);
+             ("policy", cell.Protocol.policy);
+             ("index", string_of_int index);
+             ("source", source);
+           ]
           @ (if merged then [ ("merged", "true") ] else [])
-          @ match error with Some e -> [ ("error", e) ] | None -> [])
-        sp
-    | _ -> ());
+          @ match error with Some e -> [ ("error", e) ] | None -> []);
+        if not merged then
+          List.iter
+            (fun (name, start_s, stop_s) ->
+              record spans ~id:(Span.fresh_id spans) ~parent:cell_id name
+                start_s stop_s
+                (stage_attrs cell ~source engine_stages name))
+            engine_stages)
+      t.opts.spans;
     (* in [lat_stages] order *)
     if error = None then
       List.iter2
@@ -415,7 +426,9 @@ let handle_submit t oc ~id ~cache ~trace cells =
           ~source ?error
           ~stages:
             ([ ("queue", queue_s); ("exec", exec_s) ]
-            @ engine_stages
+            @ List.map
+                (fun (name, start_s, stop_s) -> (name, stop_s -. start_s))
+                engine_stages
             @ [ ("serialize", serialize_s) ])
           ~total_s ()
       in
@@ -435,14 +448,20 @@ let handle_submit t oc ~id ~cache ~trace cells =
       List.iter
         (fun (cell, disp) ->
           match disp with
-          | `Scheduled (fut, true, _, _) ->
+          | `Scheduled (fut, true, _) ->
             unschedule t ~use_cache:cache cell fut
           | _ -> ())
         scheduled;
-      (match (req_span, t.opts.spans) with
-      | Some sp, Some spans ->
-        Span.finish spans ~attrs:[ ("failed", string_of_int !failed) ] sp
-      | _ -> ());
+      Option.iter
+        (fun spans ->
+          record spans ~id:req_id ~parent:(-1) "submit" t0
+            (Unix.gettimeofday ())
+            [
+              ("request", id);
+              ("cells", string_of_int n);
+              ("failed", string_of_int !failed);
+            ])
+        t.opts.spans;
       publish_gauges t)
     (fun () ->
       List.iteri
@@ -451,10 +470,10 @@ let handle_submit t oc ~id ~cache ~trace cells =
           | `Invalid (msg, t_sched) ->
             incr failed;
             Atomic.incr t.errors;
-            emit ~index ~cell ~t_sched ~cspan:None ~source:"error" ~wall_s:0.
+            emit ~index ~cell ~t_sched ~source:"error" ~wall_s:0.
               ~summary:Json.Null ~error:(Some msg) ~queue_s:0. ~exec_s:0.
               ~engine_stages:[] ~merged:false
-          | `Scheduled (fut, fresh, t_sched, cspan) -> (
+          | `Scheduled (fut, fresh, t_sched) -> (
             match Parallel.await fut with
             | o ->
               if fresh then unschedule t ~use_cache:cache cell fut;
@@ -463,7 +482,7 @@ let handle_submit t oc ~id ~cache ~trace cells =
               | _ -> incr simulated);
               publish_gauges t;
               let queue_s, exec_s = cell_times fut ~t_sched in
-              emit ~index ~cell ~t_sched ~cspan ~source:o.Engine.source
+              emit ~index ~cell ~t_sched ~source:o.Engine.source
                 ~wall_s:o.Engine.wall_s ~summary:o.Engine.summary ~error:None
                 ~queue_s ~exec_s ~engine_stages:o.Engine.stages
                 ~merged:(not fresh)
@@ -475,7 +494,7 @@ let handle_submit t oc ~id ~cache ~trace cells =
               incr failed;
               Atomic.incr t.errors;
               let queue_s, exec_s = cell_times fut ~t_sched in
-              emit ~index ~cell ~t_sched ~cspan ~source:"error" ~wall_s:0.
+              emit ~index ~cell ~t_sched ~source:"error" ~wall_s:0.
                 ~summary:Json.Null ~error:(Some (Printexc.to_string e))
                 ~queue_s ~exec_s ~engine_stages:[] ~merged:(not fresh)))
         scheduled;

@@ -43,17 +43,20 @@ type opts = {
   log : (string -> unit) option;  (** daemon-side event log lines *)
   spans : Levioso_telemetry.Span.t option;
       (** request-level tracing: with a collector, every submission
-          opens a [submit] root span with one [cell] child per cell and
-          engine-stage grandchildren; the caller drains and exports
-          after {!run} returns.  [None] = tracing off: no spans and
-          none of their clock reads (the latency recorders still time
-          every cell).  Either way the simulation results are
-          bit-identical — collection is observational. *)
+          records a [submit] root span, one [cell] child per cell
+          (covering the access record's [total_s]) and, under a cell
+          that started its computation, one span per engine stage.
+          They are built from the instants the daemon reads anyway, so
+          tracing adds no clock reads; the caller drains and exports
+          after {!run} returns.  [None] = tracing off.  Either way the
+          simulation results are bit-identical — collection is
+          observational. *)
   access_log : out_channel option;
       (** one minified schema-tagged JSONL record per served cell
           (see {!Levioso_telemetry.Span.access_record}), flushed per
-          line so `tail -f` works; engine stage durations appear only
-          when [spans] is also set.  The caller owns the channel. *)
+          line so `tail -f` works, with queue, exec, engine-stage and
+          serialize durations whether or not [spans] is set.  The
+          caller owns the channel. *)
   history : history_opts option;
       (** continuous telemetry; [None] = off: no sampler thread, no
           tsdb, zero history clock reads, and the

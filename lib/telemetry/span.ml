@@ -1,5 +1,3 @@
-type clock = unit -> float
-
 type finished = {
   trace : string;
   id : int;
@@ -10,39 +8,15 @@ type finished = {
   attrs : (string * string) list;
 }
 
-type span = {
-  sp_trace : string;
-  sp_id : int;
-  sp_parent : int;
-  sp_name : string;
-  sp_start : float;
-  mutable sp_attrs : (string * string) list;  (* reversed *)
-}
+(* Only the daemon's connection-handler threads record, and each holds
+   the lock just long enough to cons one record. *)
+type t = { next_id : int Atomic.t; mu : Mutex.t; mutable items : finished list }
 
-(* One buffer per domain: a connection-handler thread and a pool worker
-   never share a mutex, and threads within one domain (the handler
-   systhreads all live on domain 0) serialize on their buffer's own
-   lock only while consing one record. *)
-type buffer = { bmu : Mutex.t; mutable items : finished list }
+let create () = { next_id = Atomic.make 0; mu = Mutex.create (); items = [] }
 
-type t = {
-  clock : clock;
-  epoch : float;
-  next_id : int Atomic.t;
-  mu : Mutex.t;  (* guards [buffers] growth only *)
-  buffers : (int, buffer) Hashtbl.t;
-}
+let fresh_id t = Atomic.fetch_and_add t.next_id 1
 
-let create ?(clock = Unix.gettimeofday) () =
-  {
-    clock;
-    epoch = clock ();
-    next_id = Atomic.make 0;
-    mu = Mutex.create ();
-    buffers = Hashtbl.create 8;
-  }
-
-let now t = t.clock ()
+let add t f = Mutex.protect t.mu (fun () -> t.items <- f :: t.items)
 
 let trace_counter = Atomic.make 0
 
@@ -50,61 +24,12 @@ let mint_trace () =
   Printf.sprintf "tr-%d-%d" (Unix.getpid ())
     (Atomic.fetch_and_add trace_counter 1)
 
-let start t ?(trace = "") ?(parent = -1) name =
-  {
-    sp_trace = trace;
-    sp_id = Atomic.fetch_and_add t.next_id 1;
-    sp_parent = parent;
-    sp_name = name;
-    sp_start = t.clock ();
-    sp_attrs = [];
-  }
-
-let add_attr sp k v = sp.sp_attrs <- (k, v) :: sp.sp_attrs
-
-let id sp = sp.sp_id
-
-let buffer_for t =
-  let d = (Domain.self () :> int) in
-  Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.buffers d with
-      | Some b -> b
-      | None ->
-        let b = { bmu = Mutex.create (); items = [] } in
-        Hashtbl.add t.buffers d b;
-        b)
-
-let finish t ?(attrs = []) sp =
-  let stop_s = t.clock () in
-  let f =
-    {
-      trace = sp.sp_trace;
-      id = sp.sp_id;
-      parent = sp.sp_parent;
-      name = sp.sp_name;
-      start_s = sp.sp_start;
-      stop_s;
-      attrs = List.rev sp.sp_attrs @ attrs;
-    }
-  in
-  let b = buffer_for t in
-  Mutex.protect b.bmu (fun () -> b.items <- f :: b.items)
-
-let duration f = f.stop_s -. f.start_s
-
 let drain t =
   let all =
     Mutex.protect t.mu (fun () ->
-        Hashtbl.fold
-          (fun _ b acc ->
-            let items =
-              Mutex.protect b.bmu (fun () ->
-                  let i = b.items in
-                  b.items <- [];
-                  i)
-            in
-            List.rev_append items acc)
-          t.buffers [])
+        let i = t.items in
+        t.items <- [];
+        i)
   in
   List.sort
     (fun a b ->

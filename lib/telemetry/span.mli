@@ -1,10 +1,10 @@
 (** Request-level distributed tracing for the serve path.
 
-    A {!t} is a thread-safe span collector: code anywhere on a request's
-    path opens a span ({!start}), attaches string attributes, and
-    {!finish}es it; finished spans land in per-domain buffers (one mutex
-    per domain, so pool workers never contend with connection-handler
-    threads) that {!drain} merges into one deterministic order.
+    A {!t} is a thread-safe collector of finished spans.  The daemon
+    times each served cell once and records the spans it derives from
+    those instants ({!add}); {!drain} returns them in one deterministic
+    order.  Spans carry no clock of their own: every [start_s]/[stop_s]
+    is an instant the caller already read.
 
     Spans form a tree: every span carries the trace id of the request it
     belongs to (minted once, client-side, and carried across the wire)
@@ -23,20 +23,13 @@
       recent-observation ring gives the exact percentiles of the live
       [stats]/[top] views and the history samples.
 
-    Everything is byte-deterministic given a fixed [clock], so golden
-    tests inject a counter clock and compare exporter output textually.
+    The exporters are byte-deterministic given the records, so golden
+    tests build records by hand and compare exporter output textually.
     Collection is strictly observational: simulation results are
     bit-identical with spans on or off. *)
 
-type clock = unit -> float
-(** Seconds.  Defaults to [Unix.gettimeofday]; tests inject a fake. *)
-
 type t
 (** A collector. *)
-
-type span
-(** An open span handle.  Cheap, immutable identity; attributes may be
-    added until {!finish}. *)
 
 type finished = {
   trace : string;  (** request trace id this span belongs to *)
@@ -45,42 +38,26 @@ type finished = {
   name : string;  (** stage name: ["submit"], ["cell"], ["simulate"], … *)
   start_s : float;
   stop_s : float;
-  attrs : (string * string) list;  (** in attachment order *)
+  attrs : (string * string) list;  (** in the order given *)
 }
 
-val create : ?clock:clock -> unit -> t
-(** The creation instant becomes the exporters' time origin, so Chrome
-    timestamps start near zero. *)
+val create : unit -> t
 
-val now : t -> float
-(** One clock reading — for callers timing stages without a span. *)
+val fresh_id : t -> int
+(** A span id unique within the collector: take it before recording a
+    span whose children must name it as their parent. *)
+
+val add : t -> finished -> unit
+(** Record one finished span.  Adding a span twice records it twice. *)
 
 val mint_trace : unit -> string
 (** A process-unique trace id (["tr-<pid>-<n>"]).  Clients mint one per
     submission and carry it in the wire frame so daemon-side spans
     correlate with the client's request. *)
 
-val start : t -> ?trace:string -> ?parent:int -> string -> span
-(** Open a span.  [trace] defaults to [""] (untraced), [parent] to
-    [-1] (root). *)
-
-val add_attr : span -> string -> string -> unit
-(** Attach one string attribute.  Not thread-safe per span (a span is
-    owned by the code path that opened it). *)
-
-val id : span -> int
-
-val finish : t -> ?attrs:(string * string) list -> span -> unit
-(** Stamp the stop time and move the span into the calling domain's
-    buffer.  [attrs] are appended after any {!add_attr}ed ones.
-    Finishing a span twice records it twice — don't. *)
-
-val duration : finished -> float
-
 val drain : t -> finished list
-(** Merge every domain's buffer and empty them.  Sorted by
-    [(start_s, id)] so the order is deterministic whenever the clock
-    is. *)
+(** Every span recorded since the last drain, which empties the
+    collector.  Sorted by [(start_s, id)]. *)
 
 (** {1 Exporters} *)
 

@@ -73,16 +73,14 @@ type t = {
   clock : clock;
   max_segment_bytes : int;
   max_total_bytes : int;
-  max_age_s : float;
   mu : Mutex.t;
   mutable seq : int;  (* sequence number of the active segment *)
   mutable chan : out_channel option;  (* active segment, opened lazily *)
   mutable chan_bytes : int;  (* bytes written to the active segment *)
-  mutable last_ts : float;  (* newest timestamp appended (age retention) *)
 }
 
 let create ?(clock = Unix.gettimeofday) ?(max_segment_bytes = 256 * 1024)
-    ?(max_total_bytes = 16 * 1024 * 1024) ?(max_age_s = infinity) ~dir () =
+    ?(max_total_bytes = 16 * 1024 * 1024) ~dir () =
   Files.mkdir_p dir;
   let seq =
     (* resume after any segment a previous process left behind *)
@@ -98,12 +96,10 @@ let create ?(clock = Unix.gettimeofday) ?(max_segment_bytes = 256 * 1024)
     clock;
     max_segment_bytes;
     max_total_bytes;
-    max_age_s;
     mu = Mutex.create ();
     seq;
     chan = None;
     chan_bytes = 0;
-    last_ts = neg_infinity;
   }
 
 let now t = t.clock ()
@@ -126,25 +122,6 @@ let rotate_locked t =
   | None -> ());
   t.seq <- t.seq + 1
 
-(* Last timestamp recorded in a segment file, for age-based retention of
-   segments inherited from a previous process.  O(file), but only runs
-   when retention actually considers deleting an old segment. *)
-let file_last_ts path =
-  let ic = open_in path in
-  let last = ref neg_infinity in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         Result.iter
-           (fun ts -> last := ts)
-           (Result.bind (Json.of_string line)
-              (Json.decoded Json.(get to_float_exn "ts")))
-     done
-   with End_of_file -> ());
-  close_in ic;
-  !last
-
 let retain_locked t =
   (* Consider only rotated (closed) segments, oldest first; the active
      segment is never deleted out from under the writer. *)
@@ -162,13 +139,7 @@ let retain_locked t =
   let total = ref (List.fold_left (fun acc (_, s) -> acc + s) t.chan_bytes sizes) in
   List.iter
     (fun (path, size) ->
-      let too_big = !total > t.max_total_bytes in
-      let too_old =
-        t.max_age_s < infinity
-        && t.last_ts > neg_infinity
-        && t.last_ts -. file_last_ts path > t.max_age_s
-      in
-      if too_big || too_old then begin
+      if !total > t.max_total_bytes then begin
         (try Sys.remove path with Sys_error _ -> ());
         total := !total - size
       end)
@@ -189,9 +160,7 @@ let write_line t json =
 let append ?ts t fields =
   let ts = match ts with Some ts -> ts | None -> t.clock () in
   let fields = List.filter (fun (_, v) -> Float.is_finite v) fields in
-  Mutex.protect t.mu (fun () ->
-      t.last_ts <- ts;
-      write_line t (sample_to_json { ts; fields }))
+  Mutex.protect t.mu (fun () -> write_line t (sample_to_json { ts; fields }))
 
 let close t =
   Mutex.protect t.mu (fun () ->

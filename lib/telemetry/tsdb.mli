@@ -11,7 +11,7 @@
       is flushed after every record, so a reader sees every completed
       line; rotation closes the active segment and opens
       the next, and retention unlinks whole rotated segments — never
-      partial files — once the store exceeds a byte or age budget.
+      partial files — once the store exceeds its byte budget.
     - {b Self-describing.}  One sample per line, minified JSON, tagged
       with [schema_version] and the [kind] "levioso-tsdb-sample" so any
       consumer can validate before trusting layout.  Field values are
@@ -41,7 +41,6 @@ val create :
   ?clock:clock ->
   ?max_segment_bytes:int ->
   ?max_total_bytes:int ->
-  ?max_age_s:float ->
   dir:string ->
   unit ->
   t
@@ -49,7 +48,7 @@ val create :
     New records append to a fresh segment numbered after any already
     present, so restarts extend history instead of clobbering it.
     Defaults: [clock = Unix.gettimeofday], [max_segment_bytes] 256 KiB,
-    [max_total_bytes] 16 MiB, [max_age_s] unbounded.  [create] itself
+    [max_total_bytes] 16 MiB.  [create] itself
     never reads the clock. *)
 
 val now : t -> float

@@ -177,7 +177,6 @@ module Hierarchy = struct
     | Memory -> h.mem_lat
 
   let l1 h = h.l1
-  let l2 h = h.l2
 
   type hsnapshot = {
     hs_l1 : snapshot;

@@ -14,10 +14,6 @@ val create : Config.cache_geometry -> t
 (** @raise Invalid_argument unless [sets] and [line_words] are powers of
     two ({!Config.validate} requires both). *)
 
-val line_of : t -> int -> int
-(** Line address (word address / line size) of a non-negative word
-    address. *)
-
 val lookup : t -> int -> bool
 (** Presence check that updates LRU on hit (a cache access). *)
 
@@ -92,8 +88,6 @@ module Hierarchy : sig
 
   val l1 : h -> t
   (** Direct access to the level-1 cache (tests and harnesses). *)
-
-  val l2 : h -> t
 
   type hsnapshot
   (** Both levels' tag/LRU state (counters are not part of a snapshot). *)

@@ -354,7 +354,6 @@ let cycle t = t.cyc
 let audit t = t.audit
 let hierarchy t = t.hierarchy
 let predictor t = t.predictor
-let config t = t.cfg
 let halted t = t.is_halted
 
 let arch_pc t =

@@ -181,7 +181,6 @@ val stats : t -> Sim_stats.t
 
 val hierarchy : t -> Cache.Hierarchy.h
 val predictor : t -> Predictor.t
-val config : t -> Config.t
 
 val arch_pc : t -> int
 (** The architectural PC: the next-to-commit instruction's PC, or the
@@ -353,10 +352,6 @@ val event_to_string : event -> string
 
 (** {1 Diagnostics} *)
 
-val recent_events : t -> (int * event) list
-(** A bounded window (last 32) of [(cycle, event)] pairs, oldest first.
-    Always on — kept in a ring so the cost is one store per event. *)
-
 type deadlock = {
   dl_cycle : int;  (** cycle at which the deadlock was declared *)
   dl_last_commit_cycle : int;  (** cycle of the last observed commit *)
@@ -367,7 +362,8 @@ type deadlock = {
       (** what the head-of-window instruction was charged to on its most
           recent waiting cycle — for a policy bug (gating the oldest
           instruction) this reads [Policy_gate] *)
-  dl_recent_events : (int * event) list;  (** see {!recent_events} *)
+  dl_recent_events : (int * event) list;
+      (** the last 32 [(cycle, event)] pairs, oldest first *)
 }
 
 exception Deadlock of deadlock

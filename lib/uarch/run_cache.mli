@@ -22,15 +22,11 @@
 type t
 
 val create : ?stamp:string -> dir:string -> unit -> t
-(** [stamp] defaults to {!code_stamp}.  The directory is created lazily
-    on the first {!store}. *)
-
-val code_stamp : unit -> string
-(** Digest of the running executable ([Sys.executable_name]), memoized.
-    ["unstamped"] when the binary cannot be read.  Note that two
-    {e different} binaries (say the daemon and a standalone bench) have
-    different stamps and therefore keep disjoint entry sets in the same
-    directory; pass an explicit [stamp] to [create] to share. *)
+(** [stamp] defaults to a digest of the running executable
+    ([Sys.executable_name]), or ["unstamped"] when it cannot be read: two
+    {e different} binaries (say the daemon and a standalone bench) keep
+    disjoint entry sets in the same directory unless both pass the same
+    [stamp].  The directory is created lazily on the first {!store}. *)
 
 val config_key : Config.t -> string
 (** Hex digest of the marshalled config — every field participates. *)

@@ -32,9 +32,3 @@ val save : t -> state
 val restore : t -> state -> unit
 (** @raise Invalid_argument when the state came from a differently-sized
     predictor. *)
-
-val num_tables : int
-(** Tagged tables (4). *)
-
-val history_lengths : int array
-(** Geometric history lengths per tagged table. *)

@@ -155,8 +155,6 @@ let map t f xs =
     end
   end
 
-let iter t f xs = ignore (map t (fun x -> f x) xs : unit list)
-
 (* --- single-task futures (the daemon's scheduling primitive) --- *)
 
 type 'a outcome =
@@ -220,12 +218,6 @@ let await fut =
   | Finished y -> y
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Running -> assert false
-
-let peek fut =
-  Mutex.lock fut.fmu;
-  let done_ = (match fut.fstate with Running -> false | _ -> true) in
-  Mutex.unlock fut.fmu;
-  done_
 
 let times fut =
   Mutex.lock fut.fmu;

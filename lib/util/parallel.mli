@@ -47,9 +47,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     @raise exn the exception raised by [f] on the lowest-indexed failing
     element, with its original backtrace, once all elements finished. *)
 
-val iter : t -> ('a -> unit) -> 'a list -> unit
-(** [iter pool f xs = ignore (map pool f xs)]. *)
-
 (** {1 Futures}
 
     Single-task scheduling for request/response servers: a long-lived
@@ -70,10 +67,6 @@ val await : 'a future -> 'a
 (** Block until the task finished; returns its value or re-raises its
     exception with the original backtrace.  Callable from any thread,
     any number of times (a failed future re-raises on every await). *)
-
-val peek : 'a future -> bool
-(** [true] once the task has finished (successfully or not) — a
-    non-blocking progress probe. *)
 
 type times = { submitted_s : float; started_s : float; finished_s : float }
 (** Wall-clock stamps ([Unix.gettimeofday]) of a task's life:

@@ -24,6 +24,3 @@ val grouped_bars :
 
 val section : string -> string
 (** A banner separating experiments in the harness output. *)
-
-val fmt_f : float -> string
-(** Compact fixed-point float used throughout reports (2 decimals). *)

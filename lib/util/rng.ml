@@ -4,7 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
 
 (* SplitMix64 output function: one additive step then two xor-shift-multiply
    mixing rounds. *)

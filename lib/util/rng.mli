@@ -12,9 +12,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator.  Equal seeds give equal streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of [t]'s subsequent output. *)

@@ -10,7 +10,5 @@
 val all : Workload.t list
 (** Four kernels: [lev-primes], [lev-crc], [lev-nbody], [lev-bubble]. *)
 
-val names : string list
-
 val find_exn : string -> Workload.t
 (** @raise Invalid_argument on unknown names. *)

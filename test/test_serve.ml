@@ -451,19 +451,14 @@ let test_mixed_batch_partial_failure () =
       Client.ping c;
       Client.close c)
 
-(* End-to-end tracing: a traced daemon produces bit-identical results,
-   the expected span tree (submit → cell → simulate) under the
-   client-minted trace id, and one well-formed access record per cell
-   whose stage durations are coherent. *)
-let test_traced_daemon () =
-  let module Span = Levioso_telemetry.Span in
-  let module Schema = Levioso_telemetry.Schema in
-  let spans = Span.create () in
+(* One daemon run over [matrix_cells] with an access log (and [spans],
+   if given), submitted under [trace]; returns the log's lines. *)
+let access_log_run ?spans ~trace () =
   let log_path = Filename.temp_file "lev-access" ".jsonl" in
   let log_oc = open_out log_path in
-  with_server ~spans ~access_log:log_oc (fun socket ->
+  with_server ?spans ~access_log:log_oc (fun socket ->
       let c = Client.connect socket in
-      let results, stats = Client.submit ~trace:"tr-test-1" c matrix_cells in
+      let results, stats = Client.submit ~trace c matrix_cells in
       Alcotest.(check int) "nothing failed" 0 stats.Protocol.failed;
       Alcotest.(check (list string))
         "traced results bit-identical to the untraced engine"
@@ -471,6 +466,56 @@ let test_traced_daemon () =
       Client.shutdown c;
       Client.close c);
   close_out log_oc;
+  let lines = In_channel.with_open_text log_path In_channel.input_lines in
+  Sys.remove log_path;
+  lines
+
+(* One well-formed access record per cell under [trace], whose stage
+   durations — the engine's [simulate] included — are coherent. *)
+let check_access_log ~trace lines =
+  let module Schema = Levioso_telemetry.Schema in
+  Alcotest.(check int) "one access record per cell" (List.length matrix_cells)
+    (List.length lines);
+  List.iter
+    (fun line ->
+      match Json.of_string line with
+      | Error msg -> Alcotest.fail ("unparsable access record: " ^ msg)
+      | Ok j ->
+        (match Schema.check ~what:"access record" j with
+        | Ok () -> ()
+        | Error msg -> Alcotest.fail msg);
+        Alcotest.(check string) "record kind" "levioso-serve-access"
+          (match Json.member "kind" j with
+          | Some (Json.String s) -> s
+          | _ -> "");
+        Alcotest.(check string) "record trace" trace
+          (match Json.member "trace" j with
+          | Some (Json.String s) -> s
+          | _ -> "");
+        let f name =
+          match Json.member name j with
+          | Some (Json.Float v) -> v
+          | Some (Json.Int v) -> float_of_int v
+          | _ -> Alcotest.fail (name ^ " missing from access record")
+        in
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) (s ^ " non-negative") true (f s >= 0.))
+          [ "queue_s"; "exec_s"; "simulate_s"; "serialize_s"; "total_s" ];
+        Alcotest.(check bool) "queue + exec <= total" true
+          (f "queue_s" +. f "exec_s" <= f "total_s" +. 1e-9))
+    lines
+
+(* End-to-end tracing: a traced daemon produces bit-identical results,
+   the expected span tree (submit → cell → simulate) under the
+   client-minted trace id, and one well-formed access record per cell
+   whose stage durations are coherent.  A second daemon without a span
+   collector writes the same access-log columns: the engine times its
+   stages whether or not anything is traced. *)
+let test_traced_daemon () =
+  let module Span = Levioso_telemetry.Span in
+  let spans = Span.create () in
+  let lines = access_log_run ~spans ~trace:"tr-test-1" () in
   let finished = Span.drain spans in
   let n = List.length matrix_cells in
   (* 1 submit + n cells + n simulate stages (no store, so no probes) *)
@@ -501,45 +546,8 @@ let test_traced_daemon () =
             (List.mem sp.Span.parent cell_ids))
       finished
   | _ -> Alcotest.fail "expected exactly one root span");
-  let ic = open_in log_path in
-  let rec read_lines acc =
-    match input_line ic with
-    | line -> read_lines (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  let lines = read_lines [] in
-  close_in ic;
-  Sys.remove log_path;
-  Alcotest.(check int) "one access record per cell" n (List.length lines);
-  List.iter
-    (fun line ->
-      match Json.of_string line with
-      | Error msg -> Alcotest.fail ("unparsable access record: " ^ msg)
-      | Ok j ->
-        (match Schema.check ~what:"access record" j with
-        | Ok () -> ()
-        | Error msg -> Alcotest.fail msg);
-        Alcotest.(check string) "record kind" "levioso-serve-access"
-          (match Json.member "kind" j with
-          | Some (Json.String s) -> s
-          | _ -> "");
-        Alcotest.(check string) "record trace" "tr-test-1"
-          (match Json.member "trace" j with
-          | Some (Json.String s) -> s
-          | _ -> "");
-        let f name =
-          match Json.member name j with
-          | Some (Json.Float v) -> v
-          | Some (Json.Int v) -> float_of_int v
-          | _ -> Alcotest.fail (name ^ " missing from access record")
-        in
-        List.iter
-          (fun s ->
-            Alcotest.(check bool) (s ^ " non-negative") true (f s >= 0.))
-          [ "queue_s"; "exec_s"; "simulate_s"; "serialize_s"; "total_s" ];
-        Alcotest.(check bool) "queue + exec <= total" true
-          (f "queue_s" +. f "exec_s" <= f "total_s" +. 1e-9))
-    lines
+  check_access_log ~trace:"tr-test-1" lines;
+  check_access_log ~trace:"tr-test-2" (access_log_run ~trace:"tr-test-2" ())
 
 let test_bounded_queue_backpressure () =
   (* queue bound of 1 with 2 workers: submissions block instead of

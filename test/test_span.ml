@@ -1,49 +1,77 @@
 (* Request-level tracing: collector semantics (ids, parenting, drain
-   order, per-domain buffers), byte-determinism of the exporters under
-   an injected clock, access-record shape, and the latency-accounting
-   primitives (fixed log-scale histograms, sliding-window exact
-   percentiles). *)
+   order, concurrent recorders), byte-determinism of the exporters,
+   access-record shape, and the latency-accounting primitives (fixed
+   log-scale histograms, sliding-window exact percentiles). *)
 
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
 module Span = Levioso_telemetry.Span
 
-(* a deterministic clock: every reading advances by [step] *)
-let counter_clock step =
-  let t = ref 0. in
-  fun () ->
-    let v = !t in
-    t := v +. step;
-    v
+(* Record one finished span under a fresh id and return the id. *)
+let add spans ?(trace = "") ?(parent = -1) ?(attrs = []) name start_s stop_s =
+  let id = Span.fresh_id spans in
+  Span.add spans { Span.trace; id; parent; name; start_s; stop_s; attrs };
+  id
 
 let test_collector_tree () =
-  let spans = Span.create ~clock:(counter_clock 0.5) () in
-  let root = Span.start spans ~trace:"tr-x" "submit" in
-  Span.add_attr root "request" "r1";
-  let child = Span.start spans ~trace:"tr-x" ~parent:(Span.id root) "cell" in
-  Span.finish spans ~attrs:[ ("source", "sim") ] child;
-  Span.finish spans root;
+  let spans = Span.create () in
+  (* the parent's id is taken first and the parent recorded last, as the
+     daemon does for a submission and its cells *)
+  let root = Span.fresh_id spans in
+  ignore
+    (add spans ~trace:"tr-x" ~parent:root ~attrs:[ ("source", "sim") ] "cell"
+       0.5 1.0);
+  Span.add spans
+    {
+      Span.trace = "tr-x";
+      id = root;
+      parent = -1;
+      name = "submit";
+      start_s = 0.;
+      stop_s = 1.5;
+      attrs = [ ("request", "r1") ];
+    };
   (match Span.drain spans with
   | [ a; b ] ->
     Alcotest.(check string) "earlier start drains first" "submit" a.Span.name;
     Alcotest.(check int) "root is parentless" (-1) a.Span.parent;
     Alcotest.(check string) "both carry the trace" "tr-x" b.Span.trace;
     Alcotest.(check int) "child links to the root" a.Span.id b.Span.parent;
-    Alcotest.(check bool) "add_attr before finish attrs" true
+    Alcotest.(check bool) "ids are distinct" true (a.Span.id <> b.Span.id);
+    Alcotest.(check bool) "attrs kept as given" true
       (a.Span.attrs = [ ("request", "r1") ]
-      && b.Span.attrs = [ ("source", "sim") ]);
-    Alcotest.(check (float 1e-9)) "child duration" 0.5 (Span.duration b);
-    Alcotest.(check (float 1e-9)) "root spans its child" 1.5 (Span.duration a)
+      && b.Span.attrs = [ ("source", "sim") ])
   | l -> Alcotest.fail (Printf.sprintf "expected 2 spans, got %d" (List.length l)));
-  Alcotest.(check int) "drain empties the buffers" 0
-    (List.length (Span.drain spans))
+  Alcotest.(check int) "drain empties the collector" 0
+    (List.length (Span.drain spans));
+  (* equal starts drain in id order *)
+  let first = add spans "a" 2. 3. in
+  let second = add spans "b" 2. 2.5 in
+  Alcotest.(check (list int)) "ties broken by id" [ first; second ]
+    (List.map (fun (f : Span.finished) -> f.Span.id) (Span.drain spans))
+
+(* submit [0.001, 0.006] holding cell [0.002, 0.003], then an untraced
+   root [0.004, 0.005] *)
+let record_tree ?(root_attrs = []) ?(bare = false) spans =
+  let root = Span.fresh_id spans in
+  ignore
+    (add spans ~trace:"tr-1" ~parent:root ~attrs:[ ("source", "sim") ] "cell"
+       0.002 0.003);
+  if bare then ignore (add spans "decode" 0.004 0.005);
+  Span.add spans
+    {
+      Span.trace = "tr-1";
+      id = root;
+      parent = -1;
+      name = "submit";
+      start_s = 0.001;
+      stop_s = 0.006;
+      attrs = root_attrs;
+    }
 
 let build_chrome () =
-  let spans = Span.create ~clock:(counter_clock 0.001) () in
-  let root = Span.start spans ~trace:"tr-1" "submit" in
-  let cell = Span.start spans ~trace:"tr-1" ~parent:(Span.id root) "cell" in
-  Span.finish spans ~attrs:[ ("source", "sim") ] cell;
-  Span.finish spans root;
+  let spans = Span.create () in
+  record_tree spans;
   Span.to_chrome (Span.drain spans)
 
 let test_chrome_export () =
@@ -89,14 +117,8 @@ let test_chrome_export () =
 (* The exact bytes of the export: key order, the untraced track, attrs
    after the span/parent/trace args. *)
 let test_chrome_bytes () =
-  let spans = Span.create ~clock:(counter_clock 0.001) () in
-  let root = Span.start spans ~trace:"tr-1" "submit" in
-  Span.add_attr root "request" "r1";
-  let cell = Span.start spans ~trace:"tr-1" ~parent:(Span.id root) "cell" in
-  Span.finish spans ~attrs:[ ("source", "sim") ] cell;
-  let bare = Span.start spans "decode" in
-  Span.finish spans bare;
-  Span.finish spans root;
+  let spans = Span.create () in
+  record_tree ~root_attrs:[ ("request", "r1") ] ~bare:true spans;
   let expected =
     String.concat ""
       [
@@ -198,18 +220,22 @@ let test_window () =
   Alcotest.(check (option (float 0.))) "old samples evicted" (Some 10.)
     (pct 0.5)
 
-let test_concurrent_finish () =
+let test_concurrent_add () =
   let spans = Span.create () in
   let worker i =
-    for _ = 1 to 100 do
-      let sp = Span.start spans ~trace:(Printf.sprintf "t%d" i) "w" in
-      Span.finish spans sp
+    for k = 1 to 100 do
+      ignore (add spans ~trace:(Printf.sprintf "t%d" i) "w" (float_of_int k) 0.)
     done
   in
   let ts = List.init 4 (fun i -> Thread.create worker i) in
   List.iter Thread.join ts;
+  let drained = Span.drain spans in
   Alcotest.(check int) "every span collected exactly once" 400
-    (List.length (Span.drain spans))
+    (List.length drained);
+  Alcotest.(check int) "every id distinct" 400
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (f : Span.finished) -> f.Span.id) drained)))
 
 let test_mint_trace_unique () =
   let a = Span.mint_trace () and b = Span.mint_trace () in
@@ -230,7 +256,7 @@ let suite =
       Alcotest.test_case "histogram: fixed log-scale buckets" `Quick test_hist;
       Alcotest.test_case "window: exact sliding percentiles" `Quick test_window;
       Alcotest.test_case "collector: concurrent finishers" `Quick
-        test_concurrent_finish;
+        test_concurrent_add;
       Alcotest.test_case "trace ids: process-unique" `Quick
         test_mint_trace_unique;
     ] )
