@@ -705,9 +705,12 @@ let main quick_ only json_out jobs_ cache cache_dir audit_ sample_ cache_prune
       sample := sample_;
       remote := remote_;
       (* With --remote, caching is the daemon's business (gated per batch
-         by --no-cache); a local store would never be consulted. *)
-      if use_cache_ && remote_ = None then
-        disk := Some (Run_cache.create ~dir:cache_dir ());
+         by --no-cache); a local store would never be consulted, nor
+         would it be for audited or sampled cells. *)
+      if use_cache_ && remote_ = None && (not audit_) && sample_ = None then begin
+        Levioso_telemetry.Files.mkdir_p cache_dir;
+        disk := Some (Run_cache.create ~dir:cache_dir ())
+      end;
       let t_start = Unix.gettimeofday () in
       let ids =
         List.filter (fun id -> only = [] || List.mem id only) (List.map fst experiments)

@@ -144,16 +144,15 @@ let render_stats socket j =
       "levioso_serve @ %s — up %s, proto %d, pool %d, cache %s\n" socket
       (fmt_uptime (Json.(get to_float_exn) "uptime_s" j))
       (int "proto" j) (int "pool" j)
-      (if Json.(get to_bool_exn) "cache" j then "on" else "off");
+      (if Json.member "cache_dir" j = Some Json.Null then "off" else "on");
     Printf.bprintf buf
       "requests %d   errors %d   clients %d   queue %d   inflight %d\n"
       (int "requests" j) (int "errors" j) (gauge "serve_clients")
       (gauge "serve_queue_depth")
       (gauge "serve_inflight");
-    Printf.bprintf buf "cells: %d simulated, %d cached, %d merged\n\n"
+    Printf.bprintf buf "cells: %d simulated, %d cached\n\n"
       (gauge "serve_cells_simulated")
-      (gauge "serve_cells_cached")
-      (gauge "serve_cells_merged");
+      (gauge "serve_cells_cached");
     let header = [ "stage"; "seen"; "window"; "p50"; "p95"; "p99" ] in
     Buffer.add_string buf
       (Report.table ~header ~rows:(Json.(get (fields stage)) "latency" j));
@@ -297,7 +296,7 @@ let history_cmd socket dir since until last json fields =
       fields
   in
   let render samples =
-    if json then print_endline (Json.to_string (Protocol.history_doc samples))
+    if json then print_endline (Json.to_string (Tsdb.history_doc samples))
     else render_history samples fields
   in
   match dir with
@@ -307,13 +306,8 @@ let history_cmd socket dir since until last json fields =
     | Error msg -> runtime_error msg
     | Ok samples -> `Ok (render samples))
   | None ->
-    with_client socket (fun c ->
-        let doc = Client.history ?since ?until ~last c in
-        if json then print_endline (Json.to_string doc)
-        else
-          match Protocol.history_records doc with
-          | Ok samples -> render_history samples fields
-          | Error msg -> raise (Client.Server_error msg))
+    (* live: the same read, in the directory the daemon names *)
+    with_client socket (fun c -> render (Client.history ?since ?until ~last c))
 
 (* ---------- cmdliner ---------- *)
 
@@ -353,7 +347,7 @@ let cache_dir_arg =
     & info [ "cache-dir" ] ~docv:"DIR"
         ~doc:
           "Sharded result store shared by every client of this daemon \
-           (created on the first store).")
+           (created at start-up).")
 
 let no_cache_arg =
   Arg.(
@@ -367,7 +361,7 @@ let metrics_serve_arg =
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
           "Periodically write daemon gauges (queue depth, clients, cells \
-           simulated/cached/merged) in OpenMetrics text format to $(docv).")
+           simulated/cached) in OpenMetrics text format to $(docv).")
 
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the event log.")
@@ -526,7 +520,7 @@ let days_arg =
 let prune_sub =
   Cmd.v
     (Cmd.info "prune" ~exits:client_exits
-       ~doc:"delete stale entries from the daemon's store")
+       ~doc:"delete stale entries from the store directory the daemon names")
     Term.(ret (const prune_cmd $ socket_arg $ days_arg))
 
 let shutdown_sub =
@@ -586,8 +580,8 @@ let history_sub =
   Cmd.v
     (Cmd.info "history" ~exits:client_exits
        ~doc:
-         "query the daemon's recorded telemetry time-series (or read \
-          segment files directly with --dir)")
+         "read the telemetry time-series in the directory the daemon names \
+          (or, with --dir, in any segment directory)")
     Term.(
       ret
         (const history_cmd $ socket_arg $ history_dir_arg $ since_arg

@@ -1,5 +1,7 @@
 module Json = Levioso_telemetry.Json
 module Config = Levioso_uarch.Config
+module Run_cache = Levioso_uarch.Run_cache
+module Tsdb = Levioso_telemetry.Tsdb
 
 exception Server_error of string
 
@@ -80,20 +82,30 @@ let stats c =
   | Protocol.Stats_snapshot j -> j
   | _ -> fail "expected a stats snapshot"
 
+(* A directory the daemon writes under, as its stats frame names it. *)
+let daemon_dir c key =
+  match Json.member key (stats c) with
+  | Some (Json.String dir) -> Some dir
+  | Some Json.Null -> None
+  | _ -> fail "malformed stats frame: no %s" key
+
 let prune c ~max_age_days =
-  match request c (Protocol.Prune max_age_days) with
-  | Protocol.Pruned n -> n
-  | _ -> fail "expected a prune count"
+  match daemon_dir c "cache_dir" with
+  | Some dir -> Run_cache.prune (Run_cache.create ~dir ()) ~max_age_days
+  | None -> 0
 
 let shutdown c =
   match request c Protocol.Shutdown with
   | Protocol.Bye -> ()
   | _ -> fail "expected bye"
 
-let history ?since ?until ?(last = 0) c =
-  match request c (Protocol.History { since; until; last }) with
-  | Protocol.History_data j -> j
-  | _ -> fail "expected a history document"
+let history ?since ?until ?last c =
+  match daemon_dir c "history_dir" with
+  | None -> fail "daemon is running without --history-out"
+  | Some dir -> (
+    match Tsdb.read_dir ?since ?until ?last dir with
+    | Ok samples -> samples
+    | Error msg -> fail "%s" msg)
 
 type result_cell = {
   source : string;

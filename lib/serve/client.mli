@@ -5,7 +5,9 @@
 
     One [t] is one connection; it is not thread-safe (use one connection
     per thread — the daemon multiplexes across connections, not within
-    one). *)
+    one).  {!history} and {!prune} ask the daemon where its directories
+    are, then read or prune them here: a Unix-domain socket puts both
+    ends on one file system. *)
 
 exception Server_error of string
 (** Raised on connection failures, protocol violations and server-side
@@ -31,18 +33,23 @@ val list : t -> (string * string) list * string list
 val stats : t -> Levioso_telemetry.Json.t
 
 val prune : t -> max_age_days:int -> int
-(** Entries removed from the daemon's store. *)
+(** {!Levioso_uarch.Run_cache.prune} on the store directory the daemon's
+    stats frame names ([cache_dir]): the entries removed, 0 for a
+    daemon without a store. *)
 
 val shutdown : t -> unit
 (** Ask the daemon to drain and exit; returns once it acknowledged. *)
 
 val history :
-  ?since:float -> ?until:float -> ?last:int -> t -> Levioso_telemetry.Json.t
-(** Query the daemon's continuous-telemetry time-series: a schema-tagged
-    ["levioso-history"] document (see {!Protocol.history_records}) with
-    records in [since <= ts <= until], the newest [last] when
-    [last > 0].  @raise Server_error when the daemon runs without
-    [--history-out]. *)
+  ?since:float ->
+  ?until:float ->
+  ?last:int ->
+  t ->
+  Levioso_telemetry.Tsdb.sample list
+(** {!Levioso_telemetry.Tsdb.read_dir} on the history directory the
+    daemon's stats frame names ([history_dir]), while the daemon keeps
+    appending to it.  @raise Server_error when the daemon runs without
+    [--history-out] or a segment does not parse. *)
 
 type result_cell = {
   source : string;  (** ["sim"], ["cache"] or ["error"] *)

@@ -1,6 +1,4 @@
 module Json = Levioso_telemetry.Json
-module Schema = Levioso_telemetry.Schema
-module Tsdb = Levioso_telemetry.Tsdb
 module Config = Levioso_uarch.Config
 module Sampler = Levioso_uarch.Sampler
 
@@ -21,14 +19,12 @@ type request =
   | Ping
   | Stats
   | Shutdown
-  | Prune of int
   | Submit of {
       id : string;
       cache : bool;
       trace : string option;
       cells : cell list;
     }
-  | History of { since : float option; until : float option; last : int }
 
 type done_stats = {
   simulated : int;
@@ -50,11 +46,7 @@ type response =
       error : string option;
     }
   | Done of { id : string; stats : done_stats }
-  | Pruned of int
   | Stats_snapshot of Json.t
-  | History_data of Json.t
-      (** schema-tagged ["levioso-history"] document with a [records]
-          list of tsdb samples *)
   | Pong
   | Error of string
   | Bye
@@ -82,8 +74,6 @@ let request_to_json = function
   | Ping -> frame [ ("type", Json.String "ping") ]
   | Stats -> frame [ ("type", Json.String "stats") ]
   | Shutdown -> frame [ ("type", Json.String "shutdown") ]
-  | Prune days ->
-    frame [ ("type", Json.String "prune"); ("days", Json.Int days) ]
   | Submit { id; cache; trace; cells } ->
     frame
       ([ ("type", Json.String "submit"); ("id", Json.String id) ]
@@ -94,16 +84,6 @@ let request_to_json = function
           ("cache", Json.Bool cache);
           ("cells", Json.List (List.map cell_to_json cells));
         ])
-  | History { since; until; last } ->
-    frame
-      ([ ("type", Json.String "history") ]
-      @ (match since with
-        | Some s -> [ ("since", Json.float s) ]
-        | None -> [])
-      @ (match until with
-        | Some u -> [ ("until", Json.float u) ]
-        | None -> [])
-      @ [ ("last", Json.Int last) ])
 
 let response_to_json = function
   | Hello { proto; pool; cache } ->
@@ -159,10 +139,7 @@ let response_to_json = function
         ("failed", Json.Int stats.failed);
         ("wall_s", Json.float stats.wall_s);
       ]
-  | Pruned removed ->
-    frame [ ("type", Json.String "pruned"); ("removed", Json.Int removed) ]
   | Stats_snapshot j -> frame [ ("type", Json.String "stats"); ("snapshot", j) ]
-  | History_data j -> frame [ ("type", Json.String "history"); ("data", j) ]
   | Pong -> frame [ ("type", Json.String "pong") ]
   | Error msg ->
     frame [ ("type", Json.String "error"); ("message", Json.String msg) ]
@@ -175,8 +152,7 @@ let int k j = Json.(get to_int_exn) k j
 let bool k j = Json.(get to_bool_exn) k j
 let num k j = Json.(get to_float_exn) k j
 
-(* The optional fields ([trace], [error], [failed] and the history
-   bounds) were added after v1 shipped: absent on frames from older peers
+(* The optional fields ([trace], [error], [failed]) were added after v1 shipped: absent on frames from older peers
    (both directions keep working), malformed still rejected. *)
 let opt conv k j = Json.get ~default:None (fun v -> Some (conv v)) k j
 
@@ -207,7 +183,6 @@ let request_of_json =
       | "ping" -> Ping
       | "stats" -> Stats
       | "shutdown" -> Shutdown
-      | "prune" -> Prune (int "days" j)
       | "submit" ->
         Submit
           {
@@ -215,13 +190,6 @@ let request_of_json =
             cache = bool "cache" j;
             trace = opt Json.to_string_exn "trace" j;
             cells = Json.(get (each cell_of)) "cells" j;
-          }
-      | "history" ->
-        History
-          {
-            since = opt Json.to_float_exn "since" j;
-            until = opt Json.to_float_exn "until" j;
-            last = Json.(get ~default:0 to_int_exn) "last" j;
           }
       | ty -> invalid_arg (Printf.sprintf "unknown request type %S" ty))
 
@@ -259,34 +227,11 @@ let response_of_json =
           }
         in
         Done { id = str "id" j; stats }
-      | "pruned" -> Pruned (int "removed" j)
       | "stats" -> Stats_snapshot (Json.get Fun.id "snapshot" j)
-      | "history" -> History_data (Json.get Fun.id "data" j)
       | "pong" -> Pong
       | "error" -> Error (str "message" j)
       | "bye" -> Bye
       | ty -> invalid_arg (Printf.sprintf "unknown response type %S" ty))
-
-(* --- history documents ------------------------------------------------
-
-   The payload of a [History_data] response, also what `levioso_serve
-   history --json` prints: a schema-tagged wrapper around verbatim tsdb
-   samples, so the same document shape works whether the samples came
-   over the wire or straight off disk. *)
-
-let history_doc samples =
-  Schema.tag
-    [
-      ("kind", Json.String "levioso-history");
-      ("count", Json.Int (List.length samples));
-      ("records", Json.List (List.map Tsdb.sample_to_json samples));
-    ]
-
-let history_records j =
-  Result.bind (Schema.check ~what:"history document" j) (fun () ->
-      Json.decoded
-        Json.(get (each (fun r -> ok_exn (Tsdb.sample_of_json r))) "records")
-        j)
 
 (* --- framing ----------------------------------------------------------
 

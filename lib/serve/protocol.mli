@@ -7,7 +7,10 @@
     [submit] with an [ack], then streams one [result] frame per cell (in
     submission order) and closes the exchange with a [done] frame, so a
     client can render progress as results arrive.  All other requests
-    get exactly one response frame. *)
+    get exactly one response frame.  The socket carries cells and the
+    daemon's live state only: the files the daemon writes (history
+    segments, the result store) are read in the directories its [stats]
+    frame names. *)
 
 val version : int
 (** Wire protocol generation (1).  Distinct from the JSON artifact
@@ -32,7 +35,6 @@ type request =
   | Ping
   | Stats  (** queue/throughput/latency snapshot *)
   | Shutdown  (** stop accepting clients and exit after draining *)
-  | Prune of int  (** delete cache entries older than N days *)
   | Submit of {
       id : string;
       cache : bool;
@@ -46,12 +48,6 @@ type request =
       (** [id] is an opaque client-chosen tag echoed in every response
           frame of the exchange; [cache] gates the daemon's shared
           result store for this batch. *)
-  | History of { since : float option; until : float option; last : int }
-      (** query the daemon's continuous-telemetry time-series
-          ([--history-out]): records with [since <= ts <= until],
-          truncated to the newest [last] records when [last > 0].  All
-          three fields are optional on the wire (absent [last] decodes
-          as 0 = unlimited), so older clients interoperate. *)
 
 type done_stats = {
   simulated : int;
@@ -61,10 +57,9 @@ type done_stats = {
           frames from pre-tracing daemons and decoded as [0] *)
   wall_s : float;
 }
-(** [simulated] counts cells this submission actually ran (including
-    runs merged from a concurrent identical submission); [cached] counts
-    shard-store replays.  [wall_s] is daemon-side wall clock for the
-    whole batch. *)
+(** [simulated] counts the cells the daemon ran for this submission;
+    [cached] counts shard-store replays.  Every valid cell is one or the
+    other.  [wall_s] is daemon-side wall clock for the whole batch. *)
 
 type response =
   | Hello of { proto : int; pool : int; cache : bool }
@@ -86,14 +81,10 @@ type response =
               bad cell no longer aborts the submission *)
     }
   | Done of { id : string; stats : done_stats }
-  | Pruned of int
   | Stats_snapshot of Levioso_telemetry.Json.t
-  | History_data of Levioso_telemetry.Json.t
-      (** answer to [History]: a schema-tagged ["levioso-history"]
-          document whose [records] list holds tsdb samples (parse
-          each with {!Levioso_telemetry.Tsdb.sample_of_json});
-          an [Error] response when the daemon runs without
-          [--history-out] *)
+      (** the ["levioso-serve-stats"] document: counters, gauges,
+          per-stage latency and the daemon's [cache_dir] and
+          [history_dir] ([null] when off) *)
   | Pong
   | Error of string
   | Bye  (** acknowledges a [Shutdown] *)
@@ -106,16 +97,6 @@ val request_of_json : Levioso_telemetry.Json.t -> (request, string) result
 
 val response_to_json : response -> Levioso_telemetry.Json.t
 val response_of_json : Levioso_telemetry.Json.t -> (response, string) result
-
-val history_doc : Levioso_telemetry.Tsdb.sample list -> Levioso_telemetry.Json.t
-(** Wrap tsdb samples as the schema-tagged ["levioso-history"] document
-    carried by [History_data] (and printed by
-    [levioso_serve history --json]). *)
-
-val history_records :
-  Levioso_telemetry.Json.t ->
-  (Levioso_telemetry.Tsdb.sample list, string) result
-(** Inverse of {!history_doc}; schema-checks first. *)
 
 val write_frame : out_channel -> Levioso_telemetry.Json.t -> unit
 (** One minified JSON object plus newline, flushed. *)
@@ -134,4 +115,4 @@ val read_frame :
 (** [Ok None] on orderly EOF; [Error] on torn or unparsable frames, and
     on a line longer than [max_bytes] (unbounded when omitted: the
     daemon passes {!max_frame_bytes}; clients read their daemon's
-    responses, such as a long [History_data], whole). *)
+    responses whole). *)

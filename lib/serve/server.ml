@@ -4,6 +4,7 @@ module Monitor = Levioso_telemetry.Monitor
 module Span = Levioso_telemetry.Span
 module Latency = Span.Latency
 module Tsdb = Levioso_telemetry.Tsdb
+module Files = Levioso_telemetry.Files
 module Run_cache = Levioso_uarch.Run_cache
 module Parallel = Levioso_util.Parallel
 
@@ -36,7 +37,7 @@ let lat_stages = [ "queue"; "exec"; "serialize"; "total" ]
    and its clock reads simply do not exist, which is the zero-effect
    guarantee. *)
 type hist = {
-  h_dir : string;
+  h_dir : string;  (* absolute *)
   h_interval_s : float;
   tsdb : Tsdb.t;
   h_stop : bool Atomic.t;
@@ -50,19 +51,14 @@ type t = {
   pool : Parallel.t;
   running : bool Atomic.t;
   started : float;
-  (* best-effort memo of cells currently being computed, so N clients
-     submitting the same matrix concurrently pay for one simulation of
-     each cell instead of N (the disk store only helps after a cell
-     finishes) *)
-  inflight : (string, Engine.outcome Parallel.future) Hashtbl.t;
-  inflight_mu : Mutex.t;
+  cache_dir : string option;  (* absolute *)
   clients : (Thread.t * Unix.file_descr) list ref;
   clients_mu : Mutex.t;
   next_conn : int Atomic.t;
   (* lifetime counters for the stats frame / OpenMetrics gauges *)
   simulated : int Atomic.t;
   cached : int Atomic.t;
-  merged : int Atomic.t;
+  inflight : int Atomic.t;  (* cells scheduled, not yet answered *)
   requests : int Atomic.t;
   errors : int Atomic.t;
   lat : (string * Latency.t) list;  (* one recorder per stage *)
@@ -89,8 +85,7 @@ let snapshot t =
         ("queue_depth", "Tasks waiting for a pool worker.",
          float_of_int (Parallel.queue_depth t.pool));
         ("inflight", "Cells currently being computed.",
-         float_of_int
-           (Mutex.protect t.inflight_mu (fun () -> Hashtbl.length t.inflight)));
+         float_of_int (Atomic.get t.inflight));
         ("clients", "Connected clients.",
          float_of_int
            (Mutex.protect t.clients_mu (fun () -> List.length !(t.clients))));
@@ -98,8 +93,6 @@ let snapshot t =
          float_of_int (Atomic.get t.simulated));
         ("cells_cached", "Cells replayed from the shard store.",
          float_of_int (Atomic.get t.cached));
-        ("cells_merged", "Cells merged onto a concurrent computation.",
-         float_of_int (Atomic.get t.merged));
         ("requests", "Requests handled since daemon start.",
          float_of_int (Atomic.get t.requests));
         ("errors", "Cells and frames that failed since daemon start.",
@@ -139,6 +132,7 @@ let publish_gauges t =
       s.latency
 
 let stats_json t s =
+  let path = function Some dir -> Json.String dir | None -> Json.Null in
   let stage (name, (r : Latency.reading)) =
     ( name,
       Json.Obj
@@ -156,7 +150,8 @@ let stats_json t s =
       ("pool", Json.Int (Parallel.size t.pool));
       ( "queue_max",
         match t.opts.queue_max with Some n -> Json.Int n | None -> Json.Null );
-      ("cache", Json.Bool (t.opts.cache <> None));
+      ("cache_dir", path t.cache_dir);
+      ("history_dir", path (Option.map (fun h -> h.h_dir) t.history));
       ("uptime_s", Json.float (Unix.gettimeofday () -. t.started));
       ("requests", Json.Int (int_of_float (gauge s "requests")));
       ("errors", Json.Int (int_of_float (gauge s "errors")));
@@ -252,22 +247,6 @@ let sampler_loop t h =
   (* final sample so even a short-lived daemon leaves >= 2 points *)
   sample_history t h
 
-(* The in-flight memo key: everything that determines the result bits,
-   plus the cache flag — a --no-cache submission must not merge onto a
-   cache-enabled computation that could replay from the shard store. *)
-let cell_key ~use_cache (c : Protocol.cell) =
-  String.concat "\x00"
-    [
-      string_of_bool use_cache;
-      Run_cache.config_key c.Protocol.config;
-      c.Protocol.workload;
-      c.Protocol.policy;
-      string_of_bool c.Protocol.audit;
-      (match c.Protocol.sample with
-      | None -> "off"
-      | Some sp -> Levioso_uarch.Sampler.spec_to_string sp);
-    ]
-
 let exec t ~use_cache cell () =
   Option.iter
     (fun m ->
@@ -287,49 +266,13 @@ let exec t ~use_cache cell () =
     Option.iter Monitor.item_done t.opts.monitor;
     raise e
 
-(* Schedule one cell, merging onto an identical in-flight computation
-   when one exists.  The memo is advisory: a racing double-insert or an
-   early removal only costs a duplicate simulation, never a wrong
-   result (cells are deterministic).  The lock is never held across
-   [Parallel.async] — a bounded pool blocks there, and a worker
-   finishing a task must not need the lock we hold (deadlock). *)
-let schedule t ~use_cache cell =
-  let key = cell_key ~use_cache cell in
-  match
-    Mutex.protect t.inflight_mu (fun () -> Hashtbl.find_opt t.inflight key)
-  with
-  | Some fut ->
-    Atomic.incr t.merged;
-    (fut, false)
-  | None ->
-    let fut = Parallel.async t.pool (exec t ~use_cache cell) in
-    Mutex.protect t.inflight_mu (fun () ->
-        if not (Hashtbl.mem t.inflight key) then Hashtbl.add t.inflight key fut);
-    (fut, true)
-
-let unschedule t ~use_cache cell fut =
-  let key = cell_key ~use_cache cell in
-  Mutex.protect t.inflight_mu (fun () ->
-      match Hashtbl.find_opt t.inflight key with
-      | Some f when f == fut -> Hashtbl.remove t.inflight key
-      | _ -> ())
-
-(* Queue-wait and execution time of [fut], clamped to the window that
-   opens at this submission's schedule instant [t_sched]: a merged cell
-   rides a future another submission created — possibly long before we
-   arrived — and the access-log invariant queue + exec <= total must
-   hold per request, not per future. *)
-let cell_times fut ~t_sched =
+(* Queue wait and execution time of a finished cell's future. *)
+let cell_times fut =
   match Parallel.times fut with
   | None -> (0., 0.)
   | Some tm ->
-    let base = Float.max tm.Parallel.submitted_s t_sched in
-    let queue_s = Float.max 0. (tm.Parallel.started_s -. base) in
-    let exec_s =
-      Float.max 0.
-        (tm.Parallel.finished_s -. Float.max tm.Parallel.started_s base)
-    in
-    (queue_s, exec_s)
+    ( tm.Parallel.started_s -. tm.Parallel.submitted_s,
+      tm.Parallel.finished_s -. tm.Parallel.started_s )
 
 (* A stage span's attributes, read back from the outcome: a probe that
    hit is followed by a replay stage, and a replay that decoded made the
@@ -353,37 +296,13 @@ let handle_submit t oc ~id ~cache ~trace cells =
   let record spans ~id ~parent name start_s stop_s attrs =
     Span.add spans { Span.trace; id; parent; name; start_s; stop_s; attrs }
   in
-  (* Enqueue everything up front (a bounded queue blocks right here —
-     that is the backpressure), then stream results in submission order
-     as they complete.  Validation is per cell: an invalid cell becomes
-     its own [error] result and the rest of the batch proceeds. *)
-  let scheduled =
-    List.map
-      (fun cell ->
-        match Engine.validate_cell cell with
-        | Error msg ->
-          let msg =
-            Printf.sprintf "%s/%s: %s" cell.Protocol.workload
-              cell.Protocol.policy msg
-          in
-          (cell, `Invalid (msg, Unix.gettimeofday ()))
-        | Ok () ->
-          let t_sched = Unix.gettimeofday () in
-          let fut, fresh = schedule t ~use_cache:cache cell in
-          if fresh then
-            Option.iter (fun m -> Monitor.inc_total m 1) t.opts.monitor;
-          publish_gauges t;
-          (cell, `Scheduled (fut, fresh, t_sched)))
-      cells
-  in
   let simulated = ref 0 and cached = ref 0 and failed = ref 0 in
   (* The single exit point per cell: stream the result frame, record the
      cell's spans, feed the latency windows and append the access record,
      all from the same instants — so every accounting surface agrees on
-     what was served.  The cell span covers [total_s]; a merged cell's
-     engine stages belong to the cell that started the computation. *)
+     what was served.  The cell span covers [total_s]. *)
   let emit ~index ~cell ~t_sched ~source ~wall_s ~summary ~error ~queue_s
-      ~exec_s ~engine_stages ~merged =
+      ~exec_s ~engine_stages =
     let t_ser = Unix.gettimeofday () in
     Protocol.(
       write_frame oc
@@ -401,15 +320,13 @@ let handle_submit t oc ~id ~cache ~trace cells =
              ("index", string_of_int index);
              ("source", source);
            ]
-          @ (if merged then [ ("merged", "true") ] else [])
           @ match error with Some e -> [ ("error", e) ] | None -> []);
-        if not merged then
-          List.iter
-            (fun (name, start_s, stop_s) ->
-              record spans ~id:(Span.fresh_id spans) ~parent:cell_id name
-                start_s stop_s
-                (stage_attrs cell ~source engine_stages name))
-            engine_stages)
+        List.iter
+          (fun (name, start_s, stop_s) ->
+            record spans ~id:(Span.fresh_id spans) ~parent:cell_id name
+              start_s stop_s
+              (stage_attrs cell ~source engine_stages name))
+          engine_stages)
       t.opts.spans;
     (* in [lat_stages] order *)
     if error = None then
@@ -437,21 +354,19 @@ let handle_submit t oc ~id ~cache ~trace cells =
           output_char log_oc '\n';
           flush log_oc)
   in
-  (* Whatever interrupts the stream — a Failed future re-raised by
-     await, a write to a vanished client — every fresh cell of the
-     batch must leave the memo, or its key is poisoned for the daemon's
-     lifetime (later identical submissions would merge onto the dead
-     future instead of re-simulating).  [unschedule] is idempotent, so
-     the eager per-cell removal below and this sweep can overlap. *)
+  let fail ~index ~cell ~t_sched ~queue_s ~exec_s msg =
+    incr failed;
+    Atomic.incr t.errors;
+    emit ~index ~cell ~t_sched ~source:"error" ~wall_s:0. ~summary:Json.Null
+      ~error:(Some msg) ~queue_s ~exec_s ~engine_stages:[]
+  in
+  (* Cells scheduled by this batch and not answered yet.  Whatever
+     interrupts the stream (a write to a vanished client, a stopped
+     pool), the cells it never answers leave the inflight gauge. *)
+  let unanswered = ref 0 in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun (cell, disp) ->
-          match disp with
-          | `Scheduled (fut, true, _) ->
-            unschedule t ~use_cache:cache cell fut
-          | _ -> ())
-        scheduled;
+      ignore (Atomic.fetch_and_add t.inflight (- !unanswered));
       Option.iter
         (fun spans ->
           record spans ~id:req_id ~parent:(-1) "submit" t0
@@ -464,39 +379,55 @@ let handle_submit t oc ~id ~cache ~trace cells =
         t.opts.spans;
       publish_gauges t)
     (fun () ->
+      (* Enqueue everything up front (a bounded queue blocks right here —
+         that is the backpressure), then stream results in submission
+         order as they complete.  Validation is per cell: an invalid cell
+         becomes its own [error] result and the rest of the batch
+         proceeds. *)
+      let scheduled =
+        List.map
+          (fun cell ->
+            match Engine.validate_cell cell with
+            | Error msg ->
+              let msg =
+                Printf.sprintf "%s/%s: %s" cell.Protocol.workload
+                  cell.Protocol.policy msg
+              in
+              (cell, `Invalid (msg, Unix.gettimeofday ()))
+            | Ok () ->
+              let t_sched = Unix.gettimeofday () in
+              let fut = Parallel.async t.pool (exec t ~use_cache:cache cell) in
+              incr unanswered;
+              Atomic.incr t.inflight;
+              Option.iter (fun m -> Monitor.inc_total m 1) t.opts.monitor;
+              publish_gauges t;
+              (cell, `Scheduled (fut, t_sched)))
+          cells
+      in
       List.iteri
         (fun index (cell, disp) ->
           match disp with
           | `Invalid (msg, t_sched) ->
-            incr failed;
-            Atomic.incr t.errors;
-            emit ~index ~cell ~t_sched ~source:"error" ~wall_s:0.
-              ~summary:Json.Null ~error:(Some msg) ~queue_s:0. ~exec_s:0.
-              ~engine_stages:[] ~merged:false
-          | `Scheduled (fut, fresh, t_sched) -> (
-            match Parallel.await fut with
-            | o ->
-              if fresh then unschedule t ~use_cache:cache cell fut;
+            fail ~index ~cell ~t_sched ~queue_s:0. ~exec_s:0. msg
+          | `Scheduled (fut, t_sched) -> (
+            let outcome =
+              match Parallel.await fut with o -> Ok o | exception e -> Error e
+            in
+            decr unanswered;
+            Atomic.decr t.inflight;
+            publish_gauges t;
+            let queue_s, exec_s = cell_times fut in
+            match outcome with
+            | Ok o ->
               (match o.Engine.source with
               | "cache" -> incr cached
               | _ -> incr simulated);
-              publish_gauges t;
-              let queue_s, exec_s = cell_times fut ~t_sched in
               emit ~index ~cell ~t_sched ~source:o.Engine.source
                 ~wall_s:o.Engine.wall_s ~summary:o.Engine.summary ~error:None
                 ~queue_s ~exec_s ~engine_stages:o.Engine.stages
-                ~merged:(not fresh)
-            | exception e ->
-              (* a raising cell is that cell's failure, not the
-                 batch's: drop its memo entry so later submissions
-                 re-simulate, report it, and keep streaming *)
-              if fresh then unschedule t ~use_cache:cache cell fut;
-              incr failed;
-              Atomic.incr t.errors;
-              let queue_s, exec_s = cell_times fut ~t_sched in
-              emit ~index ~cell ~t_sched ~source:"error" ~wall_s:0.
-                ~summary:Json.Null ~error:(Some (Printexc.to_string e))
-                ~queue_s ~exec_s ~engine_stages:[] ~merged:(not fresh)))
+            | Error e ->
+              (* a raising cell is that cell's failure, not the batch's *)
+              fail ~index ~cell ~t_sched ~queue_s ~exec_s (Printexc.to_string e)))
         scheduled;
       Protocol.(
         write_frame oc
@@ -539,36 +470,12 @@ let handle_request t oc req =
     Protocol.(
       write_frame oc
         (response_to_json (Stats_snapshot (stats_json t (snapshot t)))))
-  | Protocol.Prune days ->
-    let removed =
-      match t.opts.cache with
-      | Some cache -> Run_cache.prune cache ~max_age_days:days
-      | None -> 0
-    in
-    log t (Printf.sprintf "prune: removed %d entries" removed);
-    Protocol.(write_frame oc (response_to_json (Pruned removed)))
   | Protocol.Shutdown ->
     log t "shutdown requested";
     Protocol.(write_frame oc (response_to_json Bye));
     stop_accepting t
   | Protocol.Submit { id; cache; trace; cells } ->
     handle_submit t oc ~id ~cache ~trace cells
-  | Protocol.History { since; until; last } -> (
-    match t.history with
-    | None ->
-      Protocol.(
-        write_frame oc
-          (response_to_json
-             (Error "daemon is running without --history-out")))
-    | Some h -> (
-      match Tsdb.read_dir ?since ?until ~last h.h_dir with
-      | Error e ->
-        Atomic.incr t.errors;
-        Protocol.(write_frame oc (response_to_json (Error e)))
-      | Ok samples ->
-        Protocol.(
-          write_frame oc
-            (response_to_json (History_data (Protocol.history_doc samples))))))
 
 let handle_client t conn fd =
   let ic = Unix.in_channel_of_descr fd in
@@ -642,27 +549,40 @@ let bind_listener socket_path =
   Unix.listen listener 64;
   listener
 
+let absolute dir =
+  if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir else dir
+
 let run ?(on_ready = fun () -> ()) opts =
   (* A client that disconnects mid-stream must surface as a Sys_error
      (EPIPE) on the write — which handle_client absorbs — not as a
      SIGPIPE whose default action kills the daemon for everyone. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let listener = bind_listener opts.socket_path in
-  let pool =
-    Parallel.create ~size:(max 1 opts.pool_size) ?max_pending:opts.queue_max ()
-  in
+  (* Every directory the daemon writes under exists before it binds, so
+     an unusable --cache-dir or --history-out stops it here rather than
+     failing each cell at the store or killing the sampler. *)
+  let cache_dir = Option.map (fun c -> absolute (Run_cache.dir c)) opts.cache in
+  Option.iter Files.mkdir_p cache_dir;
   let history =
     Option.map
       (fun ho ->
+        let h_dir = absolute ho.history_dir in
         {
-          h_dir = ho.history_dir;
+          h_dir;
           h_interval_s = Float.max 0.01 ho.history_interval_s;
-          tsdb = Tsdb.create ~dir:ho.history_dir ();
+          tsdb = Tsdb.create ~dir:h_dir ();
           h_stop = Atomic.make false;
           h_prev = None;
         })
       opts.history
+  in
+  let listener = bind_listener opts.socket_path in
+  let unbind () =
+    (try Unix.close listener with Unix.Unix_error _ -> ());
+    try Sys.remove opts.socket_path with Sys_error _ -> ()
+  in
+  let pool =
+    Parallel.create ~size:(max 1 opts.pool_size) ?max_pending:opts.queue_max ()
   in
   let t =
     {
@@ -671,14 +591,13 @@ let run ?(on_ready = fun () -> ()) opts =
       pool;
       running = Atomic.make true;
       started = Unix.gettimeofday ();
-      inflight = Hashtbl.create 64;
-      inflight_mu = Mutex.create ();
+      cache_dir;
       clients = ref [];
       clients_mu = Mutex.create ();
       next_conn = Atomic.make 0;
       simulated = Atomic.make 0;
       cached = Atomic.make 0;
-      merged = Atomic.make 0;
+      inflight = Atomic.make 0;
       requests = Atomic.make 0;
       errors = Atomic.make 0;
       lat = List.map (fun s -> (s, Latency.create ())) lat_stages;
@@ -686,7 +605,13 @@ let run ?(on_ready = fun () -> ()) opts =
       history;
     }
   in
-  publish_gauges t;
+  (* the first metrics write is the last start-up step that can fail (an
+     unwritable --metrics); a daemon that does not start leaves no socket *)
+  (try publish_gauges t
+   with e ->
+     Parallel.shutdown pool;
+     unbind ();
+     raise e);
   let sampler =
     Option.map
       (fun h ->
@@ -737,7 +662,6 @@ let run ?(on_ready = fun () -> ()) opts =
     Thread.join th;
     Tsdb.close h.tsdb
   | _ -> ());
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  (try Sys.remove opts.socket_path with Sys_error _ -> ());
+  unbind ();
   Option.iter Monitor.close opts.monitor;
   log t "stopped"

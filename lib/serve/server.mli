@@ -6,10 +6,11 @@
     One systhread per connection handles that client's frames
     sequentially; concurrency comes from many connections feeding the
     pool, whose bounded queue (see [queue_max]) provides backpressure by
-    blocking the submitting handler.  Identical cells submitted
-    concurrently by different clients are merged onto a single
-    computation (best-effort in-flight memo) — safe because cells are
-    deterministic.
+    blocking the submitting handler.  Every cell of every submission is
+    computed or replayed on its own future.  The socket carries cells and
+    the daemon's state; the directories the daemon writes (store,
+    history) are created before it binds and named, as absolute paths,
+    in its stats frame.
 
     Results are streamed back in submission order, so a client's view is
     bit-identical to a serial in-process run of the same matrix. *)
@@ -44,8 +45,8 @@ type opts = {
   spans : Levioso_telemetry.Span.t option;
       (** request-level tracing: with a collector, every submission
           records a [submit] root span, one [cell] child per cell
-          (covering the access record's [total_s]) and, under a cell
-          that started its computation, one span per engine stage.
+          (covering the access record's [total_s]) and, under each
+          cell, one span per engine stage.
           They are built from the instants the daemon reads anyway, so
           tracing adds no clock reads; the caller drains and exports
           after {!run} returns.  [None] = tracing off.  Either way the
@@ -59,8 +60,8 @@ type opts = {
           caller owns the channel. *)
   history : history_opts option;
       (** continuous telemetry; [None] = off: no sampler thread, no
-          tsdb, zero history clock reads, and the
-          [history] request answers with an error.  Results are
+          tsdb, zero history clock reads, and the stats frame's
+          [history_dir] is [null].  Results are
           bit-identical either way — sampling is observational. *)
 }
 
@@ -71,4 +72,7 @@ val run : ?on_ready:(unit -> unit) -> opts -> unit
     without polling.
 
     @raise Failure if [socket_path] is already served by a live daemon
-    (a stale socket from a dead one is silently replaced). *)
+    (a stale socket from a dead one is silently replaced).
+    @raise Sys_error naming a directory that cannot be created, or an
+    unwritable metrics file; a daemon that fails to start leaves no
+    socket file behind. *)

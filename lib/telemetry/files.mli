@@ -2,8 +2,9 @@
     the run cache and the fuzz corpus. *)
 
 val mkdir_p : string -> unit
-(** Create a directory and its missing parents ([0o755]); a failure is
-    left for the next open to report. *)
+(** Create a directory and its missing parents ([0o755]).
+    @raise Sys_error ["<dir>: <reason>"] naming the first directory
+    that could not be created. *)
 
 val write_atomic : string -> (out_channel -> unit) -> unit
 (** [write_atomic path write] writes through a temp file beside [path]

@@ -40,6 +40,14 @@ let sample_of_json j =
   Result.bind (Schema.check ~what:"tsdb record" j) (fun () ->
       Json.decoded sample_of j)
 
+let history_doc samples =
+  Schema.tag
+    [
+      ("kind", Json.String "levioso-history");
+      ("count", Json.Int (List.length samples));
+      ("records", Json.List (List.map sample_to_json samples));
+    ]
+
 (* ---------- segment naming ---------- *)
 
 let segment_name seq = Printf.sprintf "seg-%08d.jsonl" seq
@@ -171,27 +179,29 @@ let close t =
 
 let read_dir ?(since = neg_infinity) ?(until = infinity) ?(last = 0) dir =
   let ( let* ) = Result.bind in
+  let parse path lineno line =
+    let where = Printf.sprintf "%s:%d" (Filename.basename path) lineno in
+    match Json.of_string line with
+    | Error e -> Error (Printf.sprintf "%s: %s" where e)
+    | Ok j ->
+        Result.map_error (Printf.sprintf "%s: %s" where) (sample_of_json j)
+  in
   let read_file path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec loop lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line when String.trim line = "" -> loop (lineno + 1) acc
-          | line -> (
-              let where =
-                Printf.sprintf "%s:%d" (Filename.basename path) lineno
-              in
-              match Json.of_string line with
-              | Error e -> Error (Printf.sprintf "%s: %s" where e)
-              | Ok j -> (
-                  match sample_of_json j with
-                  | Error e -> Error (Printf.sprintf "%s: %s" where e)
-                  | Ok r -> loop (lineno + 1) (r :: acc)))
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ when not (Sys.file_exists path) ->
+        Ok [] (* retention unlinked it after the listing *)
+    | exception Sys_error msg -> Error msg
+    | text ->
+        (* a line is complete once its newline is written: text after
+           the last newline is an append still in progress *)
+        let rec loop lineno acc = function
+          | [] | [ _ ] -> Ok (List.rev acc)
+          | line :: rest when String.trim line = "" -> loop (lineno + 1) acc rest
+          | line :: rest ->
+              let* r = parse path lineno line in
+              loop (lineno + 1) (r :: acc) rest
         in
-        loop 1 [])
+        loop 1 [] (String.split_on_char '\n' text)
   in
   let rec walk = function
     | [] -> Ok []

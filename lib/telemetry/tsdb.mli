@@ -81,14 +81,20 @@ val read_dir :
     with [since <= ts <= until], and of those only the newest [last]
     when [last > 0] (the default, 0, keeps all).  Each line is
     schema-checked; a malformed line fails the whole read with a
-    message naming the file and line number.  A missing [dir] is an
+    message naming the file and line number.  Text after a segment's
+    last newline is an append still in progress and is skipped, so a
+    reader may run while a daemon appends.  A missing [dir] is an
     [Error] naming it, unlike {!segment_files}, so a mistyped path never
     reads as an empty history. *)
 
-(** {1 Serialization} (exposed for the [history] frame and tests) *)
+(** {1 Serialization} *)
 
 val sample_to_json : sample -> Json.t
 
 val sample_of_json : Json.t -> (sample, string) result
 (** Inverse of {!sample_to_json}; schema-checks first.  Any other
     [kind] is an [Error]. *)
+
+val history_doc : sample list -> Json.t
+(** Wrap samples as the schema-tagged ["levioso-history"] document that
+    [levioso_serve history --json] prints. *)

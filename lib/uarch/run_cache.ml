@@ -58,6 +58,8 @@ let create ?stamp ~dir () =
   in
   { dir; stamp }
 
+let dir t = t.dir
+
 let path t ~config ~workload ~policy =
   let key = entry_key t ~config ~workload ~policy in
   Filename.concat

@@ -28,6 +28,9 @@ val create : ?stamp:string -> dir:string -> unit -> t
     disjoint entry sets in the same directory unless both pass the same
     [stamp].  The directory is created lazily on the first {!store}. *)
 
+val dir : t -> string
+(** The store's root directory, as given to {!create}. *)
+
 val config_key : Config.t -> string
 (** Hex digest of the marshalled config — every field participates. *)
 

@@ -1,6 +1,6 @@
 (* The decoder rejection table: for every document the programs read
-   back (wire frames, configs, tsdb records, run summaries, leak graphs,
-   history documents), one valid document and two mutations of each
+   back (wire frames, configs, tsdb records, run summaries, leak graphs),
+   one valid document and two mutations of each
    field it holds.  Dropping a required field and giving any field a
    value of the wrong type must both return an [Error] naming that field
    and must never raise; dropping an optional field must decode to the
@@ -149,9 +149,6 @@ let cell =
 let submit trace =
   Protocol.Submit { id = "b1"; cache = true; trace; cells = [ cell ] }
 
-let history ?(since = Some 1.5) ?(until = Some 2.5) ?(last = 4) () =
-  Protocol.History { since; until; last }
-
 let request_rows =
   let row name r optional =
     Row
@@ -166,14 +163,7 @@ let request_rows =
   in
   [
     row "ping" Protocol.Ping [];
-    row "prune" (Protocol.Prune 3) [];
     row "submit" (submit (Some "tr-1")) [ ("trace", submit None) ];
-    row "history" (history ())
-      [
-        ("since", history ~since:None ());
-        ("until", history ~until:None ());
-        ("last", history ~last:0 ());
-      ];
   ]
 
 let result error =
@@ -213,9 +203,7 @@ let response_rows =
     row ~any:[ "summary" ] "result" (result (Some "boom"))
       [ ("error", result None) ];
     row "done" (finished 2) [ ("failed", finished 0) ];
-    row "pruned" (Protocol.Pruned 5) [];
     row ~any:[ "snapshot" ] "stats" (Protocol.Stats_snapshot (Json.Obj [])) [];
-    row ~any:[ "data" ] "history" (Protocol.History_data (Json.Obj [])) [];
     row "error" (Protocol.Error "bad") [];
   ]
 
@@ -242,25 +230,6 @@ let tsdb_row =
       any = [];
       (* a sample keeps its numeric fields and skips the rest *)
       opaque = [ "fields" ];
-    }
-
-let history_row =
-  let doc =
-    match Protocol.history_doc [ sample ] with
-    | Json.Obj kvs ->
-      (* [kind] and [count] describe the document; the reader needs only
-         the records *)
-      Json.Obj (List.filter (fun (k, _) -> k <> "kind" && k <> "count") kvs)
-    | j -> j
-  in
-  Row
-    {
-      name = "Protocol.history_records";
-      doc;
-      decode = Protocol.history_records;
-      optional = [];
-      any = [];
-      opaque = [ "records.0.fields" ];
     }
 
 let sim_stats_row =
@@ -422,7 +391,7 @@ let leak_row =
 
 let rows =
   request_rows @ response_rows
-  @ [ config_row; tsdb_row; history_row; sim_stats_row ] @ run_rows
+  @ [ config_row; tsdb_row; sim_stats_row ] @ run_rows
   @ [ leak_row ]
 
 let test_rejection_table () =

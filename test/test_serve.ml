@@ -3,7 +3,8 @@
    determinism against the in-process path, and a live daemon on a temp
    socket exercised by sequential and concurrent clients (equality of
    every client's results with a local run, cache replay on
-   resubmission, prune, graceful shutdown). *)
+   resubmission, prune, graceful shutdown), and the start-up failures
+   that leave nothing behind. *)
 
 module Config = Levioso_uarch.Config
 module Run_cache = Levioso_uarch.Run_cache
@@ -51,7 +52,6 @@ let test_request_round_trip () =
   check "ping" Protocol.Ping;
   check "stats" Protocol.Stats;
   check "shutdown" Protocol.Shutdown;
-  check "prune" (Protocol.Prune 30);
   check "submit"
     (Protocol.Submit
        {
@@ -102,7 +102,6 @@ let test_response_round_trip () =
          id = "r1";
          stats = { simulated = 1; cached = 1; failed = 0; wall_s = 0.9 };
        });
-  check "pruned" (Protocol.Pruned 3);
   check "stats-snapshot" (Protocol.Stats_snapshot summary);
   check "pong" Protocol.Pong;
   check "error" (Protocol.Error "boom");
@@ -372,6 +371,20 @@ let test_server_end_to_end () =
         (List.rev !seen);
       Alcotest.(check int) "nothing stale to prune" 0
         (Client.prune c ~max_age_days:30);
+      (* prune works on the directory the daemon names: an entry aged
+         past the horizon goes, the rest stay *)
+      let first = List.hd matrix_cells in
+      let entry =
+        Run_cache.path
+          (Run_cache.create ~stamp:"t" ~dir ())
+          ~config:first.Protocol.config ~workload:first.Protocol.workload
+          ~policy:first.Protocol.policy
+      in
+      let aged = Unix.gettimeofday () -. (40. *. 86400.) in
+      Unix.utimes entry aged aged;
+      Alcotest.(check int) "one entry aged past the horizon" 1
+        (Client.prune c ~max_age_days:30);
+      Alcotest.(check bool) "the aged entry is gone" false (Sys.file_exists entry);
       (* an invalid cell becomes its own error result — the batch
          completes and the connection survives *)
       let bad_results, bad_stats = Client.submit c [ cell ~workload:"no-such" () ] in
@@ -413,7 +426,18 @@ let test_concurrent_clients_bit_identical () =
           Alcotest.(check (list string))
             (Printf.sprintf "client %d bit-identical to local" i)
             expected s)
-        captured)
+        captured;
+      (* no request rides another's computation: each computes or
+         replays every one of its cells *)
+      let c = Client.connect socket in
+      let stats = Client.stats c in
+      Client.close c;
+      let gauge name =
+        int_of_float Json.(get (get to_float_exn name) "gauges" stats)
+      in
+      Alcotest.(check int) "cells simulated + cached"
+        (4 * List.length matrix_cells)
+        (gauge "serve_cells_simulated" + gauge "serve_cells_cached"))
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -567,11 +591,10 @@ let test_bounded_queue_backpressure () =
 
 (* Continuous telemetry end-to-end: a daemon run with history enabled
    returns bit-identical results, records monotone samples carrying the
-   expected operational fields, answers the history request (with
-   last-N truncation), and leaves on-disk segments a cold reader can
-   parse after shutdown.  The history request is the one surface that
-   tells a client what a running daemon has sampled without knowing its
-   --history-out directory; this test reads it to answer that. *)
+   expected operational fields, and leaves on-disk segments a cold
+   reader can parse after shutdown.  [Client.history] reads the
+   directory the daemon names while the daemon appends to it: up to a
+   sample already written, it reads what [Tsdb.read_dir] reads. *)
 let test_history_daemon () =
   let dir = Filename.temp_file "lev-history" "" in
   Sys.remove dir;
@@ -585,11 +608,7 @@ let test_history_daemon () =
         (local_summaries matrix_cells) (summaries results);
       (* let the sampler tick a few times past the submission *)
       Thread.delay 0.2;
-      let samples =
-        match Protocol.history_records (Client.history c) with
-        | Ok samples -> samples
-        | Error msg -> Alcotest.fail msg
-      in
+      let samples = Client.history c in
       Alcotest.(check bool) "at least one sample" true (samples <> []);
       let rec monotone = function
         | (a : Tsdb.sample) :: (b :: _ as rest) ->
@@ -607,10 +626,11 @@ let test_history_daemon () =
       | Some v -> Alcotest.(check bool) "requests counted" true (v >= 1.)
       | None -> Alcotest.fail "requests field missing");
       Alcotest.(check int) "last-N truncation" 1
-        (List.length
-           (match Protocol.history_records (Client.history ~last:1 c) with
-           | Ok samples -> samples
-           | Error msg -> Alcotest.fail msg));
+        (List.length (Client.history ~last:1 c));
+      let until = last.Tsdb.ts in
+      Alcotest.(check bool) "live and offline reads agree up to a written sample"
+        true
+        (Tsdb.read_dir ~until dir = Ok (Client.history ~until c));
       Client.shutdown c;
       Client.close c;
       let deadline = Unix.gettimeofday () +. 5.0 in
@@ -670,12 +690,12 @@ let test_metric_surfaces_pinned () =
     "stats frame key paths"
     ([
        "schema_version:int"; "kind:string"; "proto:int"; "pool:int";
-       "queue_max:null"; "cache:bool"; "uptime_s:float"; "requests:int";
+       "queue_max:null"; "cache_dir:null"; "history_dir:string";
+       "uptime_s:float"; "requests:int";
        "errors:int"; "gauges.serve_queue_depth:float";
        "gauges.serve_inflight:float"; "gauges.serve_clients:float";
        "gauges.serve_cells_simulated:float"; "gauges.serve_cells_cached:float";
-       "gauges.serve_cells_merged:float"; "gauges.serve_requests:float";
-       "gauges.serve_errors:float";
+       "gauges.serve_requests:float"; "gauges.serve_errors:float";
      ]
     @ List.concat_map stage_paths [ "queue"; "exec"; "serialize"; "total" ])
     (paths "" stats);
@@ -701,7 +721,7 @@ let test_metric_surfaces_pinned () =
     "tsdb sample field names"
     ([
        "uptime_s"; "queue_depth"; "inflight"; "clients"; "cells_simulated";
-       "cells_cached"; "cells_merged"; "requests"; "errors";
+       "cells_cached"; "requests"; "errors";
      ]
     @ List.concat_map
         (stage_fields [ "_seen"; "_p50_s"; "_p95_s"; "_p99_s" ])
@@ -766,7 +786,6 @@ let test_metric_surfaces_pinned () =
     @ gauge "serve_clients" "Connected clients."
     @ gauge "serve_cells_simulated" "Cells simulated since daemon start."
     @ gauge "serve_cells_cached" "Cells replayed from the shard store."
-    @ gauge "serve_cells_merged" "Cells merged onto a concurrent computation."
     @ gauge "serve_requests" "Requests handled since daemon start."
     @ gauge "serve_errors" "Cells and frames that failed since daemon start."
     @ List.concat_map histogram stages
@@ -805,6 +824,86 @@ let test_history_unavailable () =
           (contains msg "--history-out")
       | _ -> Alcotest.fail "history without --history-out should error");
       Client.close c)
+
+(* A daemon on [opts] whose start-up must fail: [Server.run] raises
+   before serving and leaves no socket file; the exception's message is
+   returned.  A daemon that comes up anyway is shut down from another
+   thread (the accept loop runs in this one) and fails the test. *)
+let refused_start ?cache ?monitor ?history what =
+  let socket_path = Filename.temp_file "lev-serve" ".sock" in
+  Sys.remove socket_path;
+  let opts =
+    {
+      Server.socket_path;
+      pool_size = 1;
+      queue_max = None;
+      cache;
+      monitor;
+      log = None;
+      spans = None;
+      access_log = None;
+      history;
+    }
+  in
+  let stop () =
+    let c = Client.connect socket_path in
+    Client.shutdown c;
+    Client.close c
+  in
+  match Server.run opts ~on_ready:(fun () -> ignore (Thread.create stop ())) with
+  | () -> Alcotest.failf "%s: the daemon served" what
+  | exception (Sys_error msg | Failure msg) ->
+    Alcotest.(check bool) (what ^ ": no socket left") false
+      (Sys.file_exists socket_path);
+    msg
+
+(* A path under a regular file: no directory can be made there. *)
+let under_a_file name =
+  let file = Filename.temp_file "lev-not-a-dir" "" in
+  Filename.concat file name
+
+(* An unusable --history-out stops the daemon before it binds, with the
+   directory named; it no longer serves with a dead sampler thread. *)
+let test_history_dir_unusable () =
+  let dir = under_a_file "sub" in
+  let msg =
+    refused_start "history"
+      ~history:{ Server.history_dir = dir; history_interval_s = 0.05 }
+  in
+  Alcotest.(check string) "the error names the directory"
+    (dir ^ ": Not a directory") msg
+
+(* An unusable store directory stops the daemon before it binds, and
+   bench before its first cell; neither fails cell by cell at the
+   store. *)
+let test_cache_dir_unusable () =
+  let dir = under_a_file "cache" in
+  let msg =
+    refused_start "cache" ~cache:(Run_cache.create ~stamp:"t" ~dir ())
+  in
+  Alcotest.(check string) "the error names the directory"
+    (dir ^ ": Not a directory") msg;
+  let tmp = Filename.temp_dir "levioso_serve" "" in
+  (match
+     Test_cli.run_program ~tmp "bench/main.exe"
+       [ "--quick"; "--only"; "fig3"; "-j"; "1"; "--cache-dir"; dir ]
+   with
+  | 1, "", [ line ] ->
+    Alcotest.(check string) "bench names the directory"
+      ("bench: " ^ dir ^ ": Not a directory") line
+  | rc, _, err ->
+    Alcotest.failf "bench --cache-dir %s: exit %d: %s" dir rc
+      (String.concat " | " err));
+  Sys.rmdir tmp
+
+(* The first metrics write fails after the socket is bound: the daemon
+   unbinds before it raises. *)
+let test_metrics_unwritable () =
+  let path = "/nonexistent/dir/m.prom" in
+  let monitor = Monitor.create ~metrics_path:path ~label:"levioso_serve" () in
+  let msg = refused_start "metrics" ~monitor in
+  Alcotest.(check bool) ("the error names the file: " ^ msg) true
+    (String.starts_with ~prefix:(path ^ ": ") msg)
 
 (* A config whose create would need gigabytes (a 100000-entry window
    squares into 4.3 GB of wake rows) is refused by validation: that cell
@@ -1013,6 +1112,12 @@ let suite =
         test_history_unavailable;
       Alcotest.test_case "daemon: metric surfaces pinned" `Quick
         test_metric_surfaces_pinned;
+      Alcotest.test_case "daemon: unusable --history-out refuses to start"
+        `Quick test_history_dir_unusable;
+      Alcotest.test_case "daemon + bench: unusable --cache-dir refuses to start"
+        `Quick test_cache_dir_unusable;
+      Alcotest.test_case "daemon: unwritable --metrics leaves no socket" `Quick
+        test_metrics_unwritable;
       Alcotest.test_case "daemon: oversized config is a cell error" `Quick
         test_oversized_config_cell;
       Alcotest.test_case "daemon: over-cap frame is refused" `Quick

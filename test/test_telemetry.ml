@@ -616,7 +616,6 @@ let test_monitor_process_metrics () =
 let test_schema_check_sweep () =
   let module Tsdb = Levioso_telemetry.Tsdb in
   let module Span = Levioso_telemetry.Span in
-  let module Protocol = Levioso_serve.Protocol in
   let artifacts =
     [
       ("run summary", Summary.runs []);
@@ -633,7 +632,7 @@ let test_schema_check_sweep () =
           ~stages:[ ("queue", 0.001) ]
           ~total_s:0.002 () );
       ("tsdb sample", Tsdb.sample_to_json { Tsdb.ts = 1.; fields = [ ("a", 1.) ] });
-      ("history", Protocol.history_doc []);
+      ("history", Tsdb.history_doc []);
     ]
   in
   let with_version j v =

@@ -1,8 +1,8 @@
 (* Continuous-telemetry building blocks, each driven by explicit fake
    clocks so time never leaks into the assertions: the on-disk tsdb
    (round-trips, byte-determinism, clock-read economy, rotation,
-   retention, time-range reads, malformed lines) and the HTML dashboard
-   (deterministic rendering). *)
+   retention, time-range reads, malformed and torn lines) and the HTML
+   dashboard (deterministic rendering). *)
 
 module Json = Levioso_telemetry.Json
 module Schema = Levioso_telemetry.Schema
@@ -203,6 +203,33 @@ let test_tsdb_rejects_garbage () =
           Schema.version );
     ]
 
+(* A reader racing an append sees the segment's complete lines: an
+   unterminated last line is skipped, and the same text ended by a
+   newline is an error like any malformed line. *)
+let test_tsdb_torn_last_line () =
+  let dir = temp_dir "tsdb-torn" in
+  let clock, _ = ticking () in
+  let t = Tsdb.create ~clock ~dir () in
+  Tsdb.append t [ ("v", 1.) ];
+  Tsdb.close t;
+  let seg = List.hd (Tsdb.segment_files dir) in
+  let append text =
+    let oc = open_out_gen [ Open_append ] 0o644 seg in
+    output_string oc text;
+    close_out oc
+  in
+  append
+    (Printf.sprintf {|{"schema_version":%d,"kind":"levioso-tsdb-sam|}
+       Schema.version);
+  Alcotest.(check (list (float 0.))) "the complete sample reads" [ 100. ]
+    (List.map (fun s -> s.Tsdb.ts) (read_all dir));
+  append "\n";
+  match Tsdb.read_dir dir with
+  | Ok _ -> Alcotest.fail "a terminated bad line should fail the read"
+  | Error msg ->
+    Alcotest.(check bool) "error names the segment and line" true
+      (contains msg (Filename.basename seg ^ ":2"))
+
 let test_tsdb_missing_dir () =
   let dir = temp_dir "tsdb-missing" in
   (match Tsdb.read_dir dir with
@@ -283,6 +310,8 @@ let suite =
       Alcotest.test_case "tsdb: since/until reads" `Quick test_tsdb_time_range;
       Alcotest.test_case "tsdb: malformed line fails the read" `Quick
         test_tsdb_rejects_garbage;
+      Alcotest.test_case "tsdb: a torn last line is skipped" `Quick
+        test_tsdb_torn_last_line;
       Alcotest.test_case "tsdb: missing directory fails the read" `Quick
         test_tsdb_missing_dir;
       Alcotest.test_case "dashboard: deterministic render" `Quick
